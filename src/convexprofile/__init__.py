@@ -11,7 +11,6 @@ from .core import (
     Point,
     Q,
     Segment,
-    SegmentOpenness,
     Vector,
     orientation,
     point,

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import argparse
 import hashlib
+import itertools
 import json
 import os
 import sys
@@ -21,6 +22,7 @@ from .geometry_io import (
     dump_geometry,
     instance_digest,
     load_geometry_file,
+    pair_to_json,
     parse_rational,
     point_to_json,
 )
@@ -34,17 +36,11 @@ from .polyhedra import (
     profile,
 )
 from .regions2d import (
-    Disk,
-    DiskComplement,
-    PointedOpenBox,
     PolygonRegion,
-    SimplePolygon,
     boundary_probe_points,
-    circle_points,
     classify_pair,
     convexity_oracle,
     is_convex_by_pairs,
-    is_starshaped,
     kernel,
 )
 from .svg_render import render_svg
@@ -52,13 +48,10 @@ from .theorems import (
     THEOREM_IDS,
     check_boundary_hull,
     check_krein_milman,
-    classify_pair_polyhedron,
-    polyhedron_boundary_probes,
     run_suite,
 )
 
 DEFAULT_SEED = 0xC0FFEE
-REGION_TYPES = (PolygonRegion, Disk, DiskComplement, PointedOpenBox, SimplePolygon)
 
 
 def build_parser():
@@ -181,58 +174,44 @@ def _load_pairs_file(path):
 
 
 def _probe_points(instance, mode, density):
-    if isinstance(instance, HPolyhedron):
-        probes = polyhedron_boundary_probes(instance)
-        if mode == "vertices":
-            verts = extreme_points(instance)
-            return list(verts) if verts else probes
-        return probes
+    """Boundary points to pair up: `all` probes, or the `vertices`.
+
+    A polygon's vertices are its ring vertices; a polyhedron's are its
+    extreme points, or its probes when it has fewer than two (a cone, a
+    halfspace). A curved or fixed region's probes stand in for vertices.
+    """
     if mode == "vertices":
         if isinstance(instance, PolygonRegion):
-            pts = list(instance.outer.vertices)
-            for h in instance.holes:
-                pts.extend(h.vertices)
-            return pts
-        if isinstance(instance, SimplePolygon):
-            return list(instance.vertices)
-        if isinstance(instance, PointedOpenBox):
-            return list(PointedOpenBox.CORNERS)
-        return circle_points(instance.center, instance.radius, density)
+            return [v for ring in instance.rings() for v in ring.vertices]
+        if isinstance(instance, HPolyhedron):
+            verts = extreme_points(instance)
+            if len(verts) >= 2:
+                return list(verts)
     return boundary_probe_points(instance, density)
 
 
-def _as_region(instance):
-    return (
-        PolygonRegion(instance)
-        if isinstance(instance, SimplePolygon)
-        else instance
-    )
+def _simple_ring(instance, message):
+    """The ring of a hole-free polygon; anything else is a schema error."""
+    if not isinstance(instance, PolygonRegion) or instance.holes:
+        raise SchemaError(message, "$.kind")
+    return instance.outer
 
 
-def _cmd_classify(args):
+def _cmd_classify(args, seed):
     instance = load_geometry_file(args.file)
     if isinstance(instance, (VPolytope, Epigraph1D)):
         raise SchemaError("classify needs a region or an h-polyhedron", "$.kind")
-    import itertools
-
     if args.pairs in ("vertices", "all"):
         points = _probe_points(instance, args.pairs, args.probe_density)
-        pairs = list(itertools.combinations(points, 2))
+        pairs = itertools.combinations(points, 2)
     else:
         pairs = _load_pairs_file(args.pairs)
-    results = []
-    for p, q in pairs:
-        if isinstance(instance, HPolyhedron):
-            cls = classify_pair_polyhedron(instance, p, q)
-        else:
-            cls = classify_pair(_as_region(instance), p, q)
-        results.append(
-            {"p": point_to_json(p), "q": point_to_json(q), "class": cls.value}
-        )
-    return results, 0
+    return [
+        pair_to_json(p, q, classify_pair(instance, p, q)) for p, q in pairs
+    ], 0
 
 
-def _cmd_convexity(args):
+def _cmd_convexity(args, seed):
     instance = load_geometry_file(args.file)
     if isinstance(instance, HPolyhedron):
         return [
@@ -243,35 +222,28 @@ def _cmd_convexity(args):
         ], 0
     if isinstance(instance, (VPolytope, Epigraph1D)):
         raise SchemaError("convexity needs a planar region", "$.kind")
-    region = _as_region(instance)
-    verdict, witness = is_convex_by_pairs(region, args.probe_density)
+    verdict, witness = is_convex_by_pairs(instance, args.probe_density)
     result = {"convex_by_pairs": verdict}
     if witness is not None:
-        p, q, cls = witness
-        result["witness"] = {
-            "p": point_to_json(p),
-            "q": point_to_json(q),
-            "class": cls.value,
-        }
-    if isinstance(region, PolygonRegion):
+        result["witness"] = pair_to_json(*witness)
+    if isinstance(instance, PolygonRegion):
         result["vertex_turn_oracle"] = (
-            not region.holes and convexity_oracle(region.outer)
+            not instance.holes and convexity_oracle(instance.outer)
         )
     return [result], 0
 
 
-def _cmd_kernel(args):
-    instance = load_geometry_file(args.file)
-    if isinstance(instance, PolygonRegion) and not instance.holes:
-        instance = instance.outer
-    if not isinstance(instance, SimplePolygon):
-        raise SchemaError("kernel is defined for simple polygons", "$.kind")
-    ker = kernel(instance)
+def _cmd_kernel(args, seed):
+    ring = _simple_ring(
+        load_geometry_file(args.file), "kernel is defined for simple polygons"
+    )
+    ker = kernel(ring)
     empty = is_empty(ker)
     result = {
         "kernel": dump_geometry(ker),
         "empty": empty,
-        "starshaped": is_starshaped(instance),
+        # A polygon is starshaped iff its kernel is non-empty.
+        "starshaped": not empty,
     }
     if not empty:
         result["kernel_vertices"] = [
@@ -280,7 +252,7 @@ def _cmd_kernel(args):
     return [result], 0
 
 
-def _cmd_extremes(args):
+def _cmd_extremes(args, seed):
     instance = load_geometry_file(args.file)
     if isinstance(instance, VPolytope):
         kept = profile(instance)
@@ -369,38 +341,25 @@ def _cmd_render(args, seed):
     kernel_region = None
     extreme_overlay = []
     if "pairs" in wanted:
-        import itertools
-
         if isinstance(instance, Epigraph1D):
             raise SchemaError(
                 "pair overlays need a region or an h-polyhedron", "$.overlays"
             )
         points = _probe_points(instance, "vertices", min(args.probe_density, 8))
-        for p, q in itertools.combinations(points[:8], 2):
-            if isinstance(instance, HPolyhedron):
-                cls = classify_pair_polyhedron(instance, p, q)
-            else:
-                cls = classify_pair(_as_region(instance), p, q)
-            pair_overlays.append((p, q, cls))
+        pair_overlays = [
+            (p, q, classify_pair(instance, p, q))
+            for p, q in itertools.combinations(points[:8], 2)
+        ]
     if "kernel" in wanted:
-        poly = instance
-        if isinstance(poly, PolygonRegion) and not poly.holes:
-            poly = poly.outer
-        if not isinstance(poly, SimplePolygon):
-            raise SchemaError("kernel overlay needs a simple polygon", "$.kind")
-        kernel_region = kernel(poly)
+        kernel_region = kernel(
+            _simple_ring(instance, "kernel overlay needs a simple polygon")
+        )
     if "extremes" in wanted:
         if isinstance(instance, HPolyhedron):
             extreme_overlay = list(extreme_points(instance))
         elif isinstance(instance, PolygonRegion):
             extreme_overlay = list(
-                profile(
-                    VPolytope(tuple(instance.outer.vertices), 2)
-                )
-            )
-        elif isinstance(instance, SimplePolygon):
-            extreme_overlay = list(
-                profile(VPolytope(tuple(instance.vertices), 2))
+                profile(VPolytope(tuple(instance.outer.vertices), 2))
             )
     doc = render_svg(
         instance,
@@ -420,27 +379,24 @@ def _cmd_render(args, seed):
     ], 0
 
 
+# Subcommand name -> handler(args, seed) -> (results, exit code).
+_COMMANDS = {
+    "classify": _cmd_classify,
+    "convexity": _cmd_convexity,
+    "kernel": _cmd_kernel,
+    "extremes": _cmd_extremes,
+    "reconstruct": _cmd_reconstruct,
+    "check": _cmd_check,
+    "render": _cmd_render,
+}
+
+
 def run(argv):
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
         seed = _resolve_seed(args)
-        if args.command == "classify":
-            results, code = _cmd_classify(args)
-        elif args.command == "convexity":
-            results, code = _cmd_convexity(args)
-        elif args.command == "kernel":
-            results, code = _cmd_kernel(args)
-        elif args.command == "extremes":
-            results, code = _cmd_extremes(args)
-        elif args.command == "reconstruct":
-            results, code = _cmd_reconstruct(args, seed)
-        elif args.command == "check":
-            results, code = _cmd_check(args, seed)
-        elif args.command == "render":
-            results, code = _cmd_render(args, seed)
-        else:  # pragma: no cover - argparse enforces the choices
-            raise SchemaError(f"unknown command {args.command!r}", "$")
+        results, code = _COMMANDS[args.command](args, seed)
     except SchemaError as exc:
         sys.stderr.write(json.dumps(exc.to_json_dict(), sort_keys=True) + "\n")
         return 2

@@ -155,15 +155,9 @@ def interpolate(a, b, t):
     return Point(x + t * (y - x) for x, y in zip(a.coords, b.coords))
 
 
-class SegmentOpenness(Enum):
-    CLOSED = "closed"
-    OPEN = "open"
-    HALF_OPEN = "half-open"
-
-
 @dataclass(frozen=True)
 class Segment:
-    """A segment between two points; openness is descriptive metadata.
+    """A segment between two points.
 
     Degenerate segments (a == b) are permitted at construction; operations
     that need a non-degenerate segment reject them explicitly.
@@ -171,7 +165,6 @@ class Segment:
 
     a: Point
     b: Point
-    openness: SegmentOpenness = SegmentOpenness.CLOSED
 
     def __post_init__(self):
         _check_same_dim(self.a, self.b)
@@ -179,12 +172,6 @@ class Segment:
     @property
     def dim(self):
         return self.a.dim
-
-    def is_degenerate(self):
-        return self.a == self.b
-
-    def point_at(self, t):
-        return interpolate(self.a, self.b, t)
 
 
 class Orientation(IntEnum):

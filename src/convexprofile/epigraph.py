@@ -16,10 +16,6 @@ from .polyhedra import PointLocation
 
 CHORD_TOLERANCE = Q(1, 2**40)
 
-# Strict convexity of the polynomial is checked on this probe grid at
-# construction (sufficient for the desk-scale instances used here).
-_CONVEXITY_GRID = [Q(k, 2) for k in range(-16, 17)]
-
 
 @dataclass(frozen=True)
 class Epigraph1D:
@@ -30,27 +26,19 @@ class Epigraph1D:
     def __post_init__(self):
         coeffs = tuple(rational(c) for c in self.poly_coeffs)
         object.__setattr__(self, "poly_coeffs", coeffs)
-        if len(coeffs) < 3:
-            raise InvalidRegionError(
-                "need a polynomial of degree >= 2 for strict convexity"
-            )
-        for x in _CONVEXITY_GRID:
-            if self.second_derivative(x) <= 0:
-                raise InvalidRegionError(
-                    f"second derivative is not positive at x = {x}"
-                )
+        # f is strictly convex iff f'' is not identically zero and f'' >= 0
+        # on R: a positive leading coefficient and no real root of odd
+        # multiplicity, where f'' would change sign.
+        f2 = _derivative(_derivative(coeffs))
+        if not f2:
+            raise InvalidRegionError("second derivative is identically zero")
+        if f2[-1] < 0 or _has_odd_multiplicity_root(f2):
+            raise InvalidRegionError("second derivative takes negative values")
 
     def value(self, x):
         acc = ZERO
         for c in reversed(self.poly_coeffs):
             acc = acc * x + c
-        return acc
-
-    def second_derivative(self, x):
-        acc = ZERO
-        n = len(self.poly_coeffs)
-        for k in range(n - 1, 1, -1):
-            acc = acc * x + self.poly_coeffs[k] * (k * (k - 1))
         return acc
 
     def locate(self, p):
@@ -108,3 +96,87 @@ def chord_find(epigraph, p, tolerance=CHORD_TOLERANCE):
         else:
             lo = mid
     return px - hi, px + hi
+
+
+# Exact univariate polynomial arithmetic over Q for the convexity decision.
+# A polynomial is a list of coefficients, constant term first, with no
+# trailing zeros; the zero polynomial is [].
+
+
+def _trim(p):
+    p = list(p)
+    while p and p[-1] == 0:
+        p.pop()
+    return p
+
+
+def _derivative(p):
+    return _trim(k * p[k] for k in range(1, len(p)))
+
+
+def _sub(p, q):
+    n = max(len(p), len(q))
+    p = list(p) + [ZERO] * (n - len(p))
+    q = list(q) + [ZERO] * (n - len(q))
+    return _trim(a - b for a, b in zip(p, q))
+
+
+def _divmod(p, q):
+    """(quotient, remainder) of p by a nonzero q."""
+    rem = list(p)
+    quot = [ZERO] * max(len(p) - len(q) + 1, 0)
+    while len(rem) >= len(q):
+        c = rem[-1] / q[-1]
+        k = len(rem) - len(q)
+        quot[k] = c
+        for i, b in enumerate(q):
+            rem[k + i] -= c * b
+        rem = _trim(rem)
+    return _trim(quot), rem
+
+
+def _monic_gcd(p, q):
+    while q:
+        p, q = q, _divmod(p, q)[1]
+    return [c / p[-1] for c in p]
+
+
+def _has_odd_multiplicity_root(p):
+    """Whether p has a real root of odd multiplicity.
+
+    Yun's square-free decomposition: the i-th gcd taken in the loop is the
+    product of the factors of multiplicity exactly i.
+    """
+    dp = _derivative(p)
+    g = _monic_gcd(p, dp)
+    b = _divmod(p, g)[0]
+    d = _sub(_divmod(dp, g)[0], _derivative(b))
+    multiplicity = 1
+    while len(b) > 1:
+        a = _monic_gcd(b, d)
+        if multiplicity % 2 and _real_root_count(a):
+            return True
+        b = _divmod(b, a)[0]
+        d = _sub(_divmod(d, a)[0], _derivative(b))
+        multiplicity += 1
+    return False
+
+
+def _real_root_count(p):
+    """Number of distinct real roots of a nonzero p (Sturm's theorem)."""
+    if len(p) < 2:
+        return 0
+    chain = [p, _derivative(p)]
+    while True:
+        rem = _divmod(chain[-2], chain[-1])[1]
+        if not rem:
+            break
+        chain.append([-c for c in rem])
+
+    def sign_changes(signs):
+        return sum(1 for s, t in zip(signs, signs[1:]) if s != t)
+
+    # Leading terms decide each sign at +infinity and -infinity.
+    at_pos = [q[-1] > 0 for q in chain]
+    at_neg = [(q[-1] > 0) == (len(q) % 2 == 1) for q in chain]
+    return sign_changes(at_neg) - sign_changes(at_pos)

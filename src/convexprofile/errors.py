@@ -49,6 +49,10 @@ class BelowGraphError(ConvexProfileError):
     """Query point lies strictly below the graph of the epigraph function."""
 
 
+class CertificateError(ConvexProfileError):
+    """A computed certificate failed its exact re-check (an internal fault)."""
+
+
 class SchemaError(ConvexProfileError):
     """A geometry JSON document violates the schema.
 

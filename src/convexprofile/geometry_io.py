@@ -76,15 +76,21 @@ def _require(doc, field, path, typ=None):
     return value
 
 
+def _require_dim(doc, path):
+    dim = _require(doc, "dim", path)
+    # bool is an int subclass: `true` must not load as dimension 1.
+    if isinstance(dim, bool) or not isinstance(dim, int) or dim < 1:
+        raise SchemaError("'dim' must be a positive integer", f"{path}.dim")
+    return dim
+
+
 def load_geometry(doc, path="$"):
     """Build a geometry instance from a parsed JSON document."""
     if not isinstance(doc, dict):
         raise SchemaError("expected a JSON object", path)
     kind = _require(doc, "kind", path, str)
     if kind == "h-polyhedron":
-        dim = _require(doc, "dim", path)
-        if not isinstance(dim, int) or dim < 1:
-            raise SchemaError("'dim' must be a positive integer", f"{path}.dim")
+        dim = _require_dim(doc, path)
         raw = _require(doc, "halfspaces", path, list)
         halfspaces = []
         for i, h in enumerate(raw):
@@ -101,9 +107,7 @@ def load_geometry(doc, path="$"):
                 raise SchemaError(str(exc), hpath) from None
         return HPolyhedron(tuple(halfspaces), dim)
     if kind == "v-polytope":
-        dim = _require(doc, "dim", path)
-        if not isinstance(dim, int) or dim < 1:
-            raise SchemaError("'dim' must be a positive integer", f"{path}.dim")
+        dim = _require_dim(doc, path)
         raw = _require(doc, "points", path, list)
         if not raw:
             raise SchemaError("a v-polytope needs at least one point", f"{path}.points")
@@ -114,8 +118,11 @@ def load_geometry(doc, path="$"):
         return VPolytope(tuple(pts), dim)
     if kind == "polygon":
         outer = _load_ring(_require(doc, "outer", path, list), f"{path}.outer")
+        raw_holes = doc.get("holes", [])
+        if not isinstance(raw_holes, list):
+            raise SchemaError("'holes' must be a list of rings", f"{path}.holes")
         holes = []
-        for i, ring in enumerate(doc.get("holes", [])):
+        for i, ring in enumerate(raw_holes):
             holes.append(_load_ring(ring, f"{path}.holes[{i}]"))
         try:
             return PolygonRegion(outer, tuple(holes))
@@ -166,6 +173,11 @@ def point_to_json(p):
 
 def vector_to_json(v):
     return [format_rational(c) for c in v.coords]
+
+
+def pair_to_json(p, q, cls):
+    """A classified boundary pair (p, q, PairClass) as a JSON object."""
+    return {"p": point_to_json(p), "q": point_to_json(q), "class": cls.value}
 
 
 def dump_geometry(obj):

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 from enum import Enum
 
 from .core import Point, Q, Vector, ZERO, rational
-from .errors import DimensionMismatchError
+from .errors import CertificateError, DimensionMismatchError
 
 
 class Relation(Enum):
@@ -196,7 +196,8 @@ def _solve_max(cost, rows, rhs, nonneg):
             obj1[c] = ZERO
         allowed1 = [c for c in range(total) if c not in art_of_row.values()]
         unb = _run_simplex(tableau, basis, obj1, allowed1, m)
-        assert unb is None, "phase-1 objective is bounded above by zero"
+        if unb is not None:
+            raise CertificateError("phase-1 objective came out unbounded")
         art_set = set(art_cols)
         if any(basis[i] in art_set and tableau[i][-1] != 0 for i in range(m)):
             return LpStatus.INFEASIBLE, None, None
@@ -264,15 +265,16 @@ def solve_lp(lp):
         return LpOutcome(LpStatus.INFEASIBLE)
     if status is LpStatus.UNBOUNDED:
         d = Vector(ray)
-        assert all(
+        if not all(
             sum(r[j] * d.coords[j] for j in range(n)) <= 0 for r in rows
-        ), "unbounded ray must be a recession direction"
-        assert lp.objective.dot(d) > 0, "unbounded ray must improve the objective"
+        ):
+            raise CertificateError("unbounded ray is not a recession direction")
+        if lp.objective.dot(d) <= 0:
+            raise CertificateError("unbounded ray does not improve the objective")
         return LpOutcome(LpStatus.UNBOUNDED, ray=d)
     pt = Point(x)
-    assert all(c.satisfied_by(pt) for c in lp.constraints), (
-        "optimal point must satisfy every constraint exactly"
-    )
+    if not all(c.satisfied_by(pt) for c in lp.constraints):
+        raise CertificateError("optimal point violates a constraint")
     return LpOutcome(LpStatus.OPTIMAL, value=lp.objective.dot(Vector(x)), point=pt)
 
 

@@ -11,6 +11,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 from enum import Enum
+from functools import cached_property
 
 from .core import (
     Matrix,
@@ -19,6 +20,7 @@ from .core import (
     SolveStatus,
     Vector,
     ZERO,
+    interpolate,
     nullspace_basis,
     rank,
     rational,
@@ -69,7 +71,11 @@ class Halfspace:
 
 @dataclass(frozen=True)
 class HPolyhedron:
-    """Intersection of closed halfspaces in E^dim (closed, convex)."""
+    """Intersection of closed halfspaces in E^dim (closed, convex).
+
+    Implements the region protocol of `regions2d` (locate2, breakpoints,
+    boundary_probes) in any dimension.
+    """
 
     halfspaces: tuple
     dim: int
@@ -87,6 +93,36 @@ class HPolyhedron:
     def _check_point(self, x):
         if x.dim != self.dim:
             raise DimensionMismatchError("point dimension mismatch")
+
+    @cached_property
+    def _slack(self):
+        # cached_property writes the instance __dict__, so it works on a
+        # frozen dataclass: the LP runs at most once per polyhedron.
+        return _max_slack(self)
+
+    @property
+    def full_dimensional(self):
+        """Whether the interior is non-empty."""
+        return self._slack[0] > 0
+
+    def locate2(self, x):
+        loc = locate_point(self, x)
+        return loc, loc is not PointLocation.EXTERIOR
+
+    def breakpoints(self, a, b):
+        """Exact parameters in (0,1) where [a,b] meets a constraint hyperplane."""
+        d = b - a
+        ts = set()
+        for h in self.halfspaces:
+            ad = h.normal.dot(d)
+            if ad != 0:
+                t = (h.offset - h.value(a)) / ad
+                if 0 < t < 1:
+                    ts.add(t)
+        return sorted(ts), []
+
+    def boundary_probes(self, density):
+        return polyhedron_boundary_probes(self)
 
 
 @dataclass(frozen=True)
@@ -130,8 +166,7 @@ def _constraints(P):
 
 
 def is_empty(P):
-    ok, _ = is_feasible(_constraints(P), dim=P.dim)
-    return not ok
+    return P._slack[0] < 0
 
 
 def feasible_point(P):
@@ -146,15 +181,16 @@ def _require_nonempty(P):
         raise EmptyPolyhedronError("polyhedron is empty")
 
 
-def interior_point(P):
-    """A point with strictly positive slack on every constraint, or None.
+def _max_slack(P):
+    """(t, x) maximizing a uniform slack t <= 1: normal_i . x + t <= offset_i.
 
-    Maximizes a uniform slack variable t (capped at 1 so the program stays
-    bounded); the interior is non-empty iff the optimum is positive.
+    The program is always feasible (t may go to -infinity) and bounded, so
+    one solve settles both questions: the interior is non-empty iff t > 0,
+    and P is non-empty iff t >= 0.
     """
     n = P.dim
     if not P.halfspaces:
-        return Point([ZERO] * n)
+        return Q(1), Point([ZERO] * n)
     cons = []
     for h in P.halfspaces:
         cons.append(
@@ -165,35 +201,26 @@ def interior_point(P):
     t_cap = [ZERO] * n + [Q(1)]
     cons.append(Constraint(Vector(t_cap), Relation.LE, Q(1)))
     out = solve_lp(LinearProgram(Vector(t_cap), tuple(cons)))
-    if out.status is not LpStatus.OPTIMAL:
-        return None
-    if out.value <= 0:
-        return None
-    return Point(out.point.coords[:n])
+    return out.value, Point(out.point.coords[:n])
 
 
-def is_full_dimensional(P):
-    _require_nonempty(P)
-    return interior_point(P) is not None
+def interior_point(P):
+    """A point with strictly positive slack on every constraint, or None."""
+    slack, x = P._slack
+    return x if slack > 0 else None
 
 
-def locate_point(P, x, full_dimensional=None):
+def locate_point(P, x):
     """Interior / Boundary / Exterior of x relative to P (ambient topology).
 
     Emptiness is surfaced as an error before any classification. For
     non-full-dimensional P every member point is Boundary.
-
-    `full_dimensional` lets batch callers pass the precomputed flag and
-    skip the per-query emptiness and interior LPs (passing it asserts the
-    polyhedron is non-empty).
     """
     P._check_point(x)
-    if full_dimensional is None:
-        _require_nonempty(P)
-        full_dimensional = interior_point(P) is not None
+    _require_nonempty(P)
     if any(not h.contains(x) for h in P.halfspaces):
         return PointLocation.EXTERIOR
-    if not full_dimensional:
+    if not P.full_dimensional:
         return PointLocation.BOUNDARY
     # Full-dimensional: a member is on the boundary iff some constraint is
     # tight (a redundant constraint can only be tight at boundary points).
@@ -444,7 +471,7 @@ def boundary_has_ray(P):
     Requires a non-empty full-dimensional polyhedron.
     """
     _require_nonempty(P)
-    if interior_point(P) is None:
+    if not P.full_dimensional:
         raise NonFullDimensionalError(
             "boundary ray test needs a full-dimensional polyhedron"
         )
@@ -487,5 +514,60 @@ def clip_line(P, base, direction):
     return (lo, hi)
 
 
-def vpolytope_of(points, dim):
-    return VPolytope(tuple(points), dim)
+def polyhedron_boundary_probes(P):
+    """Deterministic boundary probe points: vertices plus per-facet spreads.
+
+    Each facet contributes a feasible witness and coordinate-extreme
+    points within a box around the witness, so unbounded facets (a
+    halfspace boundary, say) still yield several spread-out probes.
+    """
+    probes = []
+    seen = set()
+
+    def add(pt):
+        if pt.coords not in seen:
+            seen.add(pt.coords)
+            probes.append(pt)
+
+    if P.dim <= 4 and lineality_dim(P) == 0:
+        for v in extreme_points(P):
+            add(v)
+    reduced = remove_redundant(P)
+    box = Q(8)
+    for h in reduced.halfspaces:
+        neg = Vector([-c for c in h.normal.coords])
+        face_cons = [
+            Constraint(g.normal, Relation.LE, g.offset)
+            for g in reduced.halfspaces
+        ]
+        face_cons.append(Constraint(h.normal, Relation.GE, h.offset))
+        out = solve_lp(LinearProgram(neg, tuple(face_cons)))
+        if out.status is not LpStatus.OPTIMAL:
+            continue
+        witness = out.point
+        facet_pts = [witness]
+        boxed = list(face_cons)
+        for j in range(P.dim):
+            e = [ZERO] * P.dim
+            e[j] = Q(1)
+            boxed.append(
+                Constraint(Vector(e), Relation.LE, witness.coords[j] + box)
+            )
+            boxed.append(
+                Constraint(Vector(e), Relation.GE, witness.coords[j] - box)
+            )
+        for j in range(P.dim):
+            for s in (1, -1):
+                e = [ZERO] * P.dim
+                e[j] = Q(s)
+                opt = solve_lp(LinearProgram(Vector(e), tuple(boxed)))
+                if opt.status is LpStatus.OPTIMAL:
+                    facet_pts.append(opt.point)
+        # Facet midpoints stay on the facet (it is convex) and give
+        # non-vertex probes, without which a simplex would look all-flat.
+        for a, b in itertools.combinations(facet_pts[:4], 2):
+            facet_pts.append(interpolate(a, b, Q(1, 2)))
+        for pt in facet_pts:
+            add(pt)
+    probes.sort(key=lambda pt: pt.coords)
+    return probes

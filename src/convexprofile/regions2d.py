@@ -5,6 +5,17 @@ Mixed for everything else), convexity-by-pairs, starshapedness, and
 kernels. All decisions are exact: polygon predicates run on
 denominator-cleared integers, circle crossings either land on rationals or
 are bracketed between certified rational parameters.
+
+The region protocol. A region kind (PolygonRegion, Disk, DiskComplement,
+PointedOpenBox here, and polyhedra.HPolyhedron in any dimension) has a
+`dim` and answers three questions; every function below works through them
+and holds no per-kind code:
+
+- `locate2(x)` -> (PointLocation, membership) of a point of E^dim;
+- `breakpoints(a, b)` -> (sorted exact parameters in (0,1), brackets): the
+  parameters where the segment a + t(b - a) may change location, and
+  (lo, hi) rational intervals each holding one irrational boundary crossing;
+- `boundary_probes(density)` -> a finite list of boundary points.
 """
 
 from __future__ import annotations
@@ -27,6 +38,7 @@ from .core import (
     rational,
 )
 from .errors import (
+    CertificateError,
     DegenerateSegmentError,
     DimensionMismatchError,
     InvalidPolygonError,
@@ -169,6 +181,7 @@ class PolygonRegion:
     """A closed polygon with optional holes (holes strictly inside, disjoint)."""
 
     kind = "polygon"
+    dim = 2
 
     __slots__ = ("outer", "holes")
 
@@ -191,43 +204,96 @@ class PolygonRegion:
             if h1.locate(h2.vertices[0]) is not PointLocation.EXTERIOR:
                 raise InvalidRegionError("holes are nested")
 
-    def boundary_edges(self):
-        edges = list(self.outer.edges())
+    def rings(self):
+        return (self.outer,) + self.holes
+
+    def locate2(self, x):
+        outer_loc = self.outer.locate(x)
+        if outer_loc is PointLocation.BOUNDARY:
+            return PointLocation.BOUNDARY, True
+        if outer_loc is PointLocation.EXTERIOR:
+            return PointLocation.EXTERIOR, False
         for h in self.holes:
-            edges.extend(h.edges())
-        return edges
+            loc = h.locate(x)
+            if loc is PointLocation.BOUNDARY:
+                return PointLocation.BOUNDARY, True
+            if loc is PointLocation.INTERIOR:
+                return PointLocation.EXTERIOR, False
+        return PointLocation.INTERIOR, True
+
+    def breakpoints(self, a, b):
+        edges = [e for ring in self.rings() for e in ring.edges()]
+        return _polyline_breakpoints(edges, a, b), []
+
+    def boundary_probes(self, density):
+        """Every ring's vertices and edge midpoints, ring by ring."""
+        pts = []
+        seen = set()
+        for ring in self.rings():
+            for a, b in ring.edges():
+                for cand in (a, interpolate(a, b, Q(1, 2))):
+                    if cand.coords not in seen:
+                        seen.add(cand.coords)
+                        pts.append(cand)
+        return pts
 
 
-class Disk:
+class _Circle:
+    """Shared body of the disk and its complement: one circle, two sides.
+
+    A subclass maps the sign of |x - center|^2 - radius^2 (-1, 0, 1) to
+    (location, membership) in `SIDES`.
+    """
+
+    dim = 2
+
+    __slots__ = ("center", "radius")
+
+    def __init__(self, center, radius):
+        self.center = center if isinstance(center, Point) else Point(center)
+        self.radius = rational(radius)
+        if self.center.dim != 2:
+            raise DimensionMismatchError(f"{self.kind} center must be 2D")
+        if self.radius <= 0:
+            raise InvalidRegionError(f"{self.kind} radius must be positive")
+
+    def locate2(self, x):
+        dx = x.coords[0] - self.center.coords[0]
+        dy = x.coords[1] - self.center.coords[1]
+        value = dx * dx + dy * dy - self.radius * self.radius
+        return self.SIDES[(value > 0) - (value < 0)]
+
+    def breakpoints(self, a, b):
+        return _circle_breakpoints(self.center, self.radius, a, b)
+
+    def boundary_probes(self, density):
+        return circle_points(self.center, self.radius, density)
+
+
+class Disk(_Circle):
     """The closed disk {x : |x - center| <= radius}."""
 
     kind = "disk"
+    SIDES = {
+        -1: (PointLocation.INTERIOR, True),
+        0: (PointLocation.BOUNDARY, True),
+        1: (PointLocation.EXTERIOR, False),
+    }
 
-    __slots__ = ("center", "radius")
-
-    def __init__(self, center, radius):
-        self.center = center if isinstance(center, Point) else Point(center)
-        self.radius = rational(radius)
-        if self.center.dim != 2:
-            raise DimensionMismatchError("disk center must be 2D")
-        if self.radius <= 0:
-            raise InvalidRegionError("disk radius must be positive")
+    __slots__ = ()
 
 
-class DiskComplement:
+class DiskComplement(_Circle):
     """The open exterior {x : |x - center| > radius} of a closed disk."""
 
     kind = "disk-complement"
+    SIDES = {
+        -1: (PointLocation.EXTERIOR, False),
+        0: (PointLocation.BOUNDARY, False),
+        1: (PointLocation.INTERIOR, True),
+    }
 
-    __slots__ = ("center", "radius")
-
-    def __init__(self, center, radius):
-        self.center = center if isinstance(center, Point) else Point(center)
-        self.radius = rational(radius)
-        if self.center.dim != 2:
-            raise DimensionMismatchError("center must be 2D")
-        if self.radius <= 0:
-            raise InvalidRegionError("radius must be positive")
+    __slots__ = ()
 
 
 class PointedOpenBox:
@@ -238,6 +304,7 @@ class PointedOpenBox:
     """
 
     kind = "pointed-open-box"
+    dim = 2
 
     __slots__ = ()
 
@@ -248,48 +315,7 @@ class PointedOpenBox:
         Point((0, 1)),
     )
 
-    def frame_edges(self):
-        c = self.CORNERS
-        return [(c[i], c[(i + 1) % 4]) for i in range(4)]
-
-
-def locate_point2(region, x):
-    """(topological location, set membership) of x relative to the region.
-
-    Location and membership only disagree on non-closed variants: the
-    pointed open box has Boundary non-members (frame edge points) and the
-    disk complement's circle is Boundary but excluded.
-    """
-    if x.dim != 2:
-        raise DimensionMismatchError("query point must be 2D")
-    if isinstance(region, PolygonRegion):
-        outer_loc = region.outer.locate(x)
-        if outer_loc is PointLocation.BOUNDARY:
-            return PointLocation.BOUNDARY, True
-        if outer_loc is PointLocation.EXTERIOR:
-            return PointLocation.EXTERIOR, False
-        for h in region.holes:
-            loc = h.locate(x)
-            if loc is PointLocation.BOUNDARY:
-                return PointLocation.BOUNDARY, True
-            if loc is PointLocation.INTERIOR:
-                return PointLocation.EXTERIOR, False
-        return PointLocation.INTERIOR, True
-    if isinstance(region, Disk):
-        sign = _disk_value(region, x)
-        if sign < 0:
-            return PointLocation.INTERIOR, True
-        if sign == 0:
-            return PointLocation.BOUNDARY, True
-        return PointLocation.EXTERIOR, False
-    if isinstance(region, DiskComplement):
-        sign = _disk_value(region, x)
-        if sign > 0:
-            return PointLocation.INTERIOR, True
-        if sign == 0:
-            return PointLocation.BOUNDARY, False
-        return PointLocation.EXTERIOR, False
-    if isinstance(region, PointedOpenBox):
+    def locate2(self, x):
         xv, yv = x.coords
         if 0 < xv < 1 and 0 < yv < 1:
             return PointLocation.INTERIOR, True
@@ -300,16 +326,26 @@ def locate_point2(region, x):
             is_corner = xv in (ZERO, Q(1)) and yv in (ZERO, Q(1))
             return PointLocation.BOUNDARY, bool(is_corner)
         return PointLocation.EXTERIOR, False
-    if isinstance(region, SimplePolygon):
-        loc = region.locate(x)
-        return loc, loc is not PointLocation.EXTERIOR
-    raise TypeError(f"not a planar region: {region!r}")
+
+    def breakpoints(self, a, b):
+        c = self.CORNERS
+        frame = [(c[i], c[(i + 1) % 4]) for i in range(4)]
+        return _polyline_breakpoints(frame, a, b), []
+
+    def boundary_probes(self, density):
+        return list(self.CORNERS)
 
 
-def _disk_value(region, x):
-    dx = x.coords[0] - region.center.coords[0]
-    dy = x.coords[1] - region.center.coords[1]
-    return dx * dx + dy * dy - region.radius * region.radius
+def locate_point2(region, x):
+    """(topological location, set membership) of x relative to the region.
+
+    Location and membership only disagree on non-closed variants: the
+    pointed open box has Boundary non-members (frame edge points) and the
+    disk complement's circle is Boundary but excluded.
+    """
+    if x.dim != region.dim:
+        raise DimensionMismatchError(f"query point must be {region.dim}D")
+    return region.locate2(x)
 
 
 @dataclass(frozen=True)
@@ -350,16 +386,6 @@ class SegmentPartition:
 
     def has_bracket(self):
         return any(p.location is None for p in self.pieces)
-
-
-def _boundary_edges_of(region):
-    if isinstance(region, PolygonRegion):
-        return region.boundary_edges()
-    if isinstance(region, SimplePolygon):
-        return region.edges()
-    if isinstance(region, PointedOpenBox):
-        return region.frame_edges()
-    return None
 
 
 def _polyline_breakpoints(edges, a, b):
@@ -434,14 +460,16 @@ def _circle_breakpoints(center, radius, a, b):
     brackets = []
     for lo, hi in zip(samples, samples[1:]):
         flo, fhi = f(lo), f(hi)
-        assert flo != 0 and fhi != 0, "irrational branch cannot hit zero"
+        if flo == 0 or fhi == 0:
+            raise CertificateError("irrational roots vanished at a rational")
         if (flo > 0) == (fhi > 0):
             continue
         want = flo > 0
         while hi - lo > BRACKET_WIDTH or lo == 0 or hi == 1:
             mid = (lo + hi) / 2
             fm = f(mid)
-            assert fm != 0
+            if fm == 0:
+                raise CertificateError("irrational roots vanished at a rational")
             if (fm > 0) == want:
                 lo = mid
             else:
@@ -464,24 +492,16 @@ def partition_segment(region, seg):
         seg = Segment(a, b)
     if a == b:
         raise DegenerateSegmentError("cannot partition a degenerate segment")
-    if a.dim != 2:
-        raise DimensionMismatchError("segment must be 2D")
+    if a.dim != region.dim:
+        raise DimensionMismatchError(f"segment must be {region.dim}D")
 
-    edges = _boundary_edges_of(region)
-    if edges is not None:
-        exact = _polyline_breakpoints(edges, a, b)
-        brackets = []
-    elif isinstance(region, (Disk, DiskComplement)):
-        exact, brackets = _circle_breakpoints(region.center, region.radius, a, b)
-    else:
-        raise TypeError(f"not a planar region: {region!r}")
-
+    exact, brackets = region.breakpoints(a, b)
     events = [("point", t, t) for t in exact]
     events.extend(("bracket", lo, hi) for lo, hi in brackets)
     events.sort(key=lambda e: e[1])
 
     def loc_at(t):
-        return locate_point2(region, interpolate(a, b, t))[0]
+        return region.locate2(interpolate(a, b, t))[0]
 
     raw = []
     cursor = ZERO
@@ -561,7 +581,7 @@ def _classify_from_partition(region, partition):
         if piece.location is PointLocation.EXTERIOR:
             continue
         x = interpolate(a, b, piece.representative())
-        if locate_point2(region, x)[1]:
+        if region.locate2(x)[1]:
             all_non_member = False
             break
     if all_non_member:
@@ -571,12 +591,9 @@ def _classify_from_partition(region, partition):
 
 def _classify_polygon_fast(region, p, q):
     """Integer fast path for hole-free closed polygons; None = fall back."""
-    if isinstance(region, PolygonRegion) and not region.holes:
-        poly = region.outer
-    elif isinstance(region, SimplePolygon):
-        poly = region
-    else:
+    if not isinstance(region, PolygonRegion) or region.holes:
         return None
+    poly = region.outer
     p_h = intgeom.homogenize(p, poly._scale)
     q_h = intgeom.homogenize(q, poly._scale)
     blocked = intgeom.sight_blocked(poly._ivertices, p_h, q_h)
@@ -608,26 +625,7 @@ def convexity_oracle(polygon):
 
 def boundary_probe_points(region, density=16):
     """Finite boundary probe set used by the pair-based convexity test."""
-    if isinstance(region, (PolygonRegion, SimplePolygon)):
-        polys = (
-            [region.outer] + list(region.holes)
-            if isinstance(region, PolygonRegion)
-            else [region]
-        )
-        pts = []
-        seen = set()
-        for poly in polys:
-            for a, b in poly.edges():
-                for cand in (a, interpolate(a, b, Q(1, 2))):
-                    if cand.coords not in seen:
-                        seen.add(cand.coords)
-                        pts.append(cand)
-        return pts
-    if isinstance(region, (Disk, DiskComplement)):
-        return circle_points(region.center, region.radius, density)
-    if isinstance(region, PointedOpenBox):
-        return list(PointedOpenBox.CORNERS)
-    raise TypeError(f"not a planar region: {region!r}")
+    return region.boundary_probes(density)
 
 
 def circle_points(center, radius, count):
@@ -658,11 +656,23 @@ def is_convex_by_pairs(region, probe_density=16):
     vertex-turn oracle); for the pointed open box it deliberately does not.
     """
     probes = boundary_probe_points(region, probe_density)
+    witness = first_pair_outside(
+        region, probes, {PairClass.FLAT, PairClass.HYPERBOLIC}
+    )
+    return witness is None, witness
+
+
+def first_pair_outside(region, probes, classes):
+    """The first probe pair (p, q, PairClass) whose class is not in `classes`.
+
+    Pairs are scanned in itertools.combinations order; None when every
+    pair's class is in `classes`.
+    """
     for p, q in itertools.combinations(probes, 2):
         cls = classify_pair(region, p, q)
-        if cls in (PairClass.ELLIPTIC, PairClass.MIXED):
-            return False, (p, q, cls)
-    return True, None
+        if cls not in classes:
+            return p, q, cls
+    return None
 
 
 def sees(region, p, q):
@@ -713,6 +723,7 @@ def kernel_contains_by_visibility(polygon, x, boundary_samples):
     if loc is PointLocation.EXTERIOR:
         raise NotAMemberError(f"{x!r} is not a member of the polygon")
     m = boundary_samples
+    region = PolygonRegion(polygon)
     verts = polygon._ivertices
     scale = polygon._scale
     x_h = intgeom.homogenize(x, scale)
@@ -733,7 +744,7 @@ def kernel_contains_by_visibility(polygon, x, boundary_samples):
                     polygon.vertices[(i + 1) % nverts],
                     Q(k, m),
                 )
-                inside = sees(polygon, x, target)
+                inside = sees(region, x, target)
             if not inside:
                 return False
     return True

@@ -24,7 +24,6 @@ from .regions2d import (
     PairClass,
     PointedOpenBox,
     PolygonRegion,
-    SimplePolygon,
 )
 
 CANVAS = 800
@@ -79,8 +78,6 @@ def _bounds_of(instance, extra_points=()):
     pts = list(extra_points)
     if isinstance(instance, PolygonRegion):
         pts.extend(instance.outer.vertices)
-    elif isinstance(instance, SimplePolygon):
-        pts.extend(instance.vertices)
     elif isinstance(instance, (Disk, DiskComplement)):
         c, r = instance.center, instance.radius
         xs = (c.coords[0] - r, c.coords[0] + r)
@@ -192,15 +189,9 @@ def render_svg(instance, pair_overlays=(), kernel_region=None, extreme_overlay=(
 
 
 def _render_region(instance, frame):
-    if isinstance(instance, (SimplePolygon, PolygonRegion)):
-        region = (
-            instance
-            if isinstance(instance, PolygonRegion)
-            else PolygonRegion(instance)
-        )
-        rings = [region.outer] + list(region.holes)
+    if isinstance(instance, PolygonRegion):
         path = []
-        for ring in rings:
+        for ring in instance.rings():
             coords = [frame.pt(v) for v in ring.vertices]
             path.append("M " + " L ".join(coords) + " Z")
         return (

@@ -22,15 +22,9 @@ from .core import (
     ZERO,
     interpolate,
     rank,
-    rational,
 )
 from .epigraph import CHORD_TOLERANCE, Epigraph1D, chord_find
-from .errors import (
-    DegenerateSegmentError,
-    EmptyPolyhedronError,
-    NotOnBoundaryError,
-    UnboundedPolyhedronError,
-)
+from .errors import EmptyPolyhedronError, UnboundedPolyhedronError
 from .generators import (
     random_bounded_polytope,
     random_direction,
@@ -39,15 +33,14 @@ from .generators import (
     rng_from_seed,
     sample_member_points,
 )
-from .geometry_io import instance_digest, point_to_json, vector_to_json
-from .linprog import (
-    Constraint,
-    LinearProgram,
-    LpStatus,
-    Relation,
-    is_feasible,
-    solve_lp,
+from .geometry_io import (
+    dump_geometry,
+    instance_digest,
+    pair_to_json,
+    point_to_json,
+    vector_to_json,
 )
+from .linprog import Constraint, Relation, is_feasible
 from .polyhedra import (
     Halfspace,
     HPolyhedron,
@@ -67,6 +60,7 @@ from .polyhedra import (
     lineality_dim,
     lineality_direction,
     locate_point,
+    polyhedron_boundary_probes,
     profile,
     recession_direction,
     remove_redundant,
@@ -81,6 +75,7 @@ from .regions2d import (
     boundary_probe_points,
     classify_pair,
     convexity_oracle,
+    first_pair_outside,
     is_convex_by_pairs,
     kernel,
     kernel_contains_by_visibility,
@@ -161,141 +156,35 @@ class TheoremReport:
         return doc
 
 
-def _kind_of(instance):
-    if isinstance(instance, HPolyhedron):
-        return "h-polyhedron"
-    if isinstance(instance, VPolytope):
-        return "v-polytope"
-    if isinstance(instance, SimplePolygon):
-        return "polygon"
-    if isinstance(instance, Epigraph1D):
-        return "epigraph1d"
-    return instance.kind
-
-
 def _report(theorem_id, instance, hypothesis, conclusion, **kw):
     return TheoremReport(
         theorem_id=theorem_id,
         hypothesis=hypothesis,
         conclusion=conclusion,
         instance_digest=instance_digest(instance),
-        instance_kind=_kind_of(instance),
+        instance_kind=dump_geometry(instance)["kind"],
         **kw,
     )
 
 
-def _pair_witness(p, q, cls):
-    return {"p": point_to_json(p), "q": point_to_json(q), "class": cls.value}
+def _pair_hypothesis_violated(theorem_id, instance, pair):
+    """The report of a probe pair whose class the hypothesis excludes."""
+    return _report(
+        theorem_id,
+        instance,
+        HypothesisStatus.VIOLATED,
+        ConclusionStatus.NOT_APPLICABLE,
+        hypothesis_witness=pair_to_json(*pair),
+    )
 
 
 # ---------------------------------------------------------------------------
-# Boundary machinery for polyhedra (regions2d owns the planar case)
+# Sampling machinery for polyhedra
 # ---------------------------------------------------------------------------
 
-def classify_pair_polyhedron(P, p, q, full_dim=None):
-    """Pair trichotomy for boundary points of an H-polyhedron (any n).
-
-    Breakpoints are the exact parameters where the segment meets a
-    constraint hyperplane; each sub-piece is classified at its midpoint.
-    """
-    if p == q:
-        raise DegenerateSegmentError("pair endpoints must differ")
-    if full_dim is None:
-        full_dim = interior_point(P) is not None
-    for e in (p, q):
-        if locate_point(P, e, full_dimensional=full_dim) is not PointLocation.BOUNDARY:
-            raise NotOnBoundaryError(f"{e!r} is not a boundary point")
-    d = q - p
-    ts = set()
-    for h in P.halfspaces:
-        ad = h.normal.dot(d)
-        if ad != 0:
-            t = (h.offset - h.value(p)) / ad
-            if 0 < t < 1:
-                ts.add(t)
-    ts = sorted(ts)
-    params = []
-    bounds = [ZERO] + ts + [Q(1)]
-    for lo, hi in zip(bounds, bounds[1:]):
-        params.append((lo + hi) / 2)
-    params.extend(ts)
-    locs = {
-        locate_point(P, interpolate(p, q, t), full_dimensional=full_dim)
-        for t in params
-    }
-    if locs == {PointLocation.BOUNDARY}:
-        return PairClass.FLAT
-    if locs == {PointLocation.INTERIOR}:
-        return PairClass.HYPERBOLIC
-    if locs == {PointLocation.EXTERIOR}:
-        return PairClass.ELLIPTIC
-    return PairClass.MIXED
-
-
-def polyhedron_boundary_probes(P, box=8, full_dim=None):
-    """Deterministic boundary probe points: vertices plus per-facet spreads.
-
-    Each facet contributes a feasible witness and coordinate-extreme
-    points within a box around the witness, so unbounded facets (a
-    halfspace boundary, say) still yield several spread-out probes.
-    """
-    if full_dim is None:
-        full_dim = interior_point(P) is not None
-    probes = []
-    seen = set()
-
-    def add(pt):
-        if pt.coords not in seen:
-            seen.add(pt.coords)
-            probes.append(pt)
-
-    if P.dim <= 4 and lineality_dim(P) == 0:
-        for v in extreme_points(P):
-            add(v)
-    reduced = remove_redundant(P)
-    box = rational(box)
-    for h in reduced.halfspaces:
-        neg = Vector([-c for c in h.normal.coords])
-        face_cons = [
-            Constraint(g.normal, Relation.LE, g.offset)
-            for g in reduced.halfspaces
-        ]
-        face_cons.append(Constraint(h.normal, Relation.GE, h.offset))
-        out = solve_lp(LinearProgram(neg, tuple(face_cons)))
-        if out.status is not LpStatus.OPTIMAL:
-            continue
-        witness = out.point
-        facet_pts = [witness]
-        boxed = list(face_cons)
-        for j in range(P.dim):
-            e = [ZERO] * P.dim
-            e[j] = Q(1)
-            boxed.append(
-                Constraint(Vector(e), Relation.LE, witness.coords[j] + box)
-            )
-            boxed.append(
-                Constraint(Vector(e), Relation.GE, witness.coords[j] - box)
-            )
-        for j in range(P.dim):
-            for s in (1, -1):
-                e = [ZERO] * P.dim
-                e[j] = Q(s)
-                opt = solve_lp(LinearProgram(Vector(e), tuple(boxed)))
-                if opt.status is LpStatus.OPTIMAL:
-                    facet_pts.append(opt.point)
-        # Facet midpoints stay on the facet (it is convex) and give
-        # non-vertex probes, without which a simplex would look all-flat.
-        for a, b in itertools.combinations(facet_pts[:4], 2):
-            facet_pts.append(interpolate(a, b, Q(1, 2)))
-        for pt in facet_pts:
-            add(pt)
-    probes.sort(key=lambda pt: pt.coords)
-    return probes
-
-
-def _member_samples_polyhedron(P, rng, count, probes, full_dim):
+def _member_samples_polyhedron(P, rng, count, probes):
     """Member points as convex combinations of known members."""
-    base = interior_point(P) if full_dim else feasible_point(P)
+    base = interior_point(P) if P.full_dimensional else feasible_point(P)
     pool = [base] + list(probes)
     pts = [base]
     while len(pts) < count:
@@ -353,7 +242,7 @@ def _two_sided_directions(P):
                 yield Vector(d.coords)
 
 
-def _find_boundary_chord(P, x, full_dim):
+def _find_boundary_chord(P, x):
     """A chord through x with both endpoints on the boundary, or None."""
     for d in _two_sided_directions(P):
         clipped = clip_line(P, x, d)
@@ -367,10 +256,8 @@ def _find_boundary_chord(P, x, full_dim):
         a = x + lo * d
         b = x + hi * d
         if (
-            locate_point(P, a, full_dimensional=full_dim)
-            is PointLocation.BOUNDARY
-            and locate_point(P, b, full_dimensional=full_dim)
-            is PointLocation.BOUNDARY
+            locate_point(P, a) is PointLocation.BOUNDARY
+            and locate_point(P, b) is PointLocation.BOUNDARY
         ):
             return a, b
     return None
@@ -383,32 +270,21 @@ def _find_boundary_chord(P, x, full_dim):
 def check_flat_theorem(instance, probe_density=DEFAULT_PROBE_DENSITY, seed=0):
     """All boundary pairs flat => the set and its boundary are convex;
     with interior: unbounded, affine boundary, convex complement."""
+    probes = boundary_probe_points(instance, probe_density)
+    pair = first_pair_outside(instance, probes, {PairClass.FLAT})
+    if pair is not None:
+        return _pair_hypothesis_violated("thm-2", instance, pair)
     if isinstance(instance, HPolyhedron):
-        return _check_flat_polyhedron(instance, seed)
-    return _check_flat_region(instance, probe_density)
+        return _flat_conclusion_polyhedron(instance, probes, seed)
+    return _flat_conclusion_region(instance, probe_density)
 
 
-def _check_flat_polyhedron(P, seed):
-    full_dim = interior_point(P) is not None
-    probes = polyhedron_boundary_probes(P, full_dim=full_dim)
-    witness = None
-    for p, q in itertools.combinations(probes, 2):
-        cls = classify_pair_polyhedron(P, p, q, full_dim=full_dim)
-        if cls is not PairClass.FLAT:
-            witness = _pair_witness(p, q, cls)
-            break
-    if witness is not None:
-        return _report(
-            "thm-2",
-            P,
-            HypothesisStatus.VIOLATED,
-            ConclusionStatus.NOT_APPLICABLE,
-            hypothesis_witness=witness,
-        )
+def _flat_conclusion_polyhedron(P, probes, seed):
+    full_dim = P.full_dimensional
     rng = rng_from_seed(seed)
     facts = {"interior_nonempty": full_dim}
     failures = []
-    members = _member_samples_polyhedron(P, rng, 12, probes, full_dim)
+    members = _member_samples_polyhedron(P, rng, 12, probes)
     for a, b in itertools.combinations(members[:8], 2):
         mid = interpolate(a, b, Q(1, 2))
         if not P.contains(mid):
@@ -420,11 +296,11 @@ def _check_flat_polyhedron(P, seed):
         facts["unbounded"] = ray is not None
         if ray is None:
             failures.append({"unbounded": "recession cone is trivial"})
-        ok, detail = _boundary_affine(P, probes, full_dim)
+        ok, detail = _boundary_affine(P, probes)
         facts["boundary_affine"] = ok
         if not ok:
             failures.append({"boundary_affine": detail})
-        ok, detail = _complement_convex_probed(P, probes, rng, full_dim)
+        ok, detail = _complement_convex_probed(P, probes, rng)
         facts["complement_convex_probed"] = ok
         if not ok:
             failures.append({"complement_convex": detail})
@@ -439,7 +315,7 @@ def _check_flat_polyhedron(P, seed):
     )
 
 
-def _boundary_affine(P, probes, full_dim):
+def _boundary_affine(P, probes):
     """Probes span an (n-1)-flat whose extensions stay on the boundary."""
     if len(probes) < 2:
         return False, "not enough boundary probes"
@@ -451,15 +327,12 @@ def _boundary_affine(P, probes, full_dim):
     for p in probes[1:4]:
         for k in (Q(2), Q(-1), Q(5)):
             x = interpolate(base, p, k)
-            if (
-                locate_point(P, x, full_dimensional=full_dim)
-                is not PointLocation.BOUNDARY
-            ):
+            if locate_point(P, x) is not PointLocation.BOUNDARY:
                 return False, f"flat extension leaves the boundary at {point_to_json(x)}"
     return True, None
 
 
-def _complement_convex_probed(P, probes, rng, full_dim):
+def _complement_convex_probed(P, probes, rng):
     """Midpoints of sampled exterior pairs stay exterior."""
     exterior = []
     reduced = remove_redundant(P)
@@ -467,37 +340,16 @@ def _complement_convex_probed(P, probes, rng, full_dim):
         for pt in probes[:6]:
             shift = Q(1 + rng.randint(0, 3))
             cand = pt + shift * h.normal
-            if (
-                locate_point(P, cand, full_dimensional=full_dim)
-                is PointLocation.EXTERIOR
-            ):
+            if locate_point(P, cand) is PointLocation.EXTERIOR:
                 exterior.append(cand)
     for a, b in itertools.combinations(exterior[:10], 2):
         mid = interpolate(a, b, Q(1, 2))
-        if (
-            locate_point(P, mid, full_dimensional=full_dim)
-            is not PointLocation.EXTERIOR
-        ):
+        if locate_point(P, mid) is not PointLocation.EXTERIOR:
             return False, f"complement midpoint {point_to_json(mid)} re-enters"
     return True, None
 
 
-def _check_flat_region(region, probe_density):
-    probes = boundary_probe_points(region, probe_density)
-    witness = None
-    for p, q in itertools.combinations(probes, 2):
-        cls = classify_pair(region, p, q)
-        if cls is not PairClass.FLAT:
-            witness = _pair_witness(p, q, cls)
-            break
-    if witness is not None:
-        return _report(
-            "thm-2",
-            region,
-            HypothesisStatus.VIOLATED,
-            ConclusionStatus.NOT_APPLICABLE,
-            hypothesis_witness=witness,
-        )
+def _flat_conclusion_region(region, probe_density):
     facts = {"interior_nonempty": True, "boundary_convex_probed": True}
     convex, cw = is_convex_by_pairs(region, probe_density)
     facts["set_convex_probed"] = convex
@@ -507,7 +359,7 @@ def _check_flat_region(region, probe_density):
         region,
         HypothesisStatus.SATISFIED,
         conclusion,
-        witnesses=() if convex else (_pair_witness(*cw),),
+        witnesses=() if convex else (pair_to_json(*cw),),
         facts=facts,
     )
 
@@ -519,30 +371,14 @@ def _check_flat_region(region, probe_density):
 def check_hyperbolic_theorem(region, probe_density=DEFAULT_PROBE_DENSITY):
     """All boundary pairs hyperbolic => strictly convex."""
     probes = boundary_probe_points(region, probe_density)
-    witness = None
-    flat_seen = False
-    for p, q in itertools.combinations(probes, 2):
-        cls = classify_pair(region, p, q)
-        if cls is PairClass.FLAT:
-            flat_seen = True
-        if cls is not PairClass.HYPERBOLIC:
-            witness = _pair_witness(p, q, cls)
-            break
-    if witness is not None:
-        return _report(
-            "thm-4",
-            region,
-            HypothesisStatus.VIOLATED,
-            ConclusionStatus.NOT_APPLICABLE,
-            hypothesis_witness=witness,
-        )
-    failures = []
+    pair = first_pair_outside(region, probes, {PairClass.HYPERBOLIC})
+    if pair is not None:
+        return _pair_hypothesis_violated("thm-4", region, pair)
     convex = _region_convex_probed(region, probes)
-    if not convex:
-        failures.append({"convexity": "a member midpoint left the set"})
-    if flat_seen:
-        failures.append({"strictness": "a flat probe pair exists"})
-    facts = {"convex_probed": convex, "no_flat_probe_pair": not flat_seen}
+    failures = [] if convex else [{"convexity": "a member midpoint left the set"}]
+    # Every probed pair is hyperbolic, so none is flat: strictness holds on
+    # the probes.
+    facts = {"convex_probed": convex, "no_flat_probe_pair": True}
     return _report(
         "thm-4",
         region,
@@ -600,14 +436,14 @@ def check_convexity_corollary(region, probe_density=DEFAULT_PROBE_DENSITY):
             region,
             HypothesisStatus.SATISFIED,
             ConclusionStatus.FAILS,
-            witnesses=(_pair_witness(*witness),),
+            witnesses=(pair_to_json(*witness),),
         )
     truth = _ground_truth_convex(region)
     agree = by_pairs == truth
     facts = {"convex_by_pairs": by_pairs, "convex_ground_truth": truth}
     witnesses = ()
     if witness is not None:
-        witnesses = (_pair_witness(*witness),)
+        witnesses = (pair_to_json(*witness),)
     return _report(
         "cor-5",
         region,
@@ -621,8 +457,6 @@ def check_convexity_corollary(region, probe_density=DEFAULT_PROBE_DENSITY):
 def _ground_truth_convex(region):
     if isinstance(region, PolygonRegion):
         return not region.holes and convexity_oracle(region.outer)
-    if isinstance(region, SimplePolygon):
-        return convexity_oracle(region)
     if isinstance(region, Disk):
         return True
     if isinstance(region, DiskComplement):
@@ -762,14 +596,11 @@ def check_boundary_hull(instance, interior_samples=DEFAULT_SAMPLES, seed=0):
     if isinstance(instance, Epigraph1D):
         return _check_epigraph_chords("thm-10", instance, interior_samples, seed)
     P = instance
-    full_dim = interior_point(P) is not None
     rng = rng_from_seed(seed)
     hyp = not contains_hyperplane(P)
     if not hyp:
         facts = {"contains_hyperplane": True}
-        facts["boundary_hull_equals_set"] = _boundary_hull_fact(
-            P, rng, full_dim, facts
-        )
+        facts["boundary_hull_equals_set"] = _boundary_hull_fact(P, rng, facts)
         return _report(
             "thm-10",
             P,
@@ -777,23 +608,23 @@ def check_boundary_hull(instance, interior_samples=DEFAULT_SAMPLES, seed=0):
             ConclusionStatus.NOT_APPLICABLE,
             facts=facts,
         )
-    probes = polyhedron_boundary_probes(P, full_dim=full_dim)
-    if full_dim:
+    probes = polyhedron_boundary_probes(P)
+    if P.full_dimensional:
         center = interior_point(P)
         pts = _interior_samples_polyhedron(
             P, rng, interior_samples, probes, center
         )
     else:
-        pts = _member_samples_polyhedron(P, rng, interior_samples, probes, full_dim)
+        pts = _member_samples_polyhedron(P, rng, interior_samples, probes)
     failures = []
     chords = 0
     trivial = 0
     for x in pts:
-        loc = locate_point(P, x, full_dimensional=full_dim)
+        loc = locate_point(P, x)
         if loc is PointLocation.BOUNDARY:
             trivial += 1
             continue
-        found = _find_boundary_chord(P, x, full_dim)
+        found = _find_boundary_chord(P, x)
         if found is None:
             failures.append({"no_chord_through": point_to_json(x)})
         else:
@@ -813,12 +644,12 @@ def check_boundary_hull(instance, interior_samples=DEFAULT_SAMPLES, seed=0):
     )
 
 
-def _boundary_hull_fact(P, rng, full_dim, facts):
+def _boundary_hull_fact(P, rng, facts):
     """Whether C(boundary) = set for a hypothesis-violated polyhedron."""
     if not P.halfspaces:
         facts["reason"] = "whole space: the boundary is empty"
         return False
-    if not full_dim:
+    if not P.full_dimensional:
         facts["reason"] = "no interior: every member is a boundary point"
         return True
     reduced = remove_redundant(P)
@@ -830,10 +661,10 @@ def _boundary_hull_fact(P, rng, full_dim, facts):
     # Two or more facets: chords through sampled interior points witness
     # that the boundary hull fills the set.
     center = interior_point(P)
-    probes = polyhedron_boundary_probes(P, full_dim=full_dim)
+    probes = polyhedron_boundary_probes(P)
     pts = _interior_samples_polyhedron(P, rng, 10, probes, center)
     for x in pts:
-        if _find_boundary_chord(P, x, full_dim) is None:
+        if _find_boundary_chord(P, x) is None:
             facts["reason"] = f"no boundary chord through {point_to_json(x)}"
             return False
     facts["reason"] = "chord-verified on interior samples"
@@ -912,14 +743,12 @@ def check_krein_milman(instance, samples=25, seed=0):
     facts = {"bounded": bounded, "contains_hyperplane": not no_hyperplane}
     if bounded:
         boundary_ray_free = True
+    elif P.full_dimensional:
+        boundary_ray_free = not boundary_has_ray(P)
     else:
-        full_dim = interior_point(P) is not None
-        if full_dim:
-            boundary_ray_free = not boundary_has_ray(P)
-        else:
-            # Non-full-dimensional unbounded: the set is its own boundary
-            # and an unbounded closed convex set contains a ray.
-            boundary_ray_free = False
+        # Non-full-dimensional unbounded: the set is its own boundary and an
+        # unbounded closed convex set contains a ray.
+        boundary_ray_free = False
     facts["boundary_has_ray"] = not boundary_ray_free
     if not (no_hyperplane and boundary_ray_free):
         witness = None

@@ -1,3 +1,4 @@
+import hashlib
 import json
 
 import pytest
@@ -78,6 +79,14 @@ def test_classify_explicit_pair_file(geo, capsys, tmp_path):
     assert code == 0
     classes = [r["class"] for r in doc["results"]]
     assert classes == ["hyperbolic", "flat"]
+
+
+def test_classify_cone_vertices_mode_falls_back_to_probes(geo, capsys):
+    # One extreme point makes no pair; the facet probes stand in for it.
+    code, doc = _run_json(capsys, ["classify", geo("cone.json", CONE)])
+    assert code == 0
+    assert len(doc["results"]) == 10
+    assert {r["class"] for r in doc["results"]} == {"flat", "hyperbolic"}
 
 
 def test_classify_disk_vertices_mode(geo, capsys):
@@ -210,3 +219,15 @@ def test_check_all_same_seed_byte_identical(capsys):
     assert code1 == code2 == 0
     assert out1 == out2
     assert len(json.loads(out1)["results"]) >= 16
+
+
+def test_check_all_report_is_pinned(capsys):
+    # A golden of every theorem's report: refactors must keep it byte-identical.
+    argv = ["check", "all", "--instances", "2", "--samples", "12",
+            "--probe-density", "8", "--seed", "42"]
+    assert run(argv) == 0
+    out = capsys.readouterr().out
+    assert len(json.loads(out)["results"]) == 39
+    assert hashlib.sha256(out.encode("utf-8")).hexdigest() == (
+        "f3f9f3d4652db3976a1b7629272bb6d0e12c887b6f33df2add2911a0cca454a4"
+    )

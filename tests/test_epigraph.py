@@ -22,6 +22,18 @@ def test_construction_rejects_non_convex_polynomials():
     Epigraph1D((0, 0, 1, 0, Q(1, 100)))  # x^2 + x^4/100
 
 
+def test_cubic_negative_curvature_far_from_origin_is_rejected():
+    # f'' = 6x + 50 is negative for every x < -25/3.
+    with pytest.raises(InvalidRegionError):
+        Epigraph1D((0, 0, 25, 1))
+
+
+def test_quartic_with_vanishing_curvature_is_strictly_convex():
+    # f = x^4: f'' = 12x^2 vanishes at 0 only, and f is strictly convex.
+    epi = Epigraph1D((0, 0, 0, 0, 1))
+    assert chord_find(epi, point(0, 1)) == (Q(-1), Q(1))
+
+
 def test_evaluation_and_location():
     epi = Epigraph1D((Q(1), Q(-1), Q(2)))  # 2x^2 - x + 1
     assert epi.value(Q(1, 2)) == 1

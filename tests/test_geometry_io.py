@@ -143,3 +143,31 @@ def test_load_geometry_file_errors(tmp_path):
     bad.write_text("{not json")
     with pytest.raises(SchemaError):
         load_geometry_file(str(bad))
+
+
+def _cli_schema_error(tmp_path, capsys, doc, command):
+    from convexprofile.cli import run
+
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps(doc))
+    code = run([command, str(path)])
+    assert code == 2
+    err = json.loads(capsys.readouterr().err)
+    assert err["error"] == "schema"
+    return err["path"]
+
+
+def test_non_list_holes_is_a_schema_error(tmp_path, capsys):
+    doc = {"kind": "polygon", "outer": [["0", "0"], ["1", "0"], ["0", "1"]],
+           "holes": 5}
+    for command in ("classify", "convexity", "kernel"):
+        assert _cli_schema_error(tmp_path, capsys, doc, command) == "$.holes"
+
+
+def test_boolean_dim_is_a_schema_error(tmp_path, capsys):
+    for doc in (
+        {"kind": "h-polyhedron", "dim": True,
+         "halfspaces": [{"normal": ["1"], "offset": "0"}]},
+        {"kind": "v-polytope", "dim": True, "points": [["0"]]},
+    ):
+        assert _cli_schema_error(tmp_path, capsys, doc, "extremes") == "$.dim"

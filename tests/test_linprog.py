@@ -1,8 +1,16 @@
+import os
 import random
+import subprocess
+import sys
+import textwrap
+from pathlib import Path
 
+import pytest
 from hypothesis import given, settings, strategies as st
 
+from convexprofile import linprog
 from convexprofile.core import Point, Q, Vector, vector
+from convexprofile.errors import CertificateError
 from convexprofile.linprog import (
     Constraint,
     LinearProgram,
@@ -149,3 +157,64 @@ def test_unbounded_certificates_verify(seed):
         for c in lp.constraints:
             assert c.satisfied_by(moved)
         assert lp.objective.dot(Vector(moved.coords)) == base_value + t * gain
+
+
+# max x s.t. x <= 1, y free: (0, 1) is a recession direction that does not
+# improve the objective, and (2, 0) violates the constraint.
+FORGED_LP = LinearProgram(vector(1, 0), (le([1, 0], 1),))
+
+
+def test_forged_certificates_raise(monkeypatch):
+    def forged(status, x=None, ray=None):
+        return lambda cost, rows, rhs, nonneg: (status, x, ray)
+
+    monkeypatch.setattr(
+        linprog, "_solve_max", forged(LpStatus.UNBOUNDED, ray=[Q(0), Q(1)])
+    )
+    with pytest.raises(CertificateError, match="improve"):
+        solve_lp(FORGED_LP)
+    monkeypatch.setattr(
+        linprog, "_solve_max", forged(LpStatus.OPTIMAL, x=[Q(2), Q(0)])
+    )
+    with pytest.raises(CertificateError, match="violates"):
+        solve_lp(FORGED_LP)
+
+
+def test_forged_certificates_raise_under_python_O():
+    script = textwrap.dedent(
+        """
+        import sys
+        from convexprofile import linprog
+        from convexprofile.core import Q, vector
+        from convexprofile.errors import CertificateError
+        from convexprofile.linprog import (
+            Constraint, LinearProgram, LpStatus, Relation, solve_lp,
+        )
+
+        print(sys.flags.optimize)
+        lp = LinearProgram(
+            vector(1, 0), (Constraint(vector(1, 0), Relation.LE, 1),)
+        )
+        for status, x, ray in (
+            (LpStatus.UNBOUNDED, None, [Q(0), Q(1)]),
+            (LpStatus.OPTIMAL, [Q(2), Q(0)], None),
+        ):
+            linprog._solve_max = lambda *args: (status, x, ray)
+            try:
+                solve_lp(lp)
+                print("accepted")
+            except CertificateError:
+                print("CertificateError")
+        """
+    )
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        p for p in (src, env.get("PYTHONPATH")) if p
+    )
+    proc = subprocess.run(
+        [sys.executable, "-O", "-c", script],
+        env=env, capture_output=True, text=True, timeout=60, check=False,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.split() == ["1", "CertificateError", "CertificateError"]

@@ -93,6 +93,31 @@ def test_locate_point_empty_is_an_error():
         locate_point(empty, point(0))
 
 
+def test_emptiness_and_location_solve_one_lp_per_polyhedron(monkeypatch):
+    from convexprofile import linprog, polyhedra
+
+    solves = []
+    solve = linprog.solve_lp
+    monkeypatch.setattr(
+        polyhedra, "solve_lp", lambda lp: solves.append(lp) or solve(lp)
+    )
+    monkeypatch.setattr(
+        polyhedra, "is_feasible", lambda *a, **k: pytest.fail("extra LP")
+    )
+    seg = HPolyhedron(
+        (H(V(0, 1), 0), H(V(0, -1), 0), H(V(1, 0), 1), H(V(-1, 0), 0)), 2
+    )
+    for k in range(5):
+        assert not is_empty(seg)
+        assert locate_point(seg, point(Q(k, 4), 0)) is PointLocation.BOUNDARY
+    empty = HPolyhedron((H(V(1), 0), H(V(-1), -1)), 1)
+    for _ in range(3):
+        assert is_empty(empty)
+        with pytest.raises(EmptyPolyhedronError):
+            locate_point(empty, point(0))
+    assert len(solves) == 2
+
+
 def test_recession_cone_examples():
     c = cone()
     rc = recession_cone(c)

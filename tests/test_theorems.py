@@ -8,11 +8,13 @@ from convexprofile.generators import (
     random_direction,
     rng_from_seed,
 )
+from convexprofile.polyhedra import polyhedron_boundary_probes
 from convexprofile.regions2d import (
     Disk,
     PairClass,
     PointedOpenBox,
     PolygonRegion,
+    classify_pair,
 )
 from convexprofile.theorems import (
     ConclusionStatus,
@@ -27,12 +29,10 @@ from convexprofile.theorems import (
     check_hyperbolic_theorem,
     check_kernel_characterization,
     check_krein_milman,
-    classify_pair_polyhedron,
     cone_fixture,
     halfspace_fixture,
     l_polygon_fixture,
     parabola_fixture,
-    polyhedron_boundary_probes,
     run_suite,
     segment_fixture,
     slab_fixture,
@@ -62,15 +62,10 @@ def test_report_serialization_shape():
 
 def test_classify_pair_polyhedron_cases():
     sq = unit_square_fixture()
-    assert classify_pair_polyhedron(sq, point(0, 0), point(1, 0)) is PairClass.FLAT
-    assert (
-        classify_pair_polyhedron(sq, point(0, 0), point(1, 1))
-        is PairClass.HYPERBOLIC
-    )
+    assert classify_pair(sq, point(0, 0), point(1, 0)) is PairClass.FLAT
+    assert classify_pair(sq, point(0, 0), point(1, 1)) is PairClass.HYPERBOLIC
     seg = segment_fixture()
-    assert (
-        classify_pair_polyhedron(seg, point(0, 0), point(1, 0)) is PairClass.FLAT
-    )
+    assert classify_pair(seg, point(0, 0), point(1, 0)) is PairClass.FLAT
 
 
 def test_polyhedron_probes_are_boundary_points():
@@ -218,7 +213,7 @@ def test_boundary_hull_cone_chords():
 def test_boundary_chord_through_cone_point_is_symmetric():
     from convexprofile.theorems import _find_boundary_chord
 
-    a, b = _find_boundary_chord(cone_fixture(), point(0, 5), full_dim=True)
+    a, b = _find_boundary_chord(cone_fixture(), point(0, 5))
     assert {a, b} == {point(-5, 5), point(5, 5)}
 
 
