@@ -50,6 +50,13 @@ from .polyhedra import Halfspace, HPolyhedron, PointLocation, is_empty
 
 BRACKET_WIDTH = Q(1, 2**20)
 
+# point_in_polygon's codes as locations
+_LOCATIONS = {
+    -1: PointLocation.EXTERIOR,
+    0: PointLocation.BOUNDARY,
+    1: PointLocation.INTERIOR,
+}
+
 
 class SimplePolygon:
     """A simple polygon with CCW rational vertices.
@@ -68,18 +75,19 @@ class SimplePolygon:
         for v in vs:
             if v.dim != 2:
                 raise DimensionMismatchError("polygon vertices must be 2D")
-        n = len(vs)
+        # Every check runs on the denominator-cleared integer ring: scaling
+        # by the common multiplier keeps equalities and orientation signs.
+        iv, scale = intgeom.clear_denominators(vs)
+        n = len(iv)
         for i in range(n):
-            if vs[i] == vs[(i + 1) % n]:
+            if iv[i] == iv[(i + 1) % n]:
                 raise InvalidPolygonError("repeated consecutive vertex")
-            if orientation(vs[i - 1], vs[i], vs[(i + 1) % n]) == 0:
+            if _orient(iv[i - 1], iv[i], iv[(i + 1) % n]) == 0:
                 raise InvalidPolygonError(
                     "three consecutive collinear vertices"
                 )
         area2 = sum(
-            (cross2(Vector(vs[i].coords), Vector(vs[(i + 1) % n].coords))
-             for i in range(n)),
-            ZERO,
+            ax * by - ay * bx for (ax, ay), (bx, by) in zip(iv, iv[1:] + iv[:1])
         )
         if area2 == 0:
             raise InvalidPolygonError("degenerate polygon (zero area)")
@@ -90,11 +98,11 @@ class SimplePolygon:
                 if j == i or (j + 1) % n == i or (i + 1) % n == j:
                     continue
                 if _segments_touch(
-                    vs[i], vs[(i + 1) % n], vs[j], vs[(j + 1) % n]
+                    iv[i], iv[(i + 1) % n], iv[j], iv[(j + 1) % n]
                 ):
                     raise InvalidPolygonError("polygon edges intersect")
         self.vertices = vs
-        self._ivertices, self._scale = intgeom.clear_denominators(vs)
+        self._ivertices, self._scale = iv, scale
 
     @property
     def n(self):
@@ -131,13 +139,23 @@ class SimplePolygon:
         ys = [v.coords[1] for v in self.vertices]
         return min(xs), min(ys), max(xs), max(ys)
 
+    def table(self, x):
+        """(location, homogeneous x, x's edge table) of a 2D point x.
+
+        The table is `intgeom.edge_dets` of x over the integer ring: the
+        predicates that take two points reuse it instead of re-deriving
+        the edge orientations of x.
+        """
+        h = intgeom.homogenize(x, self._scale)
+        dets = intgeom.edge_dets(self._ivertices, h)
+        code = intgeom.point_in_polygon(h, self._ivertices, dets)
+        return _LOCATIONS[code], h, dets
+
     def locate(self, x):
         code = intgeom.point_in_polygon(
             intgeom.homogenize(x, self._scale), self._ivertices
         )
-        if code == 0:
-            return PointLocation.BOUNDARY
-        return PointLocation.INTERIOR if code > 0 else PointLocation.EXTERIOR
+        return _LOCATIONS[code]
 
     def __eq__(self, other):
         return (
@@ -151,12 +169,17 @@ class SimplePolygon:
         return f"SimplePolygon({list(self.vertices)!r})"
 
 
+def _orient(a, b, c):
+    """Orientation sign of three integer pairs."""
+    return intgeom.orient(intgeom.as_h(a), intgeom.as_h(b), intgeom.as_h(c))
+
+
 def _segments_touch(a, b, c, d):
-    """Whether closed segments [a,b] and [c,d] share any point (exact)."""
-    o1 = orientation(a, b, c)
-    o2 = orientation(a, b, d)
-    o3 = orientation(c, d, a)
-    o4 = orientation(c, d, b)
+    """Whether closed segments [a,b] and [c,d] of integer pairs share a point."""
+    o1 = _orient(a, b, c)
+    o2 = _orient(a, b, d)
+    o3 = _orient(c, d, a)
+    o4 = _orient(c, d, b)
     if o1 * o2 < 0 and o3 * o4 < 0:
         return True
     for p, u, v, o in ((c, a, b, o1), (d, a, b, o2), (a, c, d, o3), (b, c, d, o4)):
@@ -167,9 +190,9 @@ def _segments_touch(a, b, c, d):
 
 def _collinear_on(p, a, b):
     """p (known collinear with a,b) lies on the closed segment [a,b]."""
-    ax, ay = a.coords
-    bx, by = b.coords
-    px, py = p.coords
+    ax, ay = a
+    bx, by = b
+    px, py = p
     if ax != bx:
         lo, hi = (ax, bx) if ax < bx else (bx, ax)
         return lo <= px <= hi
@@ -188,18 +211,31 @@ class PolygonRegion:
     def __init__(self, outer, holes=()):
         self.outer = outer
         self.holes = tuple(holes)
-        for h in self.holes:
+        if not self.holes:
+            return
+        # The rings' edges over one common denominator, for the touch tests.
+        ints, _ = intgeom.clear_denominators(
+            [v for ring in self.rings() for v in ring.vertices]
+        )
+        edges = []
+        for ring in self.rings():
+            iv, ints = ints[:ring.n], ints[ring.n:]
+            edges.append(list(zip(iv, iv[1:] + iv[:1])))
+        outer_edges, hole_edges = edges[0], edges[1:]
+        for h, h_edges in zip(self.holes, hole_edges):
             for v in h.vertices:
                 if self.outer.locate(v) is not PointLocation.INTERIOR:
                     raise InvalidRegionError("hole must be strictly inside")
-            for e1 in h.edges():
-                for e2 in self.outer.edges():
-                    if _segments_touch(e1[0], e1[1], e2[0], e2[1]):
+            for e1 in h_edges:
+                for e2 in outer_edges:
+                    if _segments_touch(*e1, *e2):
                         raise InvalidRegionError("hole touches the outer ring")
-        for h1, h2 in itertools.combinations(self.holes, 2):
-            for e1 in h1.edges():
-                for e2 in h2.edges():
-                    if _segments_touch(e1[0], e1[1], e2[0], e2[1]):
+        for (h1, edges1), (h2, edges2) in itertools.combinations(
+            zip(self.holes, hole_edges), 2
+        ):
+            for e1 in edges1:
+                for e2 in edges2:
+                    if _segments_touch(*e1, *e2):
                         raise InvalidRegionError("holes touch each other")
             if h1.locate(h2.vertices[0]) is not PointLocation.EXTERIOR:
                 raise InvalidRegionError("holes are nested")
@@ -549,15 +585,34 @@ def classify_pair(region, p, q):
     """
     if p == q:
         raise DegenerateSegmentError("pair endpoints must differ")
-    for endpoint in (p, q):
-        loc, _ = locate_point2(region, endpoint)
-        if loc is not PointLocation.BOUNDARY:
-            raise NotOnBoundaryError(f"{endpoint!r} is not a boundary point")
+    return _classify(region, _probe(region, p), _probe(region, q))
 
-    fast = _classify_polygon_fast(region, p, q)
-    if fast is not None:
-        return fast
 
+def _probe(region, x):
+    """Validate that x is a boundary point, once per point.
+
+    Returns (x, table): on a hole-free polygon table is (homogeneous x,
+    x's edge table) for the integer classifier; every other kind has None
+    and goes through the rational partition.
+    """
+    if x.dim != region.dim:
+        raise DimensionMismatchError(f"query point must be {region.dim}D")
+    if isinstance(region, PolygonRegion) and not region.holes:
+        loc, *table = region.outer.table(x)
+    else:
+        loc, table = region.locate2(x)[0], None
+    if loc is not PointLocation.BOUNDARY:
+        raise NotOnBoundaryError(f"{x!r} is not a boundary point")
+    return x, table
+
+
+def _classify(region, p_probe, q_probe):
+    """The class of a pair of `_probe` results: the one pair classifier."""
+    (p, p_table), (q, q_table) = p_probe, q_probe
+    if p_table is not None:
+        cls = _classify_by_tables(region.outer._ivertices, p_table, q_table)
+        if cls is not None:
+            return cls
     partition = partition_segment(region, Segment(p, q))
     return _classify_from_partition(region, partition)
 
@@ -589,20 +644,15 @@ def _classify_from_partition(region, partition):
     return PairClass.MIXED
 
 
-def _classify_polygon_fast(region, p, q):
-    """Integer fast path for hole-free closed polygons; None = fall back."""
-    if not isinstance(region, PolygonRegion) or region.holes:
-        return None
-    poly = region.outer
-    p_h = intgeom.homogenize(p, poly._scale)
-    q_h = intgeom.homogenize(q, poly._scale)
-    blocked = intgeom.sight_blocked(poly._ivertices, p_h, q_h)
+def _classify_by_tables(verts, p_table, q_table):
+    """Integer classification of a hole-free polygon pair; None = fall back."""
+    (p_h, p_dets), (q_h, q_dets) = p_table, q_table
+    blocked = intgeom.sight_blocked(verts, p_h, q_h, p_dets, q_dets)
     if blocked is True:
         return PairClass.MIXED
     if blocked is None:
         return None
-    mid = intgeom.midpoint_h(p_h, q_h)
-    code = intgeom.point_in_polygon(mid, poly._ivertices)
+    code = intgeom.midpoint_in_polygon(verts, p_h, q_h, p_dets, q_dets)
     # No crossing and no vertex inside the open segment: one uniform piece.
     # A boundary midpoint can then only mean collinear containment in an
     # edge, so the whole open segment lies in the boundary.
@@ -666,10 +716,22 @@ def first_pair_outside(region, probes, classes):
     """The first probe pair (p, q, PairClass) whose class is not in `classes`.
 
     Pairs are scanned in itertools.combinations order; None when every
-    pair's class is in `classes`.
+    pair's class is in `classes`. Each probe is validated (and given its
+    edge table) once, when its first pair comes up, so errors surface as
+    classify_pair would raise them pair by pair.
     """
-    for p, q in itertools.combinations(probes, 2):
-        cls = classify_pair(region, p, q)
+    prepared = {}
+
+    def prepare(i):
+        if i not in prepared:
+            prepared[i] = _probe(region, probes[i])
+        return prepared[i]
+
+    for i, j in itertools.combinations(range(len(probes)), 2):
+        p, q = probes[i], probes[j]
+        if p == q:
+            raise DegenerateSegmentError("pair endpoints must differ")
+        cls = _classify(region, prepare(i), prepare(j))
         if cls not in classes:
             return p, q, cls
     return None
@@ -719,25 +781,29 @@ def kernel_contains_by_visibility(polygon, x, boundary_samples):
     """
     if boundary_samples < 1:
         raise ValueError("need at least one sample per edge")
-    loc = polygon.locate(x)
+    loc, x_h, x_dets = polygon.table(x)
     if loc is PointLocation.EXTERIOR:
         raise NotAMemberError(f"{x!r} is not a member of the polygon")
     m = boundary_samples
     region = PolygonRegion(polygon)
     verts = polygon._ivertices
-    scale = polygon._scale
-    x_h = intgeom.homogenize(x, scale)
     nverts = len(verts)
+    # The vertices' edge tables; the target k/m along edge i is
+    # ((m - k) * v_i + k * v_i+1) / m, so its table combines two of them.
+    vertex_dets = [intgeom.edge_dets(verts, intgeom.as_h(v)) for v in verts]
     for i in range(nverts):
         vx, vy = verts[i]
         wx, wy = verts[(i + 1) % nverts]
+        v_dets = vertex_dets[i]
+        w_dets = vertex_dets[(i + 1) % nverts]
         for k in range(m):
             t_h = (
                 (m - k) * vx + k * wx,
                 (m - k) * vy + k * wy,
                 m,
             )
-            inside = intgeom.segment_in_polygon(verts, x_h, t_h)
+            t_dets = [(m - k) * a + k * b for a, b in zip(v_dets, w_dets)]
+            inside = intgeom.segment_in_polygon(verts, x_h, t_h, x_dets, t_dets)
             if inside is None:
                 target = interpolate(
                     polygon.vertices[i],

@@ -231,3 +231,39 @@ def test_check_all_report_is_pinned(capsys):
     assert hashlib.sha256(out.encode("utf-8")).hexdigest() == (
         "f3f9f3d4652db3976a1b7629272bb6d0e12c887b6f33df2add2911a0cca454a4"
     )
+
+
+def _ngon_doc():
+    from convexprofile.core import Point, Q
+    from convexprofile.geometry_io import dump_geometry
+    from convexprofile.regions2d import SimplePolygon, circle_points
+
+    poly = SimplePolygon(circle_points(Point((Q(3, 8), Q(-5, 8))), Q(41, 16), 47))
+    assert poly.n == 48
+    return dump_geometry(poly)
+
+
+NOTCHED = {
+    "kind": "polygon",
+    "outer": [["0", "0"], ["4", "0"], ["4", "3"], ["5/2", "3"], ["9/4", "7/4"],
+              ["3/2", "3"], ["0", "3"]],
+}
+
+
+@pytest.mark.parametrize("command, name, doc, digest", [
+    ("convexity", "ngon.json", _ngon_doc,
+     "884f13e8731c6fa87e6a2770cc6631c83438a7c30ecfc8445fdc07b1bba698eb"),
+    ("kernel", "ngon.json", _ngon_doc,
+     "faf271fa45461656eb18c9d0a48e771aa9f09fc7d3a17bfdf1695a20b4ca103e"),
+    ("convexity", "notched.json", lambda: NOTCHED,
+     "cade538e44d30ba6de9c476d637d7511596896cb1e38b9912732ef112752ab7b"),
+])
+def test_planar_reports_are_pinned(command, name, doc, digest, capsys, tmp_path,
+                                   monkeypatch):
+    # Goldens of the pair scan and the kernel on a convex 48-gon and of a
+    # witness on a non-convex polygon: speedups must keep them byte-identical.
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / name).write_text(json.dumps(doc()))
+    assert run([command, name]) == 0
+    out = capsys.readouterr().out
+    assert hashlib.sha256(out.encode("utf-8")).hexdigest() == digest

@@ -11,8 +11,12 @@ from convexprofile.errors import (
     NotAMemberError,
     NotOnBoundaryError,
 )
+from convexprofile import regions2d
 from convexprofile.generators import (
+    random_convex_polygon,
+    random_notched_polygon,
     random_simple_polygon,
+    random_staircase_polygon,
     rng_from_seed,
     sample_member_points,
 )
@@ -34,6 +38,7 @@ from convexprofile.regions2d import (
     circle_points,
     classify_pair,
     convexity_oracle,
+    first_pair_outside,
     is_convex_by_pairs,
     is_starshaped,
     kernel,
@@ -222,6 +227,132 @@ def test_classify_pair_symmetry_and_totality(seed):
         assert classify_pair(region, q, p) is cls
 
 
+# --- the probe-pair scan -----------------------------------------------------
+
+NOT_CONVEX = {PairClass.ELLIPTIC, PairClass.MIXED}
+CONVEX = {PairClass.FLAT, PairClass.HYPERBOLIC}
+
+
+def _first_pair_by_classify_pair(region, probes, classes):
+    for p, q in itertools.combinations(probes, 2):
+        cls = classify_pair(region, p, q)
+        if cls not in classes:
+            return p, q, cls
+    return None
+
+
+def test_pair_scan_witness_is_the_first_pair_in_combinations_order():
+    L = PolygonRegion(l_polygon())
+    probes = boundary_probe_points(L)
+    witness = first_pair_outside(L, probes, CONVEX)
+    assert witness == (point(1, 0), point(1, Q(3, 2)), PairClass.MIXED)
+    assert witness == _first_pair_by_classify_pair(L, probes, CONVEX)
+    assert is_convex_by_pairs(L) == (False, witness)
+    for classes in ({PairClass.FLAT}, {PairClass.HYPERBOLIC}, NOT_CONVEX,
+                    CONVEX | {PairClass.MIXED}):
+        assert first_pair_outside(L, probes, classes) == (
+            _first_pair_by_classify_pair(L, probes, classes)
+        )
+    sq = square_region()
+    assert first_pair_outside(sq, boundary_probe_points(sq), {PairClass.FLAT}) == (
+        point(0, 0), point(1, Q(1, 2)), PairClass.HYPERBOLIC
+    )
+    assert first_pair_outside(sq, boundary_probe_points(sq), CONVEX) is None
+
+
+def _scan_cases():
+    # (region, a witness pair, a point off the boundary)
+    yield (
+        PolygonRegion(l_polygon()),
+        (point(1, 0), point(1, Q(3, 2))),
+        point(Q(1, 2), Q(1, 2)),
+    )
+    yield (
+        DiskComplement(point(0, 0), 1),
+        (point(1, 0), point(-1, 0)),
+        point(3, 3),
+    )
+
+
+@pytest.mark.parametrize("region, pair, off", list(_scan_cases()))
+def test_pair_scan_stops_at_a_witness_before_a_later_off_boundary_probe(
+    region, pair, off
+):
+    p, q = pair
+    witness = first_pair_outside(region, [p, q, off], CONVEX)
+    assert witness[:2] == (p, q)
+    assert witness[2] in NOT_CONVEX
+
+
+@pytest.mark.parametrize("region, pair, off", list(_scan_cases()))
+def test_pair_scan_raises_on_an_off_boundary_probe_met_first(region, pair, off):
+    p, q = pair
+    with pytest.raises(NotOnBoundaryError):
+        first_pair_outside(region, [p, off, q], CONVEX)
+    with pytest.raises(NotOnBoundaryError):
+        # (p, q) is no witness for this class set, so the scan reaches off
+        first_pair_outside(region, [p, q, off], set(PairClass))
+
+
+@pytest.mark.parametrize("region, pair, off", list(_scan_cases()))
+def test_pair_scan_raises_on_equal_probes(region, pair, off):
+    p, q = pair
+    with pytest.raises(DegenerateSegmentError):
+        first_pair_outside(region, [p, p, q], CONVEX)
+    # equality is checked before either endpoint is located
+    with pytest.raises(DegenerateSegmentError):
+        first_pair_outside(region, [off, off], CONVEX)
+
+
+POLYGON_KINDS = {
+    "convex": lambda rng: random_convex_polygon(rng, 10),
+    "skyline": random_staircase_polygon,
+    "notched": lambda rng: random_notched_polygon(rng, 9),
+}
+
+
+@given(st.sampled_from(sorted(POLYGON_KINDS)), st.integers(0, 10**9))
+@settings(max_examples=30)
+def test_table_classification_agrees_with_the_partition(kind, seed):
+    # The integer edge-table classifier and the rational partition must
+    # agree on every probe pair the tables answer; skylines bring collinear
+    # edges and vertex contacts.
+    poly = POLYGON_KINDS[kind](rng_from_seed(seed))
+    region = PolygonRegion(poly)
+    probes = boundary_probe_points(region)
+    tables = {p: regions2d._probe(region, p)[1] for p in probes}
+    answered = 0
+    for p, q in itertools.combinations(probes, 2):
+        fast = regions2d._classify_by_tables(poly._ivertices, tables[p], tables[q])
+        exact = regions2d._classify_from_partition(
+            region, partition_segment(region, Segment(p, q))
+        )
+        assert classify_pair(region, p, q) is exact
+        if fast is not None:
+            answered += 1
+            assert fast is exact
+    assert answered > 0
+
+
+def test_pair_scan_locates_each_probe_once_without_orient(monkeypatch):
+    from convexprofile import intgeom
+
+    poly = SimplePolygon(circle_points(point(Q(3, 8), Q(-5, 8)), Q(41, 16), 47))
+    region = PolygonRegion(poly)
+    probes = boundary_probe_points(region)
+    assert (poly.n, len(probes)) == (48, 96)
+    calls = dict.fromkeys(("point_in_polygon", "orient"), 0)
+    for name in calls:
+        def counted(*args, _name=name, _fn=getattr(intgeom, name)):
+            calls[_name] += 1
+            return _fn(*args)
+
+        monkeypatch.setattr(intgeom, name, counted)
+    assert is_convex_by_pairs(region) == (True, None)
+    assert calls["point_in_polygon"] <= len(probes)
+    assert calls["orient"] == 0
+
+
 def test_pointed_open_box_pairs():
     box = PointedOpenBox()
     corners = PointedOpenBox.CORNERS
@@ -375,10 +506,11 @@ def test_integer_fast_path_agrees_with_rational_sees(seed):
     members = sample_member_points(poly, rng, 6)
     targets = boundary_probe_points(region)
     for x in members:
-        x_h = intgeom.homogenize(x, poly._scale)
+        _, x_h, x_dets = poly.table(x)
         for t in targets[:10]:
+            _, t_h, t_dets = poly.table(t)
             fast = intgeom.segment_in_polygon(
-                poly._ivertices, x_h, intgeom.homogenize(t, poly._scale)
+                poly._ivertices, x_h, t_h, x_dets, t_dets
             )
             if fast is None:
                 continue
