@@ -50,9 +50,6 @@ class Epigraph1D:
             return PointLocation.BOUNDARY
         return PointLocation.EXTERIOR
 
-    def contains(self, p):
-        return self.locate(p) is not PointLocation.EXTERIOR
-
     def chord_value(self, a, b, x):
         """Height of the graph chord from (a, f(a)) to (b, f(b)) at x."""
         fa, fb = self.value(a), self.value(b)

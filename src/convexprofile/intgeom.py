@@ -120,13 +120,13 @@ def _locate(verts, h, dets):
     return 1 if inside else -1
 
 
-def point_in_polygon(q, verts, dets=None):
+def point_in_polygon(q, verts, dets):
     """-1 exterior / 0 boundary / +1 interior for homogeneous q.
 
-    `verts` are integer pairs of a simple polygon; `dets` is q's
-    `edge_dets` table when the caller already holds it. Fully exact.
+    `verts` are integer pairs of a simple polygon and `dets` is q's
+    `edge_dets` table. Fully exact.
     """
-    return _locate(verts, q, edge_dets(verts, q) if dets is None else dets)
+    return _locate(verts, q, dets)
 
 
 def sight_blocked(verts, x_h, t_h, x_dets, t_dets):

@@ -311,25 +311,3 @@ def solve_nonneg_feasibility(rows, rhs):
         return None
     return x
 
-
-def dual_of(lp):
-    """Explicit dual of max c.x s.t. (mixed relations): min b.y -> as another max LP.
-
-    Only LE constraints are supported here (callers normalize first); the
-    dual of max{c.x : Ax <= b, x free} is min{b.y : A^T y = c, y >= 0},
-    returned as maximize -b.y with explicit sign constraints so it can be
-    fed back into solve_lp for the strong-duality spot check.
-    """
-    n = lp.objective.dim
-    rows, rhs = _as_le_rows(lp.constraints, n)
-    m = len(rows)
-    constraints = []
-    for j in range(n):
-        col = Vector([rows[i][j] for i in range(m)])
-        constraints.append(Constraint(col, Relation.EQ, lp.objective.coords[j]))
-    for i in range(m):
-        e = [ZERO] * m
-        e[i] = Q(1)
-        constraints.append(Constraint(Vector(e), Relation.GE, ZERO))
-    objective = Vector([-v for v in rhs])
-    return LinearProgram(objective, tuple(constraints))

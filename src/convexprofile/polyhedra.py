@@ -255,9 +255,7 @@ def _cone_has_nonzero(halfspaces, dim, extra_eq=None):
 
 
 def is_bounded(P):
-    _require_nonempty(P)
-    nontrivial, _ = _cone_has_nonzero(P.halfspaces, P.dim)
-    return not nontrivial
+    return recession_direction(P) is None
 
 
 def recession_direction(P):

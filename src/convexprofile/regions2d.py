@@ -152,10 +152,7 @@ class SimplePolygon:
         return _LOCATIONS[code], h, dets
 
     def locate(self, x):
-        code = intgeom.point_in_polygon(
-            intgeom.homogenize(x, self._scale), self._ivertices
-        )
-        return _LOCATIONS[code]
+        return self.table(x)[0]
 
     def __eq__(self, other):
         return (
@@ -521,11 +518,7 @@ def partition_segment(region, seg):
     Circle crossings at irrational parameters appear as location-None
     bracket pieces (see SegmentPiece).
     """
-    if isinstance(seg, Segment):
-        a, b = seg.a, seg.b
-    else:
-        a, b = seg
-        seg = Segment(a, b)
+    a, b = seg.a, seg.b
     if a == b:
         raise DegenerateSegmentError("cannot partition a degenerate segment")
     if a.dim != region.dim:

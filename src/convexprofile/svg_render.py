@@ -7,7 +7,7 @@ produces a byte-identical document.
 
 from __future__ import annotations
 
-from .core import Q
+from .core import Point, Q, Vector, ZERO
 from .epigraph import Epigraph1D
 from .errors import DimensionMismatchError
 from .polyhedra import (
@@ -17,7 +17,6 @@ from .polyhedra import (
     is_bounded,
     is_empty,
 )
-from .core import Vector, ZERO
 from .regions2d import (
     Disk,
     DiskComplement,
@@ -148,21 +147,21 @@ def render_svg(instance, pair_overlays=(), kernel_region=None, extreme_overlay=(
     kernel_region: an HPolyhedron to shade (or None).
     extreme_overlay: points drawn as dots.
     """
+    kernel_verts = []
+    if kernel_region is not None and not is_empty(kernel_region):
+        kernel_verts = _angular_sort(list(extreme_points(kernel_region)))
     extra = [p for pair in pair_overlays for p in (pair[0], pair[1])]
     extra.extend(extreme_overlay)
-    if kernel_region is not None and not is_empty(kernel_region):
-        extra.extend(extreme_points(kernel_region))
+    extra.extend(kernel_verts)
     frame = _Frame(*_bounds_of(instance, extra))
     body = []
     body.append(_render_region(instance, frame))
-    if kernel_region is not None and not is_empty(kernel_region):
-        verts = _angular_sort(list(extreme_points(kernel_region)))
-        if len(verts) >= 3:
-            pts = " ".join(frame.pt(v) for v in verts)
-            body.append(
-                f'<polygon points="{pts}" fill="{KERNEL_FILL}" '
-                f'fill-opacity="0.8" stroke="#b8860b" stroke-width="1.5"/>'
-            )
+    if len(kernel_verts) >= 3:
+        pts = " ".join(frame.pt(v) for v in kernel_verts)
+        body.append(
+            f'<polygon points="{pts}" fill="{KERNEL_FILL}" '
+            f'fill-opacity="0.8" stroke="#b8860b" stroke-width="1.5"/>'
+        )
     for p, q, cls in pair_overlays:
         color = PAIR_COLORS[cls]
         x1, y1 = frame.map(p)
@@ -250,17 +249,10 @@ def _render_region(instance, frame):
     if isinstance(instance, Epigraph1D):
         samples = [Q(k, 4) for k in range(-16, 17)]
         pts = " ".join(
-            frame.pt(_EpiPoint(x, instance.value(x))) for x in samples
+            frame.pt(Point((x, instance.value(x)))) for x in samples
         )
         return (
             f'<polyline points="{pts}" fill="none" stroke="{STROKE}" '
             f'stroke-width="2"/>'
         )
     raise DimensionMismatchError(f"cannot render {type(instance).__name__}")
-
-
-class _EpiPoint:
-    __slots__ = ("coords",)
-
-    def __init__(self, x, y):
-        self.coords = (x, y)

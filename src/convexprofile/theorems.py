@@ -167,14 +167,30 @@ def _report(theorem_id, instance, hypothesis, conclusion, **kw):
     )
 
 
-def _pair_hypothesis_violated(theorem_id, instance, pair):
-    """The report of a probe pair whose class the hypothesis excludes."""
+def _satisfied(theorem_id, instance, failures, facts, witnesses=None):
+    """The report of a met hypothesis: Holds iff nothing failed.
+
+    The witnesses default to the failures.
+    """
+    return _report(
+        theorem_id,
+        instance,
+        HypothesisStatus.SATISFIED,
+        ConclusionStatus.FAILS if failures else ConclusionStatus.HOLDS,
+        witnesses=tuple(failures if witnesses is None else witnesses),
+        facts=facts,
+    )
+
+
+def _violated(theorem_id, instance, witness=None, facts=None):
+    """The report of a hypothesis the instance does not meet."""
     return _report(
         theorem_id,
         instance,
         HypothesisStatus.VIOLATED,
         ConclusionStatus.NOT_APPLICABLE,
-        hypothesis_witness=pair_to_json(*pair),
+        hypothesis_witness=witness,
+        facts=facts or {},
     )
 
 
@@ -195,7 +211,7 @@ def _member_samples_polyhedron(P, rng, count, probes):
     return pts[:count]
 
 
-def _interior_samples_polyhedron(P, rng, count, probes, center):
+def _interior_samples_polyhedron(rng, count, probes, center):
     """Strictly interior points: slide members toward an interior center."""
     pool = [center] + list(probes)
     pts = [center]
@@ -269,17 +285,18 @@ def _find_boundary_chord(P, x):
 
 def check_flat_theorem(instance, probe_density=DEFAULT_PROBE_DENSITY, seed=0):
     """All boundary pairs flat => the set and its boundary are convex;
-    with interior: unbounded, affine boundary, convex complement."""
+    with interior: unbounded, affine boundary, convex complement.
+
+    The hypothesis is scanned on any region kind, but the conclusion is
+    checked on polyhedra only: every planar kind has a non-flat probe pair
+    (a ring's vertex and the midpoint of an edge not incident to it, any
+    chord of a circle, the pointed box's diagonal).
+    """
     probes = boundary_probe_points(instance, probe_density)
     pair = first_pair_outside(instance, probes, {PairClass.FLAT})
     if pair is not None:
-        return _pair_hypothesis_violated("thm-2", instance, pair)
-    if isinstance(instance, HPolyhedron):
-        return _flat_conclusion_polyhedron(instance, probes, seed)
-    return _flat_conclusion_region(instance, probe_density)
-
-
-def _flat_conclusion_polyhedron(P, probes, seed):
+        return _violated("thm-2", instance, pair_to_json(*pair))
+    P = instance
     full_dim = P.full_dimensional
     rng = rng_from_seed(seed)
     facts = {"interior_nonempty": full_dim}
@@ -304,15 +321,7 @@ def _flat_conclusion_polyhedron(P, probes, seed):
         facts["complement_convex_probed"] = ok
         if not ok:
             failures.append({"complement_convex": detail})
-    conclusion = ConclusionStatus.HOLDS if not failures else ConclusionStatus.FAILS
-    return _report(
-        "thm-2",
-        P,
-        HypothesisStatus.SATISFIED,
-        conclusion,
-        witnesses=tuple(failures),
-        facts=facts,
-    )
+    return _satisfied("thm-2", P, failures, facts)
 
 
 def _boundary_affine(P, probes):
@@ -349,21 +358,6 @@ def _complement_convex_probed(P, probes, rng):
     return True, None
 
 
-def _flat_conclusion_region(region, probe_density):
-    facts = {"interior_nonempty": True, "boundary_convex_probed": True}
-    convex, cw = is_convex_by_pairs(region, probe_density)
-    facts["set_convex_probed"] = convex
-    conclusion = ConclusionStatus.HOLDS if convex else ConclusionStatus.FAILS
-    return _report(
-        "thm-2",
-        region,
-        HypothesisStatus.SATISFIED,
-        conclusion,
-        witnesses=() if convex else (pair_to_json(*cw),),
-        facts=facts,
-    )
-
-
 # ---------------------------------------------------------------------------
 # Hyperbolic-pair theorem (all-hyperbolic closed sets are strictly convex)
 # ---------------------------------------------------------------------------
@@ -373,20 +367,13 @@ def check_hyperbolic_theorem(region, probe_density=DEFAULT_PROBE_DENSITY):
     probes = boundary_probe_points(region, probe_density)
     pair = first_pair_outside(region, probes, {PairClass.HYPERBOLIC})
     if pair is not None:
-        return _pair_hypothesis_violated("thm-4", region, pair)
+        return _violated("thm-4", region, pair_to_json(*pair))
     convex = _region_convex_probed(region, probes)
     failures = [] if convex else [{"convexity": "a member midpoint left the set"}]
     # Every probed pair is hyperbolic, so none is flat: strictness holds on
     # the probes.
     facts = {"convex_probed": convex, "no_flat_probe_pair": True}
-    return _report(
-        "thm-4",
-        region,
-        HypothesisStatus.SATISFIED,
-        ConclusionStatus.HOLDS if not failures else ConclusionStatus.FAILS,
-        witnesses=tuple(failures),
-        facts=facts,
-    )
+    return _satisfied("thm-4", region, failures, facts)
 
 
 def _region_convex_probed(region, boundary_pts):
@@ -502,14 +489,7 @@ def check_kernel_characterization(
         "samples": len(pts),
         "samples_in_kernel": inside,
     }
-    return _report(
-        "prop-8",
-        polygon,
-        HypothesisStatus.SATISFIED,
-        ConclusionStatus.HOLDS if not disagreements else ConclusionStatus.FAILS,
-        witnesses=tuple(disagreements),
-        facts=facts,
-    )
+    return _satisfied("prop-8", polygon, disagreements, facts)
 
 
 # ---------------------------------------------------------------------------
@@ -542,14 +522,7 @@ def check_extreme_existence(P):
             {"biconditional": {"extreme_count": len(verts), "lineality": ld}}
         )
     facts = {"extreme_count": len(verts), "lineality_dim": ld}
-    return _report(
-        "prop-11",
-        P,
-        HypothesisStatus.SATISFIED,
-        ConclusionStatus.HOLDS if not failures else ConclusionStatus.FAILS,
-        witnesses=tuple(witnesses) + tuple(failures),
-        facts=facts,
-    )
+    return _satisfied("prop-11", P, failures, facts, witnesses + failures)
 
 
 # ---------------------------------------------------------------------------
@@ -573,14 +546,7 @@ def check_face_lemma(P, w):
         "face_extremes": sorted(point_to_json(v) for v in face_verts),
         "set_extremes": sorted(point_to_json(v) for v in set_verts),
     }
-    return _report(
-        "lem-12",
-        P,
-        HypothesisStatus.SATISFIED,
-        ConclusionStatus.HOLDS if not missing else ConclusionStatus.FAILS,
-        witnesses=tuple(point_to_json(v) for v in missing),
-        facts=facts,
-    )
+    return _satisfied("lem-12", P, [point_to_json(v) for v in missing], facts)
 
 
 # ---------------------------------------------------------------------------
@@ -601,18 +567,12 @@ def check_boundary_hull(instance, interior_samples=DEFAULT_SAMPLES, seed=0):
     if not hyp:
         facts = {"contains_hyperplane": True}
         facts["boundary_hull_equals_set"] = _boundary_hull_fact(P, rng, facts)
-        return _report(
-            "thm-10",
-            P,
-            HypothesisStatus.VIOLATED,
-            ConclusionStatus.NOT_APPLICABLE,
-            facts=facts,
-        )
+        return _violated("thm-10", P, facts=facts)
     probes = polyhedron_boundary_probes(P)
     if P.full_dimensional:
         center = interior_point(P)
         pts = _interior_samples_polyhedron(
-            P, rng, interior_samples, probes, center
+            rng, interior_samples, probes, center
         )
     else:
         pts = _member_samples_polyhedron(P, rng, interior_samples, probes)
@@ -634,14 +594,7 @@ def check_boundary_hull(instance, interior_samples=DEFAULT_SAMPLES, seed=0):
         "chords_found": chords,
         "boundary_samples": trivial,
     }
-    return _report(
-        "thm-10",
-        P,
-        HypothesisStatus.SATISFIED,
-        ConclusionStatus.HOLDS if not failures else ConclusionStatus.FAILS,
-        witnesses=tuple(failures),
-        facts=facts,
-    )
+    return _satisfied("thm-10", P, failures, facts)
 
 
 def _boundary_hull_fact(P, rng, facts):
@@ -662,7 +615,7 @@ def _boundary_hull_fact(P, rng, facts):
     # that the boundary hull fills the set.
     center = interior_point(P)
     probes = polyhedron_boundary_probes(P)
-    pts = _interior_samples_polyhedron(P, rng, 10, probes, center)
+    pts = _interior_samples_polyhedron(rng, 10, probes, center)
     for x in pts:
         if _find_boundary_chord(P, x) is None:
             facts["reason"] = f"no boundary chord through {point_to_json(x)}"
@@ -706,14 +659,7 @@ def _check_epigraph_chords(theorem_id, epi, interior_samples, seed):
         else:
             count += 1
     facts["chords_verified"] = count
-    return _report(
-        theorem_id,
-        epi,
-        HypothesisStatus.SATISFIED,
-        ConclusionStatus.HOLDS if not failures else ConclusionStatus.FAILS,
-        witnesses=tuple(failures),
-        facts=facts,
-    )
+    return _satisfied(theorem_id, epi, failures, facts)
 
 
 def _epigraph_strictness_probes(epi, rng, count=12):
@@ -759,14 +705,7 @@ def check_krein_milman(instance, samples=25, seed=0):
             facts["extreme_count"] = len(verts)
             if outside is not None:
                 witness = {"member_outside_extreme_hull": point_to_json(outside)}
-        return _report(
-            "thm-13",
-            P,
-            HypothesisStatus.VIOLATED,
-            ConclusionStatus.NOT_APPLICABLE,
-            hypothesis_witness=witness,
-            facts=facts,
-        )
+        return _violated("thm-13", P, witness, facts)
     verts = extreme_points(P)
     facts["extreme_count"] = len(verts)
     try:
@@ -781,15 +720,10 @@ def check_krein_milman(instance, samples=25, seed=0):
             minimal = False
             break
     facts["profile_minimal"] = minimal
-    ok = equal and minimal
-    return _report(
-        "thm-13",
-        P,
-        HypothesisStatus.SATISFIED,
-        ConclusionStatus.HOLDS if ok else ConclusionStatus.FAILS,
-        witnesses=() if ok else ({"hull_equal": equal, "profile_minimal": minimal},),
-        facts=facts,
-    )
+    failures = []
+    if not (equal and minimal):
+        failures.append({"hull_equal": equal, "profile_minimal": minimal})
+    return _satisfied("thm-13", P, failures, facts)
 
 
 def _hull_of_extremes_equals(P, verts, bounded, rng):

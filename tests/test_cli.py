@@ -267,3 +267,89 @@ def test_planar_reports_are_pinned(command, name, doc, digest, capsys, tmp_path,
     assert run([command, name]) == 0
     out = capsys.readouterr().out
     assert hashlib.sha256(out.encode("utf-8")).hexdigest() == digest
+
+
+PINNED_FILES = {
+    "cone.json": CONE,
+    "triangle.json": {
+        "kind": "h-polyhedron",
+        "dim": 2,
+        "halfspaces": [
+            {"normal": ["-1", "0"], "offset": "0"},
+            {"normal": ["0", "-1"], "offset": "0"},
+            {"normal": ["1", "1"], "offset": "2"},
+        ],
+    },
+    "vpoly.json": {
+        "kind": "v-polytope",
+        "dim": 2,
+        "points": [["0", "0"], ["2", "0"], ["0", "2"], ["1/2", "1/2"], ["2", "2"]],
+    },
+    "parabola.json": {"kind": "epigraph1d", "coeffs": ["0", "0", "1"]},
+    "outside.json": {"kind": "disk-complement", "center": ["0", "0"], "radius": "1"},
+    "box.json": {"kind": "pointed-open-box"},
+    "l.json": L_POLYGON,
+    "z.json": {
+        "kind": "polygon",
+        "outer": [["0", "0"], ["3", "0"], ["3", "1"], ["2", "1"], ["2", "2"],
+                  ["3", "2"], ["3", "3"], ["0", "3"], ["0", "2"], ["1", "2"],
+                  ["1", "1"], ["0", "1"]],
+    },
+    "square.json": SQUARE,
+    "interior_pair.json": [[["1/2", "1/2"], ["0", "0"]]],
+}
+
+
+@pytest.mark.parametrize("argv, code, stdout_sha, svg_sha, stderr", [
+    (["convexity", "cone.json"], 0,
+     "8f960feaa6e296081171bdb05e2f5e51aa8577dba1ec3e368fa3366197f8f7a5", None, ""),
+    (["extremes", "vpoly.json"], 0,
+     "cb6d0958b3e50baf2e33dab69d165bd82b78b4dfb7b45aae4d61608ee027bde9", None, ""),
+    (["extremes", "triangle.json"], 0,
+     "c7bb884a83fbda861dba14e386f5b4b76d6c73ae358fbc4558ab4815c544ca8c", None, ""),
+    (["reconstruct", "parabola.json", "--samples", "8"], 0,
+     "63358fa94221b8959c5f95c92b9b7242cf88eeff36d4ad183c5e6b5cd034f71a", None, ""),
+    (["reconstruct", "triangle.json", "--samples", "8"], 0,
+     "d687b7bbf3e4bd7cdd5db9bd7233b2acab2db6be2ee4108bc540ea3a8d6b965c", None, ""),
+    (["reconstruct", "cone.json", "--samples", "8"], 0,
+     "35cafe5e08e19ea2b03033191b1fae97cc17b78cc7df89a18d564cfa426706da", None, ""),
+    (["render", "outside.json", "--svg", "out.svg"], 0,
+     "c5e999eb6e3cb28cb330fb89b8282a024d36749e1fb49b1e3b12bc3729aaad17",
+     "80e1df51bc689146e4f456d84dfce5cd94a8c081d418a8f5f082b1e00c12659b", ""),
+    (["render", "box.json", "--svg", "out.svg"], 0,
+     "a53127bfc7710d4faa390211d7c4f5826384d4b6e78520e7468b07e2018f9e5f",
+     "2ed069ac75c8f69d91bc7e5051d3cea98a78a50fe07c92da0c5336d1f21d6a88", ""),
+    (["render", "triangle.json", "--svg", "out.svg", "--overlays", "extremes"], 0,
+     "c212f971c77fe79b318e36c7553a9f8f35de8bfc2336f6048735a1110a3fff89",
+     "5c41e44ee71d4cd83dbee3c97a1578e3abae365efc33f71cfa08169d6b1da6b9", ""),
+    (["render", "cone.json", "--svg", "out.svg", "--overlays", "extremes"], 0,
+     "0cc65ab8e3b75168c4a8586f12cf1d85105b0562002d417d0b8280e813701f97",
+     "ce266bb35b877fb1f02616184c337d3808f3bd03a154f9d8a01fed1f767d976d", ""),
+    (["render", "parabola.json", "--svg", "out.svg"], 0,
+     "3e9a7e271f305666ea442b046e22a3d8254ecb6768f75101004fc52d0cee7bac",
+     "4eb96f6f12c908ccbc7c249c4dba92da9c2ffc404ce3901f2de39c0b32311d36", ""),
+    (["render", "l.json", "--svg", "out.svg", "--overlays", "pairs,kernel,extremes"],
+     0, "f65391e7f6c6cef4e5a7b0b8ea89ed525feac4e8de5881e08dda2f8ecda9400b",
+     "1547f184cea80e123ddc99c8dfeef459b7d4a9556119c3b457bd3bc10a3482d1", ""),
+    (["render", "z.json", "--svg", "out.svg", "--overlays", "kernel"], 0,
+     "1af5a50650b747d901ae1641762df2be193be759e2d287beeb9b07a00d8a1d9f",
+     "056b4b6eca02de9c1772186ef4f7820e62552729590b747584b8e35a133787bc", ""),
+    (["classify", "square.json", "--pairs", "interior_pair.json"], 2,
+     "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855", None,
+     '{"error": "NotOnBoundaryError", '
+     '"message": "Point(1/2, 1/2) is not a boundary point"}\n'),
+])
+def test_cli_reports_are_pinned(argv, code, stdout_sha, svg_sha, stderr, capsys,
+                                tmp_path, monkeypatch):
+    # Goldens of the commands on the kinds no other test runs them on:
+    # refactors must keep the report, the SVG and the error bytes identical.
+    monkeypatch.chdir(tmp_path)
+    for name, doc in PINNED_FILES.items():
+        (tmp_path / name).write_text(json.dumps(doc))
+    assert run(argv) == code
+    captured = capsys.readouterr()
+    assert hashlib.sha256(captured.out.encode("utf-8")).hexdigest() == stdout_sha
+    assert captured.err == stderr
+    if svg_sha is not None:
+        svg = (tmp_path / "out.svg").read_bytes()
+        assert hashlib.sha256(svg).hexdigest() == svg_sha

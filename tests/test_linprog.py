@@ -9,17 +9,34 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from convexprofile import linprog
-from convexprofile.core import Point, Q, Vector, vector
+from convexprofile.core import Point, Q, Vector, ZERO, vector
 from convexprofile.errors import CertificateError
 from convexprofile.linprog import (
     Constraint,
     LinearProgram,
     LpStatus,
     Relation,
-    dual_of,
+    _as_le_rows,
     is_feasible,
     solve_lp,
 )
+
+
+def dual_of(lp):
+    """The dual min{b.y : A^T y = c, y >= 0} of max{c.x : Ax <= b, x free},
+    as the LP maximize -b.y, for the strong-duality check."""
+    n = lp.objective.dim
+    rows, rhs = _as_le_rows(lp.constraints, n)
+    m = len(rows)
+    constraints = []
+    for j in range(n):
+        col = Vector([rows[i][j] for i in range(m)])
+        constraints.append(Constraint(col, Relation.EQ, lp.objective.coords[j]))
+    for i in range(m):
+        e = [ZERO] * m
+        e[i] = Q(1)
+        constraints.append(Constraint(Vector(e), Relation.GE, ZERO))
+    return LinearProgram(Vector([-v for v in rhs]), tuple(constraints))
 
 
 def le(coeffs, rhs):

@@ -1,3 +1,5 @@
+import json
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -8,9 +10,11 @@ from convexprofile.generators import (
     random_direction,
     rng_from_seed,
 )
+from convexprofile import theorems
 from convexprofile.polyhedra import polyhedron_boundary_probes
 from convexprofile.regions2d import (
     Disk,
+    DiskComplement,
     PairClass,
     PointedOpenBox,
     PolygonRegion,
@@ -277,3 +281,118 @@ def test_no_generated_instance_is_a_counterexample(theorem_id, seed):
 def test_suite_rejects_unknown_ids():
     with pytest.raises(ValueError):
         run_suite("thm-99")
+
+
+# --- failing conclusions --------------------------------------------------------
+# No generated instance makes a conclusion fail, so each case breaks one
+# predicate in the checker's namespace and pins the counterexample report.
+
+def _set(name, fn):
+    return lambda monkeypatch: monkeypatch.setattr(theorems, name, fn)
+
+
+_SQUARE = unit_square_fixture()
+
+
+def _square_loses_face_vertex(monkeypatch):
+    """extreme_points(_SQUARE) omits (1, 0), which its face x = 1 keeps."""
+    real = theorems.extreme_points
+    monkeypatch.setattr(
+        theorems,
+        "extreme_points",
+        lambda P: tuple(v for v in real(P) if v != point(1, 0))
+        if P is _SQUARE else real(P),
+    )
+
+
+def _chord_too_high(epi, p):
+    return p.coords[0] - 1, p.coords[0] + 1
+
+
+EPIGRAPH_CHORD_FAILURES = (
+    {"chord": ["1/4", "9/4"], "height_excess": "-3/4", "sample": ["5/4", "53/16"]},
+    {"chord": ["1/2", "5/2"], "height_excess": "-3", "sample": ["3/2", "25/4"]},
+)
+
+
+@pytest.mark.parametrize("patch, check, witnesses", [
+    (_set("recession_direction", lambda P: None),
+     lambda: check_flat_theorem(halfspace_fixture()),
+     ({"unbounded": "recession cone is trivial"},)),
+    (_set("_region_convex_probed", lambda region, probes: False),
+     lambda: check_hyperbolic_theorem(Disk(point(0, 0), 1), 10),
+     ({"convexity": "a member midpoint left the set"},)),
+    (_set("_ground_truth_convex", lambda region: False),
+     lambda: check_convexity_corollary(Disk(point(0, 0), 2), 8),
+     ()),
+    (_set("is_convex_by_pairs",
+          lambda region, density: (False, (point(0, 0), point(1, 1), PairClass.MIXED))),
+     lambda: check_convexity_corollary(PointedOpenBox(), 8),
+     ({"class": "mixed", "p": ["0", "0"], "q": ["1", "1"]},)),
+    (_set("kernel_contains_by_visibility", lambda polygon, x, m: True),
+     lambda: check_kernel_characterization(l_polygon_fixture(), samples=4, seed=11),
+     tuple(
+         {"density": m, "halfplane_membership": False, "point": x,
+          "visibility": True}
+         for x in (["231/128", "97/128"], ["47/64", "243/128"])
+         for m in (8, 32)
+     )),
+    (_set("is_vertex", lambda P, v: False),
+     lambda: check_extreme_existence(unit_square_fixture()),
+     ({"extreme_points": [["0", "0"], ["0", "1"], ["1", "0"], ["1", "1"]]},)
+     + tuple({"bad_vertex_witness": v}
+             for v in (["0", "0"], ["0", "1"], ["1", "0"], ["1", "1"]))),
+    (_square_loses_face_vertex,
+     lambda: check_face_lemma(_SQUARE, vector(1, 0)),
+     (["1", "0"],)),
+    (_set("_find_boundary_chord", lambda P, x: None),
+     lambda: check_boundary_hull(cone_fixture(), 3, 5),
+     tuple({"no_chord_through": x}
+           for x in (["0", "1"], ["11/4", "49/16"], ["5", "43/8"]))),
+    (_set("chord_find", _chord_too_high),
+     lambda: check_boundary_hull(parabola_fixture(), 2, 5),
+     EPIGRAPH_CHORD_FAILURES),
+    (_set("hull_equal", lambda P, V: False),
+     lambda: check_krein_milman(unit_square_fixture(), 3, 5),
+     ({"hull_equal": False, "profile_minimal": True},)),
+    (_set("chord_find", _chord_too_high),
+     lambda: check_krein_milman(parabola_fixture(), 2, 5),
+     EPIGRAPH_CHORD_FAILURES),
+], ids=["thm-2", "thm-4", "cor-5", "cor-5-box", "prop-8", "prop-11", "lem-12",
+        "thm-10", "thm-10-epigraph", "thm-13", "thm-13-epigraph"])
+def test_failing_conclusion_is_a_counterexample(patch, check, witnesses,
+                                                monkeypatch):
+    patch(monkeypatch)
+    r = check()
+    assert (r.hypothesis, r.conclusion) == (SAT, ConclusionStatus.FAILS)
+    assert r.is_counterexample()
+    assert r.witnesses == witnesses
+    assert r.to_json_dict()["witnesses"] == list(witnesses)
+
+
+def test_check_exits_1_on_a_counterexample(monkeypatch, capsys):
+    from convexprofile.cli import run
+
+    monkeypatch.setattr(theorems, "_region_convex_probed", lambda r, p: False)
+    assert run(["check", "thm-4", "--instances", "0", "--probe-density", "8"]) == 1
+    results = json.loads(capsys.readouterr().out)["results"]
+    assert [r["conclusion"] for r in results] == ["fails", "fails", "not-applicable"]
+
+
+@pytest.mark.parametrize("region, witness", [
+    (Disk(point(0, 0), 1),
+     {"class": "hyperbolic", "p": ["-45/53", "-28/53"], "q": ["-21/29", "-20/29"]}),
+    (PolygonRegion(l_polygon_fixture()),
+     {"class": "hyperbolic", "p": ["0", "0"], "q": ["2", "1/2"]}),
+    (DiskComplement(point(0, 0), 1),
+     {"class": "elliptic", "p": ["-45/53", "-28/53"], "q": ["-21/29", "-20/29"]}),
+    (PointedOpenBox(),
+     {"class": "hyperbolic", "p": ["0", "0"], "q": ["1", "1"]}),
+])
+def test_flat_theorem_planar_kinds_violate_the_hypothesis(region, witness):
+    # Every planar kind has a non-flat probe pair, so thm-2's conclusion is
+    # checked on polyhedra only.
+    r = check_flat_theorem(region, 8)
+    assert (r.hypothesis, r.conclusion) == (VIO, NA)
+    assert r.hypothesis_witness == witness
+    assert r.witnesses == ()
