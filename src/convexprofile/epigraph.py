@@ -58,10 +58,10 @@ class Epigraph1D:
         return fa + (fb - fa) * (x - a) / (b - a)
 
 
-def chord_find(epigraph, p, tolerance=CHORD_TOLERANCE):
+def chord_find(epigraph, p):
     """Rationals a <= p.x <= b whose graph chord passes just above p.
 
-    The chord height at p.x is exactly >= p.y and <= p.y + tolerance.
+    The chord height at p.x is exactly >= p.y and <= p.y + CHORD_TOLERANCE.
     Found by symmetric doubling then bisection on the half-width (the
     symmetric chord height is strictly increasing in the half-width for a
     strictly convex f). A boundary point degenerates to a = b = p.x.
@@ -86,7 +86,7 @@ def chord_find(epigraph, p, tolerance=CHORD_TOLERANCE):
     if height(t) == py:
         return px - t, px + t
     lo, hi = ZERO, t
-    while height(hi) - py > tolerance:
+    while height(hi) - py > CHORD_TOLERANCE:
         mid = (lo + hi) / 2
         if height(mid) >= py:
             hi = mid

@@ -11,7 +11,7 @@ import random
 
 from .core import Point, Q, Vector, ZERO, interpolate, midpoint, orientation
 from .errors import InvalidPolygonError
-from .polyhedra import Halfspace, HPolyhedron, PointLocation
+from .polyhedra import Halfspace, HPolyhedron, PointLocation, box_halfspaces
 from .regions2d import SimplePolygon, convexity_oracle
 
 _DENOMS = (1, 2, 4, 8, 16, 32, 64)
@@ -21,15 +21,22 @@ def rng_from_seed(seed):
     return random.Random(seed)
 
 
-def random_rational(rng, lo=-8, hi=8, max_denom=64):
-    den = rng.choice([d for d in _DENOMS if d <= max_denom])
-    num = rng.randint(lo * den, hi * den)
-    return Q(num, den)
+def random_rational(rng):
+    """A rational in [-8, 8] with a denominator from _DENOMS."""
+    den = rng.choice(_DENOMS)
+    return Q(rng.randint(-8 * den, 8 * den), den)
 
 
-def random_point2(rng, lo=-8, hi=8, max_denom=64):
-    return Point((random_rational(rng, lo, hi, max_denom),
-                  random_rational(rng, lo, hi, max_denom)))
+def random_point2(rng):
+    return Point((random_rational(rng), random_rational(rng)))
+
+
+def _nonzero_vector(rng, dim, r):
+    """A nonzero integer vector with coordinates drawn from [-r, r]."""
+    coords = [ZERO] * dim
+    while all(c == 0 for c in coords):
+        coords = [Q(rng.randint(-r, r)) for _ in range(dim)]
+    return Vector(coords)
 
 
 def _convex_hull_ccw(points):
@@ -52,11 +59,11 @@ def _convex_hull_ccw(points):
     return lower[:-1] + upper[:-1]
 
 
-def random_convex_polygon(rng, max_vertices=10, max_denom=64):
+def random_convex_polygon(rng, max_vertices=10):
     """Hull of k random rational points; retries until a valid polygon."""
     while True:
         k = rng.randint(3, max_vertices)
-        pts = [random_point2(rng, max_denom=max_denom) for _ in range(k)]
+        pts = [random_point2(rng) for _ in range(k)]
         hull = _convex_hull_ccw(pts)
         if len(hull) < 3:
             continue
@@ -66,10 +73,11 @@ def random_convex_polygon(rng, max_vertices=10, max_denom=64):
             continue
 
 
-def random_staircase_polygon(rng, max_steps=5, max_denom=16):
-    """Orthogonal skyline polygon: k columns with distinct adjacent heights."""
+def random_staircase_polygon(rng):
+    """Orthogonal skyline polygon: 2 to 5 columns with distinct adjacent
+    heights, on a grid of quarters."""
     while True:
-        k = rng.randint(2, max_steps)
+        k = rng.randint(2, 5)
         xs = [ZERO]
         for _ in range(k):
             xs.append(xs[-1] + Q(rng.randint(1, 4 * 4), 4))
@@ -96,10 +104,10 @@ def random_staircase_polygon(rng, max_steps=5, max_denom=16):
             continue
 
 
-def random_notched_polygon(rng, max_vertices=9, max_denom=64):
+def random_notched_polygon(rng, max_vertices=9):
     """Convex polygon with one edge dented toward the centroid (one reflex)."""
     while True:
-        convex = random_convex_polygon(rng, max_vertices, max_denom)
+        convex = random_convex_polygon(rng, max_vertices)
         vs = list(convex.vertices)
         n = len(vs)
         i = rng.randrange(n)
@@ -126,53 +134,34 @@ def random_simple_polygon(rng, max_vertices=10):
     return random_notched_polygon(rng, max_vertices=min(max_vertices, 9))
 
 
-def random_hpolyhedron(rng, dim=2, max_constraints=12):
-    """Random non-empty H-polyhedron; mixes pointed, lineal, and bounded shapes.
+def random_hpolyhedron(rng, dim=2):
+    """Random non-empty H-polyhedron of 1 to 12 cuts, boxed 40% of the time;
+    mixes pointed, lineal, and bounded shapes.
 
     A feasible anchor point is drawn first and every cut keeps positive
     slack at the anchor, so emptiness never needs retrying.
     """
     anchor = Point([Q(rng.randint(-4 * 8, 4 * 8), 8) for _ in range(dim)])
-    k = rng.randint(1, max_constraints)
+    k = rng.randint(1, 12)
     halfspaces = []
     for _ in range(k):
-        coords = [ZERO] * dim
-        while all(c == 0 for c in coords):
-            coords = [Q(rng.randint(-4, 4)) for _ in range(dim)]
-        normal = Vector(coords)
+        normal = _nonzero_vector(rng, dim, 4)
         slack = Q(rng.randint(0, 24), 4)
         halfspaces.append(Halfspace(normal, normal.dot(Vector(anchor.coords)) + slack))
     if rng.random() < 0.4:  # force boundedness with a box
-        bound = Q(rng.randint(6, 12))
-        for j in range(dim):
-            e = [ZERO] * dim
-            e[j] = Q(1)
-            halfspaces.append(Halfspace(Vector(e), bound))
-            e2 = [ZERO] * dim
-            e2[j] = Q(-1)
-            halfspaces.append(Halfspace(Vector(e2), bound))
+        halfspaces += box_halfspaces(dim, Q(rng.randint(6, 12)))
     return HPolyhedron(tuple(halfspaces), dim)
 
 
-def random_bounded_polytope(rng, dim=2, extra_cuts=4):
-    """Non-empty bounded polytope: a box plus random cuts through an anchor."""
-    bound = Q(rng.randint(4, 8))
+def random_bounded_polytope(rng, dim=2):
+    """Non-empty bounded polytope: a box plus 0 to 4 random cuts through an
+    anchor."""
+    halfspaces = box_halfspaces(dim, Q(rng.randint(4, 8)))
     anchor = Point(
         [Q(rng.randint(-2 * 4, 2 * 4), 4) for _ in range(dim)]
     )
-    halfspaces = []
-    for j in range(dim):
-        e = [ZERO] * dim
-        e[j] = Q(1)
-        halfspaces.append(Halfspace(Vector(e), bound))
-        e2 = [ZERO] * dim
-        e2[j] = Q(-1)
-        halfspaces.append(Halfspace(Vector(e2), bound))
-    for _ in range(rng.randint(0, extra_cuts)):
-        coords = [ZERO] * dim
-        while all(c == 0 for c in coords):
-            coords = [Q(rng.randint(-3, 3)) for _ in range(dim)]
-        normal = Vector(coords)
+    for _ in range(rng.randint(0, 4)):
+        normal = _nonzero_vector(rng, dim, 3)
         slack = Q(rng.randint(1, 16), 4)
         halfspaces.append(
             Halfspace(normal, normal.dot(Vector(anchor.coords)) + slack)
@@ -181,13 +170,10 @@ def random_bounded_polytope(rng, dim=2, extra_cuts=4):
 
 
 def random_direction(rng, dim):
-    coords = [ZERO] * dim
-    while all(c == 0 for c in coords):
-        coords = [Q(rng.randint(-5, 5)) for _ in range(dim)]
-    return Vector(coords)
+    return _nonzero_vector(rng, dim, 5)
 
 
-def sample_member_points(polygon, rng, count, max_denom=64):
+def sample_member_points(polygon, rng, count):
     """Deterministic member samples of a simple polygon.
 
     Rejection sampling from the bounding box, topped up with inward-nudged

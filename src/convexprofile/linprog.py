@@ -3,8 +3,9 @@
 Sizes here are desk scale (a few variables, tens of constraints), so a
 dense tableau over exact rationals with Bland's anti-cycling rule is both
 affordable and certifiably terminating. Optima come with an attaining
-point, unbounded programs with an improving recession ray, and both
-certificates are re-checked against the constraints before being returned.
+point, unbounded programs with an improving recession ray and feasible
+ones with a witness point; every certificate is re-checked against the
+constraints before being returned.
 """
 
 from __future__ import annotations
@@ -251,6 +252,13 @@ def _solve_max(cost, rows, rhs, nonneg):
     return LpStatus.OPTIMAL, x, None
 
 
+def _satisfies(rows, rhs, x):
+    """Whether x meets every row: rows[i] . x <= rhs[i]."""
+    return all(
+        sum(a * v for a, v in zip(row, x)) <= b for row, b in zip(rows, rhs)
+    )
+
+
 def solve_lp(lp):
     """Exact optimum with attaining point, certified improving ray, or infeasible.
 
@@ -264,18 +272,17 @@ def solve_lp(lp):
     if status is LpStatus.INFEASIBLE:
         return LpOutcome(LpStatus.INFEASIBLE)
     if status is LpStatus.UNBOUNDED:
-        d = Vector(ray)
-        if not all(
-            sum(r[j] * d.coords[j] for j in range(n)) <= 0 for r in rows
-        ):
+        if not _satisfies(rows, [ZERO] * len(rows), ray):
             raise CertificateError("unbounded ray is not a recession direction")
+        d = Vector(ray)
         if lp.objective.dot(d) <= 0:
             raise CertificateError("unbounded ray does not improve the objective")
         return LpOutcome(LpStatus.UNBOUNDED, ray=d)
-    pt = Point(x)
-    if not all(c.satisfied_by(pt) for c in lp.constraints):
+    if not _satisfies(rows, rhs, x):
         raise CertificateError("optimal point violates a constraint")
-    return LpOutcome(LpStatus.OPTIMAL, value=lp.objective.dot(Vector(x)), point=pt)
+    return LpOutcome(
+        LpStatus.OPTIMAL, value=lp.objective.dot(Vector(x)), point=Point(x)
+    )
 
 
 def is_feasible(constraints, dim=None):
@@ -296,6 +303,8 @@ def is_feasible(constraints, dim=None):
     status, x, _ = _solve_max([ZERO] * n, rows, rhs, [False] * n)
     if status is LpStatus.INFEASIBLE:
         return False, None
+    if not _satisfies(rows, rhs, x):
+        raise CertificateError("feasibility witness violates a constraint")
     return True, Point(x)
 
 
@@ -309,5 +318,9 @@ def solve_nonneg_feasibility(rows, rhs):
     status, x, _ = _solve_max([ZERO] * n, rows, rhs, [True] * n)
     if status is LpStatus.INFEASIBLE:
         return None
+    if any(v < 0 for v in x):
+        raise CertificateError("feasibility witness has a negative coordinate")
+    if not _satisfies(rows, rhs, x):
+        raise CertificateError("feasibility witness violates a constraint")
     return x
 

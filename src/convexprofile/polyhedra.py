@@ -237,20 +237,32 @@ def recession_cone(P):
     )
 
 
+def _signed_axes(dim):
+    """The unit vectors e_1, -e_1, ..., e_dim, -e_dim, in that order."""
+    axes = []
+    for j in range(dim):
+        for s in (1, -1):
+            e = [ZERO] * dim
+            e[j] = Q(s)
+            axes.append(Vector(e))
+    return axes
+
+
+def box_halfspaces(dim, bound):
+    """The box |x_j| <= bound as halfspaces, one per signed axis."""
+    return [Halfspace(u, bound) for u in _signed_axes(dim)]
+
+
 def _cone_has_nonzero(halfspaces, dim, extra_eq=None):
     """Whether the cone {d : A d <= 0 (and eq . d = 0)} contains d != 0."""
     base = [Constraint(h.normal, Relation.LE, ZERO) for h in halfspaces]
     if extra_eq is not None:
         base.append(Constraint(extra_eq, Relation.EQ, ZERO))
-    for j in range(dim):
-        for s in (1, -1):
-            e = [ZERO] * dim
-            e[j] = Q(s)
-            probe = Vector(e)
-            cons = base + [Constraint(probe, Relation.LE, Q(1))]
-            out = solve_lp(LinearProgram(probe, tuple(cons)))
-            if out.status is LpStatus.OPTIMAL and out.value > 0:
-                return True, Vector(out.point.coords)
+    for probe in _signed_axes(dim):
+        cons = base + [Constraint(probe, Relation.LE, Q(1))]
+        out = solve_lp(LinearProgram(probe, tuple(cons)))
+        if out.status is LpStatus.OPTIMAL and out.value > 0:
+            return True, Vector(out.point.coords)
     return False, None
 
 
@@ -281,9 +293,7 @@ def lineality_direction(P):
     """A direction of a full line contained in P, or None."""
     _require_nonempty(P)
     if not P.halfspaces:
-        e = [ZERO] * P.dim
-        e[0] = Q(1)
-        return Vector(e)
+        return _signed_axes(P.dim)[0]
     basis = nullspace_basis(_normal_matrix(P))
     return basis[0] if basis else None
 
@@ -532,6 +542,7 @@ def polyhedron_boundary_probes(P):
             add(v)
     reduced = remove_redundant(P)
     box = Q(8)
+    axes = _signed_axes(P.dim)
     for h in reduced.halfspaces:
         neg = Vector([-c for c in h.normal.coords])
         face_cons = [
@@ -544,23 +555,14 @@ def polyhedron_boundary_probes(P):
             continue
         witness = out.point
         facet_pts = [witness]
-        boxed = list(face_cons)
-        for j in range(P.dim):
-            e = [ZERO] * P.dim
-            e[j] = Q(1)
-            boxed.append(
-                Constraint(Vector(e), Relation.LE, witness.coords[j] + box)
-            )
-            boxed.append(
-                Constraint(Vector(e), Relation.GE, witness.coords[j] - box)
-            )
-        for j in range(P.dim):
-            for s in (1, -1):
-                e = [ZERO] * P.dim
-                e[j] = Q(s)
-                opt = solve_lp(LinearProgram(Vector(e), tuple(boxed)))
-                if opt.status is LpStatus.OPTIMAL:
-                    facet_pts.append(opt.point)
+        boxed = face_cons + [
+            Constraint(u, Relation.LE, u.dot(Vector(witness.coords)) + box)
+            for u in axes
+        ]
+        for u in axes:
+            opt = solve_lp(LinearProgram(u, tuple(boxed)))
+            if opt.status is LpStatus.OPTIMAL:
+                facet_pts.append(opt.point)
         # Facet midpoints stay on the facet (it is convex) and give
         # non-vertex probes, without which a simplex would look all-flat.
         for a, b in itertools.combinations(facet_pts[:4], 2):

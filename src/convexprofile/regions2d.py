@@ -34,7 +34,6 @@ from .core import (
     ZERO,
     cross2,
     interpolate,
-    orientation,
     rational,
 )
 from .errors import (
@@ -657,13 +656,14 @@ def _classify_by_tables(verts, p_table, q_table):
 
 
 def convexity_oracle(polygon):
-    """Classical convex-polygon test: all vertex turns share one sign."""
-    vs = polygon.vertices
-    n = len(vs)
-    signs = {
-        int(orientation(vs[i - 1], vs[i], vs[(i + 1) % n])) for i in range(n)
-    }
-    return signs == {1} or signs == {-1}
+    """Classical convex-polygon test on the vertex turns.
+
+    A valid ring is counterclockwise, so it is convex iff every integer
+    turn of its cleared ring is a left turn.
+    """
+    iv = polygon._ivertices
+    n = len(iv)
+    return all(_orient(iv[i - 1], iv[i], iv[(i + 1) % n]) > 0 for i in range(n))
 
 
 def boundary_probe_points(region, density=16):

@@ -7,12 +7,12 @@ produces a byte-identical document.
 
 from __future__ import annotations
 
-from .core import Point, Q, Vector, ZERO
+from .core import Point, Q, ZERO
 from .epigraph import Epigraph1D
 from .errors import DimensionMismatchError
 from .polyhedra import (
     HPolyhedron,
-    Halfspace,
+    box_halfspaces,
     extreme_points,
     is_bounded,
     is_empty,
@@ -73,7 +73,7 @@ class _Frame:
         return f"{_fmt(x)},{_fmt(y)}"
 
 
-def _bounds_of(instance, extra_points=()):
+def _bounds_of(instance, extra_points):
     pts = list(extra_points)
     if isinstance(instance, PolygonRegion):
         pts.extend(instance.outer.vertices)
@@ -84,8 +84,6 @@ def _bounds_of(instance, extra_points=()):
         return min(xs), min(ys), max(xs), max(ys)
     elif isinstance(instance, PointedOpenBox):
         return Q(-1, 2), Q(-1, 2), Q(3, 2), Q(3, 2)
-    elif isinstance(instance, HPolyhedron):
-        pts.extend(_polyhedron_outline(instance))
     if not pts:
         return Q(-1), Q(-1), Q(1), Q(1)
     xs = [p.coords[0] for p in pts]
@@ -123,21 +121,25 @@ def _angular_sort(points):
     return sorted(points, key=functools.cmp_to_key(cmp))
 
 
-def _polyhedron_outline(P, box=12):
-    """Vertices of P clipped to a display box (unbounded sets get cropped)."""
-    if is_empty(P):
-        return []
-    box = Q(box)
-    halfspaces = list(P.halfspaces)
-    for j in range(2):
-        e = [ZERO] * 2
-        e[j] = Q(1)
-        halfspaces.append(Halfspace(Vector(e), box))
-        e2 = [ZERO] * 2
-        e2[j] = Q(-1)
-        halfspaces.append(Halfspace(Vector(e2), box))
-    clipped = HPolyhedron(tuple(halfspaces), 2)
-    return _angular_sort(list(extreme_points(clipped)))
+def _outline(instance):
+    """The points drawn for a polyhedron or an epigraph, which also frame it.
+
+    A polyhedron's are its vertices clipped to the box |x|, |y| <= 12
+    (unbounded sets get cropped); an epigraph's are its graph sampled at
+    x = -4, -15/4, ..., 4; the other kinds draw from their own data.
+    """
+    if isinstance(instance, HPolyhedron):
+        if is_empty(instance):
+            return []
+        box = box_halfspaces(2, Q(12))
+        clipped = HPolyhedron((*instance.halfspaces, *box), 2)
+        return _angular_sort(list(extreme_points(clipped)))
+    if isinstance(instance, Epigraph1D):
+        return [
+            Point((x, instance.value(x)))
+            for x in (Q(k, 4) for k in range(-16, 17))
+        ]
+    return []
 
 
 def render_svg(instance, pair_overlays=(), kernel_region=None, extreme_overlay=()):
@@ -150,12 +152,13 @@ def render_svg(instance, pair_overlays=(), kernel_region=None, extreme_overlay=(
     kernel_verts = []
     if kernel_region is not None and not is_empty(kernel_region):
         kernel_verts = _angular_sort(list(extreme_points(kernel_region)))
+    outline = _outline(instance)
     extra = [p for pair in pair_overlays for p in (pair[0], pair[1])]
     extra.extend(extreme_overlay)
     extra.extend(kernel_verts)
-    frame = _Frame(*_bounds_of(instance, extra))
+    frame = _Frame(*_bounds_of(instance, extra + outline))
     body = []
-    body.append(_render_region(instance, frame))
+    body.append(_render_region(instance, frame, outline))
     if len(kernel_verts) >= 3:
         pts = " ".join(frame.pt(v) for v in kernel_verts)
         body.append(
@@ -187,7 +190,7 @@ def render_svg(instance, pair_overlays=(), kernel_region=None, extreme_overlay=(
     )
 
 
-def _render_region(instance, frame):
+def _render_region(instance, frame, outline):
     if isinstance(instance, PolygonRegion):
         path = []
         for ring in instance.rings():
@@ -231,7 +234,6 @@ def _render_region(instance, frame):
     if isinstance(instance, HPolyhedron):
         if instance.dim != 2:
             raise DimensionMismatchError("can only render 2D polyhedra")
-        outline = _polyhedron_outline(instance)
         if len(outline) < 3:
             if not outline:
                 return "<!-- empty polyhedron -->"
@@ -247,10 +249,7 @@ def _render_region(instance, frame):
             f'stroke-width="2"/>{suffix}'
         )
     if isinstance(instance, Epigraph1D):
-        samples = [Q(k, 4) for k in range(-16, 17)]
-        pts = " ".join(
-            frame.pt(Point((x, instance.value(x)))) for x in samples
-        )
+        pts = " ".join(frame.pt(p) for p in outline)
         return (
             f'<polyline points="{pts}" fill="none" stroke="{STROKE}" '
             f'stroke-width="2"/>'

@@ -82,17 +82,6 @@ from .regions2d import (
     locate_point2,
 )
 
-THEOREM_IDS = (
-    "thm-2",
-    "thm-4",
-    "cor-5",
-    "prop-8",
-    "prop-11",
-    "lem-12",
-    "thm-10",
-    "thm-13",
-)
-
 DEFAULT_SAMPLES = 50
 DEFAULT_PROBE_DENSITY = 32
 
@@ -455,10 +444,9 @@ def _ground_truth_convex(region):
 # Kernel characterization (p sees the boundary <=> p in the kernel)
 # ---------------------------------------------------------------------------
 
-def check_kernel_characterization(
-    polygon, samples=DEFAULT_SAMPLES, seed=0, densities=(8, 32)
-):
-    """H-representation kernel membership must match the visibility oracle."""
+def check_kernel_characterization(polygon, samples=DEFAULT_SAMPLES, seed=0):
+    """H-representation kernel membership must match the visibility oracle,
+    run at 8 and at 32 boundary samples per edge."""
     rng = rng_from_seed(seed)
     ker = kernel(polygon)
     pts = sample_member_points(polygon, rng, samples)
@@ -473,7 +461,7 @@ def check_kernel_characterization(
         hrep = all(h.contains(x) for h in ker.halfspaces)
         if hrep:
             inside += 1
-        for m in densities:
+        for m in (8, 32):
             vis = kernel_contains_by_visibility(polygon, x, m)
             if vis != hrep:
                 disagreements.append(
@@ -662,8 +650,8 @@ def _check_epigraph_chords(theorem_id, epi, interior_samples, seed):
     return _satisfied(theorem_id, epi, failures, facts)
 
 
-def _epigraph_strictness_probes(epi, rng, count=12):
-    xs = sorted({Q(rng.randint(-16, 16), 4) for _ in range(count)})
+def _epigraph_strictness_probes(epi, rng):
+    xs = sorted({Q(rng.randint(-16, 16), 4) for _ in range(12)})
     for a, b in itertools.combinations(xs, 2):
         mid = (a + b) / 2
         chord_mid = (epi.value(a) + epi.value(b)) / 2
@@ -839,6 +827,92 @@ def parabola_fixture():
     return Epigraph1D((ZERO, ZERO, Q(1)))
 
 
+def _draw_dim(rng):
+    return rng.choice((2, 2, 3))
+
+
+# One suite per theorem: fixture reports, then one report per generated
+# instance. Every instance is drawn before any is checked, in the order
+# dim, instance, then its seed or direction; the checkers never touch rng.
+
+def _thm2_suite(rng, instances, seed, samples, probe_density):
+    sets = [halfspace_fixture(), slab_fixture(), segment_fixture(),
+            unit_square_fixture()]
+    sets += [random_hpolyhedron(rng) for _ in range(instances)]
+    return [check_flat_theorem(P, seed=seed) for P in sets]
+
+
+def _thm4_suite(rng, instances, seed, samples, probe_density):
+    regions = [Disk(Point((0, 0)), Q(1)),
+               Disk(Point((Q(1, 2), Q(-3, 4))), Q(5, 2)),
+               PolygonRegion(l_polygon_fixture())]
+    regions += [PolygonRegion(random_simple_polygon(rng))
+                for _ in range(instances)]
+    return [check_hyperbolic_theorem(r, probe_density) for r in regions]
+
+
+def _cor5_suite(rng, instances, seed, samples, probe_density):
+    regions = [PointedOpenBox(), Disk(Point((0, 0)), Q(2)),
+               DiskComplement(Point((0, 0)), Q(2))]
+    regions += [PolygonRegion(random_simple_polygon(rng))
+                for _ in range(instances)]
+    return [check_convexity_corollary(r, probe_density) for r in regions]
+
+
+def _prop8_suite(rng, instances, seed, samples, probe_density):
+    cases = [(l_polygon_fixture(), seed), (z_polygon_fixture(), seed)]
+    cases += [(random_simple_polygon(rng), rng.randrange(2**32))
+              for _ in range(instances)]
+    return [check_kernel_characterization(poly, samples, s) for poly, s in cases]
+
+
+def _prop11_suite(rng, instances, seed, samples, probe_density):
+    sets = [cone_fixture(), slab_fixture(), unit_square_fixture()]
+    sets += [random_hpolyhedron(rng, _draw_dim(rng)) for _ in range(instances)]
+    return [check_extreme_existence(P) for P in sets]
+
+
+def _lem12_suite(rng, instances, seed, samples, probe_density):
+    cases = [(unit_square_fixture(), Vector((Q(1), ZERO))),
+             (unit_square_fixture(), Vector((Q(1), Q(1))))]
+    for _ in range(instances):
+        dim = _draw_dim(rng)
+        cases.append((random_bounded_polytope(rng, dim), random_direction(rng, dim)))
+    return [check_face_lemma(P, w) for P, w in cases]
+
+
+def _thm10_suite(rng, instances, seed, samples, probe_density):
+    cases = [(cone_fixture(), samples, seed),
+             (halfspace_fixture(), samples, seed),
+             (slab_fixture(), samples, seed),
+             (parabola_fixture(), min(samples, 25), seed)]
+    cases += [(random_hpolyhedron(rng, _draw_dim(rng)), min(samples, 12),
+               rng.randrange(2**32)) for _ in range(instances)]
+    return [check_boundary_hull(*case) for case in cases]
+
+
+def _thm13_suite(rng, instances, seed, samples, probe_density):
+    cases = [(cone_fixture(), samples, seed),
+             (parabola_fixture(), min(samples, 25), seed)]
+    cases += [(random_bounded_polytope(rng, _draw_dim(rng)), min(samples, 12),
+               rng.randrange(2**32)) for _ in range(instances)]
+    return [check_krein_milman(*case) for case in cases]
+
+
+_SUITES = {
+    "thm-2": _thm2_suite,
+    "thm-4": _thm4_suite,
+    "cor-5": _cor5_suite,
+    "prop-8": _prop8_suite,
+    "prop-11": _prop11_suite,
+    "lem-12": _lem12_suite,
+    "thm-10": _thm10_suite,
+    "thm-13": _thm13_suite,
+}
+
+THEOREM_IDS = tuple(_SUITES)
+
+
 def run_suite(
     theorem_id,
     seed=0xC0FFEE,
@@ -847,104 +921,10 @@ def run_suite(
     probe_density=DEFAULT_PROBE_DENSITY,
 ):
     """Fixture reports plus `instances` generated instances for one theorem."""
-    rng = rng_from_seed(f"{seed}:{theorem_id}")
-    reports = []
-    if theorem_id == "thm-2":
-        reports.append(check_flat_theorem(halfspace_fixture(), seed=seed))
-        reports.append(check_flat_theorem(slab_fixture(), seed=seed))
-        reports.append(check_flat_theorem(segment_fixture(), seed=seed))
-        reports.append(check_flat_theorem(unit_square_fixture(), seed=seed))
-        for _ in range(instances):
-            P = random_hpolyhedron(rng, dim=2)
-            reports.append(check_flat_theorem(P, seed=seed))
-    elif theorem_id == "thm-4":
-        reports.append(
-            check_hyperbolic_theorem(Disk(Point((0, 0)), Q(1)), probe_density)
-        )
-        reports.append(
-            check_hyperbolic_theorem(
-                Disk(Point((Q(1, 2), Q(-3, 4))), Q(5, 2)), probe_density
-            )
-        )
-        reports.append(
-            check_hyperbolic_theorem(
-                PolygonRegion(l_polygon_fixture()), probe_density
-            )
-        )
-        for _ in range(instances):
-            poly = random_simple_polygon(rng)
-            reports.append(
-                check_hyperbolic_theorem(PolygonRegion(poly), probe_density)
-            )
-    elif theorem_id == "cor-5":
-        reports.append(check_convexity_corollary(PointedOpenBox(), probe_density))
-        reports.append(
-            check_convexity_corollary(Disk(Point((0, 0)), Q(2)), probe_density)
-        )
-        reports.append(
-            check_convexity_corollary(
-                DiskComplement(Point((0, 0)), Q(2)), probe_density
-            )
-        )
-        for _ in range(instances):
-            poly = random_simple_polygon(rng)
-            reports.append(
-                check_convexity_corollary(PolygonRegion(poly), probe_density)
-            )
-    elif theorem_id == "prop-8":
-        reports.append(
-            check_kernel_characterization(l_polygon_fixture(), samples, seed)
-        )
-        reports.append(
-            check_kernel_characterization(z_polygon_fixture(), samples, seed)
-        )
-        for _ in range(instances):
-            poly = random_simple_polygon(rng)
-            reports.append(
-                check_kernel_characterization(
-                    poly, samples, rng.randrange(2**32)
-                )
-            )
-    elif theorem_id == "prop-11":
-        reports.append(check_extreme_existence(cone_fixture()))
-        reports.append(check_extreme_existence(slab_fixture()))
-        reports.append(check_extreme_existence(unit_square_fixture()))
-        for _ in range(instances):
-            dim = rng.choice((2, 2, 3))
-            reports.append(check_extreme_existence(random_hpolyhedron(rng, dim)))
-    elif theorem_id == "lem-12":
-        reports.append(
-            check_face_lemma(unit_square_fixture(), Vector((Q(1), ZERO)))
-        )
-        reports.append(
-            check_face_lemma(unit_square_fixture(), Vector((Q(1), Q(1))))
-        )
-        for _ in range(instances):
-            dim = rng.choice((2, 2, 3))
-            P = random_bounded_polytope(rng, dim)
-            reports.append(check_face_lemma(P, random_direction(rng, dim)))
-    elif theorem_id == "thm-10":
-        reports.append(check_boundary_hull(cone_fixture(), samples, seed))
-        reports.append(check_boundary_hull(halfspace_fixture(), samples, seed))
-        reports.append(check_boundary_hull(slab_fixture(), samples, seed))
-        reports.append(check_boundary_hull(parabola_fixture(), min(samples, 25), seed))
-        for _ in range(instances):
-            dim = rng.choice((2, 2, 3))
-            P = random_hpolyhedron(rng, dim)
-            reports.append(
-                check_boundary_hull(P, min(samples, 12), rng.randrange(2**32))
-            )
-    elif theorem_id == "thm-13":
-        reports.append(check_krein_milman(cone_fixture(), samples, seed))
-        reports.append(check_krein_milman(parabola_fixture(), min(samples, 25), seed))
-        for _ in range(instances):
-            dim = rng.choice((2, 2, 3))
-            P = random_bounded_polytope(rng, dim)
-            reports.append(
-                check_krein_milman(P, min(samples, 12), rng.randrange(2**32))
-            )
-    else:
+    suite = _SUITES.get(theorem_id)
+    if suite is None:
         raise ValueError(
             f"unknown theorem id {theorem_id!r}; expected one of {THEOREM_IDS}"
         )
-    return reports
+    rng = rng_from_seed(f"{seed}:{theorem_id}")
+    return suite(rng, instances, seed, samples, probe_density)

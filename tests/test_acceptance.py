@@ -112,7 +112,7 @@ def test_criterion_3_prop11_extremes_iff_pointed():
     with_lines = 0
     for _ in range(n):
         dim = rng.choice((2, 2, 3))
-        P = random_hpolyhedron(rng, dim, max_constraints=12)
+        P = random_hpolyhedron(rng, dim)
         verts = extreme_points(P)
         ld = lineality_dim(P)
         ok = (len(verts) > 0) == (ld == 0)

@@ -1,5 +1,6 @@
 import hashlib
 import json
+import re
 
 import pytest
 
@@ -191,6 +192,16 @@ def test_render_disk_and_unknown_overlay(geo, capsys, tmp_path):
     assert code == 2
 
 
+def test_render_epigraph_graph_lies_on_the_canvas(geo, capsys, tmp_path):
+    src = geo("parabola.json", {"kind": "epigraph1d", "coeffs": ["0", "0", "1"]})
+    svg = tmp_path / "p.svg"
+    assert run(["render", src, "--svg", str(svg)]) == 0
+    points = re.search(r'<polyline points="([^"]*)"', svg.read_text()).group(1)
+    vertices = [tuple(map(float, pt.split(","))) for pt in points.split()]
+    assert len(vertices) == 33
+    assert all(0 <= x <= 800 and 0 <= y <= 800 for x, y in vertices)
+
+
 def test_out_flag_writes_file(geo, tmp_path, capsys):
     out = tmp_path / "report.json"
     code = run(["extremes", geo("cone.json", CONE), "--out", str(out)])
@@ -233,6 +244,19 @@ def test_check_all_report_is_pinned(capsys):
     )
 
 
+def test_check_all_eight_instances_report_is_pinned(capsys):
+    # The benchmark's first check-all pass: eight generated instances per
+    # theorem, so the generators' draw order is pinned too.
+    argv = ["check", "all", "--instances", "8", "--samples", "12",
+            "--probe-density", "8", "--seed", "7"]
+    assert run(argv) == 0
+    out = capsys.readouterr().out
+    assert len(json.loads(out)["results"]) == 87
+    assert hashlib.sha256(out.encode("utf-8")).hexdigest() == (
+        "98901754c53e1931f0d32e22a433a52f85c8818c244822952f461d35bc934594"
+    )
+
+
 def _ngon_doc():
     from convexprofile.core import Point, Q
     from convexprofile.geometry_io import dump_geometry
@@ -249,6 +273,12 @@ NOTCHED = {
               ["3/2", "3"], ["0", "3"]],
 }
 
+HOLED_SQUARE = {
+    "kind": "polygon",
+    "outer": [["0", "0"], ["4", "0"], ["4", "4"], ["0", "4"]],
+    "holes": [[["1", "1"], ["3", "1"], ["3", "3"], ["1", "3"]]],
+}
+
 
 @pytest.mark.parametrize("command, name, doc, digest", [
     ("convexity", "ngon.json", _ngon_doc,
@@ -257,6 +287,8 @@ NOTCHED = {
      "faf271fa45461656eb18c9d0a48e771aa9f09fc7d3a17bfdf1695a20b4ca103e"),
     ("convexity", "notched.json", lambda: NOTCHED,
      "cade538e44d30ba6de9c476d637d7511596896cb1e38b9912732ef112752ab7b"),
+    ("convexity", "holes.json", lambda: HOLED_SQUARE,
+     "387a349082cd4d4b8ca5951369890d0ca5016f6fb917d0cf33e1d06ef944a22f"),
 ])
 def test_planar_reports_are_pinned(command, name, doc, digest, capsys, tmp_path,
                                    monkeypatch):
@@ -326,8 +358,8 @@ PINNED_FILES = {
      "0cc65ab8e3b75168c4a8586f12cf1d85105b0562002d417d0b8280e813701f97",
      "ce266bb35b877fb1f02616184c337d3808f3bd03a154f9d8a01fed1f767d976d", ""),
     (["render", "parabola.json", "--svg", "out.svg"], 0,
-     "3e9a7e271f305666ea442b046e22a3d8254ecb6768f75101004fc52d0cee7bac",
-     "4eb96f6f12c908ccbc7c249c4dba92da9c2ffc404ce3901f2de39c0b32311d36", ""),
+     "dae4b31c5ad9146b9fc046baf3862a10365fe98fdd25316aa39874082b9b5040",
+     "32689fd8de45fa119cd3abeb353b2c9c90d7426e20bc96149f533cc2e4ca75a8", ""),
     (["render", "l.json", "--svg", "out.svg", "--overlays", "pairs,kernel,extremes"],
      0, "f65391e7f6c6cef4e5a7b0b8ea89ed525feac4e8de5881e08dda2f8ecda9400b",
      "1547f184cea80e123ddc99c8dfeef459b7d4a9556119c3b457bd3bc10a3482d1", ""),

@@ -19,6 +19,7 @@ from convexprofile.linprog import (
     _as_le_rows,
     is_feasible,
     solve_lp,
+    solve_nonneg_feasibility,
 )
 
 
@@ -197,6 +198,21 @@ def test_forged_certificates_raise(monkeypatch):
         solve_lp(FORGED_LP)
 
 
+@pytest.mark.parametrize("solve, x, match", [
+    (lambda: is_feasible(FORGED_LP.constraints), [Q(2), Q(0)], "violates"),
+    (lambda: solve_nonneg_feasibility([[Q(1), Q(0)]], [Q(1)]), [Q(2), Q(0)],
+     "violates"),
+    (lambda: solve_nonneg_feasibility([[Q(1), Q(0)]], [Q(1)]), [Q(0), Q(-1)],
+     "negative"),
+], ids=["is-feasible", "nonneg-row", "nonneg-sign"])
+def test_forged_feasibility_witnesses_raise(solve, x, match, monkeypatch):
+    monkeypatch.setattr(
+        linprog, "_solve_max", lambda *args: (LpStatus.OPTIMAL, x, None)
+    )
+    with pytest.raises(CertificateError, match=match):
+        solve()
+
+
 def test_forged_certificates_raise_under_python_O():
     script = textwrap.dedent(
         """
@@ -205,20 +221,25 @@ def test_forged_certificates_raise_under_python_O():
         from convexprofile.core import Q, vector
         from convexprofile.errors import CertificateError
         from convexprofile.linprog import (
-            Constraint, LinearProgram, LpStatus, Relation, solve_lp,
+            Constraint, LinearProgram, LpStatus, Relation, is_feasible,
+            solve_lp, solve_nonneg_feasibility,
         )
 
         print(sys.flags.optimize)
         lp = LinearProgram(
             vector(1, 0), (Constraint(vector(1, 0), Relation.LE, 1),)
         )
-        for status, x, ray in (
-            (LpStatus.UNBOUNDED, None, [Q(0), Q(1)]),
-            (LpStatus.OPTIMAL, [Q(2), Q(0)], None),
+        for solve, status, x, ray in (
+            (lambda: solve_lp(lp), LpStatus.UNBOUNDED, None, [Q(0), Q(1)]),
+            (lambda: solve_lp(lp), LpStatus.OPTIMAL, [Q(2), Q(0)], None),
+            (lambda: is_feasible(lp.constraints), LpStatus.OPTIMAL,
+             [Q(2), Q(0)], None),
+            (lambda: solve_nonneg_feasibility([[Q(1), Q(0)]], [Q(1)]),
+             LpStatus.OPTIMAL, [Q(0), Q(-1)], None),
         ):
             linprog._solve_max = lambda *args: (status, x, ray)
             try:
-                solve_lp(lp)
+                solve()
                 print("accepted")
             except CertificateError:
                 print("CertificateError")
@@ -234,4 +255,4 @@ def test_forged_certificates_raise_under_python_O():
         env=env, capture_output=True, text=True, timeout=60, check=False,
     )
     assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.split() == ["1", "CertificateError", "CertificateError"]
+    assert proc.stdout.split() == ["1"] + ["CertificateError"] * 4

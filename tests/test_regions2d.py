@@ -618,10 +618,25 @@ def test_partition_and_pairs_across_a_hole():
         (Q(3, 4), Q(3, 4), PointLocation.BOUNDARY),
         (Q(3, 4), Q(1), PointLocation.INTERIOR),
     ]
-    assert classify_pair(region, point(1, 2), point(3, 2)) is PairClass.ELLIPTIC
-    assert classify_pair(region, point(0, 0), point(4, 4)) is PairClass.MIXED
-    ok, witness = is_convex_by_pairs(region)
-    assert not ok
+    assert [locate_point2(region, x)[0] for x in (
+        point(0, 2), point(1, 2), point(2, 2), point(Q(1, 2), 2)
+    )] == [PointLocation.BOUNDARY, PointLocation.BOUNDARY,
+           PointLocation.EXTERIOR, PointLocation.INTERIOR]
+    for p, q, cls in [
+        (point(0, 2), point(4, 2), PairClass.MIXED),
+        (point(1, 1), point(3, 1), PairClass.FLAT),
+        (point(1, 1), point(3, 3), PairClass.ELLIPTIC),
+        (point(0, 0), point(1, 1), PairClass.HYPERBOLIC),
+        (point(1, 2), point(3, 2), PairClass.ELLIPTIC),
+        (point(0, 0), point(4, 4), PairClass.MIXED),
+    ]:
+        assert classify_pair(region, p, q) is cls
+    assert is_convex_by_pairs(region) == (
+        False, (point(0, 0), point(4, 2), PairClass.MIXED)
+    )
+    corner = point(Q(1, 2), Q(1, 2))
+    assert sees(region, corner, point(Q(7, 2), Q(1, 2)))
+    assert not sees(region, corner, point(Q(7, 2), Q(7, 2)))
     assert not sees(region, point(Q(1, 2), 2), point(Q(7, 2), 2))
 
 
