@@ -1,7 +1,8 @@
 """Closed convex sets as halfspace intersections and point hulls.
 
 Structural queries follow convex-analysis definitions directly: vertex
-enumeration is exhaustive basis enumeration (desk scale, n <= 4), boundary
+enumeration is the integer double-description method on the homogenized
+cone (desk scale, n <= 4, no cap on the number of constraints), boundary
 status is decided by exact constraint slack, and every certificate (vertex,
 line direction, recession ray) can be re-verified by substitution.
 """
@@ -9,6 +10,7 @@ line direction, recession ray) can be re-verified by substitution.
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass
 from enum import Enum
 from functools import cached_property
@@ -17,16 +19,15 @@ from .core import (
     Matrix,
     Point,
     Q,
-    SolveStatus,
     Vector,
     ZERO,
     interpolate,
     nullspace_basis,
     rank,
     rational,
-    solve_linear,
 )
 from .errors import (
+    CertificateError,
     DimensionMismatchError,
     EmptyPolyhedronError,
     NonFullDimensionalError,
@@ -44,7 +45,6 @@ from .linprog import (
 )
 
 MAX_VERTEX_ENUM_DIM = 4
-MAX_CONSTRAINTS = 64
 
 
 @dataclass(frozen=True)
@@ -310,38 +310,147 @@ def contains_hyperplane(P):
 def extreme_points(P):
     """The exact vertex set: points with n independent tight constraints.
 
-    Exhaustive n-subset basis enumeration with exact feasibility filtering;
-    empty iff P contains a line. Deterministic output order (sorted by
-    coordinates).
+    The vertices are the extreme rays (x, t) with t > 0 of the cone
+    {(x, t) : a . x <= b t for every halfspace, t >= 0}, found by the
+    integer double-description method; there is no cap on the number of
+    constraints. Each vertex is re-checked before it is returned: it
+    satisfies every constraint and its tight normals have rank n. Empty iff
+    P contains a line. Deterministic output order (sorted by coordinates).
     """
     n = P.dim
     if n > MAX_VERTEX_ENUM_DIM:
         raise UnsupportedDimensionError(
             f"vertex enumeration supports n <= {MAX_VERTEX_ENUM_DIM}"
         )
-    if len(P.halfspaces) > MAX_CONSTRAINTS:
-        raise UnsupportedDimensionError(
-            f"vertex enumeration supports at most {MAX_CONSTRAINTS} constraints"
-        )
     _require_nonempty(P)
-    hs = P.halfspaces
-    seen = set()
+    rows = [_integer_row(h) for h in P.halfspaces]
+    lineality, rays = _double_description(rows + [(0,) * n + (-1,)], n + 1)
+    if lineality:
+        return ()
     verts = []
-    for subset in itertools.combinations(range(len(hs)), n):
-        m = Matrix([hs[i].normal for i in subset])
-        rhs = Vector([hs[i].offset for i in subset])
-        sol = solve_linear(m, rhs)
-        if sol.status is not SolveStatus.UNIQUE:
-            continue
-        x = Point(sol.solution.coords)
-        key = x.coords
-        if key in seen:
-            continue
-        if all(h.contains(x) for h in hs):
-            seen.add(key)
-            verts.append(x)
+    for y in rays:
+        if y[n] > 0:
+            _check_vertex(rows, y, n)
+            verts.append(Point([Q(c, y[n]) for c in y[:n]]))
     verts.sort(key=lambda p: p.coords)
     return tuple(verts)
+
+
+def _integer_row(h):
+    """a . x <= b as the primitive integer row (a, -b), so that x is in the
+    halfspace iff row . (x, 1) <= 0."""
+    coeffs = [*h.normal.coords, -h.offset]
+    scale = math.lcm(*(int(c.denominator) for c in coeffs))
+    return _primitive(
+        [int(c.numerator) * (scale // int(c.denominator)) for c in coeffs]
+    )
+
+
+def _primitive(v):
+    g = math.gcd(*v)
+    return tuple(c // g for c in v) if g > 1 else tuple(v)
+
+
+def _dot(u, v):
+    return sum(a * b for a, b in zip(u, v))
+
+
+def _combine(a, u, b, v):
+    """The primitive integer vector along a * u + b * v."""
+    return _primitive([a * x + b * y for x, y in zip(u, v)])
+
+
+def _double_description(rows, width):
+    """(lineality, rays) generating the cone {y : row . y <= 0 for each row}.
+
+    Motzkin's double-description method over the integers: start from the
+    whole space (lineality basis e_1 .. e_width, no rays) and insert the
+    rows in order. A row that some lineality vector crosses pivots that
+    vector out as a ray and projects the other generators onto the row's
+    hyperplane. Otherwise the rays split by the sign of row . y; the
+    non-positive ones stay, and each adjacent (positive, negative) pair is
+    joined on the hyperplane. Two rays are adjacent iff no third ray is
+    tight on every row tight on both (the combinatorial test). All vectors
+    are primitive integer tuples; the rays are one per extreme ray of the
+    cone modulo its lineality space.
+    """
+    lineality = [tuple(int(i == j) for j in range(width)) for i in range(width)]
+    rays = []  # (vector, bitmask of the inserted rows tight on it)
+    for i, row in enumerate(rows):
+        bit = 1 << i
+        dots = [_dot(row, v) for v in lineality]
+        k = next((k for k, s in enumerate(dots) if s), None)
+        if k is not None:
+            pivot, s0 = lineality.pop(k), dots.pop(k)
+            if s0 > 0:
+                pivot, s0 = tuple(-c for c in pivot), -s0
+            # Moving along pivot onto row . y = 0 keeps the lineality space;
+            # the positive scale -s0 keeps each ray's sign on earlier rows.
+            lineality = [
+                _combine(s0, v, -s, pivot) for v, s in zip(lineality, dots)
+            ]
+            rays = [
+                (_combine(-s0, y, _dot(row, y), pivot), tight | bit)
+                for y, tight in rays
+            ]
+            # Lineality vectors are tight on every row inserted so far.
+            rays.append((pivot, bit - 1))
+            continue
+        dots = [_dot(row, y) for y, _ in rays]
+        masks = [tight for _, tight in rays]
+        minus = [k for k, s in enumerate(dots) if s < 0]
+        # Adjacent rays span a 2-face, so they share at least
+        # width - dim(lineality) - 2 tight rows.
+        least = width - len(lineality) - 2
+        joined = []
+        for p in (k for k, s in enumerate(dots) if s > 0):
+            for q in minus:
+                common = masks[p] & masks[q]
+                if common.bit_count() < least or any(
+                    common & m == common and w != p and w != q
+                    for w, m in enumerate(masks)
+                ):
+                    continue
+                y = _combine(dots[p], rays[q][0], -dots[q], rays[p][0])
+                joined.append((y, common | bit))
+        rays = [
+            (y, tight | bit if s == 0 else tight)
+            for (y, tight), s in zip(rays, dots)
+            if s <= 0
+        ] + joined
+    return lineality, [y for y, _ in rays]
+
+
+def _check_vertex(rows, y, n):
+    """Raise CertificateError unless the ray y = (x, t), t > 0, satisfies
+    every row and its tight rows have rank n, i.e. x / t is a vertex."""
+    tight = []
+    for row in rows:
+        s = _dot(row, y)
+        if s > 0:
+            raise CertificateError(f"vertex ray {y} violates a halfspace")
+        if s == 0:
+            tight.append(row[:n])
+    if _integer_rank(tight, n) != n:
+        raise CertificateError(f"vertex ray {y}: tight rows have rank < {n}")
+
+
+def _integer_rank(rows, ncols):
+    """Exact rank of integer rows by fraction-free elimination."""
+    rows = [list(r) for r in rows]
+    r = 0
+    for col in range(ncols):
+        k = next((k for k in range(r, len(rows)) if rows[k][col]), None)
+        if k is None:
+            continue
+        rows[r], rows[k] = rows[k], rows[r]
+        p = rows[r]
+        for k in range(r + 1, len(rows)):
+            f = rows[k][col]
+            if f:
+                rows[k] = [p[col] * a - f * b for a, b in zip(rows[k], p)]
+        r += 1
+    return r
 
 
 def tight_constraints(P, x):
@@ -537,7 +646,7 @@ def polyhedron_boundary_probes(P):
             seen.add(pt.coords)
             probes.append(pt)
 
-    if P.dim <= 4 and lineality_dim(P) == 0:
+    if P.dim <= MAX_VERTEX_ENUM_DIM:
         for v in extreme_points(P):
             add(v)
     reduced = remove_redundant(P)

@@ -125,10 +125,13 @@ def _outline(instance):
     """The points drawn for a polyhedron or an epigraph, which also frame it.
 
     A polyhedron's are its vertices clipped to the box |x|, |y| <= 12
-    (unbounded sets get cropped); an epigraph's are its graph sampled at
-    x = -4, -15/4, ..., 4; the other kinds draw from their own data.
+    (unbounded sets get cropped; only 2D ones render); an epigraph's are
+    its graph sampled at x = -4, -15/4, ..., 4; the other kinds draw from
+    their own data.
     """
     if isinstance(instance, HPolyhedron):
+        if instance.dim != 2:
+            raise DimensionMismatchError("can only render 2D polyhedra")
         if is_empty(instance):
             return []
         box = box_halfspaces(2, Q(12))
@@ -232,8 +235,6 @@ def _render_region(instance, frame, outline):
             + dots
         )
     if isinstance(instance, HPolyhedron):
-        if instance.dim != 2:
-            raise DimensionMismatchError("can only render 2D polyhedra")
         if len(outline) < 3:
             if not outline:
                 return "<!-- empty polyhedron -->"

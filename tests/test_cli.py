@@ -71,6 +71,23 @@ def test_kernel_command(geo, capsys):
     ]
 
 
+def test_kernel_command_past_64_edges(capsys, tmp_path, monkeypatch):
+    # A convex 100-gon is its own kernel; vertex enumeration has no edge cap.
+    from convexprofile.core import Point, Q
+    from convexprofile.geometry_io import dump_geometry, point_to_json
+    from convexprofile.regions2d import SimplePolygon, circle_points
+
+    poly = SimplePolygon(circle_points(Point((Q(1, 3), Q(2, 7))), Q(5, 2), 99))
+    assert poly.n == 100
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "ngon.json").write_text(json.dumps(dump_geometry(poly)))
+    code, doc = _run_json(capsys, ["kernel", "ngon.json"])
+    assert code == 0
+    assert doc["results"][0]["kernel_vertices"] == [
+        point_to_json(v) for v in sorted(poly.vertices, key=lambda p: p.coords)
+    ]
+
+
 def test_classify_explicit_pair_file(geo, capsys, tmp_path):
     pairs = tmp_path / "pairs.json"
     pairs.write_text(json.dumps([[["0", "0"], ["1", "1"]], [["0", "0"], ["1", "0"]]]))
@@ -202,6 +219,25 @@ def test_render_epigraph_graph_lies_on_the_canvas(geo, capsys, tmp_path):
     assert all(0 <= x <= 800 and 0 <= y <= 800 for x, y in vertices)
 
 
+def test_render_of_a_3d_polyhedron_is_refused(geo, capsys, tmp_path):
+    cube = {
+        "kind": "h-polyhedron",
+        "dim": 3,
+        "halfspaces": [
+            {"normal": [str(s * (j == k)) for k in range(3)], "offset": str(o)}
+            for j in range(3)
+            for s, o in ((1, 1), (-1, 0))
+        ],
+    }
+    src = geo("cube.json", cube)
+    assert run(["render", src, "--svg", str(tmp_path / "c.svg")]) == 2
+    assert json.loads(capsys.readouterr().err) == {
+        "error": "DimensionMismatchError",
+        "message": "can only render 2D polyhedra",
+    }
+    assert not (tmp_path / "c.svg").exists()
+
+
 def test_out_flag_writes_file(geo, tmp_path, capsys):
     out = tmp_path / "report.json"
     code = run(["extremes", geo("cone.json", CONE), "--out", str(out)])
@@ -280,6 +316,61 @@ HOLED_SQUARE = {
 }
 
 
+# The golden tests' ids are fixed strings, one per command. Generated ids
+# would embed the pinned digests, so a declared golden change would rename
+# its test; these are the names the tests were first collected under, and a
+# changed golden edits its value here, never its id.
+PLANAR_GOLDEN_IDS = [
+    'convexity-ngon.json-_ngon_doc-884f13e8731c6fa87e6a2770cc6631'
+    'c83438a7c30ecfc8445fdc07b1bba698eb',
+    'kernel-ngon.json-_ngon_doc-faf271fa45461656eb18c9d0a48e771aa'
+    '9f09fc7d3a17bfdf1695a20b4ca103e',
+    'convexity-notched.json-<lambda>-cade538e44d30ba6de9c476d637d'
+    '7511596896cb1e38b9912732ef112752ab7b',
+    'convexity-holes.json-<lambda>-387a349082cd4d4b8ca5951369890d'
+    '0ca5016f6fb917d0cf33e1d06ef944a22f',
+]
+
+CLI_GOLDEN_IDS = [
+    'argv0-0-8f960feaa6e296081171bdb05e2f5e51aa8577dba1ec3e368fa3'
+    '366197f8f7a5-None-',
+    'argv1-0-cb6d0958b3e50baf2e33dab69d165bd82b78b4dfb7b45aae4d61'
+    '608ee027bde9-None-',
+    'argv2-0-c7bb884a83fbda861dba14e386f5b4b76d6c73ae358fbc4558ab'
+    '4815c544ca8c-None-',
+    'argv3-0-63358fa94221b8959c5f95c92b9b7242cf88eeff36d4ad183c5e'
+    '6b5cd034f71a-None-',
+    'argv4-0-d687b7bbf3e4bd7cdd5db9bd7233b2acab2db6be2ee4108bc540'
+    'ea3a8d6b965c-None-',
+    'argv5-0-35cafe5e08e19ea2b03033191b1fae97cc17b78cc7df89a18d56'
+    '4cfa426706da-None-',
+    'argv6-0-c5e999eb6e3cb28cb330fb89b8282a024d36749e1fb49b1e3b12'
+    'bc3729aaad17-80e1df51bc689146e4f456d84dfce5cd94a8c081d418a8f'
+    '5f082b1e00c12659b-',
+    'argv7-0-a53127bfc7710d4faa390211d7c4f5826384d4b6e78520e7468b'
+    '07e2018f9e5f-2ed069ac75c8f69d91bc7e5051d3cea98a78a50fe07c92d'
+    'a0c5336d1f21d6a88-',
+    'argv8-0-c212f971c77fe79b318e36c7553a9f8f35de8bfc2336f6048735'
+    'a1110a3fff89-5c41e44ee71d4cd83dbee3c97a1578e3abae365efc33f71'
+    'cfa08169d6b1da6b9-',
+    'argv9-0-0cc65ab8e3b75168c4a8586f12cf1d85105b0562002d417d0b82'
+    '80e813701f97-ce266bb35b877fb1f02616184c337d3808f3bd03a154f9d'
+    '8a01fed1f767d976d-',
+    'argv10-0-dae4b31c5ad9146b9fc046baf3862a10365fe98fdd25316aa39'
+    '874082b9b5040-32689fd8de45fa119cd3abeb353b2c9c90d7426e20bc96'
+    '149f533cc2e4ca75a8-',
+    'argv11-0-f65391e7f6c6cef4e5a7b0b8ea89ed525feac4e8de5881e08dd'
+    'a2f8ecda9400b-1547f184cea80e123ddc99c8dfeef459b7d4a9556119c3'
+    'b457bd3bc10a3482d1-',
+    'argv12-0-1af5a50650b747d901ae1641762df2be193be759e2d287beeb9'
+    'b07a00d8a1d9f-056b4b6eca02de9c1772186ef4f7820e62552729590b74'
+    '7584b8e35a133787bc-',
+    'argv13-2-e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca49'
+    '5991b7852b855-None-{"error": "NotOnBoundaryError", "message"'
+    ': "Point(1/2, 1/2) is not a boundary point"}\n',
+]
+
+
 @pytest.mark.parametrize("command, name, doc, digest", [
     ("convexity", "ngon.json", _ngon_doc,
      "884f13e8731c6fa87e6a2770cc6631c83438a7c30ecfc8445fdc07b1bba698eb"),
@@ -289,7 +380,7 @@ HOLED_SQUARE = {
      "cade538e44d30ba6de9c476d637d7511596896cb1e38b9912732ef112752ab7b"),
     ("convexity", "holes.json", lambda: HOLED_SQUARE,
      "387a349082cd4d4b8ca5951369890d0ca5016f6fb917d0cf33e1d06ef944a22f"),
-])
+], ids=PLANAR_GOLDEN_IDS)
 def test_planar_reports_are_pinned(command, name, doc, digest, capsys, tmp_path,
                                    monkeypatch):
     # Goldens of the pair scan and the kernel on a convex 48-gon and of a
@@ -370,7 +461,7 @@ PINNED_FILES = {
      "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855", None,
      '{"error": "NotOnBoundaryError", '
      '"message": "Point(1/2, 1/2) is not a boundary point"}\n'),
-])
+], ids=CLI_GOLDEN_IDS)
 def test_cli_reports_are_pinned(argv, code, stdout_sha, svg_sha, stderr, capsys,
                                 tmp_path, monkeypatch):
     # Goldens of the commands on the kinds no other test runs them on:

@@ -1,11 +1,28 @@
 import itertools
+import os
 import random
+import subprocess
+import sys
+import textwrap
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from convexprofile.core import Point, Q, orientation, point, vector
+from convexprofile import polyhedra
+from convexprofile.core import (
+    Matrix,
+    Point,
+    Q,
+    SolveStatus,
+    Vector,
+    orientation,
+    point,
+    solve_linear,
+    vector,
+)
 from convexprofile.errors import (
+    CertificateError,
     EmptyPolyhedronError,
     UnboundedPolyhedronError,
     UnsupportedDimensionError,
@@ -37,6 +54,7 @@ from convexprofile.polyhedra import (
     recession_cone,
     remove_redundant,
 )
+from convexprofile.regions2d import SimplePolygon, circle_points, kernel
 
 H = Halfspace
 V = vector
@@ -178,12 +196,166 @@ def test_extreme_points_at_the_4d_limit():
     assert len(extreme_points(cross)) == 8
 
 
-def test_constraint_count_guard():
+def _basis_vertices(P):
+    """Reference oracle: solve every n-subset of the constraints exactly and
+    keep the unique solutions that satisfy all of them, sorted."""
+    hs = P.halfspaces
+    verts = set()
+    for subset in itertools.combinations(range(len(hs)), P.dim):
+        sol = solve_linear(
+            Matrix([hs[i].normal for i in subset]),
+            Vector([hs[i].offset for i in subset]),
+        )
+        if sol.status is SolveStatus.UNIQUE:
+            x = Point(sol.solution.coords)
+            if P.contains(x):
+                verts.add(x)
+    return tuple(sorted(verts, key=lambda p: p.coords))
+
+
+def _pyramid():
+    # a square pyramid: its apex lies on all four side facets
+    sides = tuple(
+        H(V(a, b, 1), 1) for a, b in ((1, 0), (-1, 0), (0, 1), (0, -1))
+    )
+    return HPolyhedron((H(V(0, 0, -1), 0),) + sides, 3)
+
+
+def _with_copies(P):
+    """P with every row followed by a copy scaled by 2."""
+    return HPolyhedron(
+        tuple(c for h in P.halfspaces for c in (h, H(h.normal * 2, h.offset * 2))),
+        P.dim,
+    )
+
+
+def _with_redundant_rows(P):
+    """P after each sum of two rows and each row moved out by 5; a sum is
+    tight where both rows are, so vertices become degenerate."""
+    hs = P.halfspaces
+    far = tuple(H(h.normal, h.offset + 5) for h in hs)
+    sums = tuple(
+        H(a.normal + b.normal, a.offset + b.offset)
+        for a, b in itertools.combinations(hs, 2)
+        if not (a.normal + b.normal).is_zero()
+    )
+    return HPolyhedron(sums + far + hs, P.dim)
+
+
+def _differential_instances():
+    """Polyhedra in dims 1-4 with degenerate, duplicated and redundant rows."""
+    for dim, seeds in ((1, 10), (2, 10), (3, 10), (4, 4)):
+        for seed in range(seeds):
+            rng = rng_from_seed(1000 * dim + seed)
+            for P in (random_hpolyhedron(rng, dim),
+                      random_bounded_polytope(rng, dim)):
+                yield P
+                if dim <= 3:
+                    yield _with_copies(P)
+                face = face_in_direction(P, random_direction(rng, dim))
+                if face is not None:
+                    yield face
+    cube = HPolyhedron(tuple(polyhedra.box_halfspaces(3, Q(1))), 3)
+    for P in (unit_square(), cone(), halfplane(), slab(), cube, _pyramid()):
+        yield P
+        yield _with_copies(P)
+        yield _with_redundant_rows(P)
+
+
+def test_extreme_points_match_the_basis_oracle():
+    count = 0
+    for P in _differential_instances():
+        assert extreme_points(P) == _basis_vertices(P), P
+        count += 1
+    assert count > 200
+
+
+def test_kernel_extreme_points_match_the_basis_oracle():
+    poly = SimplePolygon(circle_points(Point((Q(3, 8), Q(-5, 8))), Q(41, 16), 47))
+    ker = kernel(poly)
+    verts = extreme_points(ker)
+    assert verts == _basis_vertices(ker)
+    assert set(verts) == set(poly.vertices)
+
+
+def test_extreme_points_of_an_empty_polyhedron_raise():
+    empty = HPolyhedron((H(V(1, 0), 0), H(V(-1, 0), -1)), 2)
+    with pytest.raises(EmptyPolyhedronError):
+        extreme_points(empty)
+
+
+def test_many_constraints_need_no_cap():
+    # 65 lines through (100, 1), all tight there; the old enumeration
+    # refused more than 64 constraints.
     many = HPolyhedron(
         tuple(H(V(1, k), 100 + k) for k in range(65)), 2
     )
-    with pytest.raises(UnsupportedDimensionError):
-        extreme_points(many)
+    assert extreme_points(many) == _basis_vertices(many) == (point(100, 1),)
+
+
+UNIT_SQUARE_FORGERIES = [
+    ((2, 0, 1), "violates"),  # (2, 0) lies outside x <= 1
+    ((1, 0, 2), "rank"),  # (1/2, 0) is on one edge only
+]
+
+
+@pytest.mark.parametrize("ray, match", UNIT_SQUARE_FORGERIES,
+                         ids=["infeasible", "not-a-vertex"])
+def test_forged_vertex_rays_raise(ray, match, monkeypatch):
+    real = polyhedra._double_description
+
+    def forged(rows, width):
+        lineality, rays = real(rows, width)
+        return lineality, list(rays) + [ray]
+
+    monkeypatch.setattr(polyhedra, "_double_description", forged)
+    with pytest.raises(CertificateError, match=match):
+        extreme_points(unit_square())
+
+
+def test_forged_vertex_rays_raise_under_python_O():
+    script = textwrap.dedent(
+        f"""
+        import sys
+        from convexprofile import polyhedra
+        from convexprofile.core import vector
+        from convexprofile.errors import CertificateError
+        from convexprofile.polyhedra import Halfspace, HPolyhedron
+
+        print(sys.flags.optimize)
+        square = HPolyhedron(
+            tuple(Halfspace(vector(*n), o) for n, o in
+                  (((-1, 0), 0), ((1, 0), 1), ((0, -1), 0), ((0, 1), 1))),
+            2,
+        )
+        real = polyhedra._double_description
+
+        def forge(ray):
+            def forged(rows, width):
+                lineality, rays = real(rows, width)
+                return lineality, rays + [ray]
+            return forged
+
+        for ray, _ in {UNIT_SQUARE_FORGERIES!r}:
+            polyhedra._double_description = forge(ray)
+            try:
+                polyhedra.extreme_points(square)
+                print("accepted")
+            except CertificateError:
+                print("CertificateError")
+        """
+    )
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        p for p in (src, env.get("PYTHONPATH")) if p
+    )
+    proc = subprocess.run(
+        [sys.executable, "-O", "-c", script],
+        env=env, capture_output=True, text=True, timeout=60, check=False,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.split() == ["1"] + ["CertificateError"] * 2
 
 
 def test_extreme_points_dimension_guard():
