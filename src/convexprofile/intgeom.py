@@ -7,11 +7,18 @@ w > 0; integer vertices are the special case w = 1.
 
 Each query point touches the polygon's edges once: `edge_dets` gives its
 table of edge determinants det(e_k, e_k+1, h), one linear form per edge
-because the vertices have w = 1. The table's signs say on which side of
-every edge line the point lies. Point location, sight-line tests and
-midpoint location all read the tables of their points instead of calling
-`orient` per edge; a midpoint's table is a combination of its endpoints'
-tables, since det is linear in its third argument.
+because the vertices have w = 1, and `edge_signs` packs the table's signs,
+which say on which side of every edge line the point lies, into two bit
+masks. Point location reads the table; sight-line tests read the masks of
+their endpoints instead of calling `orient` per edge, so a sight line
+costs a few mask operations plus one linear form per edge that can meet it.
+
+A sight line runs from a boundary point t, whose site is the edge or
+vertex that holds it, to a point x. Once `sight_blocked` has shown the open
+segment free of boundary contact, the segment is one uniform piece, and
+`side_at` reads its location in O(1) from x's masks at t's site and the
+ring's vertex turns: the local wedge test at a boundary point of exact
+visibility-polygon algorithms (Lee 1983; Joe and Simpson 1987).
 
 These functions back the high-volume operations (point-in-polygon,
 visibility) and leave degenerate queries (vertex touches, collinear
@@ -99,73 +106,123 @@ def edge_dets(verts, h):
     ]
 
 
-def _locate(verts, h, dets):
-    """-1 exterior / 0 boundary / +1 interior for h with edge table `dets`.
+def edge_signs(dets):
+    """The sign masks (pos, neg) of an `edge_dets` table.
 
-    Parity by the half-open crossing rule on the ray to +x: an upward edge
-    counts when h is strictly left of it, a downward one when strictly right.
+    Bit k of pos (neg) is set when the point lies strictly left (right) of
+    edge k's line; neither bit is set when it lies on the line.
     """
-    x, y, w = h
-    inside = False
-    for ((ax, ay), (bx, by)), d in zip(_edges(verts), dets):
-        if d == 0:  # on the edge's line: on the closed edge?
-            if ax != bx:
-                if min(ax, bx) * w <= x <= max(ax, bx) * w:
-                    return 0
-            elif min(ay, by) * w <= y <= max(ay, by) * w:
-                return 0
-        a_above = ay * w > y
-        if a_above != (by * w > y) and (d < 0 if a_above else d > 0):
-            inside = not inside
-    return 1 if inside else -1
+    pos = neg = 0
+    bit = 1
+    for d in dets:
+        if d > 0:
+            pos |= bit
+        elif d < 0:
+            neg |= bit
+        bit <<= 1
+    return pos, neg
+
+
+def sample_signs(v_dets, w_dets, v_signs, w_signs, m):
+    """The sign masks of the samples ((m - k) * v + k * w) / m, 0 <= k < m.
+
+    v and w are w = 1 points with tables `v_dets` / `w_dets` and masks
+    `v_signs` / `w_signs`. Sample k's determinants are
+    (m - k) * v_dets + k * w_dets, because det is linear in the point.
+    Where v and w lie on one side of an edge line, or one of them on it,
+    every sample with k > 0 takes that side; only the edges that separate
+    v and w are evaluated per sample.
+    """
+    (vp, vn), (wp, wn) = v_signs, w_signs
+    pos = (vp | wp) & ~(vn | wn)
+    neg = (vn | wn) & ~(vp | wp)
+    split = (vp & wn) | (vn & wp)
+    bits = []
+    while split:
+        bit = split & -split
+        split ^= bit
+        bits.append((bit, bit.bit_length() - 1))
+    samples = [v_signs]
+    for k in range(1, m):
+        p, q = pos, neg
+        for bit, i in bits:
+            d = (m - k) * v_dets[i] + k * w_dets[i]
+            if d > 0:
+                p |= bit
+            elif d < 0:
+                q |= bit
+        samples.append((p, q))
+    return samples
 
 
 def point_in_polygon(q, verts, dets):
-    """-1 exterior / 0 boundary / +1 interior for homogeneous q.
+    """(code, site) of homogeneous q: -1 exterior / 0 boundary / +1 interior.
 
     `verts` are integer pairs of a simple polygon and `dets` is q's
-    `edge_dets` table. Fully exact.
+    `edge_dets` table. A boundary q also gets its site (k, at_vertex): at
+    vertex k, or inside edge k; None off the boundary. Fully exact.
+
+    Parity by the half-open crossing rule on the ray to +x: an upward edge
+    counts when q is strictly left of it, a downward one when strictly
+    right. The first edge that holds a boundary q ends the scan.
     """
-    return _locate(verts, q, dets)
+    x, y, w = q
+    inside = False
+    for k, (((ax, ay), (bx, by)), d) in enumerate(zip(_edges(verts), dets)):
+        if d == 0:  # on the edge's line: on the closed edge?
+            if ax != bx:
+                on_edge = min(ax, bx) * w <= x <= max(ax, bx) * w
+            else:
+                on_edge = min(ay, by) * w <= y <= max(ay, by) * w
+            if on_edge:
+                if x == ax * w and y == ay * w:
+                    return 0, (k, True)
+                if x == bx * w and y == by * w:
+                    return 0, ((k + 1) % len(verts), True)
+                return 0, (k, False)
+        a_above = ay * w > y
+        if a_above != (by * w > y) and (d < 0 if a_above else d > 0):
+            inside = not inside
+    return (1 if inside else -1), None
 
 
-def sight_blocked(verts, x_h, t_h, x_dets, t_dets):
+def sight_blocked(verts, x_h, t_h, x_signs, t_signs):
     """Visibility of t from x inside a simple polygon (both homogeneous).
 
-    `x_dets` and `t_dets` are the endpoints' `edge_dets` tables. Returns
+    `x_signs` and `t_signs` are the endpoints' `edge_signs` masks. Returns
     True when an edge properly crosses the open sight segment, False when
-    the open segment is free of boundary contact (the caller then
-    classifies the single piece by its midpoint), and None when a
-    degenerate contact (vertex inside the open segment) requires the exact
-    rational partition fallback.
+    the open segment is free of boundary contact (it is then one uniform
+    piece, which `side_at` locates from a boundary endpoint), and None
+    when a degenerate contact (vertex inside the open segment) requires
+    the exact rational partition fallback.
 
     An edge can cross the segment only if x and t lie strictly on opposite
     sides of its line, and a vertex v_k can lie inside the open segment only
-    if they do so for edge k or both lie on its line. Only those edges look
-    at the sight line, whose side of a w = 1 vertex v is the linear form
-    A * vx + B * vy + C = det(x, t, v).
+    if they do so for edge k or both lie on its line. The masks pick out
+    those edges, and only they look at the sight line, whose side of a
+    w = 1 vertex v is the linear form A * vx + B * vy + C = det(x, t, v).
     """
+    (xp, xn), (tp, tn) = x_signs, t_signs
+    n = len(verts)
+    across = (xp & tn) | (xn & tp)
+    candidates = across | (~(xp | xn | tp | tn) & ((1 << n) - 1))
+    if not candidates:
+        return False
     xx, xy, xw = x_h
     tx, ty, tw = t_h
     A = xy * tw - xw * ty
     B = xw * tx - xx * tw
     C = xx * ty - xy * tx
     degenerate = False
-    n = len(verts)
-    for i, (d1, d2) in enumerate(zip(x_dets, t_dets)):
-        if d1 > 0:
-            if d2 >= 0:
-                continue
-        elif d1 < 0:
-            if d2 <= 0:
-                continue
-        elif d2 != 0:
-            continue
+    while candidates:
+        bit = candidates & -candidates
+        candidates ^= bit
+        i = bit.bit_length() - 1
         ax, ay = verts[i]
         o3 = A * ax + B * ay + C
         if o3 == 0 and strictly_between(as_h(verts[i]), x_h, t_h):
             degenerate = True
-        if d1 != 0:
+        if across & bit:
             bx, by = verts[(i + 1) % n]
             o4 = A * bx + B * by + C
             if (o3 > 0 and o4 < 0) or (o3 < 0 and o4 > 0):
@@ -173,39 +230,54 @@ def sight_blocked(verts, x_h, t_h, x_dets, t_dets):
     return None if degenerate else False
 
 
-def midpoint_h(p, q):
-    """Homogeneous midpoint of two homogeneous points."""
-    return (
-        p[0] * q[2] + q[0] * p[2],
-        p[1] * q[2] + q[1] * p[2],
-        2 * p[2] * q[2],
-    )
+def side_at(verts, turns, site, x_h, x_signs):
+    """-1 / 0 / +1: the open segment (t, x) is exterior / boundary / interior.
 
-
-def midpoint_in_polygon(verts, x_h, t_h, x_dets, t_dets):
-    """`point_in_polygon` of the midpoint of x and t, from their tables.
-
-    The midpoint is t_w * x + x_w * t, so its table is
-    t_w * x_dets + x_w * t_dets.
+    Valid once `sight_blocked` has returned False for x and t: no edge
+    meets the open segment and no vertex lies inside it, so its location
+    is the side of x as seen from the boundary point t. `site` is t's
+    (k, at_vertex), `turns` the ring's vertex turn signs and `x_signs` x's
+    `edge_signs` masks. Inside edge k that side is x's sign for edge k. At
+    vertex k, x on the ray along edge k or back along edge k - 1 is
+    boundary; otherwise the segment is interior iff x lies strictly left
+    of both incident edge lines at a convex vertex, or of either one at a
+    reflex vertex. x == t is boundary.
     """
-    xw, tw = x_h[2], t_h[2]
-    return _locate(
-        verts,
-        midpoint_h(x_h, t_h),
-        [tw * a + xw * b for a, b in zip(x_dets, t_dets)],
-    )
+    k, at_vertex = site
+    xp, xn = x_signs
+    out = 1 << k
+    if not at_vertex:
+        return 1 if xp & out else -1 if xn & out else 0
+    n = len(verts)
+    j = (k - 1) % n
+    into = 1 << j
+    x, y, w = x_h
+    vx, vy = verts[k]
+    rx, ry = x - vx * w, y - vy * w  # w * (x - v_k)
+    if not (xp | xn) & out:  # on edge k's line: along edge k?
+        bx, by = verts[(k + 1) % n]
+        if rx * (bx - vx) + ry * (by - vy) >= 0:
+            return 0
+    if not (xp | xn) & into:  # on edge k - 1's line: back along it?
+        ax, ay = verts[j]
+        if rx * (ax - vx) + ry * (ay - vy) >= 0:
+            return 0
+    if turns[k] > 0:
+        return 1 if xp & out and xp & into else -1
+    return 1 if xp & (out | into) else -1
 
 
-def segment_in_polygon(verts, x_h, t_h, x_dets, t_dets):
+def segment_in_polygon(verts, turns, x_h, t_h, x_signs, t_signs, t_site):
     """Whether the closed segment [x, t] stays inside the closed polygon.
 
-    Both endpoints must already be members; `x_dets` and `t_dets` are their
-    `edge_dets` tables. Returns True/False, or None when the query needs
-    the rational partition fallback.
+    Both endpoints must already be members, t on the boundary at site
+    `t_site`; `x_signs` and `t_signs` are their `edge_signs` masks and
+    `turns` the ring's vertex turn signs. Returns True/False, or None when
+    the query needs the rational partition fallback.
     """
-    blocked = sight_blocked(verts, x_h, t_h, x_dets, t_dets)
+    blocked = sight_blocked(verts, x_h, t_h, x_signs, t_signs)
     if blocked is True:
         return False
     if blocked is None:
         return None
-    return midpoint_in_polygon(verts, x_h, t_h, x_dets, t_dets) >= 0
+    return side_at(verts, turns, t_site, x_h, x_signs) >= 0

@@ -65,7 +65,7 @@ class SimplePolygon:
     self-intersection.
     """
 
-    __slots__ = ("vertices", "_ivertices", "_scale")
+    __slots__ = ("vertices", "_ivertices", "_scale", "_turns")
 
     def __init__(self, vertices):
         vs = tuple(v if isinstance(v, Point) else Point(v) for v in vertices)
@@ -78,10 +78,12 @@ class SimplePolygon:
         # by the common multiplier keeps equalities and orientation signs.
         iv, scale = intgeom.clear_denominators(vs)
         n = len(iv)
+        turns = []
         for i in range(n):
             if iv[i] == iv[(i + 1) % n]:
                 raise InvalidPolygonError("repeated consecutive vertex")
-            if _orient(iv[i - 1], iv[i], iv[(i + 1) % n]) == 0:
+            turns.append(_orient(iv[i - 1], iv[i], iv[(i + 1) % n]))
+            if turns[i] == 0:
                 raise InvalidPolygonError(
                     "three consecutive collinear vertices"
                 )
@@ -102,6 +104,8 @@ class SimplePolygon:
                     raise InvalidPolygonError("polygon edges intersect")
         self.vertices = vs
         self._ivertices, self._scale = iv, scale
+        # +1 / -1: vertex i turns left (convex) / right (reflex)
+        self._turns = turns
 
     @property
     def n(self):
@@ -139,16 +143,18 @@ class SimplePolygon:
         return min(xs), min(ys), max(xs), max(ys)
 
     def table(self, x):
-        """(location, homogeneous x, x's edge table) of a 2D point x.
+        """(location, homogeneous x, x's edge table, x's site) of a 2D point.
 
         The table is `intgeom.edge_dets` of x over the integer ring: the
-        predicates that take two points reuse it instead of re-deriving
-        the edge orientations of x.
+        predicates that take two points reuse it, as `intgeom.edge_signs`
+        masks, instead of re-deriving the edge orientations of x. The site
+        (k, at_vertex) of a boundary x is its vertex k or edge k; None off
+        the boundary.
         """
         h = intgeom.homogenize(x, self._scale)
         dets = intgeom.edge_dets(self._ivertices, h)
-        code = intgeom.point_in_polygon(h, self._ivertices, dets)
-        return _LOCATIONS[code], h, dets
+        code, site = intgeom.point_in_polygon(h, self._ivertices, dets)
+        return _LOCATIONS[code], h, dets, site
 
     def locate(self, x):
         return self.table(x)[0]
@@ -584,13 +590,14 @@ def _probe(region, x):
     """Validate that x is a boundary point, once per point.
 
     Returns (x, table): on a hole-free polygon table is (homogeneous x,
-    x's edge table) for the integer classifier; every other kind has None
-    and goes through the rational partition.
+    x's edge signs, x's boundary site) for the integer classifier; every
+    other kind has None and goes through the rational partition.
     """
     if x.dim != region.dim:
         raise DimensionMismatchError(f"query point must be {region.dim}D")
     if isinstance(region, PolygonRegion) and not region.holes:
-        loc, *table = region.outer.table(x)
+        loc, h, dets, site = region.outer.table(x)
+        table = h, intgeom.edge_signs(dets), site
     else:
         loc, table = region.locate2(x)[0], None
     if loc is not PointLocation.BOUNDARY:
@@ -602,7 +609,7 @@ def _classify(region, p_probe, q_probe):
     """The class of a pair of `_probe` results: the one pair classifier."""
     (p, p_table), (q, q_table) = p_probe, q_probe
     if p_table is not None:
-        cls = _classify_by_tables(region.outer._ivertices, p_table, q_table)
+        cls = _classify_by_tables(region.outer, p_table, q_table)
         if cls is not None:
             return cls
     partition = partition_segment(region, Segment(p, q))
@@ -636,18 +643,19 @@ def _classify_from_partition(region, partition):
     return PairClass.MIXED
 
 
-def _classify_by_tables(verts, p_table, q_table):
+def _classify_by_tables(polygon, p_table, q_table):
     """Integer classification of a hole-free polygon pair; None = fall back."""
-    (p_h, p_dets), (q_h, q_dets) = p_table, q_table
-    blocked = intgeom.sight_blocked(verts, p_h, q_h, p_dets, q_dets)
+    (p_h, p_signs, p_site), (q_h, q_signs, _) = p_table, q_table
+    verts = polygon._ivertices
+    blocked = intgeom.sight_blocked(verts, p_h, q_h, p_signs, q_signs)
     if blocked is True:
         return PairClass.MIXED
     if blocked is None:
         return None
-    code = intgeom.midpoint_in_polygon(verts, p_h, q_h, p_dets, q_dets)
-    # No crossing and no vertex inside the open segment: one uniform piece.
-    # A boundary midpoint can then only mean collinear containment in an
-    # edge, so the whole open segment lies in the boundary.
+    # No crossing and no vertex inside the open segment: one uniform piece,
+    # located by q's side at p's vertex or edge. A boundary piece can only
+    # run along an edge from p, so the whole open segment is boundary.
+    code = intgeom.side_at(verts, polygon._turns, p_site, q_h, q_signs)
     if code > 0:
         return PairClass.HYPERBOLIC
     if code < 0:
@@ -659,11 +667,9 @@ def convexity_oracle(polygon):
     """Classical convex-polygon test on the vertex turns.
 
     A valid ring is counterclockwise, so it is convex iff every integer
-    turn of its cleared ring is a left turn.
+    turn of its cleared ring, stored at construction, is a left turn.
     """
-    iv = polygon._ivertices
-    n = len(iv)
-    return all(_orient(iv[i - 1], iv[i], iv[(i + 1) % n]) > 0 for i in range(n))
+    return all(turn > 0 for turn in polygon._turns)
 
 
 def boundary_probe_points(region, density=16):
@@ -774,34 +780,37 @@ def kernel_contains_by_visibility(polygon, x, boundary_samples):
     """
     if boundary_samples < 1:
         raise ValueError("need at least one sample per edge")
-    loc, x_h, x_dets = polygon.table(x)
+    loc, x_h, x_dets, _ = polygon.table(x)
     if loc is PointLocation.EXTERIOR:
         raise NotAMemberError(f"{x!r} is not a member of the polygon")
+    x_signs = intgeom.edge_signs(x_dets)
     m = boundary_samples
     region = PolygonRegion(polygon)
-    verts = polygon._ivertices
+    verts, turns = polygon._ivertices, polygon._turns
     nverts = len(verts)
-    # The vertices' edge tables; the target k/m along edge i is
-    # ((m - k) * v_i + k * v_i+1) / m, so its table combines two of them.
+    # The vertices' edge tables and signs; the samples k/m along edge i
+    # blend the signs of its two vertices.
     vertex_dets = [intgeom.edge_dets(verts, intgeom.as_h(v)) for v in verts]
+    vertex_signs = [intgeom.edge_signs(dets) for dets in vertex_dets]
     for i in range(nverts):
+        j = (i + 1) % nverts
         vx, vy = verts[i]
-        wx, wy = verts[(i + 1) % nverts]
-        v_dets = vertex_dets[i]
-        w_dets = vertex_dets[(i + 1) % nverts]
-        for k in range(m):
+        wx, wy = verts[j]
+        samples = intgeom.sample_signs(
+            vertex_dets[i], vertex_dets[j], vertex_signs[i], vertex_signs[j], m
+        )
+        for k, t_signs in enumerate(samples):
             t_h = (
                 (m - k) * vx + k * wx,
                 (m - k) * vy + k * wy,
                 m,
             )
-            t_dets = [(m - k) * a + k * b for a, b in zip(v_dets, w_dets)]
-            inside = intgeom.segment_in_polygon(verts, x_h, t_h, x_dets, t_dets)
+            inside = intgeom.segment_in_polygon(
+                verts, turns, x_h, t_h, x_signs, t_signs, (i, k == 0)
+            )
             if inside is None:
                 target = interpolate(
-                    polygon.vertices[i],
-                    polygon.vertices[(i + 1) % nverts],
-                    Q(k, m),
+                    polygon.vertices[i], polygon.vertices[j], Q(k, m)
                 )
                 inside = sees(region, x, target)
             if not inside:

@@ -20,11 +20,16 @@ from .core import (
     Q,
     Vector,
     ZERO,
+    cross2,
     interpolate,
     rank,
 )
 from .epigraph import CHORD_TOLERANCE, Epigraph1D, chord_find
-from .errors import EmptyPolyhedronError, UnboundedPolyhedronError
+from .errors import (
+    CertificateError,
+    EmptyPolyhedronError,
+    UnboundedPolyhedronError,
+)
 from .generators import (
     random_bounded_polytope,
     random_direction,
@@ -74,7 +79,6 @@ from .regions2d import (
     SimplePolygon,
     boundary_probe_points,
     classify_pair,
-    convexity_oracle,
     first_pair_outside,
     is_convex_by_pairs,
     kernel,
@@ -414,12 +418,15 @@ def check_convexity_corollary(region, probe_density=DEFAULT_PROBE_DENSITY):
             ConclusionStatus.FAILS,
             witnesses=(pair_to_json(*witness),),
         )
-    truth = _ground_truth_convex(region)
+    non_convex = _non_convexity_witness(region)
+    truth = non_convex is None
     agree = by_pairs == truth
     facts = {"convex_by_pairs": by_pairs, "convex_ground_truth": truth}
     witnesses = ()
     if witness is not None:
         witnesses = (pair_to_json(*witness),)
+    elif not agree:
+        witnesses = (non_convex,)
     return _report(
         "cor-5",
         region,
@@ -430,14 +437,43 @@ def check_convexity_corollary(region, probe_density=DEFAULT_PROBE_DENSITY):
     )
 
 
-def _ground_truth_convex(region):
-    if isinstance(region, PolygonRegion):
-        return not region.holes and convexity_oracle(region.outer)
+def _non_convexity_witness(region):
+    """None for a convex region, else a re-checked witness that it is not.
+
+    A polygon's witness is a reflex vertex of the region: an outer-ring
+    vertex whose stored turn is negative, or a convex vertex of a hole. A
+    disk complement's is the member pair center -/+ (2r, 0), whose
+    midpoint, the center, leaves the set. Both are re-checked in rationals.
+    """
     if isinstance(region, Disk):
-        return True
+        return None
     if isinstance(region, DiskComplement):
-        return False
-    raise TypeError(f"no convexity ground truth for {region!r}")
+        offset = Vector((2 * region.radius, ZERO))
+        p, q = region.center - offset, region.center + offset
+        mid = interpolate(p, q, Q(1, 2))
+        if not (
+            locate_point2(region, p)[1]
+            and locate_point2(region, q)[1]
+            and not locate_point2(region, mid)[1]
+        ):
+            raise CertificateError("disk complement pair does not witness")
+        return {"p": point_to_json(p), "q": point_to_json(q),
+                "midpoint": point_to_json(mid)}
+    if not isinstance(region, PolygonRegion):
+        raise TypeError(f"no convexity ground truth for {region!r}")
+    # A ring is counterclockwise, so a right turn of the outer ring and a
+    # left turn of a hole are both reflex angles of the region.
+    rings = [(region.outer, -1)] + [(hole, 1) for hole in region.holes]
+    for ring, reflex in rings:
+        for i, turn in enumerate(ring._turns):
+            if turn != reflex:
+                continue
+            vs = ring.vertices
+            u, v, w = vs[i - 1], vs[i], vs[(i + 1) % ring.n]
+            if (cross2(v - u, w - v) > 0) != (reflex > 0):
+                raise CertificateError(f"{v!r} is not a reflex vertex")
+            return {"reflex_vertex": point_to_json(v)}
+    return None
 
 
 # ---------------------------------------------------------------------------

@@ -1,0 +1,59 @@
+"""The benchmark's tracer against the current library.
+
+`bench/tracer.py` reads layer functions by name; a rename in the library
+must fail here, not first in `python3 bench/run.py --trace 1`.
+"""
+
+import json
+import sys
+from pathlib import Path
+
+import pytest
+
+BENCH = Path(__file__).resolve().parent.parent / "bench"
+
+
+@pytest.fixture
+def bench_run():
+    """bench/run.py as a module; the package's modules are restored after.
+
+    `run.import_library()` imports a fresh copy of the package and the
+    tracer rebinds its functions in place, so both stay out of the other
+    tests.
+    """
+    saved = {k: v for k, v in sys.modules.items()
+             if k.split(".", 1)[0] == "convexprofile"}
+    sys.path.insert(0, str(BENCH))
+    try:
+        import run
+
+        yield run
+    finally:
+        sys.path.remove(str(BENCH))
+        for k in [k for k in sys.modules if k.split(".", 1)[0] == "convexprofile"]:
+            del sys.modules[k]
+        sys.modules.update(saved)
+
+
+def _traced_metrics(run, workload, ops, workdir):
+    cp = run.import_library()
+    tracer = run.Tracer()
+    tracer.install()
+    setup = run.WORKLOADS[workload][0]
+    for op in setup(cp, 7, workdir)[:ops]:
+        for call in op:
+            _, ok = call()
+            assert ok
+    return {k: v for k, (v, unit) in tracer.metrics().items()}
+
+
+@pytest.mark.parametrize("workload, ops", [("visibility", 5), ("ngon", 2)])
+def test_tracer_reports_every_metric(bench_run, workload, ops, tmp_path):
+    metrics = _traced_metrics(bench_run, workload, ops, tmp_path)
+    declared = json.loads((BENCH.parent / "BENCHMARK.json").read_text())
+    names = {m["name"] for m in declared["per_layer"]}
+    # run.py adds the tracing overhead itself, from two timed passes
+    assert set(metrics) == names - {"trace.overhead_s"}
+    if workload == "visibility":
+        assert metrics["intgeom.sight_blocked.calls"] > 0
+        assert metrics["intgeom.segment_in_polygon.calls"] > 0

@@ -303,6 +303,16 @@ def _ngon_doc():
     return dump_geometry(poly)
 
 
+def _circle101_doc():
+    from convexprofile.core import Point, Q
+    from convexprofile.geometry_io import dump_geometry
+    from convexprofile.regions2d import SimplePolygon, circle_points
+
+    poly = SimplePolygon(circle_points(Point((Q(3, 8), Q(-5, 8))), Q(41, 16), 100))
+    assert poly.n == 101
+    return dump_geometry(poly)
+
+
 NOTCHED = {
     "kind": "polygon",
     "outer": [["0", "0"], ["4", "0"], ["4", "3"], ["5/2", "3"], ["9/4", "7/4"],
@@ -329,6 +339,7 @@ PLANAR_GOLDEN_IDS = [
     '7511596896cb1e38b9912732ef112752ab7b',
     'convexity-holes.json-<lambda>-387a349082cd4d4b8ca5951369890d'
     '0ca5016f6fb917d0cf33e1d06ef944a22f',
+    'convexity-circle101',
 ]
 
 CLI_GOLDEN_IDS = [
@@ -380,6 +391,9 @@ CLI_GOLDEN_IDS = [
      "cade538e44d30ba6de9c476d637d7511596896cb1e38b9912732ef112752ab7b"),
     ("convexity", "holes.json", lambda: HOLED_SQUARE,
      "387a349082cd4d4b8ca5951369890d0ca5016f6fb917d0cf33e1d06ef944a22f"),
+    # 101 vertices, 202 probes: 20,301 pairs, 4.5 times the 48-gon's 4,560
+    ("convexity", "circle101.json", _circle101_doc,
+     "fb453e00e840ee154ec918110a053903187763accdf02de4224d86b51f792fe8"),
 ], ids=PLANAR_GOLDEN_IDS)
 def test_planar_reports_are_pinned(command, name, doc, digest, capsys, tmp_path,
                                    monkeypatch):

@@ -11,7 +11,7 @@ from convexprofile.errors import (
     NotAMemberError,
     NotOnBoundaryError,
 )
-from convexprofile import regions2d
+from convexprofile import intgeom, regions2d
 from convexprofile.generators import (
     random_convex_polygon,
     random_notched_polygon,
@@ -323,7 +323,7 @@ def test_table_classification_agrees_with_the_partition(kind, seed):
     tables = {p: regions2d._probe(region, p)[1] for p in probes}
     answered = 0
     for p, q in itertools.combinations(probes, 2):
-        fast = regions2d._classify_by_tables(poly._ivertices, tables[p], tables[q])
+        fast = regions2d._classify_by_tables(poly, tables[p], tables[q])
         exact = regions2d._classify_from_partition(
             region, partition_segment(region, Segment(p, q))
         )
@@ -335,8 +335,6 @@ def test_table_classification_agrees_with_the_partition(kind, seed):
 
 
 def test_pair_scan_locates_each_probe_once_without_orient(monkeypatch):
-    from convexprofile import intgeom
-
     poly = SimplePolygon(circle_points(point(Q(3, 8), Q(-5, 8)), Q(41, 16), 47))
     region = PolygonRegion(poly)
     probes = boundary_probe_points(region)
@@ -493,28 +491,161 @@ def test_prop8_characterization_hrep_matches_visibility(seed):
             assert kernel_contains_by_visibility(poly, x, m) == member
 
 
+def _boundary_targets(poly, m):
+    """(t, t's boundary site) for every vertex and edge sample k/m, 0 < k < m.
+
+    The site is (k, True) at vertex k and (k, False) inside edge k.
+    """
+    vs, n = poly.vertices, poly.n
+    return [
+        (interpolate(vs[i], vs[(i + 1) % n], Q(k, m)), (i, k == 0))
+        for i in range(n)
+        for k in range(m)
+    ]
+
+
+def _homogeneous(poly, x):
+    """x's homogeneous integer triple, edge table and edge signs over the
+    cleared ring."""
+    h = intgeom.homogenize(x, poly._scale)
+    dets = intgeom.edge_dets(poly._ivertices, h)
+    return h, dets, intgeom.edge_signs(dets)
+
+
 @given(st.integers(0, 10**9))
 @settings(max_examples=25)
 def test_integer_fast_path_agrees_with_rational_sees(seed):
     # the scaled-integer visibility shortcut and the rational partition
-    # route must never disagree where the shortcut answers at all
-    from convexprofile import intgeom
-
+    # route must never disagree where the shortcut answers at all, on lines
+    # to vertices and to edge samples k/m alike
     rng = rng_from_seed(seed)
     poly = random_simple_polygon(rng, max_vertices=8)
     region = PolygonRegion(poly)
     members = sample_member_points(poly, rng, 6)
-    targets = boundary_probe_points(region)
     for x in members:
-        _, x_h, x_dets = poly.table(x)
-        for t in targets[:10]:
-            _, t_h, t_dets = poly.table(t)
+        x_h, _, x_signs = _homogeneous(poly, x)
+        for t, site in _boundary_targets(poly, 3):
+            t_h, _, t_signs = _homogeneous(poly, t)
             fast = intgeom.segment_in_polygon(
-                poly._ivertices, x_h, t_h, x_dets, t_dets
+                poly._ivertices, poly._turns, x_h, t_h, x_signs, t_signs, site
             )
             if fast is None:
                 continue
             assert fast == sees(region, x, t)
+
+
+def _midpoint_code(verts, x_h, t_h, x_dets, t_dets):
+    """Test-only copy of the midpoint-parity rule the side rule replaced.
+
+    Locates the midpoint t_w * x + x_w * t, whose edge table is
+    t_w * x_dets + x_w * t_dets, by the half-open crossing parity on the
+    ray to +x: -1 exterior, 0 boundary, +1 interior.
+    """
+    xw, tw = x_h[2], t_h[2]
+    mx = x_h[0] * tw + t_h[0] * xw
+    my = x_h[1] * tw + t_h[1] * xw
+    mw = 2 * xw * tw
+    inside = False
+    ring = zip(verts, verts[1:] + verts[:1])
+    for ((ax, ay), (bx, by)), a, b in zip(ring, x_dets, t_dets):
+        d = tw * a + xw * b
+        if d == 0:
+            if ax != bx:
+                if min(ax, bx) * mw <= mx <= max(ax, bx) * mw:
+                    return 0
+            elif min(ay, by) * mw <= my <= max(ay, by) * mw:
+                return 0
+        a_above = ay * mw > my
+        if a_above != (by * mw > my) and (d < 0 if a_above else d > 0):
+            inside = not inside
+    return 1 if inside else -1
+
+
+def _side_rule(poly, site, x_h, x_signs):
+    return intgeom.side_at(poly._ivertices, poly._turns, site, x_h, x_signs)
+
+
+@pytest.mark.parametrize("kind", sorted(POLYGON_KINDS))
+def test_side_rule_matches_the_midpoint_parity(kind):
+    # On every sight line that sight_blocked leaves as one uniform piece,
+    # the O(1) side rule at the boundary endpoint t must give the midpoint
+    # parity's answer: probe -> probe (both ways), member -> vertex and
+    # member -> edge sample k/4 lines.
+    seen = set()
+    compared = 0
+    for seed in range(20):
+        rng = rng_from_seed(f"side-rule:{kind}:{seed}")
+        poly = POLYGON_KINDS[kind](rng)
+        verts = poly._ivertices
+        region = PolygonRegion(poly)
+        probes = boundary_probe_points(region)
+        targets = _boundary_targets(poly, 4)
+        sites = dict(targets)
+        for p in probes:
+            assert regions2d._probe(region, p)[1][2] == sites[p]
+        # the kernel oracle blends its edge samples' masks from the vertices'
+        vertex = [intgeom.edge_dets(verts, intgeom.as_h(v)) for v in verts]
+        for i in range(poly.n):
+            v_dets, w_dets = vertex[i], vertex[(i + 1) % poly.n]
+            blended = intgeom.sample_signs(
+                v_dets, w_dets, intgeom.edge_signs(v_dets),
+                intgeom.edge_signs(w_dets), 4,
+            )
+            assert blended == [
+                _homogeneous(poly, t)[2] for t, _ in targets[4 * i:4 * i + 4]
+            ]
+        sources = probes + sample_member_points(poly, rng, 8)
+        for t, site in targets:
+            t_h, t_dets, t_signs = _homogeneous(poly, t)
+            for x in sources:
+                x_h, x_dets, x_signs = _homogeneous(poly, x)
+                if intgeom.sight_blocked(verts, x_h, t_h, x_signs, t_signs) is not False:
+                    continue
+                code = _midpoint_code(verts, x_h, t_h, x_dets, t_dets)
+                assert _side_rule(poly, site, x_h, x_signs) == code, (poly, t, x)
+                seen.add(code)
+                compared += 1
+    assert compared > 2000
+    assert seen == ({0, 1} if kind == "convex" else {-1, 0, 1})
+
+
+L_REFLEX_FIRST = SimplePolygon(
+    [point(1, 1), point(1, 2), point(0, 2), point(0, 0), point(2, 0), point(2, 1)]
+)
+
+
+@pytest.mark.parametrize("poly, t, site, x, code", [
+    # the L polygon: vertex 1 = (2, 0) is convex, vertex 3 = (1, 1) reflex
+    (l_polygon(), (1, 1), (3, True), (0, 0), 1),  # reflex vertex, inward
+    (l_polygon(), (1, 1), (3, True), (2, 2), -1),  # reflex vertex, into the notch
+    (l_polygon(), (1, 1), (3, True), (1, 2), 0),  # along edge 3 from its vertex
+    (l_polygon(), (1, 1), (3, True), (2, 1), 0),  # back along edge 2
+    (l_polygon(), (0, 0), (0, True), (1, 0), 0),  # along edge 0 from vertex 0
+    (l_polygon(), (2, 0), (1, True), (2, -1), -1),  # edge 1 backward, convex
+    (l_polygon(), (2, 0), (1, True), (3, 0), -1),  # edge 0 forward, convex
+    (l_polygon(), (1, 1), (3, True), (1, 0), 1),  # edge 3 backward, reflex
+    (l_polygon(), (1, 1), (3, True), (0, 1), 1),  # edge 2 forward, reflex
+    (l_polygon(), (1, 1), (3, True), (1, 1), 0),  # x == t at a vertex
+    (l_polygon(), (1, 0), (0, False), (1, 0), 0),  # x == t in mid-edge
+    (l_polygon(), (1, 0), (0, False), (1, 1), 1),  # mid-edge, left
+    (l_polygon(), (1, 0), (0, False), (1, -1), -1),  # mid-edge, right
+    (l_polygon(), (1, 0), (0, False), (2, 0), 0),  # mid-edge, along
+    # the same L from its reflex vertex: edge k - 1 wraps to the last edge
+    (L_REFLEX_FIRST, (1, 1), (0, True), (2, 1), 0),  # back along edge 5
+    (L_REFLEX_FIRST, (1, 1), (0, True), (1, 0), 1),  # edge 0 backward, reflex
+    (L_REFLEX_FIRST, (1, 1), (0, True), (2, 2), -1),  # into the notch
+])
+def test_side_rule_hand_cases(poly, t, site, x, code):
+    verts = poly._ivertices
+    t_h, t_dets, t_signs = _homogeneous(poly, point(*t))
+    x_h, x_dets, x_signs = _homogeneous(poly, point(*x))
+    assert intgeom.sight_blocked(verts, x_h, t_h, x_signs, t_signs) is False
+    assert _midpoint_code(verts, x_h, t_h, x_dets, t_dets) == code
+    assert _side_rule(poly, site, x_h, x_signs) == code
+    inside = intgeom.segment_in_polygon(
+        verts, poly._turns, x_h, t_h, x_signs, t_signs, site
+    )
+    assert inside is (code >= 0)
 
 
 def test_degenerate_segment_region_kernel_is_itself():

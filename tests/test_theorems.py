@@ -4,7 +4,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from convexprofile.core import point, vector
-from convexprofile.errors import UnboundedPolyhedronError
+from convexprofile.errors import CertificateError, UnboundedPolyhedronError
 from convexprofile.generators import (
     random_bounded_polytope,
     random_direction,
@@ -146,6 +146,18 @@ def test_convexity_corollary_convex_and_nonconvex_polygons():
     r = check_convexity_corollary(PolygonRegion(l_polygon_fixture()))
     assert r.conclusion is HOLDS
     assert r.facts == {"convex_by_pairs": False, "convex_ground_truth": False}
+
+
+def test_cor5_non_convexity_witness_is_rechecked(monkeypatch):
+    # A forged right turn at a corner of the square names a vertex that is
+    # not reflex; the rational re-check refuses it.
+    square = unit_square_polygon()
+    square._turns = [-1] + square._turns[1:]
+    monkeypatch.setattr(
+        theorems, "is_convex_by_pairs", lambda region, d: (True, None)
+    )
+    with pytest.raises(CertificateError, match="not a reflex vertex"):
+        check_convexity_corollary(PolygonRegion(square), 8)
 
 
 def test_convexity_corollary_pointed_open_box_flagged():
@@ -322,9 +334,12 @@ EPIGRAPH_CHORD_FAILURES = (
     (_set("_region_convex_probed", lambda region, probes: False),
      lambda: check_hyperbolic_theorem(Disk(point(0, 0), 1), 10),
      ({"convexity": "a member midpoint left the set"},)),
-    (_set("_ground_truth_convex", lambda region: False),
-     lambda: check_convexity_corollary(Disk(point(0, 0), 2), 8),
-     ()),
+    (_set("is_convex_by_pairs", lambda region, density: (True, None)),
+     lambda: check_convexity_corollary(PolygonRegion(l_polygon_fixture()), 8),
+     ({"reflex_vertex": ["1", "1"]},)),
+    (_set("is_convex_by_pairs", lambda region, density: (True, None)),
+     lambda: check_convexity_corollary(DiskComplement(point(1, 0), 2), 8),
+     ({"midpoint": ["1", "0"], "p": ["-3", "0"], "q": ["5", "0"]},)),
     (_set("is_convex_by_pairs",
           lambda region, density: (False, (point(0, 0), point(1, 1), PairClass.MIXED))),
      lambda: check_convexity_corollary(PointedOpenBox(), 8),
@@ -358,8 +373,9 @@ EPIGRAPH_CHORD_FAILURES = (
     (_set("chord_find", _chord_too_high),
      lambda: check_krein_milman(parabola_fixture(), 2, 5),
      EPIGRAPH_CHORD_FAILURES),
-], ids=["thm-2", "thm-4", "cor-5", "cor-5-box", "prop-8", "prop-11", "lem-12",
-        "thm-10", "thm-10-epigraph", "thm-13", "thm-13-epigraph"])
+], ids=["thm-2", "thm-4", "cor-5", "cor-5-complement", "cor-5-box", "prop-8",
+        "prop-11", "lem-12", "thm-10", "thm-10-epigraph", "thm-13",
+        "thm-13-epigraph"])
 def test_failing_conclusion_is_a_counterexample(patch, check, witnesses,
                                                 monkeypatch):
     patch(monkeypatch)
