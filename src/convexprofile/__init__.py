@@ -33,19 +33,16 @@ from .polyhedra import (
     Halfspace,
     HPolyhedron,
     PointLocation,
-    Ray,
     VPolytope,
     boundary_has_ray,
     contains_hyperplane,
     extreme_points,
     face_in_direction,
-    has_extreme_point,
     hull_contains,
     hull_equal,
     lineality_dim,
     locate_point,
     profile,
-    recession_cone,
 )
 from .regions2d import (
     Disk,

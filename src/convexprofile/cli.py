@@ -131,6 +131,17 @@ def _config_dict(args, seed):
     }
 
 
+def _check_settings(args):
+    """Reject sample counts below 1 and an instance count below 0."""
+    least_values = (("samples", 1), ("probe_density", 1), ("instances", 0))
+    for name, least in least_values:
+        value = getattr(args, name, least)  # only `check` has --instances
+        if value < least:
+            raise SchemaError(
+                f"must be at least {least}, got {value}", f"$.{name}"
+            )
+
+
 def _emit(report, args):
     text = json.dumps(report, indent=2, sort_keys=True) + "\n"
     if args.out:
@@ -396,30 +407,31 @@ def run(argv):
     args = parser.parse_args(argv)
     try:
         seed = _resolve_seed(args)
+        _check_settings(args)
         results, code = _COMMANDS[args.command](args, seed)
+        inputs = [args.file] if hasattr(args, "file") else []
+        config = _config_dict(args, seed)
+        if args.command == "check":
+            config["instances"] = args.instances
+            config["theorem"] = args.theorem
+        report = {
+            "command": args.command,
+            "inputs": inputs,
+            "config": config,
+            "results": results,
+        }
+        _emit(report, args)
     except SchemaError as exc:
         sys.stderr.write(json.dumps(exc.to_json_dict(), sort_keys=True) + "\n")
         return 2
-    except ConvexProfileError as exc:
+    except (ConvexProfileError, OSError) as exc:
+        # OSError: an input, --out or --svg file could not be opened.
         err = {
             "error": type(exc).__name__,
             "message": str(exc),
         }
         sys.stderr.write(json.dumps(err, sort_keys=True) + "\n")
         return 2
-
-    inputs = [args.file] if hasattr(args, "file") else []
-    config = _config_dict(args, seed)
-    if args.command == "check":
-        config["instances"] = args.instances
-        config["theorem"] = args.theorem
-    report = {
-        "command": args.command,
-        "inputs": inputs,
-        "config": config,
-        "results": results,
-    }
-    _emit(report, args)
     return code
 
 

@@ -1,10 +1,12 @@
 """Closed convex sets as halfspace intersections and point hulls.
 
-Structural queries follow convex-analysis definitions directly: vertex
-enumeration is the integer double-description method on the homogenized
-cone (desk scale, n <= 4, no cap on the number of constraints), boundary
-status is decided by exact constraint slack, and every certificate (vertex,
-line direction, recession ray) can be re-verified by substitution.
+Structural queries follow convex-analysis definitions directly. Each
+polyhedron caches one integer double description of its homogenized cone
+(no cap on the number of constraints): the vertices (n <= 4), boundedness
+and the boundary-ray test are read from it. Boundary status is decided by
+exact constraint slack, and every certificate (vertex, line direction,
+recession ray) is re-verified by substitution. Redundancy and the facet
+probes still solve LPs.
 """
 
 from __future__ import annotations
@@ -100,6 +102,14 @@ class HPolyhedron:
         # frozen dataclass: the LP runs at most once per polyhedron.
         return _max_slack(self)
 
+    @cached_property
+    def _dd(self):
+        """(rows, lineality, rays): each halfspace as its integer row, and
+        the double description of {(x, t) : row . (x, t) <= 0, t >= 0}."""
+        rows = [_integer_row(h) for h in self.halfspaces]
+        n = self.dim
+        return rows, *_double_description(rows + [(0,) * n + (-1,)], n + 1)
+
     @property
     def full_dimensional(self):
         """Whether the interior is non-empty."""
@@ -139,18 +149,6 @@ class VPolytope:
         for g in self.generators:
             if g.dim != self.dim:
                 raise DimensionMismatchError("generator dimension mismatch")
-
-
-@dataclass(frozen=True)
-class Ray:
-    """The set {base + t * direction : t >= 0}."""
-
-    base: Point
-    direction: Vector
-
-    def __post_init__(self):
-        if self.direction.is_zero():
-            raise ValueError("ray direction must be nonzero")
 
 
 class PointLocation(Enum):
@@ -229,14 +227,6 @@ def locate_point(P, x):
     return PointLocation.INTERIOR
 
 
-def recession_cone(P):
-    """{d : normal_i . d <= 0 for all i}; P is bounded iff this is {0}."""
-    _require_nonempty(P)
-    return HPolyhedron(
-        tuple(Halfspace(h.normal, ZERO) for h in P.halfspaces), P.dim
-    )
-
-
 def _signed_axes(dim):
     """The unit vectors e_1, -e_1, ..., e_dim, -e_dim, in that order."""
     axes = []
@@ -253,28 +243,34 @@ def box_halfspaces(dim, bound):
     return [Halfspace(u, bound) for u in _signed_axes(dim)]
 
 
-def _cone_has_nonzero(halfspaces, dim, extra_eq=None):
-    """Whether the cone {d : A d <= 0 (and eq . d = 0)} contains d != 0."""
-    base = [Constraint(h.normal, Relation.LE, ZERO) for h in halfspaces]
-    if extra_eq is not None:
-        base.append(Constraint(extra_eq, Relation.EQ, ZERO))
-    for probe in _signed_axes(dim):
-        cons = base + [Constraint(probe, Relation.LE, Q(1))]
-        out = solve_lp(LinearProgram(probe, tuple(cons)))
-        if out.status is LpStatus.OPTIMAL and out.value > 0:
-            return True, Vector(out.point.coords)
-    return False, None
-
-
 def is_bounded(P):
-    return recession_direction(P) is None
+    """Whether the non-empty P is bounded: its homogenized cone has no
+    lineality and no ray with t = 0 (such a ray (d, 0) is a recession
+    direction d of P). The direction is re-checked in integers first."""
+    _require_nonempty(P)
+    rows, lineality, rays = P._dd
+    y = next(itertools.chain(lineality, (y for y in rays if not y[-1])), None)
+    if y is None:
+        return True
+    if y[-1] or not any(y) or any(_dot(row, y) > 0 for row in rows):
+        raise CertificateError(f"cone vector {y} is not a recession direction")
+    return False
 
 
 def recession_direction(P):
-    """Some nonzero recession direction, or None when P is bounded."""
+    """Some nonzero recession direction, or None when P is bounded: the
+    optimal d of the first signed axis u with a positive max u . d over
+    {d : A d <= 0, u . d <= 1}. It is a reported witness, so it is not read
+    from the double description (on y >= |x| that gives (-1, 1), not (1, 1)).
+    """
     _require_nonempty(P)
-    nontrivial, d = _cone_has_nonzero(P.halfspaces, P.dim)
-    return d if nontrivial else None
+    base = [Constraint(h.normal, Relation.LE, ZERO) for h in P.halfspaces]
+    for probe in _signed_axes(P.dim):
+        cons = base + [Constraint(probe, Relation.LE, Q(1))]
+        out = solve_lp(LinearProgram(probe, tuple(cons)))
+        if out.status is LpStatus.OPTIMAL and out.value > 0:
+            return Vector(out.point.coords)
+    return None
 
 
 def _normal_matrix(P):
@@ -298,10 +294,6 @@ def lineality_direction(P):
     return basis[0] if basis else None
 
 
-def has_extreme_point(P):
-    return lineality_dim(P) == 0
-
-
 def contains_hyperplane(P):
     """Whether an (n-1)-dimensional affine flat fits inside P."""
     return lineality_dim(P) >= P.dim - 1
@@ -311,11 +303,12 @@ def extreme_points(P):
     """The exact vertex set: points with n independent tight constraints.
 
     The vertices are the extreme rays (x, t) with t > 0 of the cone
-    {(x, t) : a . x <= b t for every halfspace, t >= 0}, found by the
-    integer double-description method; there is no cap on the number of
-    constraints. Each vertex is re-checked before it is returned: it
-    satisfies every constraint and its tight normals have rank n. Empty iff
-    P contains a line. Deterministic output order (sorted by coordinates).
+    {(x, t) : a . x <= b t for every halfspace, t >= 0}, read from the
+    polyhedron's cached integer double description; there is no cap on
+    the number of constraints. Each vertex is re-checked before it is
+    returned: it satisfies every constraint and its tight normals have rank
+    n. Empty iff P contains a line. Deterministic output order (sorted by
+    coordinates).
     """
     n = P.dim
     if n > MAX_VERTEX_ENUM_DIM:
@@ -323,8 +316,7 @@ def extreme_points(P):
             f"vertex enumeration supports n <= {MAX_VERTEX_ENUM_DIM}"
         )
     _require_nonempty(P)
-    rows = [_integer_row(h) for h in P.halfspaces]
-    lineality, rays = _double_description(rows + [(0,) * n + (-1,)], n + 1)
+    rows, lineality, rays = P._dd
     if lineality:
         return ()
     verts = []
@@ -532,7 +524,9 @@ def hull_equal(P, V):
         )
     if not all(P.contains(g) for g in V.generators):
         return False
-    return all(hull_contains(V, v) for v in extreme_points(P))
+    return all(
+        v in V.generators or hull_contains(V, v) for v in extreme_points(P)
+    )
 
 
 def face_in_direction(P, w):
@@ -583,23 +577,18 @@ def remove_redundant(P):
 def boundary_has_ray(P):
     """Whether some proper exposed face of P is unbounded.
 
-    Tests, for each facet-defining constraint, whether the face P with
-    that constraint tightened to equality has a nontrivial recession cone.
-    Requires a non-empty full-dimensional polyhedron.
+    Requires a non-empty full-dimensional polyhedron. In E^1 every facet is
+    a point. For n >= 2 the answer is "P is unbounded and not E^n": if
+    every facet were bounded, the boundary would lie in a ball B; the
+    complement of B is connected and misses the boundary, so an unbounded
+    P would contain all of it, and a convex P would then be E^n.
     """
     _require_nonempty(P)
     if not P.full_dimensional:
         raise NonFullDimensionalError(
             "boundary ray test needs a full-dimensional polyhedron"
         )
-    reduced = remove_redundant(P)
-    for i, h in enumerate(reduced.halfspaces):
-        nontrivial, _ = _cone_has_nonzero(
-            reduced.halfspaces, reduced.dim, extra_eq=h.normal
-        )
-        if nontrivial:
-            return True
-    return False
+    return P.dim >= 2 and bool(P.halfspaces) and not is_bounded(P)
 
 
 def clip_line(P, base, direction):

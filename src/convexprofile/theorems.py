@@ -302,9 +302,9 @@ def check_flat_theorem(instance, probe_density=DEFAULT_PROBE_DENSITY, seed=0):
     facts["set_convex_probed"] = not failures
     facts["boundary_convex_probed"] = True  # all probed pairs flat
     if full_dim:
-        ray = recession_direction(P)
-        facts["unbounded"] = ray is not None
-        if ray is None:
+        unbounded = not is_bounded(P)
+        facts["unbounded"] = unbounded
+        if not unbounded:
             failures.append({"unbounded": "recession cone is trivial"})
         ok, detail = _boundary_affine(P, probes)
         facts["boundary_affine"] = ok
@@ -711,14 +711,12 @@ def check_krein_milman(instance, samples=25, seed=0):
     bounded = is_bounded(P)
     no_hyperplane = not contains_hyperplane(P)
     facts = {"bounded": bounded, "contains_hyperplane": not no_hyperplane}
-    if bounded:
-        boundary_ray_free = True
-    elif P.full_dimensional:
+    if P.full_dimensional:
         boundary_ray_free = not boundary_has_ray(P)
     else:
-        # Non-full-dimensional unbounded: the set is its own boundary and an
-        # unbounded closed convex set contains a ray.
-        boundary_ray_free = False
+        # The set is its own boundary, and an unbounded closed convex set
+        # contains a ray.
+        boundary_ray_free = bounded
     facts["boundary_has_ray"] = not boundary_ray_free
     if not (no_hyperplane and boundary_ray_free):
         witness = None

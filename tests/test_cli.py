@@ -247,6 +247,40 @@ def test_out_flag_writes_file(geo, tmp_path, capsys):
     assert doc["command"] == "extremes"
 
 
+@pytest.mark.parametrize("command, name, doc, flag", [
+    ("convexity", "sq.json", SQUARE, "--out"),
+    ("render", "epi.json", {"kind": "epigraph1d", "coeffs": ["0", "0", "1"]},
+     "--svg"),
+], ids=["out", "svg"])
+def test_unwritable_output_path_is_exit_2(command, name, doc, flag, geo,
+                                          capsys, tmp_path):
+    target = tmp_path / "missing" / "o"
+    assert run([command, geo(name, doc), flag, str(target)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    err = json.loads(captured.err)
+    assert set(err) == {"error", "message"}
+    assert err["error"] == "FileNotFoundError"
+    assert str(target) in err["message"]
+
+
+@pytest.mark.parametrize("argv, path", [
+    (["check", "prop-8", "--samples", "-2"], "$.samples"),
+    (["check", "thm-4", "--samples", "0"], "$.samples"),
+    (["check", "thm-4", "--probe-density", "0"], "$.probe_density"),
+    (["check", "thm-13", "--instances", "-1"], "$.instances"),
+    (["kernel", "l.json", "--probe-density", "-3"], "$.probe_density"),
+])
+def test_out_of_range_settings_are_exit_2(argv, path, capsys, tmp_path,
+                                          monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "l.json").write_text(json.dumps(L_POLYGON))
+    assert run(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert json.loads(captured.err)["path"] == path
+
+
 def test_env_seed_override(geo, capsys, monkeypatch):
     monkeypatch.setenv("CONVEX_PROFILE_SEED", "99")
     code, doc = _run_json(

@@ -33,6 +33,13 @@ from convexprofile.generators import (
     random_hpolyhedron,
     rng_from_seed,
 )
+from convexprofile.linprog import (
+    Constraint,
+    LinearProgram,
+    LpStatus,
+    Relation,
+    solve_lp,
+)
 from convexprofile.polyhedra import (
     Halfspace,
     HPolyhedron,
@@ -42,7 +49,6 @@ from convexprofile.polyhedra import (
     contains_hyperplane,
     extreme_points,
     face_in_direction,
-    has_extreme_point,
     hull_contains,
     hull_equal,
     is_bounded,
@@ -51,7 +57,6 @@ from convexprofile.polyhedra import (
     lineality_dim,
     locate_point,
     profile,
-    recession_cone,
     remove_redundant,
 )
 from convexprofile.regions2d import SimplePolygon, circle_points, kernel
@@ -136,26 +141,15 @@ def test_emptiness_and_location_solve_one_lp_per_polyhedron(monkeypatch):
     assert len(solves) == 2
 
 
-def test_recession_cone_examples():
-    c = cone()
-    rc = recession_cone(c)
-    assert [(h.normal, h.offset) for h in rc.halfspaces] == [
-        (h.normal, Q(0)) for h in c.halfspaces
-    ]
+def test_is_bounded_examples():
     assert is_bounded(unit_square())
     assert not is_bounded(halfplane())
-    rc_half = recession_cone(halfplane())
-    assert locate_point(rc_half, point(3, 1)) is not PointLocation.EXTERIOR
-    assert locate_point(rc_half, point(0, -1)) is PointLocation.EXTERIOR
 
 
 def test_lineality_examples():
     assert lineality_dim(halfplane()) == 1
     assert lineality_dim(unit_square()) == 0
     assert lineality_dim(slab()) == 1
-    assert has_extreme_point(cone())
-    assert not has_extreme_point(halfplane())
-    assert not has_extreme_point(slab())
 
 
 def test_contains_hyperplane_examples():
@@ -297,23 +291,43 @@ UNIT_SQUARE_FORGERIES = [
     ((2, 0, 1), "violates"),  # (2, 0) lies outside x <= 1
     ((1, 0, 2), "rank"),  # (1/2, 0) is on one edge only
 ]
+# Rays with t = 0 that are not recession directions of the unit square.
+RECESSION_FORGERIES = [
+    ((1, 0, 0), "recession"),  # x grows past x <= 1
+    ((0, 0, 0), "recession"),  # the zero direction
+]
 
 
-@pytest.mark.parametrize("ray, match", UNIT_SQUARE_FORGERIES,
-                         ids=["infeasible", "not-a-vertex"])
-def test_forged_vertex_rays_raise(ray, match, monkeypatch):
+def _forge(ray):
+    """A _double_description that appends the forged ray to the real rays."""
     real = polyhedra._double_description
 
     def forged(rows, width):
         lineality, rays = real(rows, width)
         return lineality, list(rays) + [ray]
 
-    monkeypatch.setattr(polyhedra, "_double_description", forged)
+    return forged
+
+
+@pytest.mark.parametrize("ray, match", UNIT_SQUARE_FORGERIES,
+                         ids=["infeasible", "not-a-vertex"])
+def test_forged_vertex_rays_raise(ray, match, monkeypatch):
+    monkeypatch.setattr(polyhedra, "_double_description", _forge(ray))
     with pytest.raises(CertificateError, match=match):
         extreme_points(unit_square())
 
 
-def test_forged_vertex_rays_raise_under_python_O():
+@pytest.mark.parametrize("ray, match", RECESSION_FORGERIES,
+                         ids=["unbounded", "zero"])
+def test_forged_recession_rays_raise(ray, match, monkeypatch):
+    monkeypatch.setattr(polyhedra, "_double_description", _forge(ray))
+    with pytest.raises(CertificateError, match=match):
+        is_bounded(unit_square())
+
+
+def _forgery_verdicts_under_python_O(function, forgeries):
+    """Run polyhedra.<function> on a fresh unit square per forged ray under
+    python -O; return the printed optimize flag and one verdict per ray."""
     script = textwrap.dedent(
         f"""
         import sys
@@ -323,11 +337,6 @@ def test_forged_vertex_rays_raise_under_python_O():
         from convexprofile.polyhedra import Halfspace, HPolyhedron
 
         print(sys.flags.optimize)
-        square = HPolyhedron(
-            tuple(Halfspace(vector(*n), o) for n, o in
-                  (((-1, 0), 0), ((1, 0), 1), ((0, -1), 0), ((0, 1), 1))),
-            2,
-        )
         real = polyhedra._double_description
 
         def forge(ray):
@@ -336,10 +345,16 @@ def test_forged_vertex_rays_raise_under_python_O():
                 return lineality, rays + [ray]
             return forged
 
-        for ray, _ in {UNIT_SQUARE_FORGERIES!r}:
+        for ray, _ in {forgeries!r}:
             polyhedra._double_description = forge(ray)
+            # A fresh square: each polyhedron caches its description.
+            square = HPolyhedron(
+                tuple(Halfspace(vector(*n), o) for n, o in
+                      (((-1, 0), 0), ((1, 0), 1), ((0, -1), 0), ((0, 1), 1))),
+                2,
+            )
             try:
-                polyhedra.extreme_points(square)
+                polyhedra.{function}(square)
                 print("accepted")
             except CertificateError:
                 print("CertificateError")
@@ -355,7 +370,21 @@ def test_forged_vertex_rays_raise_under_python_O():
         env=env, capture_output=True, text=True, timeout=60, check=False,
     )
     assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.split() == ["1"] + ["CertificateError"] * 2
+    return proc.stdout.split()
+
+
+def test_forged_vertex_rays_raise_under_python_O():
+    verdicts = _forgery_verdicts_under_python_O(
+        "extreme_points", UNIT_SQUARE_FORGERIES
+    )
+    assert verdicts == ["1"] + ["CertificateError"] * 2
+
+
+def test_forged_recession_rays_raise_under_python_O():
+    verdicts = _forgery_verdicts_under_python_O(
+        "is_bounded", RECESSION_FORGERIES
+    )
+    assert verdicts == ["1"] + ["CertificateError"] * 2
 
 
 def test_extreme_points_dimension_guard():
@@ -493,19 +522,107 @@ def test_boundary_has_ray_examples():
     assert boundary_has_ray(halfplane())
 
 
+def _lp_cone_has_nonzero(halfspaces, dim, extra_eq=None):
+    """Reference oracle: whether {d : A d <= 0 (and eq . d = 0)} has d != 0,
+    by maximizing each signed axis over the cone cut by that axis <= 1."""
+    base = [Constraint(h.normal, Relation.LE, Q(0)) for h in halfspaces]
+    if extra_eq is not None:
+        base.append(Constraint(extra_eq, Relation.EQ, Q(0)))
+    for probe in polyhedra._signed_axes(dim):
+        cons = base + [Constraint(probe, Relation.LE, Q(1))]
+        out = solve_lp(LinearProgram(probe, tuple(cons)))
+        if out.status is LpStatus.OPTIMAL and out.value > 0:
+            return True
+    return False
+
+
+def _lp_boundary_has_ray(P):
+    """Reference oracle: whether some facet of P has a nonzero recession
+    direction, one cone LP family per irredundant constraint."""
+    reduced = remove_redundant(P)
+    return any(
+        _lp_cone_has_nonzero(reduced.halfspaces, P.dim, extra_eq=h.normal)
+        for h in reduced.halfspaces
+    )
+
+
+def _axis_slab(dim):
+    """0 <= x_dim <= 1 in E^dim."""
+    top = V(*[int(j == dim - 1) for j in range(dim)])
+    return HPolyhedron((H(top, 1), H(-top, 0)), dim)
+
+
+def _boundedness_instances():
+    """Seeded polyhedra in dims 1-5, bounded and not, with lines,
+    duplicated rows and lower-dimensional faces, plus the planar fixtures,
+    all of E^3, and a 5-D box and slab."""
+    for dim, seeds in ((1, 8), (2, 8), (3, 6), (4, 4), (5, 3)):
+        for seed in range(seeds):
+            rng = rng_from_seed(2000 * dim + seed)
+            P = random_hpolyhedron(rng, dim)
+            yield P
+            if dim <= 2:
+                yield _with_copies(P)
+            face = face_in_direction(P, random_direction(rng, dim))
+            if face is not None:
+                yield face
+            # The rows that x_dim -> +infinity keeps: unbounded, often pointed.
+            up = tuple(h for h in P.halfspaces if h.normal.coords[-1] < 0)
+            if up:
+                yield HPolyhedron(up, dim)
+    box5 = HPolyhedron(tuple(polyhedra.box_halfspaces(5, Q(1))), 5)
+    for P in (unit_square(), cone(), halfplane(), slab(), _axis_slab(1),
+              HPolyhedron((), 3), box5, _axis_slab(5)):
+        yield P
+        yield _with_copies(P)
+
+
+def test_boundedness_and_boundary_rays_match_the_lp_oracles():
+    count = full = unbounded = rays = 0
+    for P in _boundedness_instances():
+        bounded = is_bounded(P)
+        assert bounded == (not _lp_cone_has_nonzero(P.halfspaces, P.dim)), P
+        if P.full_dimensional:
+            ray = boundary_has_ray(P)
+            assert ray == _lp_boundary_has_ray(P), P
+            full += 1
+            rays += ray
+        count += 1
+        unbounded += not bounded
+    assert count > 100 and full > 80 and unbounded > 40 and rays > 30
+
+
+def test_one_double_description_and_no_lp_per_polyhedron(monkeypatch):
+    runs = []
+    real = polyhedra._double_description
+    monkeypatch.setattr(
+        polyhedra,
+        "_double_description",
+        lambda rows, width: runs.append(width) or real(rows, width),
+    )
+    shapes = (unit_square(), cone(), halfplane(), slab())
+    for P in shapes:
+        assert P.full_dimensional  # the slack LP, cached
+    for name in ("solve_lp", "is_feasible", "solve_nonneg_feasibility"):
+        monkeypatch.setattr(
+            polyhedra, name, lambda *a, **k: pytest.fail("LP solved")
+        )
+    for _ in range(3):
+        assert [is_bounded(P) for P in shapes] == [True, False, False, False]
+        assert [boundary_has_ray(P) for P in shapes] == [
+            False, True, True, True
+        ]
+        assert [len(extreme_points(P)) for P in shapes] == [4, 1, 0, 0]
+    assert runs == [3] * 4
+
+
 def test_remove_redundant():
     sq = HPolyhedron(unit_square().halfspaces + (H(V(1, 1), 5),), 2)
     reduced = remove_redundant(sq)
     assert len(reduced.halfspaces) == 4
 
 
-def test_ray_and_halfspace_invariants():
-    from convexprofile.polyhedra import Ray
-
-    r = Ray(point(0, 0), V(1, 1))
-    assert r.direction == V(1, 1)
-    with pytest.raises(ValueError):
-        Ray(point(0, 0), V(0, 0))
+def test_halfspace_invariants():
     with pytest.raises(ValueError):
         H(V(0, 0), 1)
 

@@ -328,7 +328,7 @@ EPIGRAPH_CHORD_FAILURES = (
 
 
 @pytest.mark.parametrize("patch, check, witnesses", [
-    (_set("recession_direction", lambda P: None),
+    (_set("is_bounded", lambda P: True),
      lambda: check_flat_theorem(halfspace_fixture()),
      ({"unbounded": "recession cone is trivial"},)),
     (_set("_region_convex_probed", lambda region, probes: False),
