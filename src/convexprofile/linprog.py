@@ -1,15 +1,29 @@
 """Exact rational linear programming via two-phase tableau simplex.
 
-Sizes here are desk scale (a few variables, tens of constraints), so a
-dense tableau over exact rationals with Bland's anti-cycling rule is both
+Sizes here are desk scale (a few variables, tens to hundreds of
+constraints), so a dense tableau with Bland's anti-cycling rule is both
 affordable and certifiably terminating. Optima come with an attaining
 point, unbounded programs with an improving recession ray and feasible
 ones with a witness point; every certificate is re-checked against the
 constraints before being returned.
+
+The tableau holds integers, fraction-free (Edmonds, J. Res. NBS 71B,
+1967; Bareiss, Math. Comp. 22, 1968): one multiplier clears the
+constraint rows, another the cost row, and every row is kept as d times
+its true value, d > 0 the last pivot element, so a pivot divides
+exactly by the old d and needs no gcd. Only the answers become
+rationals. The pivots are those of a rational tableau under the same
+rule: the entering test reads signs of reduced costs, the ratio test
+cross-multiplies with the lowest-basic-index tie-break, and clearing
+every constraint row by one multiplier rescales only the slack and
+artificial variables, by the same positive factor. So the attaining
+points, rays and the reports built on them do not depend on the
+arithmetic.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from enum import Enum
 
@@ -92,52 +106,63 @@ def _as_le_rows(constraints, dim):
     return rows, rhs
 
 
-def _pivot(tableau, basis, prow, pcol):
-    piv = tableau[prow][pcol]
-    inv = Q(1) / piv
-    tableau[prow] = [v * inv for v in tableau[prow]]
-    prow_vals = tableau[prow]
-    for i in range(len(tableau)):
+def _pivot(tableau, basis, prow, pcol, d):
+    """Fraction-free pivot on (prow, pcol); returns the new denominator.
+
+    Every row of `tableau`, an objective row included, holds d times its
+    true value. Edmonds' update keeps each entry a minor of the starting
+    integer tableau, so the division by the old d is exact. A negative
+    pivot negates every row, which keeps the denominator positive.
+    """
+    pivot_row = tableau[prow]
+    p = pivot_row[pcol]
+    if p < 0:
+        p = -p
+        pivot_row = tableau[prow] = [-v for v in pivot_row]
+    for i, row in enumerate(tableau):
         if i == prow:
             continue
-        f = tableau[i][pcol]
-        if f != 0:
-            row = tableau[i]
-            tableau[i] = [v - f * w for v, w in zip(row, prow_vals)]
+        f = row[pcol]
+        if f:
+            tableau[i] = [(p * v - f * w) // d for v, w in zip(row, pivot_row)]
+        elif p != d:
+            tableau[i] = [p * v // d for v in row]
     basis[prow] = pcol
+    return p
 
 
-def _run_simplex(tableau, basis, obj, allowed, m):
-    """Bland's rule iterations on `tableau` for reduced-cost row `obj`.
+def _run_simplex(tableau, basis, allowed, m, d):
+    """Bland's rule iterations for the reduced-cost row `tableau[m]`.
 
-    `obj` is maintained in place (reduced costs; optimal when all <= 0 on
-    allowed columns). Returns None on optimality or the entering column
-    index when the program is unbounded in that direction.
+    The first m rows are the constraints. Returns (entering, d): entering
+    is None at optimality (every reduced cost <= 0 on allowed columns) or
+    the column along which the program is unbounded, and d is the common
+    denominator after the last pivot.
     """
     while True:
-        entering = None
-        for j in allowed:
-            if obj[j] > 0:
-                entering = j
-                break
+        obj = tableau[m]
+        entering = next((j for j in allowed if obj[j] > 0), None)
         if entering is None:
-            return None
+            return None, d
         leaving = None
-        best = None
         for i in range(m):
             coef = tableau[i][entering]
             if coef > 0:
-                ratio = tableau[i][-1] / coef
-                if best is None or ratio < best or (
-                    ratio == best and basis[i] < basis[leaving]
+                # the ratios num / coef, compared by cross-multiplying
+                num = tableau[i][-1]
+                if leaving is None or num * best_coef < best_num * coef or (
+                    num * best_coef == best_num * coef
+                    and basis[i] < basis[leaving]
                 ):
-                    best = ratio
-                    leaving = i
+                    leaving, best_num, best_coef = i, num, coef
         if leaving is None:
-            return entering
-        _pivot(tableau, basis, leaving, entering)
-        f = obj[entering]
-        obj[:] = [v - f * w for v, w in zip(obj, tableau[leaving])]
+            return entering, d
+        d = _pivot(tableau, basis, leaving, entering, d)
+
+
+def _cleared(values, scale):
+    """Integers scale * v for rationals v whose denominators divide scale."""
+    return [v.numerator * (scale // v.denominator) for v in values]
 
 
 def _solve_max(cost, rows, rhs, nonneg):
@@ -169,87 +194,93 @@ def _solve_max(cost, rows, rhs, nonneg):
             next_col += 1
     total = next_col
 
+    # One multiplier clears every row and keeps the slack and artificial
+    # coefficients 1: the program with those variables scaled by `scale`,
+    # on which Bland's rule picks the same pivots.
+    scale = math.lcm(
+        *(v.denominator for row in rows for v in row),
+        *(b.denominator for b in rhs),
+    )
     tableau = []
     basis = [0] * m
     for i in range(m):
-        row = [ZERO] * (total + 1)
         sign = -1 if flipped[i] else 1
+        *a, b = _cleared([*rows[i], rhs[i]], sign * scale)
+        row = [0] * (total + 1)
         for c, (j, s) in enumerate(col_var):
-            v = rows[i][j] * s
-            if v != 0:
-                row[c] = v * sign
-        row[ncols + i] = Q(sign)
-        row[-1] = rhs[i] * sign
+            row[c] = a[j] * s
+        row[ncols + i] = sign
+        row[-1] = b
         if flipped[i]:
-            row[art_of_row[i]] = Q(1)
+            row[art_of_row[i]] = 1
             basis[i] = art_of_row[i]
         else:
             basis[i] = ncols + i
         tableau.append(row)
+    d = 1
 
     # Phase 1: maximize -sum(artificials); price out the basic artificials.
     if art_cols:
-        obj1 = [ZERO] * (total + 1)
-        for i in range(m):
-            if flipped[i]:
-                obj1 = [v + w for v, w in zip(obj1, tableau[i])]
+        art_set = set(art_cols)
+        obj1 = [sum(col) for col in zip(*(tableau[i] for i in art_of_row))]
         for c in art_cols:
-            obj1[c] = ZERO
-        allowed1 = [c for c in range(total) if c not in art_of_row.values()]
-        unb = _run_simplex(tableau, basis, obj1, allowed1, m)
+            obj1[c] = 0
+        allowed1 = [c for c in range(total) if c not in art_set]
+        tableau.append(obj1)
+        unb, d = _run_simplex(tableau, basis, allowed1, m, d)
+        tableau.pop()
         if unb is not None:
             raise CertificateError("phase-1 objective came out unbounded")
-        art_set = set(art_cols)
         if any(basis[i] in art_set and tableau[i][-1] != 0 for i in range(m)):
             return LpStatus.INFEASIBLE, None, None
-        # drive remaining zero-valued artificials out of the basis
+        # Drive the zero-valued artificials out of the basis. Each such row
+        # has a non-artificial entry: the slack columns make the starting
+        # rows independent, so no row is ever redundant.
         for i in range(m):
             if basis[i] in art_set:
-                pcol = None
-                for c in range(total):
-                    if c not in art_set and tableau[i][c] != 0:
-                        pcol = c
-                        break
-                if pcol is not None:
-                    _pivot(tableau, basis, i, pcol)
-        keep = [i for i in range(m) if basis[i] not in art_set]
-        tableau = [tableau[i] for i in keep]
-        basis = [basis[i] for i in keep]
-        m = len(tableau)
+                pcol = next(
+                    c for c in range(total)
+                    if c not in art_set and tableau[i][c] != 0
+                )
+                d = _pivot(tableau, basis, i, pcol, d)
 
-    # Phase 2
-    cost_of_col = [cost[j] * s for (j, s) in col_var]
-    obj = [ZERO] * (total + 1)
+    # Phase 2, on the cost row cleared by its own multiplier
+    cleared_cost = _cleared(cost, math.lcm(*(v.denominator for v in cost)))
+    cost_of_col = [cleared_cost[j] * s for (j, s) in col_var]
+    obj = [0] * (total + 1)
     for c in range(ncols):
-        obj[c] = cost_of_col[c]
+        obj[c] = d * cost_of_col[c]
     for i in range(m):
         b = basis[i]
         if b < ncols and cost_of_col[b] != 0:
             f = cost_of_col[b]
             obj = [v - f * w for v, w in zip(obj, tableau[i])]
-            obj[b] = ZERO
+    tableau.append(obj)
     allowed = list(range(ncols + nslack))
-    entering = _run_simplex(tableau, basis, obj, allowed, m)
+    entering, d = _run_simplex(tableau, basis, allowed, m, d)
+    tableau.pop()
 
+    num = [0] * n
     if entering is not None:
-        direction = [ZERO] * n
-        j, s = col_var[entering] if entering < ncols else (None, None)
-        if j is not None:
-            direction[j] += Q(s)
+        # A cleared slack is `scale` times the stated one, so its column
+        # reads the stated column divided by `scale`.
+        col_scale = 1 if entering < ncols else scale
+        if entering < ncols:
+            j, s = col_var[entering]
+            num[j] += s * d
         for i in range(m):
             b = basis[i]
             if b < ncols:
                 bj, bs = col_var[b]
-                direction[bj] -= Q(bs) * tableau[i][entering]
-        return LpStatus.UNBOUNDED, None, direction
+                num[bj] -= bs * col_scale * tableau[i][entering]
+        return LpStatus.UNBOUNDED, None, [Q(v, d) for v in num]
 
-    x = [ZERO] * n
     for i in range(m):
         b = basis[i]
         if b < ncols:
             j, s = col_var[b]
-            x[j] += Q(s) * tableau[i][-1]
-    return LpStatus.OPTIMAL, x, None
+            num[j] += s * tableau[i][-1]
+    return LpStatus.OPTIMAL, [Q(v, d) for v in num], None
 
 
 def _satisfies(rows, rhs, x):

@@ -94,13 +94,12 @@ class SimplePolygon:
             raise InvalidPolygonError("degenerate polygon (zero area)")
         if area2 < 0:
             raise InvalidPolygonError("vertices must be counterclockwise")
+        edges = _boxed_edges(iv)
         for i in range(n):
             for j in range(i + 1, n):
                 if j == i or (j + 1) % n == i or (i + 1) % n == j:
                     continue
-                if _segments_touch(
-                    iv[i], iv[(i + 1) % n], iv[j], iv[(j + 1) % n]
-                ):
+                if _edges_touch(edges[i], edges[j]):
                     raise InvalidPolygonError("polygon edges intersect")
         self.vertices = vs
         self._ivertices, self._scale = iv, scale
@@ -190,6 +189,27 @@ def _segments_touch(a, b, c, d):
     return False
 
 
+def _boxed_edges(iv):
+    """A ring's edges (a, b, x_lo, x_hi, y_lo, y_hi) over integer vertices."""
+    edges = []
+    for a, b in zip(iv, iv[1:] + iv[:1]):
+        (ax, ay), (bx, by) = a, b
+        edges.append((a, b, min(ax, bx), max(ax, bx), min(ay, by), max(ay, by)))
+    return edges
+
+
+def _edges_touch(e, f):
+    """Whether closed `_boxed_edges` edges e and f share a point.
+
+    Edges whose bounding boxes are disjoint cannot touch, which settles
+    most pairs of a large ring without an orientation test.
+    """
+    return (
+        e[2] <= f[3] and f[2] <= e[3] and e[4] <= f[5] and f[4] <= e[5]
+        and _segments_touch(e[0], e[1], f[0], f[1])
+    )
+
+
 def _collinear_on(p, a, b):
     """p (known collinear with a,b) lies on the closed segment [a,b]."""
     ax, ay = a
@@ -222,7 +242,7 @@ class PolygonRegion:
         edges = []
         for ring in self.rings():
             iv, ints = ints[:ring.n], ints[ring.n:]
-            edges.append(list(zip(iv, iv[1:] + iv[:1])))
+            edges.append(_boxed_edges(iv))
         outer_edges, hole_edges = edges[0], edges[1:]
         for h, h_edges in zip(self.holes, hole_edges):
             for v in h.vertices:
@@ -230,14 +250,14 @@ class PolygonRegion:
                     raise InvalidRegionError("hole must be strictly inside")
             for e1 in h_edges:
                 for e2 in outer_edges:
-                    if _segments_touch(*e1, *e2):
+                    if _edges_touch(e1, e2):
                         raise InvalidRegionError("hole touches the outer ring")
         for (h1, edges1), (h2, edges2) in itertools.combinations(
             zip(self.holes, hole_edges), 2
         ):
             for e1 in edges1:
                 for e2 in edges2:
-                    if _segments_touch(*e1, *e2):
+                    if _edges_touch(e1, e2):
                         raise InvalidRegionError("holes touch each other")
             if h1.locate(h2.vertices[0]) is not PointLocation.EXTERIOR:
                 raise InvalidRegionError("holes are nested")

@@ -1,3 +1,4 @@
+import collections
 import itertools
 
 import pytest
@@ -94,6 +95,81 @@ def test_hole_validation():
             outer,
             (SimplePolygon([point(0, 0), point(1, 0), point(1, 1), point(0, 1)]),),
         )
+
+
+def _points(*coords):
+    return [point(*c) for c in coords]
+
+
+def _verdict(build):
+    try:
+        build()
+    except (InvalidPolygonError, InvalidRegionError) as err:
+        return type(err).__name__, str(err)
+    return "valid"
+
+
+def _validation_cases():
+    """Polygon and region builders: hand cases, then seeded random ones."""
+    square = _points((0, 0), (8, 0), (8, 8), (0, 8))
+    vee = _points((0, 0), (8, 0), (8, 8), (4, 4), (0, 8))
+    rings = [
+        _points((0, 0), (4, 0), (4, 4), (2, -1), (0, 4)),  # crossing edges
+        _points((0, 0), (4, 0), (4, 4), (2, 0), (0, 4)),  # T-touch
+        _points((0, 0), (6, 0), (6, 3), (4, 0), (2, 0), (2, 3)),  # overlap
+        _points((0, 0), (4, 0), (2, 2), (4, 4), (0, 4), (2, 2)),  # pinched
+        _points((0, 0), (4, 0), (4, 4), (2, 1), (0, 4)),  # boxes overlap
+    ]
+    regions = [
+        (vee, [_points((2, 4), (4, 1), (6, 4))]),  # hole touches the ring
+        (vee, [_points((2, 3), (4, 2), (6, 3))]),
+        (square, [_points((1, 1), (5, 1), (5, 5), (1, 5)),
+                  _points((5, 2), (7, 2), (7, 4), (5, 4))]),  # holes touch
+        (square, [_points((1, 1), (5, 1), (1, 5)),
+                  _points((4, 4), (6, 2), (6, 6))]),
+    ]
+    rng = rng_from_seed(97)
+    for _ in range(80):
+        vertices = list(random_simple_polygon(rng).vertices)
+        rings.append(vertices)
+        moved = list(vertices)
+        moved[rng.randrange(len(moved))] = point(
+            rng.randint(-8, 8), rng.randint(-8, 8)
+        )
+        rings.append(moved)
+        offset = (Q(rng.randint(-16, 16), 4), Q(rng.randint(-16, 16), 4))
+        hole = [
+            point(x / 4 + offset[0], y / 4 + offset[1])
+            for x, y in (v.coords for v in random_convex_polygon(rng).vertices)
+        ]
+        regions.append((vertices, [hole]))
+    yield from (lambda r=r: SimplePolygon(r) for r in rings)
+    yield from (
+        lambda o=o, hs=hs: PolygonRegion(
+            SimplePolygon(o), [SimplePolygon(h) for h in hs]
+        )
+        for o, hs in regions
+    )
+
+
+def test_bounding_box_prefilter_keeps_every_verdict(monkeypatch):
+    # The verdict and message match those of the touch tests run on every
+    # edge pair, with no bounding-box test in front.
+    builds = list(_validation_cases())
+    verdicts = [_verdict(build) for build in builds]
+    monkeypatch.setattr(
+        regions2d, "_edges_touch",
+        lambda e, f: regions2d._segments_touch(e[0], e[1], f[0], f[1]),
+    )
+    assert verdicts == [_verdict(build) for build in builds]
+    kinds = collections.Counter(v if v == "valid" else v[1] for v in verdicts)
+    assert kinds["polygon edges intersect"] >= 20
+    assert kinds["hole touches the outer ring"] >= 1
+    assert kinds["holes touch each other"] >= 1
+    assert kinds["valid"] >= 80
+    assert verdicts[:5] == [
+        ("InvalidPolygonError", "polygon edges intersect")
+    ] * 4 + ["valid"]
 
 
 # --- locate ----------------------------------------------------------------
