@@ -25,6 +25,7 @@ from .geometry_io import (
     pair_to_json,
     parse_rational,
     point_to_json,
+    read_json_file,
 )
 from .polyhedra import (
     HPolyhedron,
@@ -152,13 +153,7 @@ def _emit(report, args):
 
 
 def _load_pairs_file(path):
-    try:
-        with open(path, "r", encoding="utf-8") as fh:
-            doc = json.load(fh)
-    except FileNotFoundError:
-        raise SchemaError(f"no such file: {path}", "$") from None
-    except json.JSONDecodeError as exc:
-        raise SchemaError(f"invalid JSON: {exc}", "$") from None
+    doc = read_json_file(path)
     if isinstance(doc, dict):
         doc = doc.get("pairs")
     if not isinstance(doc, list):

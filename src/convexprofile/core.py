@@ -9,6 +9,7 @@ magnitude faster); the stdlib Fraction is the fallback.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from enum import Enum, IntEnum
 
@@ -36,6 +37,14 @@ def rational(value, den=None):
     if isinstance(value, str):
         return Q(value.strip())
     return Q(value)
+
+
+def _cleared(values):
+    """(integers scale * v, scale) for rationals v, where scale is the lcm
+    of their denominators. The one place rationals become Python ints."""
+    scale = math.lcm(*(int(v.denominator) for v in values))
+    ints = [int(v.numerator) * (scale // int(v.denominator)) for v in values]
+    return ints, scale
 
 
 def format_rational(q):

@@ -238,12 +238,19 @@ def instance_digest(obj):
     return hashlib.sha256(doc.encode("utf-8")).hexdigest()[:12]
 
 
-def load_geometry_file(path):
+def read_json_file(path):
+    """The JSON document in the file at `path`. A missing file, bytes that
+    are not UTF-8, malformed JSON, an integer past Python's digit limit or
+    nesting past the recursion limit all raise SchemaError at `$`."""
     try:
         with open(path, "r", encoding="utf-8") as fh:
-            doc = json.load(fh)
+            return json.load(fh)
     except FileNotFoundError:
         raise SchemaError(f"no such file: {path}", "$") from None
-    except json.JSONDecodeError as exc:
+    except (ValueError, RecursionError) as exc:
+        # JSONDecodeError and UnicodeDecodeError are ValueErrors too
         raise SchemaError(f"invalid JSON: {exc}", "$") from None
-    return load_geometry(doc)
+
+
+def load_geometry_file(path):
+    return load_geometry(read_json_file(path))

@@ -29,26 +29,13 @@ from __future__ import annotations
 
 import math
 
+from .core import _cleared
+
 
 def clear_denominators(points):
     """(integer (x, y) pairs, common multiplier L) for rational 2D points."""
-    denoms = []
-    for p in points:
-        for c in p.coords:
-            denoms.append(int(c.denominator))
-    L = 1
-    for d in denoms:
-        L = L * d // math.gcd(L, d)
-    scaled = []
-    for p in points:
-        x, y = p.coords
-        scaled.append(
-            (
-                int(x.numerator) * (L // int(x.denominator)),
-                int(y.numerator) * (L // int(y.denominator)),
-            )
-        )
-    return scaled, L
+    ints, L = _cleared([c for p in points for c in p.coords])
+    return list(zip(ints[0::2], ints[1::2])), L
 
 
 def homogenize(point, L):
@@ -56,7 +43,7 @@ def homogenize(point, L):
     x, y = point.coords
     xn, xd = int(x.numerator), int(x.denominator)
     yn, yd = int(y.numerator), int(y.denominator)
-    w = xd * yd // math.gcd(xd, yd)
+    w = math.lcm(xd, yd)
     return (xn * L * (w // xd), yn * L * (w // yd), w)
 
 

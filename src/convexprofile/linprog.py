@@ -23,11 +23,10 @@ arithmetic.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from enum import Enum
 
-from .core import Point, Q, Vector, ZERO, rational
+from .core import Point, Q, Vector, ZERO, _cleared, rational
 from .errors import CertificateError, DimensionMismatchError
 
 
@@ -160,11 +159,6 @@ def _run_simplex(tableau, basis, allowed, m, d):
         d = _pivot(tableau, basis, leaving, entering, d)
 
 
-def _cleared(values, scale):
-    """Integers scale * v for rationals v whose denominators divide scale."""
-    return [v.numerator * (scale // v.denominator) for v in values]
-
-
 def _solve_max(cost, rows, rhs, nonneg):
     """Maximize cost.x s.t. rows[i].x <= rhs[i], x_j >= 0 where nonneg[j].
 
@@ -197,20 +191,17 @@ def _solve_max(cost, rows, rhs, nonneg):
     # One multiplier clears every row and keeps the slack and artificial
     # coefficients 1: the program with those variables scaled by `scale`,
     # on which Bland's rule picks the same pivots.
-    scale = math.lcm(
-        *(v.denominator for row in rows for v in row),
-        *(b.denominator for b in rhs),
-    )
+    cleared, scale = _cleared([v for row, b in zip(rows, rhs) for v in (*row, b)])
     tableau = []
     basis = [0] * m
     for i in range(m):
         sign = -1 if flipped[i] else 1
-        *a, b = _cleared([*rows[i], rhs[i]], sign * scale)
+        *a, b = cleared[i * (n + 1) : (i + 1) * (n + 1)]
         row = [0] * (total + 1)
         for c, (j, s) in enumerate(col_var):
-            row[c] = a[j] * s
+            row[c] = sign * a[j] * s
         row[ncols + i] = sign
-        row[-1] = b
+        row[-1] = sign * b
         if flipped[i]:
             row[art_of_row[i]] = 1
             basis[i] = art_of_row[i]
@@ -245,7 +236,7 @@ def _solve_max(cost, rows, rhs, nonneg):
                 d = _pivot(tableau, basis, i, pcol, d)
 
     # Phase 2, on the cost row cleared by its own multiplier
-    cleared_cost = _cleared(cost, math.lcm(*(v.denominator for v in cost)))
+    cleared_cost, _ = _cleared(cost)
     cost_of_col = [cleared_cost[j] * s for (j, s) in col_var]
     obj = [0] * (total + 1)
     for c in range(ncols):

@@ -1,10 +1,12 @@
 """Closed convex sets as halfspace intersections and point hulls.
 
 Structural queries follow convex-analysis definitions directly. Each
-polyhedron caches one integer double description of its homogenized cone
-(no cap on the number of constraints): the vertices (n <= 4), boundedness
-and the boundary-ray test are read from it. Boundary status is decided by
-exact constraint slack, and every certificate (vertex, line direction,
+polyhedron caches its halfspaces as primitive integer rows, and one
+integer double description of its homogenized cone (no cap on the number
+of constraints): the vertices (n <= 4), boundedness and the boundary-ray
+test are read from it. Membership, boundary status, segment breakpoints
+and line clipping read the signs of the rows at the point with its
+denominators cleared, and every certificate (vertex, line direction,
 recession ray) is re-verified by substitution. Redundancy and the facet
 probes still solve LPs.
 """
@@ -23,6 +25,7 @@ from .core import (
     Q,
     Vector,
     ZERO,
+    _cleared,
     interpolate,
     nullspace_basis,
     rank,
@@ -67,9 +70,6 @@ class Halfspace:
     def contains(self, x):
         return self.value(x) <= self.offset
 
-    def boundary_contains(self, x):
-        return self.value(x) == self.offset
-
 
 @dataclass(frozen=True)
 class HPolyhedron:
@@ -89,8 +89,7 @@ class HPolyhedron:
                 raise DimensionMismatchError("halfspace dimension mismatch")
 
     def contains(self, x):
-        self._check_point(x)
-        return all(h.contains(x) for h in self.halfspaces)
+        return all(v <= 0 for v in self._values(x)[0])
 
     def _check_point(self, x):
         if x.dim != self.dim:
@@ -103,12 +102,25 @@ class HPolyhedron:
         return _max_slack(self)
 
     @cached_property
+    def _rows(self):
+        """Each halfspace a . x <= b as its primitive integer row (a, -b)."""
+        return [_integer_row(h) for h in self.halfspaces]
+
+    def _values(self, x, w=1):
+        """(values, s): row . (x s, w s) for each row, where s > 0 clears
+        x's denominators. With w = 1 each value has the sign of a . x - b
+        at the point x; with w = 0 that of a . x along the direction x."""
+        self._check_point(x)
+        xs, s = _cleared(x.coords)
+        xs.append(w * s)
+        return [_dot(row, xs) for row in self._rows], s
+
+    @cached_property
     def _dd(self):
-        """(rows, lineality, rays): each halfspace as its integer row, and
-        the double description of {(x, t) : row . (x, t) <= 0, t >= 0}."""
-        rows = [_integer_row(h) for h in self.halfspaces]
+        """(lineality, rays): the double description of the cone
+        {(x, t) : row . (x, t) <= 0, t >= 0}."""
         n = self.dim
-        return rows, *_double_description(rows + [(0,) * n + (-1,)], n + 1)
+        return _double_description(self._rows + [(0,) * n + (-1,)], n + 1)
 
     @property
     def full_dimensional(self):
@@ -120,13 +132,16 @@ class HPolyhedron:
         return loc, loc is not PointLocation.EXTERIOR
 
     def breakpoints(self, a, b):
-        """Exact parameters in (0,1) where [a,b] meets a constraint hyperplane."""
-        d = b - a
+        """Exact parameters in (0,1) where [a,b] meets a constraint hyperplane:
+        t = f(a) / (f(a) - f(b)) for each row's affine form f."""
+        fa, sa = self._values(a)
+        fb, sb = self._values(b)
         ts = set()
-        for h in self.halfspaces:
-            ad = h.normal.dot(d)
-            if ad != 0:
-                t = (h.offset - h.value(a)) / ad
+        for u, v in zip(fa, fb):
+            # u / sa and v / sb are f(a) and f(b), up to the row's scale
+            u, v = u * sb, v * sa
+            if u != v:
+                t = Q(u, u - v)
                 if 0 < t < 1:
                     ts.add(t)
         return sorted(ts), []
@@ -216,13 +231,12 @@ def locate_point(P, x):
     """
     P._check_point(x)
     _require_nonempty(P)
-    if any(not h.contains(x) for h in P.halfspaces):
+    values = P._values(x)[0]
+    if any(v > 0 for v in values):
         return PointLocation.EXTERIOR
-    if not P.full_dimensional:
-        return PointLocation.BOUNDARY
     # Full-dimensional: a member is on the boundary iff some constraint is
     # tight (a redundant constraint can only be tight at boundary points).
-    if any(h.boundary_contains(x) for h in P.halfspaces):
+    if not P.full_dimensional or 0 in values:
         return PointLocation.BOUNDARY
     return PointLocation.INTERIOR
 
@@ -248,11 +262,11 @@ def is_bounded(P):
     lineality and no ray with t = 0 (such a ray (d, 0) is a recession
     direction d of P). The direction is re-checked in integers first."""
     _require_nonempty(P)
-    rows, lineality, rays = P._dd
+    lineality, rays = P._dd
     y = next(itertools.chain(lineality, (y for y in rays if not y[-1])), None)
     if y is None:
         return True
-    if y[-1] or not any(y) or any(_dot(row, y) > 0 for row in rows):
+    if y[-1] or not any(y) or any(_dot(row, y) > 0 for row in P._rows):
         raise CertificateError(f"cone vector {y} is not a recession direction")
     return False
 
@@ -316,13 +330,13 @@ def extreme_points(P):
             f"vertex enumeration supports n <= {MAX_VERTEX_ENUM_DIM}"
         )
     _require_nonempty(P)
-    rows, lineality, rays = P._dd
+    lineality, rays = P._dd
     if lineality:
         return ()
     verts = []
     for y in rays:
         if y[n] > 0:
-            _check_vertex(rows, y, n)
+            _check_vertex(P._rows, y, n)
             verts.append(Point([Q(c, y[n]) for c in y[:n]]))
     verts.sort(key=lambda p: p.coords)
     return tuple(verts)
@@ -331,11 +345,7 @@ def extreme_points(P):
 def _integer_row(h):
     """a . x <= b as the primitive integer row (a, -b), so that x is in the
     halfspace iff row . (x, 1) <= 0."""
-    coeffs = [*h.normal.coords, -h.offset]
-    scale = math.lcm(*(int(c.denominator) for c in coeffs))
-    return _primitive(
-        [int(c.numerator) * (scale // int(c.denominator)) for c in coeffs]
-    )
+    return _primitive(_cleared([*h.normal.coords, -h.offset])[0])
 
 
 def _primitive(v):
@@ -445,22 +455,14 @@ def _integer_rank(rows, ncols):
     return r
 
 
-def tight_constraints(P, x):
-    """Indices of constraints exactly tight at x."""
-    return tuple(
-        i for i, h in enumerate(P.halfspaces) if h.boundary_contains(x)
-    )
-
-
 def is_vertex(P, x):
-    """Whether x is feasible with n linearly independent tight constraints."""
-    if not P.contains(x):
+    """Whether x is feasible with n linearly independent tight constraints
+    (their rational normals' rank, an independent check of the rows)."""
+    values = P._values(x)[0]
+    if any(v > 0 for v in values):
         return False
-    tight = tight_constraints(P, x)
-    if len(tight) < P.dim:
-        return False
-    m = Matrix([P.halfspaces[i].normal for i in tight])
-    return rank(m) == P.dim
+    tight = [h.normal for h, v in zip(P.halfspaces, values) if v == 0]
+    return len(tight) >= P.dim and rank(Matrix(tight)) == P.dim
 
 
 def hull_contains(V, x):
@@ -599,22 +601,20 @@ def clip_line(P, base, direction):
     """
     if direction.is_zero():
         raise ValueError("direction must be nonzero")
-    P._check_point(base)
+    values, s = P._values(base)
+    slopes, r = P._values(direction, w=0)
     lo, hi = None, None
-    for h in P.halfspaces:
-        ad = h.normal.dot(direction)
-        av = h.value(base)
+    for v, ad in zip(values, slopes):
+        # v / s and ad / r are a . base - b and a . direction, up to scale
         if ad == 0:
-            if av > h.offset:
+            if v > 0:
                 return None
             continue
-        bound = (h.offset - av) / ad
-        if ad > 0:
-            if hi is None or bound < hi:
-                hi = bound
-        else:
-            if lo is None or bound > lo:
-                lo = bound
+        bound = Q(-v * r, ad * s)
+        if ad > 0 and (hi is None or bound < hi):
+            hi = bound
+        elif ad < 0 and (lo is None or bound > lo):
+            lo = bound
     if lo is not None and hi is not None and lo > hi:
         return None
     return (lo, hi)

@@ -735,10 +735,13 @@ def first_pair_outside(region, probes, classes):
     """The first probe pair (p, q, PairClass) whose class is not in `classes`.
 
     Pairs are scanned in itertools.combinations order; None when every
-    pair's class is in `classes`. Each probe is validated (and given its
-    edge table) once, when its first pair comes up, so errors surface as
-    classify_pair would raise them pair by pair.
+    pair's class is in `classes`. Equal probes are refused before any probe
+    is located. Each probe is validated (and given its edge table) once,
+    when its first pair comes up, so errors surface as classify_pair would
+    raise them pair by pair.
     """
+    if len({p.coords for p in probes}) < len(probes):
+        raise DegenerateSegmentError("pair endpoints must differ")
     prepared = {}
 
     def prepare(i):
@@ -748,8 +751,6 @@ def first_pair_outside(region, probes, classes):
 
     for i, j in itertools.combinations(range(len(probes)), 2):
         p, q = probes[i], probes[j]
-        if p == q:
-            raise DegenerateSegmentError("pair endpoints must differ")
         cls = _classify(region, prepare(i), prepare(j))
         if cls not in classes:
             return p, q, cls

@@ -47,7 +47,11 @@ def _traced_metrics(run, workload, ops, workdir):
     return {k: v for k, (v, unit) in tracer.metrics().items()}
 
 
-@pytest.mark.parametrize("workload, ops", [("visibility", 5), ("ngon", 2)])
+# check-all is the only workload that reaches the polyhedra predicates,
+# theorems and epigraph; one of its operations checks all eight theorems.
+@pytest.mark.parametrize(
+    "workload, ops", [("visibility", 5), ("ngon", 2), ("check-all", 1)]
+)
 def test_tracer_reports_every_metric(bench_run, workload, ops, tmp_path):
     metrics = _traced_metrics(bench_run, workload, ops, tmp_path)
     declared = json.loads((BENCH.parent / "BENCHMARK.json").read_text())
@@ -57,3 +61,7 @@ def test_tracer_reports_every_metric(bench_run, workload, ops, tmp_path):
     if workload == "visibility":
         assert metrics["intgeom.sight_blocked.calls"] > 0
         assert metrics["intgeom.segment_in_polygon.calls"] > 0
+    if workload == "check-all":
+        assert metrics["polyhedra.extreme_points.calls"] > 0
+        assert metrics["epigraph.chord_find.calls"] > 0
+        assert metrics["theorems.reports"] > 0

@@ -168,6 +168,29 @@ def test_missing_file_is_exit_2(capsys):
     assert "no such file" in capsys.readouterr().err
 
 
+UNDECODABLE = {
+    "not-utf8": b'{"kind": "disk\xff", "center": ["0", "0"], "radius": "1"}',
+    "long-int": b'{"kind": "disk", "center": [' + b"7" * 4301 + b', 0], "radius": 1}',
+    "deep": b"[" * 100_000 + b"]" * 100_000,
+}
+
+
+@pytest.mark.parametrize("content", UNDECODABLE.values(), ids=UNDECODABLE)
+@pytest.mark.parametrize("role", ["geometry", "pairs"])
+def test_undecodable_file_is_a_schema_error(role, content, geo, capsys, tmp_path):
+    bad = tmp_path / "bad.json"
+    bad.write_bytes(content)
+    if role == "geometry":
+        argv = ["convexity", str(bad)]
+    else:
+        argv = ["classify", geo("sq.json", SQUARE), "--pairs", str(bad)]
+    code = run(argv)
+    err = json.loads(capsys.readouterr().err)
+    assert code == 2
+    assert (err["error"], err["path"]) == ("schema", "$")
+    assert err["message"].startswith("invalid JSON: ")
+
+
 def test_render_is_deterministic(geo, capsys, tmp_path):
     src = geo("l.json", L_POLYGON)
     svg1 = tmp_path / "a.svg"

@@ -1,11 +1,13 @@
 import json
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from convexprofile.core import Q, point
 from convexprofile.epigraph import Epigraph1D
 from convexprofile.errors import SchemaError
 from convexprofile.geometry_io import (
+    KINDS,
     dump_geometry,
     instance_digest,
     load_geometry,
@@ -171,3 +173,92 @@ def test_boolean_dim_is_a_schema_error(tmp_path, capsys):
         {"kind": "v-polytope", "dim": True, "points": [["0"]]},
     ):
         assert _cli_schema_error(tmp_path, capsys, doc, "extremes") == "$.dim"
+
+
+# -- fuzzing: every document loads or is a SchemaError ----------------------
+
+VALID_DOCS = [
+    {"kind": "h-polyhedron", "dim": 2, "halfspaces": [
+        {"normal": ["1", "-1"], "offset": "0"},
+        {"normal": ["-1", "-1"], "offset": "1/2"}]},
+    {"kind": "v-polytope", "dim": 2, "points": [["0", "0"], ["1/2", "1"]]},
+    {"kind": "polygon",
+     "outer": [["0", "0"], ["4", "0"], ["4", "4"], ["0", "4"]],
+     "holes": [[["1", "1"], ["2", "1"], ["2", "2"], ["1", "2"]]]},
+    {"kind": "disk", "center": ["0", "0"], "radius": "3/2"},
+    {"kind": "disk-complement", "center": [1, 0], "radius": 2},
+    {"kind": "pointed-open-box"},
+    {"kind": "epigraph1d", "coeffs": ["0", "0", "1"]},
+]
+FIELDS = ["kind", "dim", "halfspaces", "normal", "offset", "points", "outer",
+          "holes", "center", "radius", "coeffs"]
+
+_scalars = (
+    st.none() | st.booleans() | st.integers() | st.floats()
+    | st.sampled_from(["0", "1", "-1", "1/2", "1/0", "2/-3", " 3 ", "x", "",
+                       "9" * 5000, *KINDS])
+    | st.text(max_size=6)
+)
+json_values = st.recursive(
+    _scalars,
+    lambda inner: st.lists(inner, max_size=5)
+    | st.dictionaries(st.sampled_from(FIELDS) | st.text(max_size=3), inner,
+                      max_size=5),
+    max_leaves=20,
+)
+
+
+def _paths(doc, prefix=()):
+    """Every (container path, key) in a JSON document, depth first."""
+    items = doc.items() if isinstance(doc, dict) else enumerate(doc)
+    for key, value in items:
+        yield prefix, key
+        if isinstance(value, (dict, list)):
+            yield from _paths(value, prefix + (key,))
+
+
+rationals = st.integers(-9, 9) | st.sampled_from(["0", "1", "-1", "1/2", "-3/4"])
+
+
+@st.composite
+def mutated_docs(draw):
+    """A valid document with up to three edits: a field or item replaced by a
+    rational or by any JSON value, deleted, or (in a list) repeated."""
+    doc = json.loads(json.dumps(draw(st.sampled_from(VALID_DOCS))))
+    for _ in range(draw(st.integers(0, 3))):
+        prefix, key = draw(st.sampled_from(list(_paths(doc))))
+        parent = doc
+        for k in prefix:
+            parent = parent[k]
+        edit = draw(st.sampled_from(["rational", "any", "delete", "repeat"]))
+        if edit == "rational":
+            parent[key] = draw(rationals)
+        elif edit == "any":
+            parent[key] = draw(json_values)
+        elif edit == "delete" or isinstance(parent, dict):
+            del parent[key]
+        else:
+            parent.insert(key, parent[key])
+        if not doc:
+            break
+    return doc
+
+
+def _loads_or_schema_error(doc):
+    try:
+        instance = load_geometry(doc)
+    except SchemaError:
+        return
+    assert dump_geometry(instance)["kind"] in KINDS
+
+
+@settings(derandomize=True, max_examples=200, deadline=None, database=None)
+@given(json_values)
+def test_arbitrary_json_loads_or_is_a_schema_error(doc):
+    _loads_or_schema_error(doc)
+
+
+@settings(derandomize=True, max_examples=200, deadline=None, database=None)
+@given(mutated_docs())
+def test_mutated_documents_load_or_are_schema_errors(doc):
+    _loads_or_schema_error(doc)

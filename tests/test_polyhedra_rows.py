@@ -1,0 +1,226 @@
+"""The polyhedron predicates read cached integer rows; they must answer
+exactly as the rational dot products they replace.
+
+Each `_fraction_*` function below is the rational version of a predicate,
+kept here as the reference: it evaluates `Halfspace.value`, a `Fraction`
+dot product, per halfspace.
+"""
+
+import itertools
+
+import pytest
+
+from convexprofile.core import Matrix, Point, Q, Vector, point, rank, vector
+from convexprofile.errors import (
+    DimensionMismatchError,
+    EmptyPolyhedronError,
+)
+from convexprofile.generators import random_hpolyhedron, rng_from_seed
+from convexprofile.polyhedra import (
+    Halfspace,
+    HPolyhedron,
+    PointLocation,
+    box_halfspaces,
+    clip_line,
+    extreme_points,
+    interior_point,
+    is_empty,
+    is_vertex,
+    locate_point,
+)
+
+DENOMINATORS = (1, 2, 3, 4, 5, 7, 9)
+
+
+def _check_point(P, x):
+    if x.dim != P.dim:
+        raise DimensionMismatchError("point dimension mismatch")
+
+
+def _fraction_contains(P, x):
+    _check_point(P, x)
+    return all(h.value(x) <= h.offset for h in P.halfspaces)
+
+
+def _fraction_locate_point(P, x):
+    _check_point(P, x)
+    if is_empty(P):
+        raise EmptyPolyhedronError("polyhedron is empty")
+    if any(h.value(x) > h.offset for h in P.halfspaces):
+        return PointLocation.EXTERIOR
+    if not P.full_dimensional:
+        return PointLocation.BOUNDARY
+    if any(h.value(x) == h.offset for h in P.halfspaces):
+        return PointLocation.BOUNDARY
+    return PointLocation.INTERIOR
+
+
+def _fraction_is_vertex(P, x):
+    if not _fraction_contains(P, x):
+        return False
+    tight = [h.normal for h in P.halfspaces if h.value(x) == h.offset]
+    if len(tight) < P.dim:
+        return False
+    return rank(Matrix(tight)) == P.dim
+
+
+def _fraction_breakpoints(P, a, b):
+    d = b - a
+    ts = set()
+    for h in P.halfspaces:
+        ad = h.normal.dot(d)
+        if ad != 0:
+            t = (h.offset - h.value(a)) / ad
+            if 0 < t < 1:
+                ts.add(t)
+    return sorted(ts), []
+
+
+def _fraction_clip_line(P, base, direction):
+    if direction.is_zero():
+        raise ValueError("direction must be nonzero")
+    _check_point(P, base)
+    lo, hi = None, None
+    for h in P.halfspaces:
+        ad = h.normal.dot(direction)
+        av = h.value(base)
+        if ad == 0:
+            if av > h.offset:
+                return None
+            continue
+        bound = (h.offset - av) / ad
+        if ad > 0:
+            if hi is None or bound < hi:
+                hi = bound
+        else:
+            if lo is None or bound > lo:
+                lo = bound
+    if lo is not None and hi is not None and lo > hi:
+        return None
+    return (lo, hi)
+
+
+def _outcome(f, *args):
+    try:
+        return "value", f(*args)
+    except Exception as exc:  # the exception itself is the outcome
+        return "raises", type(exc), str(exc)
+
+
+def _segment():
+    # [0, 1] x {0} in E^2: members exist, the interior is empty
+    H, V = Halfspace, vector
+    return HPolyhedron(
+        (H(V(0, 1), 0), H(V(0, -1), 0), H(V(1, 0), 1), H(V(-1, 0), 0)), 2
+    )
+
+
+def _with_extra_rows(P):
+    """P with its first row repeated, scaled by 3/2, and a redundant row."""
+    h = P.halfspaces[0]
+    return HPolyhedron(
+        P.halfspaces
+        + (h, Halfspace(h.normal * Q(3, 2), h.offset * Q(3, 2)),
+           Halfspace(h.normal, h.offset + 5)),
+        P.dim,
+    )
+
+
+def _polyhedra():
+    for dim in range(1, 5):
+        rng = rng_from_seed(f"rows:{dim}")
+        for _ in range(5):
+            yield random_hpolyhedron(rng, dim)
+        box = HPolyhedron(tuple(box_halfspaces(dim, Q(3, 2))), dim)
+        yield box
+        yield _with_extra_rows(box)
+        yield _with_extra_rows(random_hpolyhedron(rng, dim))
+        yield HPolyhedron((), dim)
+    yield _segment()
+    yield _with_extra_rows(_segment())
+    yield HPolyhedron((Halfspace(vector(1), 0), Halfspace(vector(-1), -1)), 1)
+
+
+def _rational(rng, bound=12):
+    return Q(rng.randint(-bound * 9, bound * 9), rng.choice(DENOMINATORS))
+
+
+def _points(P, rng):
+    """Vertices, interior, boundary and exterior points, with mixed
+    denominators, and one point of the wrong dimension."""
+    pts = [Point([_rational(rng) for _ in range(P.dim)]) for _ in range(6)]
+    pts.append(Point([Q(0)] * P.dim))
+    if is_empty(P):
+        return pts + [Point([Q(0)] * (P.dim + 1))]
+    vertices = list(extreme_points(P))
+    pts += vertices[:6]
+    pts += [
+        Point([(a + b) / 2 for a, b in zip(u.coords, v.coords)])
+        for u, v in itertools.combinations(vertices[:4], 2)
+    ]
+    centre = interior_point(P) or (vertices[0] if vertices else pts[-1])
+    pts.append(centre)
+    for _ in range(4):
+        d = Vector([_rational(rng, 2) for _ in range(P.dim)])
+        if d.is_zero():
+            continue
+        span = _fraction_clip_line(P, centre, d)
+        for t in span or ():
+            if t is not None:
+                pts.append(centre + d * t)  # on the boundary
+                pts.append(centre + d * (t * Q(11, 10) + Q(1, 7)))
+    return pts + [Point([Q(0)] * (P.dim + 1))]
+
+
+def _directions(P, rng):
+    axes = [Vector([Q(int(i == j)) for j in range(P.dim)]) for i in range(P.dim)]
+    dirs = [Vector([_rational(rng, 2) for _ in range(P.dim)]) for _ in range(3)]
+    return axes + dirs + [Vector([Q(0)] * P.dim)]
+
+
+@pytest.mark.parametrize("P", list(_polyhedra()), ids=lambda P: f"E{P.dim}")
+def test_row_predicates_match_the_rational_predicates(P):
+    rng = rng_from_seed(f"rows-points:{len(P.halfspaces)}:{P.dim}")
+    pts = _points(P, rng)
+    assert len(pts) >= 8
+    for x in pts:
+        for new, old in (
+            (P.contains, lambda x: _fraction_contains(P, x)),
+            (lambda x: locate_point(P, x), lambda x: _fraction_locate_point(P, x)),
+            (lambda x: is_vertex(P, x), lambda x: _fraction_is_vertex(P, x)),
+        ):
+            assert _outcome(new, x) == _outcome(old, x), x
+    right = [x for x in pts if x.dim == P.dim]
+    for a, b in zip(right, right[1:] + right[:2]):
+        assert _outcome(P.breakpoints, a, b) == _outcome(
+            _fraction_breakpoints, P, a, b
+        )
+    for base, d in itertools.product(right[::3], _directions(P, rng)):
+        assert _outcome(clip_line, P, base, d) == _outcome(
+            _fraction_clip_line, P, base, d
+        )
+
+
+@pytest.mark.parametrize(
+    "P", [HPolyhedron(tuple(box_halfspaces(2, 1)), 2), HPolyhedron((), 2)],
+    ids=["box", "no-halfspaces"],
+)
+def test_clip_line_direction_of_the_wrong_dimension_raises(P):
+    with pytest.raises(DimensionMismatchError):
+        clip_line(P, point(0, 0), vector(1, 0, 0))
+
+
+def test_polyhedron_predicates_do_not_evaluate_rational_dot_products(monkeypatch):
+    box = HPolyhedron(tuple(box_halfspaces(2, 1)), 2)
+    interior_point(box)  # the slack LP, solved once and cached
+
+    def refuse(self, x):
+        raise AssertionError("Halfspace.value evaluated")
+
+    monkeypatch.setattr(Halfspace, "value", refuse)
+    a, b = point(Q(-3, 2), Q(1, 3)), point(Q(1, 2), Q(1, 5))
+    assert box.contains(b) and not box.contains(a)
+    assert locate_point(box, b) is PointLocation.INTERIOR
+    assert not is_vertex(box, b)
+    assert box.breakpoints(a, b) == ([Q(1, 4)], [])
+    assert clip_line(box, b, vector(1, 1)) == (Q(-6, 5), Q(1, 2))
