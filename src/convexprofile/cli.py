@@ -152,7 +152,7 @@ def _emit(report, args):
         sys.stdout.write(text)
 
 
-def _load_pairs_file(path):
+def _load_pairs_file(path, dim):
     doc = read_json_file(path)
     if isinstance(doc, dict):
         doc = doc.get("pairs")
@@ -162,11 +162,11 @@ def _load_pairs_file(path):
     for i, entry in enumerate(doc):
         path_i = f"$.pairs[{i}]"
         if not isinstance(entry, list) or len(entry) != 2:
-            raise SchemaError("each pair is [[x,y],[x,y]]", path_i)
+            raise SchemaError("each pair is [point, point]", path_i)
         pts = []
         for j, raw in enumerate(entry):
-            if not isinstance(raw, list) or len(raw) != 2:
-                raise SchemaError("points are [x, y]", f"{path_i}[{j}]")
+            if not isinstance(raw, list) or len(raw) != dim:
+                raise SchemaError(f"points have {dim} coordinates", f"{path_i}[{j}]")
             pts.append(
                 Point(
                     [
@@ -211,7 +211,7 @@ def _cmd_classify(args, seed):
         points = _probe_points(instance, args.pairs, args.probe_density)
         pairs = itertools.combinations(points, 2)
     else:
-        pairs = _load_pairs_file(args.pairs)
+        pairs = _load_pairs_file(args.pairs, instance.dim)
     return [
         pair_to_json(p, q, classify_pair(instance, p, q)) for p, q in pairs
     ], 0

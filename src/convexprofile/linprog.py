@@ -5,7 +5,7 @@ constraints), so a dense tableau with Bland's anti-cycling rule is both
 affordable and certifiably terminating. Optima come with an attaining
 point, unbounded programs with an improving recession ray and feasible
 ones with a witness point; every certificate is re-checked against the
-constraints before being returned.
+constraints, in integers, before being returned.
 
 The tableau holds integers, fraction-free (Edmonds, J. Res. NBS 71B,
 1967; Bareiss, Math. Comp. 22, 1968): one multiplier clears the
@@ -275,10 +275,12 @@ def _solve_max(cost, rows, rhs, nonneg):
 
 
 def _satisfies(rows, rhs, x):
-    """Whether x meets every row: rows[i] . x <= rhs[i]."""
-    return all(
-        sum(a * v for a, v in zip(row, x)) <= b for row, b in zip(rows, rhs)
-    )
+    """Whether x meets every row: rows[i] . x <= rhs[i], compared in
+    integers. With x = num / d and each row (a, b) cleared by its own lcm,
+    the row holds iff a . num <= b d."""
+    num, d = _cleared(x)
+    cleared = (_cleared([*row, b])[0] for row, b in zip(rows, rhs))
+    return all(sum(u * v for u, v in zip(a, num)) <= b * d for *a, b in cleared)
 
 
 def solve_lp(lp):

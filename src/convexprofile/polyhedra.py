@@ -8,7 +8,10 @@ test are read from it. Membership, boundary status, segment breakpoints
 and line clipping read the signs of the rows at the point with its
 denominators cleared, and every certificate (vertex, line direction,
 recession ray) is re-verified by substitution. Redundancy and the facet
-probes still solve LPs.
+probes are read from the same description with no LP: a row is kept iff
+its incident rays span a facet of the cone, and each facet's probes are
+its incident vertices, their centroid and that centroid stepped along the
+facet's rays and lines, every probe re-checked as a boundary point.
 """
 
 from __future__ import annotations
@@ -121,6 +124,40 @@ class HPolyhedron:
         {(x, t) : row . (x, t) <= 0, t >= 0}."""
         n = self.dim
         return _double_description(self._rows + [(0,) * n + (-1,)], n + 1)
+
+    @cached_property
+    def _facets(self):
+        """(halfspace, incident) for each row that the input-order redundancy
+        loop keeps, with the rays y of `_dd` on the row (row . y = 0), no LP.
+
+        A row on every ray is an implicit equality; it is kept iff the
+        equalities kept so far and those not yet tested leave {d : a . d
+        <= 0} wider than the directions of P's affine hull. Any other row
+        is kept iff it is the last with its incident rays and they cut a
+        facet: with the lineality they span one dimension less than the
+        cone, and one has t > 0 (Fukuda & Prodon 1996).
+        """
+        _require_nonempty(self)
+        n = self.dim
+        lineality, rays = self._dd
+        incident = [[y for y in rays if not _dot(row, y)] for row in self._rows]
+        full = _integer_rank(lineality + rays, n + 1)
+        equalities = [i for i, inc in enumerate(incident) if inc == rays]
+        kept = []
+        for i, inc in enumerate(incident):
+            if i in equalities:
+                rest = [self._rows[j][:n] for j in equalities if j > i or j in kept]
+                lin, cone = _double_description(rest, n)
+                keep = cone or len(lin) != full - 1
+            else:
+                keep = (
+                    any(y[n] for y in inc)
+                    and inc not in incident[i + 1 :]
+                    and _integer_rank(lineality + inc, n + 1) == full - 1
+                )
+            if keep:
+                kept.append(i)
+        return tuple((self.halfspaces[i], tuple(incident[i])) for i in kept)
 
     @property
     def full_dimensional(self):
@@ -554,26 +591,8 @@ def face_in_direction(P, w):
 
 
 def remove_redundant(P):
-    """Drop halfspaces whose removal does not change the set.
-
-    Constraint i is redundant iff max normal_i . x over the others (with
-    the constraint relaxed by 1 to keep the LP bounded) stays <= offset_i.
-    Deterministic: constraints tested in input order.
-    """
-    _require_nonempty(P)
-    hs = list(P.halfspaces)
-    i = 0
-    while i < len(hs):
-        h = hs[i]
-        others = hs[:i] + hs[i + 1 :]
-        cons = [Constraint(o.normal, Relation.LE, o.offset) for o in others]
-        cons.append(Constraint(h.normal, Relation.LE, h.offset + 1))
-        out = solve_lp(LinearProgram(h.normal, tuple(cons)))
-        if out.status is LpStatus.OPTIMAL and out.value <= h.offset:
-            hs.pop(i)
-        else:
-            i += 1
-    return HPolyhedron(tuple(hs), P.dim)
+    """Drop halfspaces whose removal does not change the set (`_facets`)."""
+    return HPolyhedron(tuple(h for h, _ in P._facets), P.dim)
 
 
 def boundary_has_ray(P):
@@ -621,51 +640,29 @@ def clip_line(P, base, direction):
 
 
 def polyhedron_boundary_probes(P):
-    """Deterministic boundary probe points: vertices plus per-facet spreads.
-
-    Each facet contributes a feasible witness and coordinate-extreme
-    points within a box around the witness, so unbounded facets (a
-    halfspace boundary, say) still yield several spread-out probes.
-    """
-    probes = []
-    seen = set()
-
-    def add(pt):
-        if pt.coords not in seen:
-            seen.add(pt.coords)
-            probes.append(pt)
-
-    if P.dim <= MAX_VERTEX_ENUM_DIM:
-        for v in extreme_points(P):
-            add(v)
-    reduced = remove_redundant(P)
+    """Boundary probes with no LP: per row of `P._facets`, its incident
+    vertices, their centroid, the centroid stepped along each incident ray
+    and lineality direction (both signs) to a box of 8 around it, and the
+    midpoints of the first four. Each is re-checked as a boundary point."""
+    n = P.dim
+    lineality = P._dd[0]
     box = Q(8)
-    axes = _signed_axes(P.dim)
-    for h in reduced.halfspaces:
-        neg = Vector([-c for c in h.normal.coords])
-        face_cons = [
-            Constraint(g.normal, Relation.LE, g.offset)
-            for g in reduced.halfspaces
+    probes = set()
+    for _, incident in P._facets:
+        verts = [Point([Q(c, y[n]) for c in y[:n]]) for y in incident if y[n]]
+        witness = Point([sum(col) / len(verts) for col in zip(*verts)])
+        dirs = [y[:n] for y in incident if not y[n]]
+        dirs += [tuple(s * c for c in v[:n]) for v in lineality for s in (1, -1)]
+        facet_pts = [witness, *verts] + [
+            witness + Vector([box * c / max(map(abs, d)) for c in d])
+            for d in dirs
         ]
-        face_cons.append(Constraint(h.normal, Relation.GE, h.offset))
-        out = solve_lp(LinearProgram(neg, tuple(face_cons)))
-        if out.status is not LpStatus.OPTIMAL:
-            continue
-        witness = out.point
-        facet_pts = [witness]
-        boxed = face_cons + [
-            Constraint(u, Relation.LE, u.dot(Vector(witness.coords)) + box)
-            for u in axes
-        ]
-        for u in axes:
-            opt = solve_lp(LinearProgram(u, tuple(boxed)))
-            if opt.status is LpStatus.OPTIMAL:
-                facet_pts.append(opt.point)
         # Facet midpoints stay on the facet (it is convex) and give
         # non-vertex probes, without which a simplex would look all-flat.
         for a, b in itertools.combinations(facet_pts[:4], 2):
             facet_pts.append(interpolate(a, b, Q(1, 2)))
-        for pt in facet_pts:
-            add(pt)
-    probes.sort(key=lambda pt: pt.coords)
-    return probes
+        probes.update(facet_pts)
+    for pt in probes:
+        if locate_point(P, pt) is not PointLocation.BOUNDARY:
+            raise CertificateError(f"probe {pt} is not a boundary point of P")
+    return sorted(probes, key=lambda pt: pt.coords)

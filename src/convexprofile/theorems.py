@@ -68,7 +68,6 @@ from .polyhedra import (
     polyhedron_boundary_probes,
     profile,
     recession_direction,
-    remove_redundant,
 )
 from .regions2d import (
     Disk,
@@ -337,8 +336,7 @@ def _boundary_affine(P, probes):
 def _complement_convex_probed(P, probes, rng):
     """Midpoints of sampled exterior pairs stay exterior."""
     exterior = []
-    reduced = remove_redundant(P)
-    for h in reduced.halfspaces:
+    for h, _ in P._facets:
         for pt in probes[:6]:
             shift = Q(1 + rng.randint(0, 3))
             cand = pt + shift * h.normal
@@ -629,8 +627,7 @@ def _boundary_hull_fact(P, rng, facts):
     if not P.full_dimensional:
         facts["reason"] = "no interior: every member is a boundary point"
         return True
-    reduced = remove_redundant(P)
-    if len(reduced.halfspaces) == 1:
+    if len(P._facets) == 1:
         facts["reason"] = (
             "halfspace: the boundary hull is the supporting hyperplane"
         )

@@ -1,0 +1,83 @@
+"""Test-only copies of the LP code that the double description replaced.
+
+`lp_remove_redundant` is the old redundancy loop (one LP per row, rows
+tested in input order) and `lp_boundary_probes` the old probe builder
+(that loop, then 1 + 2n LPs per facet). They referee the incidence rule
+of `HPolyhedron._facets` and keep the programs they hand the simplex in
+the engine's differential corpus.
+"""
+
+import itertools
+
+from convexprofile.core import Q, Vector, interpolate
+from convexprofile.linprog import Constraint, LinearProgram, LpStatus, Relation, solve_lp
+from convexprofile.polyhedra import (
+    MAX_VERTEX_ENUM_DIM,
+    _require_nonempty,
+    _signed_axes,
+    extreme_points,
+)
+
+
+def lp_remove_redundant(P):
+    """The indices of the halfspaces the LP loop keeps, in input order.
+
+    Constraint i is redundant iff max normal_i . x over the others (with
+    the constraint relaxed by 1 to keep the LP bounded) stays <= offset_i.
+    """
+    _require_nonempty(P)
+    kept = list(range(len(P.halfspaces)))
+    i = 0
+    while i < len(kept):
+        h = P.halfspaces[kept[i]]
+        others = [P.halfspaces[k] for k in kept[:i] + kept[i + 1 :]]
+        cons = [Constraint(o.normal, Relation.LE, o.offset) for o in others]
+        cons.append(Constraint(h.normal, Relation.LE, h.offset + 1))
+        out = solve_lp(LinearProgram(h.normal, tuple(cons)))
+        if out.status is LpStatus.OPTIMAL and out.value <= h.offset:
+            kept.pop(i)
+        else:
+            i += 1
+    return kept
+
+
+def lp_boundary_probes(P):
+    """Vertices plus, per facet, an LP witness and the optima of each
+    signed axis over the facet cut by a box of 8 around the witness."""
+    probes = []
+    seen = set()
+
+    def add(pt):
+        if pt.coords not in seen:
+            seen.add(pt.coords)
+            probes.append(pt)
+
+    if P.dim <= MAX_VERTEX_ENUM_DIM:
+        for v in extreme_points(P):
+            add(v)
+    reduced = [P.halfspaces[i] for i in lp_remove_redundant(P)]
+    box = Q(8)
+    axes = _signed_axes(P.dim)
+    for h in reduced:
+        neg = Vector([-c for c in h.normal.coords])
+        face_cons = [Constraint(g.normal, Relation.LE, g.offset) for g in reduced]
+        face_cons.append(Constraint(h.normal, Relation.GE, h.offset))
+        out = solve_lp(LinearProgram(neg, tuple(face_cons)))
+        if out.status is not LpStatus.OPTIMAL:
+            continue
+        witness = out.point
+        facet_pts = [witness]
+        boxed = face_cons + [
+            Constraint(u, Relation.LE, u.dot(Vector(witness.coords)) + box)
+            for u in axes
+        ]
+        for u in axes:
+            opt = solve_lp(LinearProgram(u, tuple(boxed)))
+            if opt.status is LpStatus.OPTIMAL:
+                facet_pts.append(opt.point)
+        for a, b in itertools.combinations(facet_pts[:4], 2):
+            facet_pts.append(interpolate(a, b, Q(1, 2)))
+        for pt in facet_pts:
+            add(pt)
+    probes.sort(key=lambda pt: pt.coords)
+    return probes

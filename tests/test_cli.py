@@ -99,6 +99,32 @@ def test_classify_explicit_pair_file(geo, capsys, tmp_path):
     assert classes == ["hyperbolic", "flat"]
 
 
+CUBE = {
+    "kind": "h-polyhedron",
+    "dim": 3,
+    "halfspaces": [
+        {"normal": [str(s * int(j == k)) for k in range(3)],
+         "offset": "1" if s > 0 else "0"}
+        for j in range(3) for s in (1, -1)
+    ],
+}
+
+
+def test_classify_pair_file_points_follow_the_instance_dim(geo, capsys,
+                                                            tmp_path):
+    cube = geo("cube.json", CUBE)
+    pairs = tmp_path / "p3.json"
+    pairs.write_text(json.dumps([[[0, 0, 0], [1, 1, 1]]]))
+    code, doc = _run_json(capsys, ["classify", cube, "--pairs", str(pairs)])
+    assert code == 0
+    assert [r["class"] for r in doc["results"]] == ["hyperbolic"]
+    pairs.write_text(json.dumps([[[0, 0, 0], [1, 1, 1]], [[0, 0], [1, 1, 1]]]))
+    assert run(["classify", cube, "--pairs", str(pairs)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert json.loads(captured.err)["path"] == "$.pairs[1][0]"
+
+
 def test_classify_cone_vertices_mode_falls_back_to_probes(geo, capsys):
     # One extreme point makes no pair; the facet probes stand in for it.
     code, doc = _run_json(capsys, ["classify", geo("cone.json", CONE)])
@@ -333,7 +359,7 @@ def test_check_all_report_is_pinned(capsys):
     out = capsys.readouterr().out
     assert len(json.loads(out)["results"]) == 39
     assert hashlib.sha256(out.encode("utf-8")).hexdigest() == (
-        "f3f9f3d4652db3976a1b7629272bb6d0e12c887b6f33df2add2911a0cca454a4"
+        "74b667b43fe7e8bc0f33ef451b2c20d62cedf9c23c8e0835042a6c1d15dff804"
     )
 
 
@@ -346,8 +372,43 @@ def test_check_all_eight_instances_report_is_pinned(capsys):
     out = capsys.readouterr().out
     assert len(json.loads(out)["results"]) == 87
     assert hashlib.sha256(out.encode("utf-8")).hexdigest() == (
-        "98901754c53e1931f0d32e22a433a52f85c8818c244822952f461d35bc934594"
+        "94ad738d8797a4b25e83758db5d0ee8d45b0e85b5246c3171adbb982bcc6483b"
     )
+
+
+VERDICT_SETTINGS = [
+    [],
+    ["--instances", "8", "--seed", "42"],
+    ["--instances", "8", "--seed", "42", "--samples", "12",
+     "--probe-density", "8"],
+    ["--instances", "8", "--samples", "12", "--probe-density", "8",
+     "--seed", "7"],
+    ["--instances", "2", "--samples", "12", "--probe-density", "8",
+     "--seed", "42"],
+]
+
+
+@pytest.mark.parametrize("settings, digest", [
+    (VERDICT_SETTINGS[0],
+     "da1c22bd2776c002ef773ceb6d146ab06e02108870804a04362c4c651adf11a6"),
+    (VERDICT_SETTINGS[1],
+     "3f9f82d0331871b878ee11a329174da90007deee40828856decbf254beb8b587"),
+    (VERDICT_SETTINGS[2],
+     "3f9f82d0331871b878ee11a329174da90007deee40828856decbf254beb8b587"),
+    (VERDICT_SETTINGS[3],
+     "86ead6e145cc40c79d48a43fd891654b8dbaf2386d6dbe03e9c0dc4396ea61ef"),
+    (VERDICT_SETTINGS[4],
+     "641ef6596cd2b9b06af1d8066f698bbff1fea4b3b718f00754f1321eeea1df42"),
+], ids=["defaults", "seed42", "criterion10", "seed7", "two-instances"])
+def test_check_all_verdicts_are_pinned(settings, digest, capsys, monkeypatch):
+    # Only the (theorem, hypothesis, conclusion) sequence: a declared change
+    # of probe or witness bytes must leave every verdict where it was.
+    monkeypatch.delenv("CONVEX_PROFILE_SEED", raising=False)
+    assert run(["check", "all", *settings]) == 0
+    results = json.loads(capsys.readouterr().out)["results"]
+    verdicts = [[r["theorem"], r["hypothesis"], r["conclusion"]] for r in results]
+    text = json.dumps(verdicts)
+    assert hashlib.sha256(text.encode("utf-8")).hexdigest() == digest
 
 
 def _ngon_doc():

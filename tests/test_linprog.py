@@ -27,8 +27,8 @@ from convexprofile.polyhedra import (
     VPolytope,
     extreme_points,
     hull_contains,
-    polyhedron_boundary_probes,
 )
+from lp_reference import lp_boundary_probes
 
 
 def dual_of(lp):
@@ -429,8 +429,9 @@ def _program(lp):
 
 
 def _polyhedral_programs():
-    """The engine's arguments in `remove_redundant`, the boundary probes and
-    hull membership, on seeded polyhedra and polytopes in E^2..E^4."""
+    """The engine's arguments in the LP redundancy loop, the LP boundary
+    probes and hull membership, on seeded polyhedra and polytopes in
+    E^2..E^4."""
     programs = []
     engine = linprog._solve_max
 
@@ -443,7 +444,7 @@ def _polyhedral_programs():
         mp.setattr(linprog, "_solve_max", capture)
         for dim in (2, 3, 4):
             for _ in range(2):
-                polyhedron_boundary_probes(random_hpolyhedron(rng, dim))
+                lp_boundary_probes(random_hpolyhedron(rng, dim))
             gens = extreme_points(random_bounded_polytope(rng, dim))
             hull = VPolytope(gens, dim)
             for _ in range(6):

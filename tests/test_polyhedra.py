@@ -1,4 +1,6 @@
+import hashlib
 import itertools
+import json
 import os
 import random
 import subprocess
@@ -56,10 +58,12 @@ from convexprofile.polyhedra import (
     is_vertex,
     lineality_dim,
     locate_point,
+    polyhedron_boundary_probes,
     profile,
     remove_redundant,
 )
 from convexprofile.regions2d import SimplePolygon, circle_points, kernel
+from lp_reference import lp_remove_redundant
 
 H = Halfspace
 V = vector
@@ -387,6 +391,55 @@ def test_forged_recession_rays_raise_under_python_O():
     assert verdicts == ["1"] + ["CertificateError"] * 2
 
 
+# Rays incident to the unit square's top row y <= 1 whose probes leave it.
+PROBE_FORGERIES = [
+    ((2, 1, 1), "vertex"),  # (2, 1) lies outside x <= 1
+    ((1, 0, 0), "direction"),  # the top edge stepped to x = 17/2
+]
+
+
+@pytest.mark.parametrize("ray, _", PROBE_FORGERIES, ids=["vertex", "direction"])
+def test_forged_probe_rays_raise(ray, _, monkeypatch):
+    monkeypatch.setattr(polyhedra, "_double_description", _forge(ray))
+    with pytest.raises(CertificateError, match="not a boundary point"):
+        polyhedron_boundary_probes(unit_square())
+
+
+def test_forged_interior_probe_raises():
+    # an incidence list naming the square's centre as the top row's vertex
+    sq = unit_square()
+    sq.__dict__["_facets"] = ((sq.halfspaces[3], ((1, 1, 2),)),)
+    with pytest.raises(CertificateError, match="not a boundary point"):
+        polyhedron_boundary_probes(sq)
+
+
+def test_forged_probe_rays_raise_under_python_O():
+    verdicts = _forgery_verdicts_under_python_O(
+        "polyhedron_boundary_probes", PROBE_FORGERIES
+    )
+    assert verdicts == ["1"] + ["CertificateError"] * 2
+
+
+def test_probes_and_redundancy_solve_no_lp(monkeypatch):
+    from convexprofile import linprog
+
+    shapes = [unit_square(), cone(), halfplane(), slab(), _pyramid()]
+    rng = rng_from_seed(4000)
+    for dim in (1, 2, 3, 4, 5):
+        P = random_hpolyhedron(rng, dim)
+        face = face_in_direction(P, random_direction(rng, dim))
+        shapes += [P, _with_copies(P)] + ([face] if face is not None else [])
+    for P in shapes:
+        P._slack  # the one LP per polyhedron, cached
+    monkeypatch.setattr(
+        linprog, "_solve_max", lambda *a: pytest.fail("LP solved")
+    )
+    for P in shapes:
+        assert polyhedron_boundary_probes(P)
+        assert remove_redundant(P).halfspaces
+    assert not all(P.full_dimensional for P in shapes)
+
+
 def test_extreme_points_dimension_guard():
     box5 = HPolyhedron(
         tuple(
@@ -620,6 +673,68 @@ def test_remove_redundant():
     sq = HPolyhedron(unit_square().halfspaces + (H(V(1, 1), 5),), 2)
     reduced = remove_redundant(sq)
     assert len(reduced.halfspaces) == 4
+
+
+def _repeated(P, rng):
+    """P's rows and an equal copy of each (a distinct object), shuffled."""
+    hs = list(P.halfspaces) + [H(h.normal, h.offset) for h in P.halfspaces]
+    rng.shuffle(hs)
+    return HPolyhedron(tuple(hs), P.dim)
+
+
+def _redundancy_instances():
+    """Seeded polyhedra in E^1..E^4 and their faces (not full-dimensional),
+    each also with repeated rows and with rows scaled by 2, and the planar
+    halfspace, slab, cone, segment and square, a cube and a square pyramid,
+    these also with degenerate redundant rows."""
+    for dim, seeds in ((1, 6), (2, 8), (3, 6), (4, 3)):
+        for seed in range(seeds):
+            rng = rng_from_seed(3000 * dim + seed)
+            for P in (random_hpolyhedron(rng, dim),
+                      random_bounded_polytope(rng, dim)):
+                face = face_in_direction(P, random_direction(rng, dim))
+                for X in (P, face) if face is not None else (P,):
+                    yield X
+                    yield _repeated(X, rng)
+                    yield _with_copies(X)
+    rng = rng_from_seed(3999)
+    segment = HPolyhedron(
+        (H(V(0, 1), 0), H(V(0, -1), 0), H(V(1, 0), 1), H(V(-1, 0), 0)), 2
+    )
+    cube = HPolyhedron(tuple(polyhedra.box_halfspaces(3, Q(1))), 3)
+    for P in (halfplane(), slab(), cone(), segment, unit_square(), cube,
+              _pyramid()):
+        yield P
+        yield _repeated(P, rng)
+        yield _with_copies(P)
+        yield _with_redundant_rows(P)
+
+
+# sha256 of the LP oracle's kept indices over `_redundancy_instances`,
+# taken before the incidence rule replaced the LP loop.
+LP_FACETS_DIGEST = (
+    "a6783348c54e05ec09eb2a91f2efea6d7241805069b596b9f412090e637e9a37"
+)
+
+
+def test_facets_match_the_lp_redundancy_oracle():
+    kept_lists = []
+    count = flat = repeats = 0
+    for P in _redundancy_instances():
+        kept = lp_remove_redundant(P)
+        reduced = remove_redundant(P)
+        # the same halfspace objects in the same order: among equal rows,
+        # the one the LP loop keeps
+        assert [id(h) for h in reduced.halfspaces] == [
+            id(P.halfspaces[i]) for i in kept
+        ], P
+        kept_lists.append(kept)
+        count += 1
+        flat += not P.full_dimensional
+        repeats += len(set(P.halfspaces)) < len(P.halfspaces)
+    digest = hashlib.sha256(json.dumps(kept_lists).encode()).hexdigest()
+    assert digest == LP_FACETS_DIGEST
+    assert count > 200 and flat > 60 and repeats > 100
 
 
 def test_halfspace_invariants():
