@@ -1,17 +1,15 @@
 """Closed convex sets as halfspace intersections and point hulls.
 
-Structural queries follow convex-analysis definitions directly. Each
-polyhedron caches its halfspaces as primitive integer rows, and one
+Each polyhedron caches its halfspaces as primitive integer rows and one
 integer double description of its homogenized cone (no cap on the number
-of constraints): the vertices (n <= 4), boundedness and the boundary-ray
-test are read from it. Membership, boundary status, segment breakpoints
-and line clipping read the signs of the rows at the point with its
-denominators cleared, and every certificate (vertex, line direction,
-recession ray) is re-verified by substitution. Redundancy and the facet
-probes are read from the same description with no LP: a row is kept iff
-its incident rays span a facet of the cone, and each facet's probes are
-its incident vertices, their centroid and that centroid stepped along the
-facet's rays and lines, every probe re-checked as a boundary point.
+of constraints). Emptiness, full-dimensionality, an interior point, the
+vertices (n <= 4), boundedness, the boundary-ray test, exposed faces,
+redundancy and the facet probes are read from it with no LP. Membership,
+segment breakpoints and line clipping read the signs of the rows at the
+point with its denominators cleared. Every certificate (vertex, interior
+point, face optimum, recession ray, probe) is re-verified by substitution.
+LPs remain where the optimum is reported or the set is a V-polytope:
+`feasible_point`, `recession_direction` and `hull_contains`.
 """
 
 from __future__ import annotations
@@ -99,12 +97,6 @@ class HPolyhedron:
             raise DimensionMismatchError("point dimension mismatch")
 
     @cached_property
-    def _slack(self):
-        # cached_property writes the instance __dict__, so it works on a
-        # frozen dataclass: the LP runs at most once per polyhedron.
-        return _max_slack(self)
-
-    @cached_property
     def _rows(self):
         """Each halfspace a . x <= b as its primitive integer row (a, -b)."""
         return [_integer_row(h) for h in self.halfspaces]
@@ -126,6 +118,12 @@ class HPolyhedron:
         return _double_description(self._rows + [(0,) * n + (-1,)], n + 1)
 
     @cached_property
+    def _rank(self):
+        """The rank of `_dd`'s generators: n + 1 iff P has an interior."""
+        lineality, rays = self._dd
+        return _integer_rank(lineality + rays, self.dim + 1)
+
+    @cached_property
     def _facets(self):
         """(halfspace, incident) for each row that the input-order redundancy
         loop keeps, with the rays y of `_dd` on the row (row . y = 0), no LP.
@@ -141,7 +139,7 @@ class HPolyhedron:
         n = self.dim
         lineality, rays = self._dd
         incident = [[y for y in rays if not _dot(row, y)] for row in self._rows]
-        full = _integer_rank(lineality + rays, n + 1)
+        full = self._rank
         equalities = [i for i, inc in enumerate(incident) if inc == rays]
         kept = []
         for i, inc in enumerate(incident):
@@ -162,7 +160,7 @@ class HPolyhedron:
     @property
     def full_dimensional(self):
         """Whether the interior is non-empty."""
-        return self._slack[0] > 0
+        return self._rank == self.dim + 1
 
     def locate2(self, x):
         loc = locate_point(self, x)
@@ -209,18 +207,14 @@ class PointLocation(Enum):
     EXTERIOR = "exterior"
 
 
-def _constraints(P):
-    return tuple(
-        Constraint(h.normal, Relation.LE, h.offset) for h in P.halfspaces
-    )
-
-
 def is_empty(P):
-    return P._slack[0] < 0
+    """Whether P has no point: no ray of `_dd` has t > 0."""
+    return not any(y[-1] for y in P._dd[1])
 
 
 def feasible_point(P):
-    ok, witness = is_feasible(_constraints(P), dim=P.dim)
+    cons = [Constraint(h.normal, Relation.LE, h.offset) for h in P.halfspaces]
+    ok, witness = is_feasible(tuple(cons), dim=P.dim)
     if not ok:
         raise EmptyPolyhedronError("polyhedron is empty")
     return witness
@@ -231,33 +225,16 @@ def _require_nonempty(P):
         raise EmptyPolyhedronError("polyhedron is empty")
 
 
-def _max_slack(P):
-    """(t, x) maximizing a uniform slack t <= 1: normal_i . x + t <= offset_i.
-
-    The program is always feasible (t may go to -infinity) and bounded, so
-    one solve settles both questions: the interior is non-empty iff t > 0,
-    and P is non-empty iff t >= 0.
-    """
-    n = P.dim
-    if not P.halfspaces:
-        return Q(1), Point([ZERO] * n)
-    cons = []
-    for h in P.halfspaces:
-        cons.append(
-            Constraint(
-                Vector(list(h.normal.coords) + [Q(1)]), Relation.LE, h.offset
-            )
-        )
-    t_cap = [ZERO] * n + [Q(1)]
-    cons.append(Constraint(Vector(t_cap), Relation.LE, Q(1)))
-    out = solve_lp(LinearProgram(Vector(t_cap), tuple(cons)))
-    return out.value, Point(out.point.coords[:n])
-
-
 def interior_point(P):
-    """A point with strictly positive slack on every constraint, or None."""
-    slack, x = P._slack
-    return x if slack > 0 else None
+    """A point with strictly positive slack on every constraint, or None:
+    the sum of `_dd`'s rays over its t, at which no row of a full-dimensional
+    cone vanishes (t >= 0 included). That is re-checked in integers."""
+    if not P.full_dimensional:
+        return None
+    y = [sum(col) for col in zip(*P._dd[1])]
+    if y[-1] <= 0 or any(_dot(row, y) >= 0 for row in P._rows):
+        raise CertificateError(f"ray sum {y} is not an interior point")
+    return Point([Q(c, y[-1]) for c in y[:-1]])
 
 
 def locate_point(P, x):
@@ -303,9 +280,15 @@ def is_bounded(P):
     y = next(itertools.chain(lineality, (y for y in rays if not y[-1])), None)
     if y is None:
         return True
+    _check_direction(P, y)
+    return False
+
+
+def _check_direction(P, y):
+    """Raise CertificateError unless the cone vector y = (d, 0) has d != 0
+    and a . d <= 0 for every halfspace, i.e. d is a recession direction."""
     if y[-1] or not any(y) or any(_dot(row, y) > 0 for row in P._rows):
         raise CertificateError(f"cone vector {y} is not a recession direction")
-    return False
 
 
 def recession_direction(P):
@@ -569,24 +552,30 @@ def hull_equal(P, V):
 
 
 def face_in_direction(P, w):
-    """The exposed face of P maximizing w, or None when unbounded in w.
-
-    The face is P with the supporting hyperplane added as an equality
-    (encoded as two opposing halfspaces).
-    """
+    """The exposed face of P maximizing w (P with the supporting hyperplane
+    as two opposing halfspaces), or None when unbounded in w. No LP: w is
+    unbounded iff it grows along a lineality vector (either sign) or a ray
+    of `_dd` with t = 0, else it peaks at a ray with t > 0. The ray is
+    re-checked against every row."""
     if w.is_zero():
         raise ValueError("direction must be nonzero")
     if w.dim != P.dim:
         raise DimensionMismatchError("direction dimension mismatch")
     _require_nonempty(P)
-    out = solve_lp(LinearProgram(w, _constraints(P)))
-    if out.status is LpStatus.UNBOUNDED:
+    n = P.dim
+    lineality, rays = P._dd
+    ws = _cleared(w.coords)[0] + [0]
+    dirs = lineality + [[-c for c in v] for v in lineality]
+    dirs += [y for y in rays if not y[n]]
+    up = next((d for d in dirs if _dot(ws, d) > 0), None)
+    if up is not None:
+        _check_direction(P, up)
         return None
-    opt = out.value
-    extra = (
-        Halfspace(w, opt),
-        Halfspace(Vector([-v for v in w.coords]), -opt),
-    )
+    y = max((y for y in rays if y[n] > 0), key=lambda y: Q(_dot(ws, y), y[n]))
+    if any(_dot(row, y) > 0 for row in P._rows):
+        raise CertificateError(f"face ray {y} violates a halfspace")
+    opt = w.dot(Vector([Q(c, y[n]) for c in y[:n]]))
+    extra = (Halfspace(w, opt), Halfspace(-w, -opt))
     return HPolyhedron(P.halfspaces + extra, P.dim)
 
 

@@ -731,13 +731,8 @@ def check_krein_milman(instance, samples=25, seed=0):
         equal = hull_equal(P, VPolytope(verts, P.dim)) if verts else False
     except UnboundedPolyhedronError:
         equal = False
-    minimal = True
-    prof = profile(VPolytope(verts, P.dim)) if verts else ()
-    for v in prof:
-        rest = tuple(u for u in prof if u != v)
-        if rest and hull_contains(VPolytope(rest, P.dim), v):
-            minimal = False
-            break
+    # `profile` tests each (sorted, distinct) vertex against all the others.
+    minimal = not verts or profile(VPolytope(verts, P.dim)) == verts
     facts["profile_minimal"] = minimal
     failures = []
     if not (equal and minimal):

@@ -2,14 +2,16 @@
 
 `lp_remove_redundant` is the old redundancy loop (one LP per row, rows
 tested in input order) and `lp_boundary_probes` the old probe builder
-(that loop, then 1 + 2n LPs per facet). They referee the incidence rule
-of `HPolyhedron._facets` and keep the programs they hand the simplex in
-the engine's differential corpus.
+(that loop, then 1 + 2n LPs per facet). `lp_max_slack` is the old
+emptiness and interior LP, and `lp_face_optimum` the old exposed-face LP.
+They referee `HPolyhedron._facets`, `is_empty`, `full_dimensional`,
+`interior_point` and `face_in_direction`, and keep the programs they hand
+the simplex in the engine's differential corpus.
 """
 
 import itertools
 
-from convexprofile.core import Q, Vector, interpolate
+from convexprofile.core import Point, Q, Vector, ZERO, interpolate
 from convexprofile.linprog import Constraint, LinearProgram, LpStatus, Relation, solve_lp
 from convexprofile.polyhedra import (
     MAX_VERTEX_ENUM_DIM,
@@ -81,3 +83,30 @@ def lp_boundary_probes(P):
             add(pt)
     probes.sort(key=lambda pt: pt.coords)
     return probes
+
+
+def lp_max_slack(P):
+    """(t, x) maximizing a uniform slack t <= 1: normal_i . x + t <= offset_i.
+
+    The program is always feasible (t may go to -infinity) and bounded, so
+    one solve settles both questions: the interior is non-empty iff t > 0,
+    and P is non-empty iff t >= 0.
+    """
+    n = P.dim
+    if not P.halfspaces:
+        return Q(1), Point([ZERO] * n)
+    cons = [
+        Constraint(Vector([*h.normal.coords, Q(1)]), Relation.LE, h.offset)
+        for h in P.halfspaces
+    ]
+    t_cap = Vector([ZERO] * n + [Q(1)])
+    cons.append(Constraint(t_cap, Relation.LE, Q(1)))
+    out = solve_lp(LinearProgram(t_cap, tuple(cons)))
+    return out.value, Point(out.point.coords[:n])
+
+
+def lp_face_optimum(P, w):
+    """(status, value) of max w . x over P by the simplex."""
+    cons = [Constraint(h.normal, Relation.LE, h.offset) for h in P.halfspaces]
+    out = solve_lp(LinearProgram(w, tuple(cons)))
+    return out.status, out.value

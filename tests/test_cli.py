@@ -513,7 +513,7 @@ CLI_GOLDEN_IDS = [
     # 101 vertices, 202 probes: 20,301 pairs, 4.5 times the 48-gon's 4,560
     ("convexity", "circle101.json", _circle101_doc,
      "fb453e00e840ee154ec918110a053903187763accdf02de4224d86b51f792fe8"),
-    # a 102-row slack LP and a 101-edge kernel
+    # a 101-edge kernel and its 102-row double description
     ("kernel", "circle101.json", _circle101_doc,
      "e4bf33f9615c2353636813fed556dd1f0e4d70875687c459ebf2809795210c1c"),
 ], ids=PLANAR_GOLDEN_IDS)

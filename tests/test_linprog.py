@@ -25,10 +25,11 @@ from convexprofile.linprog import (
 )
 from convexprofile.polyhedra import (
     VPolytope,
+    _signed_axes,
     extreme_points,
     hull_contains,
 )
-from lp_reference import lp_boundary_probes
+from lp_reference import lp_boundary_probes, lp_face_optimum, lp_max_slack
 
 
 def dual_of(lp):
@@ -429,9 +430,9 @@ def _program(lp):
 
 
 def _polyhedral_programs():
-    """The engine's arguments in the LP redundancy loop, the LP boundary
-    probes and hull membership, on seeded polyhedra and polytopes in
-    E^2..E^4."""
+    """The engine's arguments in the max-slack LP, the LP redundancy loop,
+    the LP boundary probes, the LP face optima along the signed axes and
+    hull membership, on seeded polyhedra and polytopes in E^2..E^4."""
     programs = []
     engine = linprog._solve_max
 
@@ -444,8 +445,14 @@ def _polyhedral_programs():
         mp.setattr(linprog, "_solve_max", capture)
         for dim in (2, 3, 4):
             for _ in range(2):
-                lp_boundary_probes(random_hpolyhedron(rng, dim))
-            gens = extreme_points(random_bounded_polytope(rng, dim))
+                P = random_hpolyhedron(rng, dim)
+                lp_max_slack(P)
+                lp_boundary_probes(P)
+                for w in _signed_axes(dim):
+                    lp_face_optimum(P, w)
+            P = random_bounded_polytope(rng, dim)
+            lp_max_slack(P)
+            gens = extreme_points(P)
             hull = VPolytope(gens, dim)
             for _ in range(6):
                 x = Point([Q(rng.randint(-24, 24), 4) for _ in range(dim)])

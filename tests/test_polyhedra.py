@@ -1,3 +1,4 @@
+import collections
 import hashlib
 import itertools
 import json
@@ -53,6 +54,7 @@ from convexprofile.polyhedra import (
     face_in_direction,
     hull_contains,
     hull_equal,
+    interior_point,
     is_bounded,
     is_empty,
     is_vertex,
@@ -63,7 +65,7 @@ from convexprofile.polyhedra import (
     remove_redundant,
 )
 from convexprofile.regions2d import SimplePolygon, circle_points, kernel
-from lp_reference import lp_remove_redundant
+from lp_reference import lp_face_optimum, lp_max_slack, lp_remove_redundant
 
 H = Halfspace
 V = vector
@@ -120,16 +122,11 @@ def test_locate_point_empty_is_an_error():
         locate_point(empty, point(0))
 
 
-def test_emptiness_and_location_solve_one_lp_per_polyhedron(monkeypatch):
-    from convexprofile import linprog, polyhedra
+def test_emptiness_and_location_solve_no_lp(monkeypatch):
+    from convexprofile import linprog
 
-    solves = []
-    solve = linprog.solve_lp
     monkeypatch.setattr(
-        polyhedra, "solve_lp", lambda lp: solves.append(lp) or solve(lp)
-    )
-    monkeypatch.setattr(
-        polyhedra, "is_feasible", lambda *a, **k: pytest.fail("extra LP")
+        linprog, "_solve_max", lambda *a: pytest.fail("LP solved")
     )
     seg = HPolyhedron(
         (H(V(0, 1), 0), H(V(0, -1), 0), H(V(1, 0), 1), H(V(-1, 0), 0)), 2
@@ -137,12 +134,15 @@ def test_emptiness_and_location_solve_one_lp_per_polyhedron(monkeypatch):
     for k in range(5):
         assert not is_empty(seg)
         assert locate_point(seg, point(Q(k, 4), 0)) is PointLocation.BOUNDARY
+    assert not seg.full_dimensional and interior_point(seg) is None
+    assert face_in_direction(seg, V(1, 0)).halfspaces[-1].offset == -1
+    assert interior_point(unit_square()) == point(Q(1, 2), Q(1, 2))
+    assert face_in_direction(halfplane(), V(1, 0)) is None
     empty = HPolyhedron((H(V(1), 0), H(V(-1), -1)), 1)
     for _ in range(3):
-        assert is_empty(empty)
+        assert is_empty(empty) and not empty.full_dimensional
         with pytest.raises(EmptyPolyhedronError):
             locate_point(empty, point(0))
-    assert len(solves) == 2
 
 
 def test_is_bounded_examples():
@@ -329,9 +329,10 @@ def test_forged_recession_rays_raise(ray, match, monkeypatch):
         is_bounded(unit_square())
 
 
-def _forgery_verdicts_under_python_O(function, forgeries):
-    """Run polyhedra.<function> on a fresh unit square per forged ray under
-    python -O; return the printed optimize flag and one verdict per ray."""
+def _forgery_verdicts_under_python_O(function, forgeries, args=""):
+    """Run polyhedra.<function>(square<args>) on a fresh unit square per
+    forged ray under python -O; return the printed optimize flag and one
+    verdict per ray."""
     script = textwrap.dedent(
         f"""
         import sys
@@ -358,7 +359,7 @@ def _forgery_verdicts_under_python_O(function, forgeries):
                 2,
             )
             try:
-                polyhedra.{function}(square)
+                polyhedra.{function}(square{args})
                 print("accepted")
             except CertificateError:
                 print("CertificateError")
@@ -420,6 +421,41 @@ def test_forged_probe_rays_raise_under_python_O():
     assert verdicts == ["1"] + ["CertificateError"] * 2
 
 
+# A ray whose addition puts the unit square's ray sum (5, 3, 5) on x <= 1.
+INTERIOR_FORGERIES = [((3, 1, 1), "interior")]
+# Rays that would make the unit square's face in direction (1, 0) leave it.
+FACE_FORGERIES = [
+    ((2, 0, 1), "violates"),  # the optimum at (2, 0), outside x <= 1
+    ((1, 0, 0), "recession"),  # x unbounded along (1, 0)
+]
+
+
+def test_forged_ray_sum_raises(monkeypatch):
+    ray, match = INTERIOR_FORGERIES[0]
+    monkeypatch.setattr(polyhedra, "_double_description", _forge(ray))
+    with pytest.raises(CertificateError, match=match):
+        interior_point(unit_square())
+
+
+@pytest.mark.parametrize("ray, match", FACE_FORGERIES,
+                         ids=["outside", "unbounded"])
+def test_forged_face_rays_raise(ray, match, monkeypatch):
+    monkeypatch.setattr(polyhedra, "_double_description", _forge(ray))
+    with pytest.raises(CertificateError, match=match):
+        face_in_direction(unit_square(), V(1, 0))
+
+
+def test_forged_ray_sum_and_face_rays_raise_under_python_O():
+    verdicts = _forgery_verdicts_under_python_O(
+        "interior_point", INTERIOR_FORGERIES
+    )
+    assert verdicts == ["1", "CertificateError"]
+    verdicts = _forgery_verdicts_under_python_O(
+        "face_in_direction", FACE_FORGERIES, ", vector(1, 0)"
+    )
+    assert verdicts == ["1"] + ["CertificateError"] * 2
+
+
 def test_probes_and_redundancy_solve_no_lp(monkeypatch):
     from convexprofile import linprog
 
@@ -429,8 +465,6 @@ def test_probes_and_redundancy_solve_no_lp(monkeypatch):
         P = random_hpolyhedron(rng, dim)
         face = face_in_direction(P, random_direction(rng, dim))
         shapes += [P, _with_copies(P)] + ([face] if face is not None else [])
-    for P in shapes:
-        P._slack  # the one LP per polyhedron, cached
     monkeypatch.setattr(
         linprog, "_solve_max", lambda *a: pytest.fail("LP solved")
     )
@@ -655,7 +689,7 @@ def test_one_double_description_and_no_lp_per_polyhedron(monkeypatch):
     )
     shapes = (unit_square(), cone(), halfplane(), slab())
     for P in shapes:
-        assert P.full_dimensional  # the slack LP, cached
+        assert P.full_dimensional  # the double description, cached
     for name in ("solve_lp", "is_feasible", "solve_nonneg_feasibility"):
         monkeypatch.setattr(
             polyhedra, name, lambda *a, **k: pytest.fail("LP solved")
@@ -735,6 +769,62 @@ def test_facets_match_the_lp_redundancy_oracle():
     digest = hashlib.sha256(json.dumps(kept_lists).encode()).hexdigest()
     assert digest == LP_FACETS_DIGEST
     assert count > 200 and flat > 60 and repeats > 100
+
+
+def _oracle_instances():
+    """`_redundancy_instances`, empty polyhedra (one with a lineality
+    direction) and lower-dimensional ones: a point, a line, E^2 itself."""
+    yield from _redundancy_instances()
+    yield HPolyhedron((H(V(1), 0), H(V(-1), -1)), 1)
+    yield HPolyhedron((H(V(1, 0), 0), H(V(-1, 0), -1)), 2)
+    yield HPolyhedron((H(V(-1, 0), 0), H(V(0, -1), 0), H(V(1, 1), -1)), 2)
+    yield HPolyhedron((H(V(1, 1, 1), 1), H(V(-1, -1, -1), -2)), 3)
+    yield HPolyhedron(
+        (H(V(1, 0), 2), H(V(-1, 0), -2), H(V(0, 1), 3), H(V(0, -1), -3)), 2
+    )
+    yield HPolyhedron((H(V(1, -1), 1), H(V(-1, 1), -1)), 2)
+    yield HPolyhedron((), 2)
+
+
+def test_dd_answers_match_the_lp_oracles(monkeypatch):
+    from convexprofile import linprog
+
+    rng = rng_from_seed(4100)
+    cases = []
+    for P in _oracle_instances():
+        ws = [random_direction(rng, P.dim), *polyhedra._signed_axes(P.dim)]
+        cases.append(
+            (P, ws, lp_max_slack(P)[0], [lp_face_optimum(P, w) for w in ws])
+        )
+    monkeypatch.setattr(
+        linprog, "_solve_max", lambda *a: pytest.fail("LP solved")
+    )
+    seen = collections.Counter()
+    for P, ws, slack, optima in cases:
+        assert is_empty(P) == (slack < 0), P
+        assert P.full_dimensional == (slack > 0), P
+        x = interior_point(P)
+        assert (x is None) == (slack <= 0), P
+        if x is not None:
+            assert all(h.value(x) < h.offset for h in P.halfspaces), P
+            assert locate_point(P, x) is PointLocation.INTERIOR
+        seen["empty" if slack < 0 else "flat" if slack == 0 else "full"] += 1
+        for w, (status, value) in zip(ws, optima):
+            seen[status] += 1
+            if status is LpStatus.INFEASIBLE:
+                with pytest.raises(EmptyPolyhedronError):
+                    face_in_direction(P, w)
+                continue
+            face = face_in_direction(P, w)
+            if status is LpStatus.UNBOUNDED:
+                assert face is None, (P, w)
+            else:
+                assert face.halfspaces == P.halfspaces + (
+                    H(w, value), H(-w, -value)
+                ), (P, w)
+    assert seen["empty"] == 4 and seen["flat"] > 120 and seen["full"] > 150
+    assert seen[LpStatus.INFEASIBLE] == 20
+    assert seen[LpStatus.OPTIMAL] > 1000 and seen[LpStatus.UNBOUNDED] > 100
 
 
 def test_halfspace_invariants():

@@ -212,7 +212,6 @@ def test_clip_line_direction_of_the_wrong_dimension_raises(P):
 
 def test_polyhedron_predicates_do_not_evaluate_rational_dot_products(monkeypatch):
     box = HPolyhedron(tuple(box_halfspaces(2, 1)), 2)
-    interior_point(box)  # the slack LP, solved once and cached
 
     def refuse(self, x):
         raise AssertionError("Halfspace.value evaluated")

@@ -363,7 +363,7 @@ EPIGRAPH_CHORD_FAILURES = (
     (_set("_find_boundary_chord", lambda P, x: None),
      lambda: check_boundary_hull(cone_fixture(), 3, 5),
      tuple({"no_chord_through": x}
-           for x in (["0", "1"], ["11/4", "49/16"], ["5", "43/8"]))),
+           for x in (["0", "2"], ["11/4", "27/8"], ["5", "23/4"]))),
     (_set("chord_find", _chord_too_high),
      lambda: check_boundary_hull(parabola_fixture(), 2, 5),
      EPIGRAPH_CHORD_FAILURES),
