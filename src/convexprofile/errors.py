@@ -9,10 +9,6 @@ class DimensionMismatchError(ConvexProfileError):
     """Operands live in different ambient dimensions."""
 
 
-class UnsupportedDimensionError(ConvexProfileError):
-    """Requested operation only supports desk-scale dimensions (n <= 4)."""
-
-
 class EmptyPolyhedronError(ConvexProfileError):
     """The polyhedron is empty; the operation requires a non-empty set."""
 

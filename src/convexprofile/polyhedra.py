@@ -2,14 +2,15 @@
 
 Each polyhedron caches its halfspaces as primitive integer rows and one
 integer double description of its homogenized cone (no cap on the number
-of constraints). Emptiness, full-dimensionality, an interior point, the
-vertices (n <= 4), boundedness, the boundary-ray test, exposed faces,
-redundancy and the facet probes are read from it with no LP. Membership,
-segment breakpoints and line clipping read the signs of the rows at the
-point with its denominators cleared. Every certificate (vertex, interior
-point, face optimum, recession ray, probe) is re-verified by substitution.
-LPs remain where the optimum is reported or the set is a V-polytope:
-`feasible_point`, `recession_direction` and `hull_contains`.
+of constraints or on the dimension). Every question about an H-polyhedron
+is read from it with no LP: emptiness and a member point, full-dimensionality,
+an interior point, the vertices, boundedness and a recession direction, the
+boundary-ray test, exposed faces, redundancy and the facet probes.
+Membership, segment breakpoints and line clipping read the signs of the
+rows at the point with its denominators cleared. Every certificate (member
+point, vertex, interior point, face optimum, recession ray, probe) is
+re-verified by substitution. The one LP left is V-polytope membership,
+`hull_contains` (and so `profile`).
 """
 
 from __future__ import annotations
@@ -38,19 +39,8 @@ from .errors import (
     EmptyPolyhedronError,
     NonFullDimensionalError,
     UnboundedPolyhedronError,
-    UnsupportedDimensionError,
 )
-from .linprog import (
-    Constraint,
-    LinearProgram,
-    LpStatus,
-    Relation,
-    is_feasible,
-    solve_lp,
-    solve_nonneg_feasibility,
-)
-
-MAX_VERTEX_ENUM_DIM = 4
+from .linprog import solve_nonneg_feasibility
 
 
 @dataclass(frozen=True)
@@ -116,6 +106,17 @@ class HPolyhedron:
         {(x, t) : row . (x, t) <= 0, t >= 0}."""
         n = self.dim
         return _double_description(self._rows + [(0,) * n + (-1,)], n + 1)
+
+    @cached_property
+    def _member(self):
+        """The first ray (x, t) of `_dd` with t > 0 as the point x / t, or
+        None when P is empty. The ray is re-checked against every row."""
+        y = next((y for y in self._dd[1] if y[-1] > 0), None)
+        if y is None:
+            return None
+        if any(_dot(row, y) > 0 for row in self._rows):
+            raise CertificateError(f"member ray {y} violates a halfspace")
+        return Point([Q(c, y[-1]) for c in y[:-1]])
 
     @cached_property
     def _rank(self):
@@ -209,15 +210,13 @@ class PointLocation(Enum):
 
 def is_empty(P):
     """Whether P has no point: no ray of `_dd` has t > 0."""
-    return not any(y[-1] for y in P._dd[1])
+    return P._member is None
 
 
 def feasible_point(P):
-    cons = [Constraint(h.normal, Relation.LE, h.offset) for h in P.halfspaces]
-    ok, witness = is_feasible(tuple(cons), dim=P.dim)
-    if not ok:
-        raise EmptyPolyhedronError("polyhedron is empty")
-    return witness
+    """A member point of P (`HPolyhedron._member`), or EmptyPolyhedronError."""
+    _require_nonempty(P)
+    return P._member
 
 
 def _require_nonempty(P):
@@ -271,17 +270,22 @@ def box_halfspaces(dim, bound):
     return [Halfspace(u, bound) for u in _signed_axes(dim)]
 
 
-def is_bounded(P):
-    """Whether the non-empty P is bounded: its homogenized cone has no
-    lineality and no ray with t = 0 (such a ray (d, 0) is a recession
-    direction d of P). The direction is re-checked in integers first."""
-    _require_nonempty(P)
+def _recession_generators(P):
+    """The vectors (d, 0) of `_dd` whose d generate P's recession cone, in
+    order: the lineality vectors, their negations, the rays with t = 0."""
     lineality, rays = P._dd
-    y = next(itertools.chain(lineality, (y for y in rays if not y[-1])), None)
-    if y is None:
-        return True
-    _check_direction(P, y)
-    return False
+    negated = [tuple(-c for c in v) for v in lineality]
+    return lineality + negated + [y for y in rays if not y[-1]]
+
+
+def is_bounded(P):
+    """Whether the non-empty P is bounded: it has no recession generator.
+    The first one is re-checked in integers as a recession direction."""
+    _require_nonempty(P)
+    dirs = _recession_generators(P)
+    if dirs:
+        _check_direction(P, dirs[0])
+    return not dirs
 
 
 def _check_direction(P, y):
@@ -292,18 +296,20 @@ def _check_direction(P, y):
 
 
 def recession_direction(P):
-    """Some nonzero recession direction, or None when P is bounded: the
-    optimal d of the first signed axis u with a positive max u . d over
-    {d : A d <= 0, u . d <= 1}. It is a reported witness, so it is not read
-    from the double description (on y >= |x| that gives (-1, 1), not (1, 1)).
-    """
+    """Some nonzero recession direction, or None when P is bounded: for the
+    first signed axis u that is positive on a recession generator, the first
+    such generator d, scaled to u . d = 1 and re-checked. A linear form is
+    positive somewhere on a cone iff it is positive on a generator, so u is
+    the first axis whose max u . d over {d : A d <= 0, u . d <= 1} is
+    positive, and 1 is that max."""
     _require_nonempty(P)
-    base = [Constraint(h.normal, Relation.LE, ZERO) for h in P.halfspaces]
-    for probe in _signed_axes(P.dim):
-        cons = base + [Constraint(probe, Relation.LE, Q(1))]
-        out = solve_lp(LinearProgram(probe, tuple(cons)))
-        if out.status is LpStatus.OPTIMAL and out.value > 0:
-            return Vector(out.point.coords)
+    dirs = _recession_generators(P)
+    for j in range(P.dim):
+        for s in (1, -1):
+            d = next((d for d in dirs if s * d[j] > 0), None)
+            if d is not None:
+                _check_direction(P, d)
+                return Vector([Q(c, s * d[j]) for c in d[:-1]])
     return None
 
 
@@ -339,16 +345,12 @@ def extreme_points(P):
     The vertices are the extreme rays (x, t) with t > 0 of the cone
     {(x, t) : a . x <= b t for every halfspace, t >= 0}, read from the
     polyhedron's cached integer double description; there is no cap on
-    the number of constraints. Each vertex is re-checked before it is
+    the number of constraints or on the dimension. Each vertex is re-checked before it is
     returned: it satisfies every constraint and its tight normals have rank
     n. Empty iff P contains a line. Deterministic output order (sorted by
     coordinates).
     """
     n = P.dim
-    if n > MAX_VERTEX_ENUM_DIM:
-        raise UnsupportedDimensionError(
-            f"vertex enumeration supports n <= {MAX_VERTEX_ENUM_DIM}"
-        )
     _require_nonempty(P)
     lineality, rays = P._dd
     if lineality:
@@ -563,14 +565,12 @@ def face_in_direction(P, w):
         raise DimensionMismatchError("direction dimension mismatch")
     _require_nonempty(P)
     n = P.dim
-    lineality, rays = P._dd
     ws = _cleared(w.coords)[0] + [0]
-    dirs = lineality + [[-c for c in v] for v in lineality]
-    dirs += [y for y in rays if not y[n]]
-    up = next((d for d in dirs if _dot(ws, d) > 0), None)
+    up = next((d for d in _recession_generators(P) if _dot(ws, d) > 0), None)
     if up is not None:
         _check_direction(P, up)
         return None
+    rays = P._dd[1]
     y = max((y for y in rays if y[n] > 0), key=lambda y: Q(_dot(ws, y), y[n]))
     if any(_dot(row, y) > 0 for row in P._rows):
         raise CertificateError(f"face ray {y} violates a halfspace")

@@ -45,7 +45,6 @@ from .geometry_io import (
     point_to_json,
     vector_to_json,
 )
-from .linprog import Constraint, Relation, is_feasible
 from .polyhedra import (
     Halfspace,
     HPolyhedron,
@@ -214,13 +213,26 @@ def _interior_samples_polyhedron(rng, count, probes, center):
     return pts[:count]
 
 
+def _two_sided_direction(a, b):
+    """A direction d with a . d > 0 > b . d, or None when there is none.
+
+    d = (b.b + a.b) a - (a.a + a.b) b gives a . d = G and b . d = -G, with
+    G = (a.a)(b.b) - (a.b)^2 > 0 unless a and b are parallel; then d = a
+    serves iff a . b < 0.
+    """
+    aa, ab, bb = a.dot(a), a.dot(b), b.dot(b)
+    if aa * bb != ab * ab:
+        return (bb + ab) * a - (aa + ab) * b
+    return a if ab < 0 else None
+
+
 def _two_sided_directions(P):
     """Directions whose line through any interior point is clipped both ways.
 
-    Cheap coordinate directions first; then the exact construction: a
-    direction with a_i . d >= 1 and a_j . d <= -1 is bounded above by
-    constraint i and below by constraint j. Whenever the set contains no
-    hyperplane at least one constraint pair admits such a direction.
+    Cheap coordinate directions first; then, for each ordered pair of
+    constraints (a, b), a direction that a bounds above and b below
+    (`_two_sided_direction`). Whenever the set contains no hyperplane at
+    least one constraint pair admits such a direction.
     """
     dim = P.dim
     for j in range(dim):
@@ -234,20 +246,11 @@ def _two_sided_directions(P):
                 e[i] = Q(1)
                 e[j] = Q(s)
                 yield Vector(e)
-    hs = P.halfspaces
-    for i in range(len(hs)):
-        for j in range(len(hs)):
-            if i == j:
-                continue
-            ok, d = is_feasible(
-                (
-                    Constraint(hs[i].normal, Relation.GE, Q(1)),
-                    Constraint(hs[j].normal, Relation.LE, Q(-1)),
-                ),
-                dim=dim,
-            )
-            if ok:
-                yield Vector(d.coords)
+    normals = [h.normal for h in P.halfspaces]
+    for a, b in itertools.permutations(normals, 2):
+        d = _two_sided_direction(a, b)
+        if d is not None:
+            yield d
 
 
 def _find_boundary_chord(P, x):
@@ -717,13 +720,12 @@ def check_krein_milman(instance, samples=25, seed=0):
     facts["boundary_has_ray"] = not boundary_ray_free
     if not (no_hyperplane and boundary_ray_free):
         witness = None
-        if P.dim <= 4:
-            verts = extreme_points(P)
-            equal, outside = _hull_of_extremes_equals(P, verts, bounded, rng)
-            facts["hull_of_extremes_equals_set"] = equal
-            facts["extreme_count"] = len(verts)
-            if outside is not None:
-                witness = {"member_outside_extreme_hull": point_to_json(outside)}
+        verts = extreme_points(P)
+        equal, outside = _hull_of_extremes_equals(P, verts, bounded, rng)
+        facts["hull_of_extremes_equals_set"] = equal
+        facts["extreme_count"] = len(verts)
+        if outside is not None:
+            witness = {"member_outside_extreme_hull": point_to_json(outside)}
         return _violated("thm-13", P, witness, facts)
     verts = extreme_points(P)
     facts["extreme_count"] = len(verts)

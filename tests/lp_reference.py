@@ -3,18 +3,28 @@
 `lp_remove_redundant` is the old redundancy loop (one LP per row, rows
 tested in input order) and `lp_boundary_probes` the old probe builder
 (that loop, then 1 + 2n LPs per facet). `lp_max_slack` is the old
-emptiness and interior LP, and `lp_face_optimum` the old exposed-face LP.
-They referee `HPolyhedron._facets`, `is_empty`, `full_dimensional`,
-`interior_point` and `face_in_direction`, and keep the programs they hand
-the simplex in the engine's differential corpus.
+emptiness and interior LP, `lp_face_optimum` the old exposed-face LP,
+`lp_feasible_point` the old phase-one member point, `lp_recession_direction`
+the old signed-axis recession LPs and `lp_two_sided_direction` the old
+per-pair chord direction LP. They referee `HPolyhedron._facets`,
+`is_empty`, `full_dimensional`, `interior_point`, `face_in_direction`,
+`feasible_point`, `recession_direction`, `is_bounded`, `boundary_has_ray`
+and `theorems._two_sided_direction`, and keep the programs they hand the
+simplex in the engine's differential corpus.
 """
 
 import itertools
 
 from convexprofile.core import Point, Q, Vector, ZERO, interpolate
-from convexprofile.linprog import Constraint, LinearProgram, LpStatus, Relation, solve_lp
+from convexprofile.linprog import (
+    Constraint,
+    LinearProgram,
+    LpStatus,
+    Relation,
+    is_feasible,
+    solve_lp,
+)
 from convexprofile.polyhedra import (
-    MAX_VERTEX_ENUM_DIM,
     _require_nonempty,
     _signed_axes,
     extreme_points,
@@ -54,9 +64,8 @@ def lp_boundary_probes(P):
             seen.add(pt.coords)
             probes.append(pt)
 
-    if P.dim <= MAX_VERTEX_ENUM_DIM:
-        for v in extreme_points(P):
-            add(v)
+    for v in extreme_points(P):
+        add(v)
     reduced = [P.halfspaces[i] for i in lp_remove_redundant(P)]
     box = Q(8)
     axes = _signed_axes(P.dim)
@@ -110,3 +119,37 @@ def lp_face_optimum(P, w):
     cons = [Constraint(h.normal, Relation.LE, h.offset) for h in P.halfspaces]
     out = solve_lp(LinearProgram(w, tuple(cons)))
     return out.status, out.value
+
+
+def lp_feasible_point(P):
+    """The phase-one witness of P's halfspaces, or None when P is empty."""
+    cons = [Constraint(h.normal, Relation.LE, h.offset) for h in P.halfspaces]
+    ok, witness = is_feasible(tuple(cons), dim=P.dim)
+    return witness if ok else None
+
+
+def lp_recession_direction(P, extra_eq=None):
+    """(u, d) for the first signed axis u with a positive max u . d over
+    {d : A d <= 0, u . d <= 1} (and extra_eq . d = 0), d its optimum; or
+    None when that cone is {0}."""
+    base = [Constraint(h.normal, Relation.LE, ZERO) for h in P.halfspaces]
+    if extra_eq is not None:
+        base.append(Constraint(extra_eq, Relation.EQ, ZERO))
+    for u in _signed_axes(P.dim):
+        cons = base + [Constraint(u, Relation.LE, Q(1))]
+        out = solve_lp(LinearProgram(u, tuple(cons)))
+        if out.status is LpStatus.OPTIMAL and out.value > 0:
+            return u, Vector(out.point.coords)
+    return None
+
+
+def lp_two_sided_direction(a, b):
+    """A direction d with a . d >= 1 and b . d <= -1 by phase one, or None."""
+    ok, d = is_feasible(
+        (
+            Constraint(a, Relation.GE, Q(1)),
+            Constraint(b, Relation.LE, Q(-1)),
+        ),
+        dim=a.dim,
+    )
+    return Vector(d.coords) if ok else None

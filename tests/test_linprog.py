@@ -29,7 +29,14 @@ from convexprofile.polyhedra import (
     extreme_points,
     hull_contains,
 )
-from lp_reference import lp_boundary_probes, lp_face_optimum, lp_max_slack
+from lp_reference import (
+    lp_boundary_probes,
+    lp_face_optimum,
+    lp_feasible_point,
+    lp_max_slack,
+    lp_recession_direction,
+    lp_two_sided_direction,
+)
 
 
 def dual_of(lp):
@@ -431,8 +438,10 @@ def _program(lp):
 
 def _polyhedral_programs():
     """The engine's arguments in the max-slack LP, the LP redundancy loop,
-    the LP boundary probes, the LP face optima along the signed axes and
-    hull membership, on seeded polyhedra and polytopes in E^2..E^4."""
+    the LP boundary probes, the LP face optima along the signed axes, the
+    phase-one member point, the recession LPs, the chord direction LP of
+    the first two rows and hull membership, on seeded polyhedra and
+    polytopes in E^2..E^4."""
     programs = []
     engine = linprog._solve_max
 
@@ -450,6 +459,11 @@ def _polyhedral_programs():
                 lp_boundary_probes(P)
                 for w in _signed_axes(dim):
                     lp_face_optimum(P, w)
+                lp_feasible_point(P)
+                lp_recession_direction(P)
+                hs = P.halfspaces
+                if len(hs) > 1:
+                    lp_two_sided_direction(hs[0].normal, hs[1].normal)
             P = random_bounded_polytope(rng, dim)
             lp_max_slack(P)
             gens = extreme_points(P)

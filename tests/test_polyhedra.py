@@ -28,7 +28,6 @@ from convexprofile.errors import (
     CertificateError,
     EmptyPolyhedronError,
     UnboundedPolyhedronError,
-    UnsupportedDimensionError,
 )
 from convexprofile.generators import (
     random_bounded_polytope,
@@ -36,13 +35,7 @@ from convexprofile.generators import (
     random_hpolyhedron,
     rng_from_seed,
 )
-from convexprofile.linprog import (
-    Constraint,
-    LinearProgram,
-    LpStatus,
-    Relation,
-    solve_lp,
-)
+from convexprofile.linprog import LpStatus
 from convexprofile.polyhedra import (
     Halfspace,
     HPolyhedron,
@@ -52,6 +45,7 @@ from convexprofile.polyhedra import (
     contains_hyperplane,
     extreme_points,
     face_in_direction,
+    feasible_point,
     hull_contains,
     hull_equal,
     interior_point,
@@ -62,10 +56,19 @@ from convexprofile.polyhedra import (
     locate_point,
     polyhedron_boundary_probes,
     profile,
+    recession_direction,
     remove_redundant,
 )
 from convexprofile.regions2d import SimplePolygon, circle_points, kernel
-from lp_reference import lp_face_optimum, lp_max_slack, lp_remove_redundant
+from convexprofile.theorems import _two_sided_direction
+from lp_reference import (
+    lp_face_optimum,
+    lp_feasible_point,
+    lp_max_slack,
+    lp_recession_direction,
+    lp_remove_redundant,
+    lp_two_sided_direction,
+)
 
 H = Halfspace
 V = vector
@@ -329,10 +332,14 @@ def test_forged_recession_rays_raise(ray, match, monkeypatch):
         is_bounded(unit_square())
 
 
-def _forgery_verdicts_under_python_O(function, forgeries, args=""):
-    """Run polyhedra.<function>(square<args>) on a fresh unit square per
-    forged ray under python -O; return the printed optimize flag and one
-    verdict per ray."""
+UNIT_SQUARE_ROWS = (((-1, 0), 0), ((1, 0), 1), ((0, -1), 0), ((0, 1), 1))
+
+
+def _forgery_verdicts_under_python_O(function, forgeries, args="",
+                                     rows=UNIT_SQUARE_ROWS):
+    """Run polyhedra.<function>(shape<args>) on a fresh polyhedron with the
+    (normal, offset) rows, the unit square by default, per forged ray under
+    python -O; return the printed optimize flag and one verdict per ray."""
     script = textwrap.dedent(
         f"""
         import sys
@@ -352,14 +359,13 @@ def _forgery_verdicts_under_python_O(function, forgeries, args=""):
 
         for ray, _ in {forgeries!r}:
             polyhedra._double_description = forge(ray)
-            # A fresh square: each polyhedron caches its description.
-            square = HPolyhedron(
-                tuple(Halfspace(vector(*n), o) for n, o in
-                      (((-1, 0), 0), ((1, 0), 1), ((0, -1), 0), ((0, 1), 1))),
-                2,
+            # A fresh shape: each polyhedron caches its description.
+            shape = HPolyhedron(
+                tuple(Halfspace(vector(*n), o) for n, o in {rows!r}),
+                {len(rows[0][0])},
             )
             try:
-                polyhedra.{function}(square{args})
+                polyhedra.{function}(shape{args})
                 print("accepted")
             except CertificateError:
                 print("CertificateError")
@@ -390,6 +396,37 @@ def test_forged_recession_rays_raise_under_python_O():
         "is_bounded", RECESSION_FORGERIES
     )
     assert verdicts == ["1"] + ["CertificateError"] * 2
+
+
+def test_forged_recession_direction_raises(monkeypatch):
+    ray, match = RECESSION_FORGERIES[0]
+    monkeypatch.setattr(polyhedra, "_double_description", _forge(ray))
+    with pytest.raises(CertificateError, match=match):
+        recession_direction(unit_square())
+    verdicts = _forgery_verdicts_under_python_O(
+        "recession_direction", RECESSION_FORGERIES[:1]
+    )
+    assert verdicts == ["1", "CertificateError"]
+
+
+# {x <= 0, x >= 1} is empty; the forged ray (0, 1) would put 0 in it.
+EMPTY_ROWS = (((1,), 0), ((-1,), -1))
+MEMBER_FORGERIES = [((0, 1), "member")]
+
+
+def test_forged_member_ray_raises(monkeypatch):
+    ray, match = MEMBER_FORGERIES[0]
+    monkeypatch.setattr(polyhedra, "_double_description", _forge(ray))
+    for query in (is_empty, lambda E: locate_point(E, point(0))):
+        with pytest.raises(CertificateError, match=match):
+            query(HPolyhedron(tuple(H(V(*n), o) for n, o in EMPTY_ROWS), 1))
+
+
+def test_forged_member_ray_raises_under_python_O():
+    verdicts = _forgery_verdicts_under_python_O(
+        "is_empty", MEMBER_FORGERIES, rows=EMPTY_ROWS
+    )
+    assert verdicts == ["1", "CertificateError"]
 
 
 # Rays incident to the unit square's top row y <= 1 whose probes leave it.
@@ -474,7 +511,7 @@ def test_probes_and_redundancy_solve_no_lp(monkeypatch):
     assert not all(P.full_dimensional for P in shapes)
 
 
-def test_extreme_points_dimension_guard():
+def test_extreme_points_of_the_5_box():
     box5 = HPolyhedron(
         tuple(
             H(V(*[(1 if j == i else 0) for j in range(5)]), 1)
@@ -486,8 +523,10 @@ def test_extreme_points_dimension_guard():
         ),
         5,
     )
-    with pytest.raises(UnsupportedDimensionError):
-        extreme_points(box5)
+    verts = extreme_points(box5)
+    assert verts == tuple(
+        Point(c) for c in itertools.product((0, 1), repeat=5)
+    )
 
 
 def _hull_contains_bruteforce(generators, x):
@@ -609,26 +648,12 @@ def test_boundary_has_ray_examples():
     assert boundary_has_ray(halfplane())
 
 
-def _lp_cone_has_nonzero(halfspaces, dim, extra_eq=None):
-    """Reference oracle: whether {d : A d <= 0 (and eq . d = 0)} has d != 0,
-    by maximizing each signed axis over the cone cut by that axis <= 1."""
-    base = [Constraint(h.normal, Relation.LE, Q(0)) for h in halfspaces]
-    if extra_eq is not None:
-        base.append(Constraint(extra_eq, Relation.EQ, Q(0)))
-    for probe in polyhedra._signed_axes(dim):
-        cons = base + [Constraint(probe, Relation.LE, Q(1))]
-        out = solve_lp(LinearProgram(probe, tuple(cons)))
-        if out.status is LpStatus.OPTIMAL and out.value > 0:
-            return True
-    return False
-
-
 def _lp_boundary_has_ray(P):
     """Reference oracle: whether some facet of P has a nonzero recession
     direction, one cone LP family per irredundant constraint."""
     reduced = remove_redundant(P)
     return any(
-        _lp_cone_has_nonzero(reduced.halfspaces, P.dim, extra_eq=h.normal)
+        lp_recession_direction(reduced, extra_eq=h.normal) is not None
         for h in reduced.halfspaces
     )
 
@@ -668,7 +693,7 @@ def test_boundedness_and_boundary_rays_match_the_lp_oracles():
     count = full = unbounded = rays = 0
     for P in _boundedness_instances():
         bounded = is_bounded(P)
-        assert bounded == (not _lp_cone_has_nonzero(P.halfspaces, P.dim)), P
+        assert bounded == (lp_recession_direction(P) is None), P
         if P.full_dimensional:
             ray = boundary_has_ray(P)
             assert ray == _lp_boundary_has_ray(P), P
@@ -680,6 +705,8 @@ def test_boundedness_and_boundary_rays_match_the_lp_oracles():
 
 
 def test_one_double_description_and_no_lp_per_polyhedron(monkeypatch):
+    from convexprofile import linprog
+
     runs = []
     real = polyhedra._double_description
     monkeypatch.setattr(
@@ -690,10 +717,9 @@ def test_one_double_description_and_no_lp_per_polyhedron(monkeypatch):
     shapes = (unit_square(), cone(), halfplane(), slab())
     for P in shapes:
         assert P.full_dimensional  # the double description, cached
-    for name in ("solve_lp", "is_feasible", "solve_nonneg_feasibility"):
-        monkeypatch.setattr(
-            polyhedra, name, lambda *a, **k: pytest.fail("LP solved")
-        )
+    monkeypatch.setattr(
+        linprog, "_solve_max", lambda *a: pytest.fail("LP solved")
+    )
     for _ in range(3):
         assert [is_bounded(P) for P in shapes] == [True, False, False, False]
         assert [boundary_has_ray(P) for P in shapes] == [
@@ -825,6 +851,58 @@ def test_dd_answers_match_the_lp_oracles(monkeypatch):
     assert seen["empty"] == 4 and seen["flat"] > 120 and seen["full"] > 150
     assert seen[LpStatus.INFEASIBLE] == 20
     assert seen[LpStatus.OPTIMAL] > 1000 and seen[LpStatus.UNBOUNDED] > 100
+
+
+def test_member_recession_and_chord_directions_match_the_lp_oracles(
+    monkeypatch,
+):
+    from convexprofile import linprog
+
+    cases = [
+        (P, lp_feasible_point(P), lp_recession_direction(P))
+        for P in _oracle_instances()
+    ]
+    # Every ordered pair of rows, each distinct pair of normals once.
+    pairs = dict.fromkeys(
+        pair
+        for P, _, _ in cases
+        for pair in itertools.permutations([h.normal for h in P.halfspaces], 2)
+    )
+    for a, b in pairs:
+        pairs[a, b] = lp_two_sided_direction(a, b)
+    monkeypatch.setattr(
+        linprog, "_solve_max", lambda *a: pytest.fail("LP solved")
+    )
+    seen = collections.Counter()
+    for P, member, ray in cases:
+        if member is None:
+            assert is_empty(P), P
+            for query in (feasible_point, recession_direction):
+                with pytest.raises(EmptyPolyhedronError):
+                    query(P)
+            seen["empty"] += 1
+            continue
+        assert P.contains(feasible_point(P)), P
+        d = recession_direction(P)
+        if ray is None:
+            assert d is None and is_bounded(P), P
+            seen["bounded"] += 1
+            continue
+        u, lp_d = ray
+        first = next(v for v in polyhedra._signed_axes(P.dim) if v.dot(d) > 0)
+        assert first == u and u.dot(d) == u.dot(lp_d) == 1, P
+        assert all(h.normal.dot(d) <= 0 for h in P.halfspaces), P
+        seen["unbounded"] += 1
+        seen["past e_1"] += u != polyhedra._signed_axes(P.dim)[0]
+    for (a, b), lp_d in pairs.items():
+        d = _two_sided_direction(a, b)
+        assert (d is None) == (lp_d is None), (a, b)
+        if d is not None:
+            assert a.dot(d) > 0 > b.dot(d), (a, b)
+        seen["two-sided" if d is not None else "one-sided"] += 1
+    assert seen["empty"] == 4 and seen["bounded"] > 250
+    assert seen["unbounded"] > 30 and seen["past e_1"] > 5
+    assert seen["two-sided"] > 9900 and seen["one-sided"] > 600
 
 
 def test_halfspace_invariants():

@@ -1,4 +1,6 @@
+import collections
 import json
+import traceback
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -10,7 +12,7 @@ from convexprofile.generators import (
     random_direction,
     rng_from_seed,
 )
-from convexprofile import theorems
+from convexprofile import linprog, theorems
 from convexprofile.polyhedra import polyhedron_boundary_probes
 from convexprofile.regions2d import (
     Disk,
@@ -293,6 +295,27 @@ def test_no_generated_instance_is_a_counterexample(theorem_id, seed):
 def test_suite_rejects_unknown_ids():
     with pytest.raises(ValueError):
         run_suite("thm-99")
+
+
+def test_only_hull_membership_solves_lps(monkeypatch):
+    """At criterion 10's settings every LP of every theorem's suite is a
+    V-polytope membership program: the H-polyhedron queries solve none."""
+    engine = linprog._solve_max
+    callers = collections.Counter()
+
+    def record(*args):
+        # the innermost caller in the library outside the LP module
+        frames = [f for f in traceback.extract_stack()[:-1]
+                  if "convexprofile" in f.filename
+                  and not f.filename.endswith("linprog.py")]
+        callers[frames[-1].name] += 1
+        return engine(*args)
+
+    monkeypatch.setattr(linprog, "_solve_max", record)
+    for tid in THEOREM_IDS:
+        assert run_suite(tid, seed=42, instances=8, samples=12,
+                         probe_density=8)
+    assert list(callers) == ["hull_contains"] and callers["hull_contains"] > 20
 
 
 # --- failing conclusions --------------------------------------------------------
