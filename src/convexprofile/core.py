@@ -28,8 +28,11 @@ def rational(value, den=None):
     """Build an exact rational from an int, a 'p/q' or 'p' string, or a rational.
 
     Floats are rejected: silently converting them would smuggle rounding
-    into the exact predicates.
+    into the exact predicates. A rational is returned as it is: it is
+    immutable.
     """
+    if den is None and type(value) is Q:
+        return value
     if isinstance(value, float):
         raise TypeError("refusing to build an exact rational from a float")
     if den is not None:

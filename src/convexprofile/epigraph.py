@@ -3,14 +3,15 @@
 These are the closed, convex, unbounded instances whose boundary (the
 graph) contains no ray: the reconstruction theorems need them to show the
 results reach beyond polytopes. Chord search runs in exact arithmetic and
-certifies its bracket.
+certifies its bracket: one Taylor shift of f over Q, then integer sign
+tests, with the same dyadic result a rational bisection gives.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .core import Q, ZERO, rational
+from .core import Q, ZERO, _cleared, rational
 from .errors import BelowGraphError, InvalidRegionError
 from .polyhedra import PointLocation
 
@@ -62,37 +63,59 @@ def chord_find(epigraph, p):
     """Rationals a <= p.x <= b whose graph chord passes just above p.
 
     The chord height at p.x is exactly >= p.y and <= p.y + CHORD_TOLERANCE.
-    Found by symmetric doubling then bisection on the half-width (the
-    symmetric chord height is strictly increasing in the half-width for a
-    strictly convex f). A boundary point degenerates to a = b = p.x.
+    Found by symmetric doubling then bisection on the half-width t (the
+    symmetric chord height h(t) is strictly increasing in t for a strictly
+    convex f). One Taylor shift of f to p.x gives h(t) - p.y as an even
+    polynomial in t; cleared to integers, every comparison of the search is
+    the sign of an integer at t = T / 2^k, so the bracket is the same dyadic
+    one a rational bisection finds. A boundary point degenerates to
+    a = b = p.x.
     """
     px, py = p.coords
-    fx = epigraph.value(px)
-    if py < fx:
+    c = list(epigraph.poly_coeffs)
+    for i in range(len(c) - 1):
+        for j in range(len(c) - 2, i - 1, -1):
+            c[j] += px * c[j + 1]
+    # c[i] is the coefficient of s^i in f(px + s); c[0] = f(px).
+    if py < c[0]:
         raise BelowGraphError(f"{p!r} lies strictly below the graph")
-    if py == fx:
+    if py == c[0]:
         return px, px
+    # h(t) - py = sum_j c[2j] t^(2j) - py = sum_j G[j] t^(2j) / scale.
+    G, scale = _cleared([c[0] - py] + c[2::2])
+    D = len(G) - 1
 
-    def height(t):
-        return (epigraph.value(px - t) + epigraph.value(px + t)) / 2
+    def excess(T, k):
+        """scale * 4^(kD) * (h(T / 2^k) - py), an integer."""
+        u, acc = T * T, 0
+        for j in range(D, -1, -1):
+            acc = acc * u + (G[j] << 2 * k * (D - j))
+        return acc
 
-    t = Q(1)
+    T = 1
     for _ in range(128):
-        if height(t) >= py:
+        g = excess(T, 0)
+        if g >= 0:
             break
-        t *= 2
+        T *= 2
     else:  # pragma: no cover - convexity guarantees growth
         raise ArithmeticError("chord expansion failed to clear the point")
-    if height(t) == py:
-        return px - t, px + t
-    lo, hi = ZERO, t
-    while height(hi) - py > CHORD_TOLERANCE:
-        mid = (lo + hi) / 2
-        if height(mid) >= py:
-            hi = mid
+    if g == 0:
+        return px - T, px + T
+    # Bisect on lo / 2^k < t <= hi / 2^k, g = excess(hi, k), until
+    # h(hi / 2^k) - py <= CHORD_TOLERANCE.
+    (tol_num,), tol_den = _cleared([CHORD_TOLERANCE])
+    lo, hi, k = 0, T, 0
+    while g * tol_den > (tol_num * scale) << 2 * k * D:
+        k += 1
+        mid, lo, hi = lo + hi, 2 * lo, 2 * hi
+        g_mid = excess(mid, k)
+        if g_mid >= 0:
+            hi, g = mid, g_mid
         else:
-            lo = mid
-    return px - hi, px + hi
+            lo, g = mid, g << 2 * D
+    t = Q(hi, 1 << k)
+    return px - t, px + t
 
 
 # Exact univariate polynomial arithmetic over Q for the convexity decision.

@@ -495,7 +495,7 @@ def check_kernel_characterization(polygon, samples=DEFAULT_SAMPLES, seed=0):
     disagreements = []
     inside = 0
     for x in pts:
-        hrep = all(h.contains(x) for h in ker.halfspaces)
+        hrep = ker.contains(x)
         if hrep:
             inside += 1
         for m in (8, 32):

@@ -1,3 +1,5 @@
+import random
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -64,11 +66,16 @@ def test_chord_find_rejects_points_below_graph():
         chord_find(parabola(), point(1, 0))
 
 
-@given(st.integers(-12, 12), st.integers(1, 40))
-@settings(max_examples=40)
-def test_chord_find_postcondition(xn, lift):
-    epi = parabola()
-    px = Q(xn, 4)
+@given(
+    st.sampled_from([(0, 0, 1), (0, 0, 1, 0, Q(1, 100))]),  # x^2, x^2 + x^4/100
+    st.integers(-12, 12),
+    st.sampled_from([1, 3, 4, 5, 7]),
+    st.integers(1, 40),
+)
+@settings(max_examples=60)
+def test_chord_find_postcondition(coeffs, xn, den, lift):
+    epi = Epigraph1D(coeffs)
+    px = Q(xn, den)
     py = epi.value(px) + Q(lift, 4)
     a, b = chord_find(epi, Point((px, py)))
     assert a <= px <= b
@@ -87,3 +94,76 @@ def test_chord_find_on_quartic(xn, lift):
     a, b = chord_find(epi, Point((px, py)))
     height = epi.chord_value(a, b, px)
     assert 0 <= height - py <= CHORD_TOLERANCE
+
+
+def _rational_chord_find(epi, p):
+    """Reference: the search bisecting on rational half-widths with
+    Fraction polynomial evaluations, as chord_find did before it worked
+    on one integer Taylor shift."""
+    px, py = p.coords
+    fx = epi.value(px)
+    if py < fx:
+        raise BelowGraphError(f"{p!r} lies strictly below the graph")
+    if py == fx:
+        return px, px
+
+    def height(t):
+        return (epi.value(px - t) + epi.value(px + t)) / 2
+
+    t = Q(1)
+    for _ in range(128):
+        if height(t) >= py:
+            break
+        t *= 2
+    else:
+        raise ArithmeticError("chord expansion failed to clear the point")
+    if height(t) == py:
+        return px - t, px + t
+    lo, hi = Q(0), t
+    while height(hi) - py > CHORD_TOLERANCE:
+        mid = (lo + hi) / 2
+        if height(mid) >= py:
+            hi = mid
+        else:
+            lo = mid
+    return px - hi, px + hi
+
+
+_DIFFERENTIAL_POLYS = [
+    (0, 0, 1),  # x^2
+    (1, -1, 2),  # 2x^2 - x + 1
+    (1, -2, 3),  # 3x^2 - 2x + 1
+    (0, 0, 1, 0, Q(1, 100)),  # x^2 + x^4/100
+    (0, 0, 0, 0, 1),  # x^4
+    (Q(3, 7), Q(-5, 3), Q(9, 4), Q(1, 5), Q(1, 3)),
+]
+
+
+@pytest.mark.parametrize("coeffs", _DIFFERENTIAL_POLYS)
+def test_chord_find_matches_the_rational_search(coeffs):
+    rng = random.Random(14)
+    epi = Epigraph1D(coeffs)
+    # 0 is the boundary, 2^-50 lies below the tolerance, 4 ends the
+    # doubling exactly on x^2, 10^6 takes the long doubling path.
+    lifts = [Q(0), Q(1, 2**50), Q(1, 4), Q(5, 3), Q(4), Q(10**6)]
+    for den in (1, 3, 4, 7, 16):
+        for _ in range(6):
+            px = Q(rng.randint(-12, 12), den)
+            for lift in lifts + [Q(rng.randint(1, 40), rng.randint(1, 9))]:
+                p = Point((px, epi.value(px) + lift))
+                assert chord_find(epi, p) == _rational_chord_find(epi, p)
+
+
+def test_chord_find_evaluates_the_polynomial_at_most_once(monkeypatch):
+    calls = []
+    value = Epigraph1D.value
+
+    def counted(self, x):
+        calls.append(x)
+        return value(self, x)
+
+    epi = Epigraph1D((Q(3, 7), Q(-5, 3), Q(9, 4), Q(1, 5), Q(1, 3)))
+    p = Point((Q(2, 3), epi.value(Q(2, 3)) + Q(7, 4)))
+    monkeypatch.setattr(Epigraph1D, "value", counted)
+    chord_find(epi, p)
+    assert len(calls) <= 1
