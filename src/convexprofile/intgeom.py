@@ -14,15 +14,14 @@ their endpoints instead of calling `orient` per edge, so a sight line
 costs a few mask operations plus one linear form per edge that can meet it.
 
 A sight line runs from a boundary point t, whose site is the edge or
-vertex that holds it, to a point x. Once `sight_blocked` has shown the open
-segment free of boundary contact, the segment is one uniform piece, and
-`side_at` reads its location in O(1) from x's masks at t's site and the
-ring's vertex turns: the local wedge test at a boundary point of exact
-visibility-polygon algorithms (Lee 1983; Joe and Simpson 1987).
-
-These functions back the high-volume operations (point-in-polygon,
-visibility) and leave degenerate queries (vertex touches, collinear
-overlaps) to the rational partition machinery.
+vertex that holds it, to a point x. Once `sight_blocked` has shown that no
+edge crosses the open segment, the vertices it finds strictly inside cut
+the segment into pieces t..v1, v1..v2, ..., vj..x, each free of boundary
+contact. `side_at` reads a piece's location in O(1) from x's masks at the
+piece's start site and the ring's vertex turns: the local wedge test at a
+boundary point of exact visibility-polygon algorithms (Lee 1983; Joe and
+Simpson 1987). Every sight-line query on a simple polygon is decided here,
+in integers, vertex contacts and collinear overlaps included.
 """
 
 from __future__ import annotations
@@ -178,10 +177,8 @@ def sight_blocked(verts, x_h, t_h, x_signs, t_signs):
 
     `x_signs` and `t_signs` are the endpoints' `edge_signs` masks. Returns
     True when an edge properly crosses the open sight segment, False when
-    the open segment is free of boundary contact (it is then one uniform
-    piece, which `side_at` locates from a boundary endpoint), and None
-    when a degenerate contact (vertex inside the open segment) requires
-    the exact rational partition fallback.
+    the open segment is free of boundary contact, and otherwise the bit
+    mask of the vertices strictly inside it (tell it from True with `is`).
 
     An edge can cross the segment only if x and t lie strictly on opposite
     sides of its line, and a vertex v_k can lie inside the open segment only
@@ -200,7 +197,7 @@ def sight_blocked(verts, x_h, t_h, x_signs, t_signs):
     A = xy * tw - xw * ty
     B = xw * tx - xx * tw
     C = xx * ty - xy * tx
-    degenerate = False
+    touching = 0
     while candidates:
         bit = candidates & -candidates
         candidates ^= bit
@@ -208,21 +205,21 @@ def sight_blocked(verts, x_h, t_h, x_signs, t_signs):
         ax, ay = verts[i]
         o3 = A * ax + B * ay + C
         if o3 == 0 and strictly_between(as_h(verts[i]), x_h, t_h):
-            degenerate = True
+            touching |= bit
         if across & bit:
             bx, by = verts[(i + 1) % n]
             o4 = A * bx + B * by + C
             if (o3 > 0 and o4 < 0) or (o3 < 0 and o4 > 0):
                 return True
-    return None if degenerate else False
+    return touching or False
 
 
 def side_at(verts, turns, site, x_h, x_signs):
-    """-1 / 0 / +1: the open segment (t, x) is exterior / boundary / interior.
+    """-1 / 0 / +1: (t, x) leaves t into the exterior / boundary / interior.
 
-    Valid once `sight_blocked` has returned False for x and t: no edge
-    meets the open segment and no vertex lies inside it, so its location
-    is the side of x as seen from the boundary point t. `site` is t's
+    The side of x as seen from the boundary point t locates the whole open
+    segment when `sight_blocked` returned False for x and t, and its piece
+    up to the first vertex inside when it returned a mask. `site` is t's
     (k, at_vertex), `turns` the ring's vertex turn signs and `x_signs` x's
     `edge_signs` masks. Inside edge k that side is x's sign for edge k. At
     vertex k, x on the ray along edge k or back along edge k - 1 is
@@ -259,12 +256,15 @@ def segment_in_polygon(verts, turns, x_h, t_h, x_signs, t_signs, t_site):
 
     Both endpoints must already be members, t on the boundary at site
     `t_site`; `x_signs` and `t_signs` are their `edge_signs` masks and
-    `turns` the ring's vertex turn signs. Returns True/False, or None when
-    the query needs the rational partition fallback.
+    `turns` the ring's vertex turn signs. True iff no edge crosses the
+    open segment and no piece from t or a vertex inside toward x is exterior.
     """
-    blocked = sight_blocked(verts, x_h, t_h, x_signs, t_signs)
-    if blocked is True:
+    touching = sight_blocked(verts, x_h, t_h, x_signs, t_signs)
+    if touching is True or side_at(verts, turns, t_site, x_h, x_signs) < 0:
         return False
-    if blocked is None:
-        return None
-    return side_at(verts, turns, t_site, x_h, x_signs) >= 0
+    while touching:
+        k = (touching & -touching).bit_length() - 1
+        touching &= touching - 1
+        if side_at(verts, turns, (k, True), x_h, x_signs) < 0:
+            return False
+    return True

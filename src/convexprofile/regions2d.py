@@ -610,8 +610,9 @@ def _probe(region, x):
     """Validate that x is a boundary point, once per point.
 
     Returns (x, table): on a hole-free polygon table is (homogeneous x,
-    x's edge signs, x's boundary site) for the integer classifier; every
-    other kind has None and goes through the rational partition.
+    x's edge signs, x's boundary site) for the integer classifier, which
+    decides every pair, through vertices too; every other kind has None
+    and goes through the rational partition.
     """
     if x.dim != region.dim:
         raise DimensionMismatchError(f"query point must be {region.dim}D")
@@ -629,9 +630,7 @@ def _classify(region, p_probe, q_probe):
     """The class of a pair of `_probe` results: the one pair classifier."""
     (p, p_table), (q, q_table) = p_probe, q_probe
     if p_table is not None:
-        cls = _classify_by_tables(region.outer, p_table, q_table)
-        if cls is not None:
-            return cls
+        return _classify_by_tables(region.outer, p_table, q_table)
     partition = partition_segment(region, Segment(p, q))
     return _classify_from_partition(region, partition)
 
@@ -664,18 +663,24 @@ def _classify_from_partition(region, partition):
 
 
 def _classify_by_tables(polygon, p_table, q_table):
-    """Integer classification of a hole-free polygon pair; None = fall back."""
+    """Integer classification of a hole-free polygon pair.
+
+    A vertex inside the open segment is a boundary member, so a pair through
+    vertices is Flat when every piece between them is boundary, else Mixed.
+    """
     (p_h, p_signs, p_site), (q_h, q_signs, _) = p_table, q_table
-    verts = polygon._ivertices
-    blocked = intgeom.sight_blocked(verts, p_h, q_h, p_signs, q_signs)
-    if blocked is True:
+    verts, turns = polygon._ivertices, polygon._turns
+    touching = intgeom.sight_blocked(verts, p_h, q_h, p_signs, q_signs)
+    if touching is True:
         return PairClass.MIXED
-    if blocked is None:
-        return None
-    # No crossing and no vertex inside the open segment: one uniform piece,
-    # located by q's side at p's vertex or edge. A boundary piece can only
-    # run along an edge from p, so the whole open segment is boundary.
-    code = intgeom.side_at(verts, polygon._turns, p_site, q_h, q_signs)
+    code = intgeom.side_at(verts, turns, p_site, q_h, q_signs)
+    while touching:
+        k = (touching & -touching).bit_length() - 1
+        touching &= touching - 1
+        if code or intgeom.side_at(verts, turns, (k, True), q_h, q_signs):
+            return PairClass.MIXED
+    # One piece, or boundary pieces only: a boundary piece can only run
+    # along an edge from its start, so the whole open segment is boundary.
     if code > 0:
         return PairClass.HYPERBOLIC
     if code < 0:
@@ -797,7 +802,8 @@ def kernel_contains_by_visibility(polygon, x, boundary_samples):
 
     True iff x sees every vertex and every sampled edge point (rational
     parameters k/m along each edge). Independent of the halfplane
-    construction in kernel(); the two must agree on closed polygons.
+    construction in kernel(); the two must agree on closed polygons. Sight
+    lines through a vertex are decided in integers like every other.
     """
     if boundary_samples < 1:
         raise ValueError("need at least one sample per edge")
@@ -806,7 +812,6 @@ def kernel_contains_by_visibility(polygon, x, boundary_samples):
         raise NotAMemberError(f"{x!r} is not a member of the polygon")
     x_signs = intgeom.edge_signs(x_dets)
     m = boundary_samples
-    region = PolygonRegion(polygon)
     verts, turns = polygon._ivertices, polygon._turns
     nverts = len(verts)
     # The vertices' edge tables and signs; the samples k/m along edge i
@@ -826,15 +831,9 @@ def kernel_contains_by_visibility(polygon, x, boundary_samples):
                 (m - k) * vy + k * wy,
                 m,
             )
-            inside = intgeom.segment_in_polygon(
+            if not intgeom.segment_in_polygon(
                 verts, turns, x_h, t_h, x_signs, t_signs, (i, k == 0)
-            )
-            if inside is None:
-                target = interpolate(
-                    polygon.vertices[i], polygon.vertices[j], Q(k, m)
-                )
-                inside = sees(region, x, target)
-            if not inside:
+            ):
                 return False
     return True
 

@@ -48,6 +48,11 @@ from convexprofile.regions2d import (
     partition_segment,
     sees,
 )
+from convexprofile.theorems import (
+    l_polygon_fixture,
+    run_suite,
+    z_polygon_fixture,
+)
 
 
 def square_region():
@@ -391,23 +396,19 @@ POLYGON_KINDS = {
 @settings(max_examples=30)
 def test_table_classification_agrees_with_the_partition(kind, seed):
     # The integer edge-table classifier and the rational partition must
-    # agree on every probe pair the tables answer; skylines bring collinear
-    # edges and vertex contacts.
+    # agree on every probe pair; skylines bring collinear edges and vertex
+    # contacts.
     poly = POLYGON_KINDS[kind](rng_from_seed(seed))
     region = PolygonRegion(poly)
     probes = boundary_probe_points(region)
     tables = {p: regions2d._probe(region, p)[1] for p in probes}
-    answered = 0
     for p, q in itertools.combinations(probes, 2):
         fast = regions2d._classify_by_tables(poly, tables[p], tables[q])
         exact = regions2d._classify_from_partition(
             region, partition_segment(region, Segment(p, q))
         )
         assert classify_pair(region, p, q) is exact
-        if fast is not None:
-            answered += 1
-            assert fast is exact
-    assert answered > 0
+        assert fast is exact
 
 
 def test_pair_scan_locates_each_probe_once_without_orient(monkeypatch):
@@ -591,9 +592,8 @@ def _homogeneous(poly, x):
 @given(st.integers(0, 10**9))
 @settings(max_examples=25)
 def test_integer_fast_path_agrees_with_rational_sees(seed):
-    # the scaled-integer visibility shortcut and the rational partition
-    # route must never disagree where the shortcut answers at all, on lines
-    # to vertices and to edge samples k/m alike
+    # the scaled-integer visibility test and the rational partition route
+    # must never disagree, on lines to vertices and to edge samples k/m alike
     rng = rng_from_seed(seed)
     poly = random_simple_polygon(rng, max_vertices=8)
     region = PolygonRegion(poly)
@@ -605,9 +605,145 @@ def test_integer_fast_path_agrees_with_rational_sees(seed):
             fast = intgeom.segment_in_polygon(
                 poly._ivertices, poly._turns, x_h, t_h, x_signs, t_signs, site
             )
-            if fast is None:
-                continue
-            assert fast == sees(region, x, t)
+            assert fast is sees(region, x, t)
+
+
+def _through_vertex(verts, x_h, t_h, x_signs, t_signs):
+    """Whether no edge crosses the open segment (x, t) and it runs through
+    a vertex: `sight_blocked` returns its vertex mask."""
+    blocked = intgeom.sight_blocked(verts, x_h, t_h, x_signs, t_signs)
+    return blocked is not True and blocked is not False
+
+
+def test_sight_lines_through_vertices_agree_with_the_partition():
+    # A deterministic sweep: every probe pair against the partition and
+    # every line from a member (a probe or a sampled point) to an edge
+    # sample k/3 against `sees`. The hypothesis tests above rarely draw a
+    # line through a vertex; the probes of skylines and notches do.
+    through = collections.Counter()
+    for kind in sorted(POLYGON_KINDS):
+        for seed in range(6):
+            rng = rng_from_seed(f"through-vertex:{kind}:{seed}")
+            poly = POLYGON_KINDS[kind](rng)
+            verts = poly._ivertices
+            region = PolygonRegion(poly)
+            probes = boundary_probe_points(region)
+            tables = {p: regions2d._probe(region, p)[1] for p in probes}
+            for p, q in itertools.combinations(probes, 2):
+                exact = regions2d._classify_from_partition(
+                    region, partition_segment(region, Segment(p, q))
+                )
+                fast = regions2d._classify_by_tables(poly, tables[p], tables[q])
+                assert fast is exact, (poly, p, q)
+                (p_h, p_signs, _), (q_h, q_signs, _) = tables[p], tables[q]
+                through["pairs"] += _through_vertex(
+                    verts, p_h, q_h, p_signs, q_signs
+                )
+            for x in probes + sample_member_points(poly, rng, 4):
+                x_h, _, x_signs = _homogeneous(poly, x)
+                for t, site in _boundary_targets(poly, 3):
+                    t_h, _, t_signs = _homogeneous(poly, t)
+                    fast = intgeom.segment_in_polygon(
+                        verts, poly._turns, x_h, t_h, x_signs, t_signs, site
+                    )
+                    assert fast is sees(region, x, t), (poly, x, t)
+                    through["lines"] += _through_vertex(
+                        verts, x_h, t_h, x_signs, t_signs
+                    )
+    assert through["pairs"] > 0 and through["lines"] > 0
+
+
+@pytest.mark.parametrize("fixture, p, q, pieces", [
+    # Z: along edge 10 to (1,1), across the waist to (2,1), along edge 2
+    (z_polygon_fixture, (0, 1), (3, 1), [((11, True), 0), ((10, True), 1),
+                                         ((3, True), 0)]),
+    # L: the diagonal grazes the reflex vertex (1,1), interior on both sides
+    (l_polygon_fixture, (2, 0), (0, 2), [((1, True), 1), ((3, True), 1)]),
+])
+def test_pairs_through_a_vertex_are_mixed(fixture, p, q, pieces):
+    # The vertex inside the open segment is a boundary member, so neither
+    # pair is hyperbolic, flat or elliptic, whatever its pieces are.
+    poly = fixture()
+    region = PolygonRegion(poly)
+    p, q = point(*p), point(*q)
+    (p_h, p_signs, p_site), (q_h, q_signs, _) = (
+        regions2d._probe(region, x)[1] for x in (p, q)
+    )
+    assert p_site == pieces[0][0]
+    mask = intgeom.sight_blocked(poly._ivertices, p_h, q_h, p_signs, q_signs)
+    assert mask == sum(1 << k for (k, _), _ in pieces[1:])
+    for site, code in pieces:
+        assert _side_rule(poly, site, q_h, q_signs) == code
+    assert classify_pair(region, p, q) is PairClass.MIXED
+    assert regions2d._classify_from_partition(
+        region, partition_segment(region, Segment(p, q))
+    ) is PairClass.MIXED
+
+
+def test_kernel_sight_line_through_a_vertex():
+    # A square with a triangular notch in its top edge. From a point on the
+    # kernel's edge y = x + 1, the lines to the notch corner (3,4) and to the
+    # samples of edge 3 graze the reflex vertex 4 = (2,3) and run on along
+    # that edge, so the point sees them.
+    poly = SimplePolygon([point(0, 0), point(4, 0), point(4, 4), point(3, 4),
+                          point(2, 3), point(1, 4), point(0, 4)])
+    ker = kernel(poly)
+    t_h, _, t_signs = _homogeneous(poly, point(3, 4))
+    for x, member in ((point(0, 1), True), (point(Q(1, 2), Q(3, 2)), True),
+                      (point(0, Q(3, 2)), False)):
+        x_h, _, x_signs = _homogeneous(poly, x)
+        mask = intgeom.sight_blocked(
+            poly._ivertices, x_h, t_h, x_signs, t_signs
+        )
+        if member:
+            assert mask == 1 << 4
+        else:  # passes above (2,3), into the notch
+            assert mask is True
+        assert ker.contains(x) is member
+        for m in (1, 8):
+            assert kernel_contains_by_visibility(poly, x, m) is member
+
+
+def test_hole_free_polygons_reach_no_rational_partition(monkeypatch):
+    # prop-8 and cor-5 at the `check all` defaults (run_suite's defaults),
+    # and the pair criterion and every probe pair's class on skylines, are
+    # the same when the rational partition and `sees` refuse hole-free
+    # polygons: every sight line through a vertex is decided in integers.
+    # The disks and the pointed box of cor-5 still use the partition.
+    skylines = [
+        random_staircase_polygon(rng_from_seed(f"skyline:{seed}"))
+        for seed in range(10)
+    ]
+
+    def answers():
+        reports = [
+            r.to_json_dict()
+            for theorem in ("prop-8", "cor-5") for r in run_suite(theorem)
+        ]
+        pairs = []
+        for poly in skylines:
+            region = PolygonRegion(poly)
+            verdict, _ = is_convex_by_pairs(region)
+            assert verdict == convexity_oracle(poly)
+            probes = boundary_probe_points(region)
+            pairs.append([
+                classify_pair(region, p, q)
+                for p, q in itertools.combinations(probes, 2)
+            ])
+        return reports, pairs
+
+    expected = answers()
+
+    def refused(fn):
+        def guarded(region, *args):
+            if isinstance(region, PolygonRegion) and not region.holes:
+                raise AssertionError(f"{fn.__name__} on a hole-free polygon")
+            return fn(region, *args)
+        return guarded
+
+    for name in ("partition_segment", "sees"):
+        monkeypatch.setattr(regions2d, name, refused(getattr(regions2d, name)))
+    assert answers() == expected
 
 
 def _midpoint_code(verts, x_h, t_h, x_dets, t_dets):
