@@ -16,7 +16,6 @@ import os
 import sys
 
 from .core import Point
-from .epigraph import Epigraph1D
 from .errors import ConvexProfileError, SchemaError
 from .geometry_io import (
     dump_geometry,
@@ -28,7 +27,6 @@ from .geometry_io import (
     read_json_file,
 )
 from .polyhedra import (
-    HPolyhedron,
     VPolytope,
     extreme_points,
     hull_equal,
@@ -37,8 +35,6 @@ from .polyhedra import (
     profile,
 )
 from .regions2d import (
-    PolygonRegion,
-    boundary_probe_points,
     classify_pair,
     convexity_oracle,
     is_convex_by_pairs,
@@ -187,26 +183,33 @@ def _probe_points(instance, mode, density):
     halfspace). A curved or fixed region's probes stand in for vertices.
     """
     if mode == "vertices":
-        if isinstance(instance, PolygonRegion):
+        if hasattr(instance, "rings"):
             return [v for ring in instance.rings() for v in ring.vertices]
-        if isinstance(instance, HPolyhedron):
+        if hasattr(instance, "halfspaces"):
             verts = extreme_points(instance)
             if len(verts) >= 2:
                 return list(verts)
-    return boundary_probe_points(instance, density)
+    return instance.boundary_probes(density)
+
+
+def _gate(instance, protocols, message, path="$.kind"):
+    """A schema error unless the instance has an attribute in `protocols`:
+    `locate2` (a region), `chord_value` (an epigraph), `halfspaces` (an
+    h-polyhedron), `generators` (a v-polytope) or `outer` (a polygon)."""
+    if not any(hasattr(instance, name) for name in protocols):
+        raise SchemaError(message, path)
 
 
 def _simple_ring(instance, message):
     """The ring of a hole-free polygon; anything else is a schema error."""
-    if not isinstance(instance, PolygonRegion) or instance.holes:
+    if not hasattr(instance, "outer") or instance.holes:
         raise SchemaError(message, "$.kind")
     return instance.outer
 
 
 def _cmd_classify(args, seed):
     instance = load_geometry_file(args.file)
-    if isinstance(instance, (VPolytope, Epigraph1D)):
-        raise SchemaError("classify needs a region or an h-polyhedron", "$.kind")
+    _gate(instance, ("locate2",), "classify needs a region or an h-polyhedron")
     if args.pairs in ("vertices", "all"):
         points = _probe_points(instance, args.pairs, args.probe_density)
         pairs = itertools.combinations(points, 2)
@@ -219,20 +222,19 @@ def _cmd_classify(args, seed):
 
 def _cmd_convexity(args, seed):
     instance = load_geometry_file(args.file)
-    if isinstance(instance, HPolyhedron):
+    if hasattr(instance, "halfspaces"):
         return [
             {
                 "convex": True,
                 "note": "halfspace intersections are convex by construction",
             }
         ], 0
-    if isinstance(instance, (VPolytope, Epigraph1D)):
-        raise SchemaError("convexity needs a planar region", "$.kind")
+    _gate(instance, ("locate2",), "convexity needs a planar region")
     verdict, witness = is_convex_by_pairs(instance, args.probe_density)
     result = {"convex_by_pairs": verdict}
     if witness is not None:
         result["witness"] = pair_to_json(*witness)
-    if isinstance(instance, PolygonRegion):
+    if hasattr(instance, "outer"):
         result["vertex_turn_oracle"] = (
             not instance.holes and convexity_oracle(instance.outer)
         )
@@ -260,7 +262,9 @@ def _cmd_kernel(args, seed):
 
 def _cmd_extremes(args, seed):
     instance = load_geometry_file(args.file)
-    if isinstance(instance, VPolytope):
+    message = "extremes needs an h-polyhedron or a v-polytope"
+    _gate(instance, ("halfspaces", "generators"), message)
+    if hasattr(instance, "generators"):
         kept = profile(instance)
         return [
             {
@@ -268,10 +272,6 @@ def _cmd_extremes(args, seed):
                 "generators": len(instance.generators),
             }
         ], 0
-    if not isinstance(instance, HPolyhedron):
-        raise SchemaError(
-            "extremes needs an h-polyhedron or a v-polytope", "$.kind"
-        )
     verts = extreme_points(instance)
     bounded = is_bounded(instance)
     reconstructs = False
@@ -290,20 +290,12 @@ def _cmd_extremes(args, seed):
 
 def _cmd_reconstruct(args, seed):
     instance = load_geometry_file(args.file)
-    reports = []
-    if isinstance(instance, Epigraph1D):
-        reports.append(check_boundary_hull(instance, args.samples, seed))
-        reports.append(check_krein_milman(instance, args.samples, seed))
-    elif isinstance(instance, HPolyhedron):
-        if is_bounded(instance):
-            reports.append(check_krein_milman(instance, args.samples, seed))
-        else:
-            reports.append(check_boundary_hull(instance, args.samples, seed))
-            reports.append(check_krein_milman(instance, args.samples, seed))
-    else:
-        raise SchemaError(
-            "reconstruct needs an h-polyhedron or an epigraph", "$.kind"
-        )
+    message = "reconstruct needs an h-polyhedron or an epigraph"
+    _gate(instance, ("halfspaces", "chord_value"), message)
+    checks = (check_boundary_hull, check_krein_milman)
+    if hasattr(instance, "halfspaces") and is_bounded(instance):
+        checks = (check_krein_milman,)
+    reports = [check(instance, args.samples, seed) for check in checks]
     exit_code = 1 if any(r.is_counterexample() for r in reports) else 0
     return [r.to_json_dict() for r in reports], exit_code
 
@@ -335,8 +327,8 @@ def _cmd_check(args, seed):
 
 def _cmd_render(args, seed):
     instance = load_geometry_file(args.file)
-    if isinstance(instance, (VPolytope,)):
-        raise SchemaError("render supports regions, polyhedra, epigraphs", "$.kind")
+    message = "render supports regions, polyhedra, epigraphs"
+    _gate(instance, ("locate2", "chord_value"), message)
     wanted = {w for w in args.overlays.split(",") if w}
     unknown = wanted - {"pairs", "kernel", "extremes"}
     if unknown:
@@ -347,10 +339,8 @@ def _cmd_render(args, seed):
     kernel_region = None
     extreme_overlay = []
     if "pairs" in wanted:
-        if isinstance(instance, Epigraph1D):
-            raise SchemaError(
-                "pair overlays need a region or an h-polyhedron", "$.overlays"
-            )
+        message = "pair overlays need a region or an h-polyhedron"
+        _gate(instance, ("locate2",), message, "$.overlays")
         points = _probe_points(instance, "vertices", min(args.probe_density, 8))
         pair_overlays = [
             (p, q, classify_pair(instance, p, q))
@@ -361,9 +351,9 @@ def _cmd_render(args, seed):
             _simple_ring(instance, "kernel overlay needs a simple polygon")
         )
     if "extremes" in wanted:
-        if isinstance(instance, HPolyhedron):
+        if hasattr(instance, "halfspaces"):
             extreme_overlay = list(extreme_points(instance))
-        elif isinstance(instance, PolygonRegion):
+        elif hasattr(instance, "outer"):
             extreme_overlay = list(
                 profile(VPolytope(tuple(instance.outer.vertices), 2))
             )

@@ -22,6 +22,7 @@ CHORD_TOLERANCE = Q(1, 2**40)
 class Epigraph1D:
     """The set {(x, y) : y >= f(x)} for a strictly convex polynomial f."""
 
+    kind = "epigraph1d"
     poly_coeffs: tuple  # (c0, c1, c2, ...), f(x) = sum c_k x^k
 
     def __post_init__(self):

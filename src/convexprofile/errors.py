@@ -63,3 +63,7 @@ class SchemaError(ConvexProfileError):
 
     def to_json_dict(self):
         return {"error": "schema", "path": self.path, "message": self.message}
+
+
+class DisplayRangeError(ConvexProfileError):
+    """A coordinate to draw lies past the range of display floats."""

@@ -28,17 +28,6 @@ from .regions2d import (
     SimplePolygon,
 )
 
-KINDS = (
-    "h-polyhedron",
-    "v-polytope",
-    "polygon",
-    "disk",
-    "disk-complement",
-    "pointed-open-box",
-    "epigraph1d",
-)
-
-
 _RATIONAL_RE = re.compile(r"^[+-]?\d+(/\d+)?$")
 
 
@@ -89,70 +78,73 @@ def load_geometry(doc, path="$"):
     if not isinstance(doc, dict):
         raise SchemaError("expected a JSON object", path)
     kind = _require(doc, "kind", path, str)
-    if kind == "h-polyhedron":
-        dim = _require_dim(doc, path)
-        raw = _require(doc, "halfspaces", path, list)
-        halfspaces = []
-        for i, h in enumerate(raw):
-            hpath = f"{path}.halfspaces[{i}]"
-            if not isinstance(h, dict):
-                raise SchemaError("expected an object", hpath)
-            normal = _parse_coords(
-                _require(h, "normal", hpath, list), f"{hpath}.normal", dim
-            )
-            offset = parse_rational(_require(h, "offset", hpath), f"{hpath}.offset")
-            try:
-                halfspaces.append(Halfspace(Vector(normal), offset))
-            except ValueError as exc:
-                raise SchemaError(str(exc), hpath) from None
-        return HPolyhedron(tuple(halfspaces), dim)
-    if kind == "v-polytope":
-        dim = _require_dim(doc, path)
-        raw = _require(doc, "points", path, list)
-        if not raw:
-            raise SchemaError("a v-polytope needs at least one point", f"{path}.points")
-        pts = [
-            Point(_parse_coords(p, f"{path}.points[{i}]", dim))
-            for i, p in enumerate(raw)
-        ]
-        return VPolytope(tuple(pts), dim)
-    if kind == "polygon":
-        outer = _load_ring(_require(doc, "outer", path, list), f"{path}.outer")
-        raw_holes = doc.get("holes", [])
-        if not isinstance(raw_holes, list):
-            raise SchemaError("'holes' must be a list of rings", f"{path}.holes")
-        holes = []
-        for i, ring in enumerate(raw_holes):
-            holes.append(_load_ring(ring, f"{path}.holes[{i}]"))
-        try:
-            return PolygonRegion(outer, tuple(holes))
-        except InvalidRegionError as exc:
-            raise SchemaError(str(exc), path) from None
-    if kind in ("disk", "disk-complement"):
-        center = Point(
-            _parse_coords(_require(doc, "center", path, list), f"{path}.center", 2)
+    if kind not in KINDS:
+        raise SchemaError(
+            f"unknown kind {kind!r}; expected one of {', '.join(KINDS)}",
+            f"{path}.kind",
         )
-        radius = parse_rational(_require(doc, "radius", path), f"{path}.radius")
-        cls = Disk if kind == "disk" else DiskComplement
+    cls, load, _ = KINDS[kind]
+    args, where = load(doc, path)
+    try:
+        return cls(*args)
+    except InvalidRegionError as exc:
+        raise SchemaError(str(exc), where) from None
+
+
+def _load_h_polyhedron(doc, path):
+    dim = _require_dim(doc, path)
+    raw = _require(doc, "halfspaces", path, list)
+    halfspaces = []
+    for i, h in enumerate(raw):
+        hpath = f"{path}.halfspaces[{i}]"
+        if not isinstance(h, dict):
+            raise SchemaError("expected an object", hpath)
+        normal = _parse_coords(
+            _require(h, "normal", hpath, list), f"{hpath}.normal", dim
+        )
+        offset = parse_rational(_require(h, "offset", hpath), f"{hpath}.offset")
         try:
-            return cls(center, radius)
-        except InvalidRegionError as exc:
-            raise SchemaError(str(exc), f"{path}.radius") from None
-    if kind == "pointed-open-box":
-        return PointedOpenBox()
-    if kind == "epigraph1d":
-        raw = _require(doc, "coeffs", path, list)
-        coeffs = [
-            parse_rational(c, f"{path}.coeffs[{i}]") for i, c in enumerate(raw)
-        ]
-        try:
-            return Epigraph1D(tuple(coeffs))
-        except InvalidRegionError as exc:
-            raise SchemaError(str(exc), f"{path}.coeffs") from None
-    raise SchemaError(
-        f"unknown kind {kind!r}; expected one of {', '.join(KINDS)}",
-        f"{path}.kind",
-    )
+            halfspaces.append(Halfspace(Vector(normal), offset))
+        except ValueError as exc:
+            raise SchemaError(str(exc), hpath) from None
+    return (tuple(halfspaces), dim), path
+
+
+def _dump_h_polyhedron(P):
+    return {
+        "dim": P.dim,
+        "halfspaces": [
+            {"normal": point_to_json(h.normal), "offset": format_rational(h.offset)}
+            for h in P.halfspaces
+        ],
+    }
+
+
+def _load_v_polytope(doc, path):
+    dim = _require_dim(doc, path)
+    raw = _require(doc, "points", path, list)
+    if not raw:
+        raise SchemaError("a v-polytope needs at least one point", f"{path}.points")
+    pts = [
+        Point(_parse_coords(p, f"{path}.points[{i}]", dim))
+        for i, p in enumerate(raw)
+    ]
+    return (tuple(pts), dim), path
+
+
+def _dump_v_polytope(V):
+    return {"dim": V.dim, "points": [point_to_json(g) for g in V.generators]}
+
+
+def _load_polygon(doc, path):
+    outer = _load_ring(_require(doc, "outer", path, list), f"{path}.outer")
+    raw_holes = doc.get("holes", [])
+    if not isinstance(raw_holes, list):
+        raise SchemaError("'holes' must be a list of rings", f"{path}.holes")
+    holes = []
+    for i, ring in enumerate(raw_holes):
+        holes.append(_load_ring(ring, f"{path}.holes[{i}]"))
+    return (outer, tuple(holes)), path
 
 
 def _load_ring(raw, path):
@@ -167,12 +159,66 @@ def _load_ring(raw, path):
         raise SchemaError(str(exc), path) from None
 
 
+def _dump_polygon(polygon):
+    """A polygon region's rings; a bare SimplePolygon is its one ring."""
+    outer, *holes = polygon.rings()
+    return {
+        "outer": [point_to_json(v) for v in outer.vertices],
+        "holes": [[point_to_json(v) for v in h.vertices] for h in holes],
+    }
+
+
+def _load_circle(doc, path):
+    center = Point(
+        _parse_coords(_require(doc, "center", path, list), f"{path}.center", 2)
+    )
+    radius = parse_rational(_require(doc, "radius", path), f"{path}.radius")
+    return (center, radius), f"{path}.radius"
+
+
+def _dump_circle(region):
+    return {
+        "center": point_to_json(region.center),
+        "radius": format_rational(region.radius),
+    }
+
+
+def _load_fixed(doc, path):
+    return (), path
+
+
+def _dump_fixed(obj):
+    return {}
+
+
+def _load_epigraph(doc, path):
+    raw = _require(doc, "coeffs", path, list)
+    coeffs = [parse_rational(c, f"{path}.coeffs[{i}]") for i, c in enumerate(raw)]
+    return (tuple(coeffs),), f"{path}.coeffs"
+
+
+def _dump_epigraph(epi):
+    return {"coeffs": [format_rational(c) for c in epi.poly_coeffs]}
+
+
+# Each geometry kind -> (class, loader, dumper), in the order the unknown-kind
+# error lists them. A loader(doc, path) returns the class's arguments and the
+# path that an InvalidRegionError from the class is reported at. A dumper(obj)
+# returns every field but "kind", which `dump_geometry` writes from obj.kind.
+KINDS = {
+    HPolyhedron.kind: (HPolyhedron, _load_h_polyhedron, _dump_h_polyhedron),
+    VPolytope.kind: (VPolytope, _load_v_polytope, _dump_v_polytope),
+    PolygonRegion.kind: (PolygonRegion, _load_polygon, _dump_polygon),
+    Disk.kind: (Disk, _load_circle, _dump_circle),
+    DiskComplement.kind: (DiskComplement, _load_circle, _dump_circle),
+    PointedOpenBox.kind: (PointedOpenBox, _load_fixed, _dump_fixed),
+    Epigraph1D.kind: (Epigraph1D, _load_epigraph, _dump_epigraph),
+}
+
+
 def point_to_json(p):
+    """A point's or a vector's coordinates as rational strings."""
     return [format_rational(c) for c in p.coords]
-
-
-def vector_to_json(v):
-    return [format_rational(c) for c in v.coords]
 
 
 def pair_to_json(p, q, cls):
@@ -182,54 +228,10 @@ def pair_to_json(p, q, cls):
 
 def dump_geometry(obj):
     """Canonical JSON document for a geometry instance."""
-    if isinstance(obj, HPolyhedron):
-        return {
-            "kind": "h-polyhedron",
-            "dim": obj.dim,
-            "halfspaces": [
-                {
-                    "normal": vector_to_json(h.normal),
-                    "offset": format_rational(h.offset),
-                }
-                for h in obj.halfspaces
-            ],
-        }
-    if isinstance(obj, VPolytope):
-        return {
-            "kind": "v-polytope",
-            "dim": obj.dim,
-            "points": [point_to_json(g) for g in obj.generators],
-        }
-    if isinstance(obj, PolygonRegion):
-        return {
-            "kind": "polygon",
-            "outer": [point_to_json(v) for v in obj.outer.vertices],
-            "holes": [
-                [point_to_json(v) for v in h.vertices] for h in obj.holes
-            ],
-        }
-    if isinstance(obj, SimplePolygon):
-        return dump_geometry(PolygonRegion(obj))
-    if isinstance(obj, Disk):
-        return {
-            "kind": "disk",
-            "center": point_to_json(obj.center),
-            "radius": format_rational(obj.radius),
-        }
-    if isinstance(obj, DiskComplement):
-        return {
-            "kind": "disk-complement",
-            "center": point_to_json(obj.center),
-            "radius": format_rational(obj.radius),
-        }
-    if isinstance(obj, PointedOpenBox):
-        return {"kind": "pointed-open-box"}
-    if isinstance(obj, Epigraph1D):
-        return {
-            "kind": "epigraph1d",
-            "coeffs": [format_rational(c) for c in obj.poly_coeffs],
-        }
-    raise TypeError(f"cannot serialize {type(obj).__name__}")
+    kind = getattr(obj, "kind", None)
+    if kind not in KINDS:
+        raise TypeError(f"cannot serialize {type(obj).__name__}")
+    return {"kind": kind, **KINDS[kind][2](obj)}
 
 
 def instance_digest(obj):

@@ -70,6 +70,7 @@ class HPolyhedron:
     boundary_probes) in any dimension.
     """
 
+    kind = "h-polyhedron"
     halfspaces: tuple
     dim: int
 
@@ -190,6 +191,7 @@ class HPolyhedron:
 class VPolytope:
     """Convex hull of a non-empty finite generator set in E^dim."""
 
+    kind = "v-polytope"
     generators: tuple
     dim: int
 

@@ -8,8 +8,8 @@ are bracketed between certified rational parameters.
 
 The region protocol. A region kind (PolygonRegion, Disk, DiskComplement,
 PointedOpenBox here, and polyhedra.HPolyhedron in any dimension) has a
-`dim` and answers three questions; every function below works through them
-and holds no per-kind code:
+`kind` (its name in geometry JSON) and a `dim`, and answers three
+questions; every function below works through them:
 
 - `locate2(x)` -> (PointLocation, membership) of a point of E^dim;
 - `breakpoints(a, b)` -> (sorted exact parameters in (0,1), brackets): the
@@ -62,8 +62,10 @@ class SimplePolygon:
 
     Invariants enforced at construction: at least three vertices, strictly
     positive signed area, no three consecutive collinear vertices, no
-    self-intersection.
+    self-intersection. It dumps as a polygon region with no holes.
     """
+
+    kind = "polygon"
 
     __slots__ = ("vertices", "_ivertices", "_scale", "_turns")
 
@@ -109,6 +111,9 @@ class SimplePolygon:
     @property
     def n(self):
         return len(self.vertices)
+
+    def rings(self):
+        return (self,)
 
     def edges(self):
         vs = self.vertices
@@ -697,11 +702,6 @@ def convexity_oracle(polygon):
     return all(turn > 0 for turn in polygon._turns)
 
 
-def boundary_probe_points(region, density=16):
-    """Finite boundary probe set used by the pair-based convexity test."""
-    return region.boundary_probes(density)
-
-
 def circle_points(center, radius, count):
     """Deterministic rational points on the circle (tan half-angle ladder)."""
     pts = []
@@ -729,7 +729,7 @@ def is_convex_by_pairs(region, probe_density=16):
     closed regions that certifies convexity (cross-validated against the
     vertex-turn oracle); for the pointed open box it deliberately does not.
     """
-    probes = boundary_probe_points(region, probe_density)
+    probes = region.boundary_probes(probe_density)
     witness = first_pair_outside(
         region, probes, {PairClass.FLAT, PairClass.HYPERBOLIC}
     )

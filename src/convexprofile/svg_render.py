@@ -8,8 +8,7 @@ produces a byte-identical document.
 from __future__ import annotations
 
 from .core import Point, Q, ZERO
-from .epigraph import Epigraph1D
-from .errors import DimensionMismatchError
+from .errors import DimensionMismatchError, DisplayRangeError
 from .polyhedra import (
     HPolyhedron,
     box_halfspaces,
@@ -17,13 +16,7 @@ from .polyhedra import (
     is_bounded,
     is_empty,
 )
-from .regions2d import (
-    Disk,
-    DiskComplement,
-    PairClass,
-    PointedOpenBox,
-    PolygonRegion,
-)
+from .regions2d import PairClass
 
 CANVAS = 800
 MARGIN = 60
@@ -48,12 +41,12 @@ class _Frame:
     """Affine map from geometry coordinates to the fixed 800x800 canvas."""
 
     def __init__(self, xmin, ymin, xmax, ymax):
-        xmin, ymin, xmax, ymax = (
-            float(xmin),
-            float(ymin),
-            float(xmax),
-            float(ymax),
-        )
+        # The drawing and the overlays the CLI builds lie within these
+        # bounds, so a coordinate past the float range shows here first.
+        try:
+            xmin, ymin, xmax, ymax = (float(v) for v in (xmin, ymin, xmax, ymax))
+        except OverflowError:
+            raise DisplayRangeError("a coordinate is too large to draw") from None
         if xmax <= xmin:
             xmax = xmin + 1.0
         if ymax <= ymin:
@@ -73,17 +66,8 @@ class _Frame:
         return f"{_fmt(x)},{_fmt(y)}"
 
 
-def _bounds_of(instance, extra_points):
-    pts = list(extra_points)
-    if isinstance(instance, PolygonRegion):
-        pts.extend(instance.outer.vertices)
-    elif isinstance(instance, (Disk, DiskComplement)):
-        c, r = instance.center, instance.radius
-        xs = (c.coords[0] - r, c.coords[0] + r)
-        ys = (c.coords[1] - r, c.coords[1] + r)
-        return min(xs), min(ys), max(xs), max(ys)
-    elif isinstance(instance, PointedOpenBox):
-        return Q(-1, 2), Q(-1, 2), Q(3, 2), Q(3, 2)
+def _padded_bounds(pts):
+    """The bounding box of the points, padded by a tenth of its larger side."""
     if not pts:
         return Q(-1), Q(-1), Q(1), Q(1)
     xs = [p.coords[0] for p in pts]
@@ -121,30 +105,6 @@ def _angular_sort(points):
     return sorted(points, key=functools.cmp_to_key(cmp))
 
 
-def _outline(instance):
-    """The points drawn for a polyhedron or an epigraph, which also frame it.
-
-    A polyhedron's are its vertices clipped to the box |x|, |y| <= 12
-    (unbounded sets get cropped; only 2D ones render); an epigraph's are
-    its graph sampled at x = -4, -15/4, ..., 4; the other kinds draw from
-    their own data.
-    """
-    if isinstance(instance, HPolyhedron):
-        if instance.dim != 2:
-            raise DimensionMismatchError("can only render 2D polyhedra")
-        if is_empty(instance):
-            return []
-        box = box_halfspaces(2, Q(12))
-        clipped = HPolyhedron((*instance.halfspaces, *box), 2)
-        return _angular_sort(list(extreme_points(clipped)))
-    if isinstance(instance, Epigraph1D):
-        return [
-            Point((x, instance.value(x)))
-            for x in (Q(k, 4) for k in range(-16, 17))
-        ]
-    return []
-
-
 def render_svg(instance, pair_overlays=(), kernel_region=None, extreme_overlay=()):
     """A deterministic SVG document for a 2D instance with overlay layers.
 
@@ -155,13 +115,17 @@ def render_svg(instance, pair_overlays=(), kernel_region=None, extreme_overlay=(
     kernel_verts = []
     if kernel_region is not None and not is_empty(kernel_region):
         kernel_verts = _angular_sort(list(extreme_points(kernel_region)))
-    outline = _outline(instance)
-    extra = [p for pair in pair_overlays for p in (pair[0], pair[1])]
-    extra.extend(extreme_overlay)
-    extra.extend(kernel_verts)
-    frame = _Frame(*_bounds_of(instance, extra + outline))
-    body = []
-    body.append(_render_region(instance, frame, outline))
+    draw = _DRAWINGS.get(getattr(instance, "kind", None))
+    if draw is None:
+        raise DimensionMismatchError(f"cannot render {type(instance).__name__}")
+    overlay = [p for pair in pair_overlays for p in (pair[0], pair[1])]
+    overlay += [*extreme_overlay, *kernel_verts]
+
+    def frame_for(bounds=None, points=()):
+        return _Frame(*(bounds or _padded_bounds([*overlay, *points])))
+
+    frame, element = draw(instance, frame_for)
+    body = [element]
     if len(kernel_verts) >= 3:
         pts = " ".join(frame.pt(v) for v in kernel_verts)
         body.append(
@@ -193,66 +157,106 @@ def render_svg(instance, pair_overlays=(), kernel_region=None, extreme_overlay=(
     )
 
 
-def _render_region(instance, frame, outline):
-    if isinstance(instance, PolygonRegion):
-        path = []
-        for ring in instance.rings():
-            coords = [frame.pt(v) for v in ring.vertices]
-            path.append("M " + " L ".join(coords) + " Z")
-        return (
-            f'<path d="{" ".join(path)}" fill="{FILL}" fill-rule="evenodd" '
-            f'stroke="{STROKE}" stroke-width="2"/>'
-        )
-    if isinstance(instance, Disk):
-        cx, cy = frame.map(instance.center)
-        r = float(instance.radius) * frame.scale
-        return (
-            f'<circle cx="{_fmt(cx)}" cy="{_fmt(cy)}" r="{_fmt(r)}" '
-            f'fill="{FILL}" stroke="{STROKE}" stroke-width="2"/>'
-        )
-    if isinstance(instance, DiskComplement):
-        cx, cy = frame.map(instance.center)
-        r = float(instance.radius) * frame.scale
-        return (
-            f'<path d="M 0 0 H {CANVAS} V {CANVAS} H 0 Z '
-            f"M {_fmt(cx - r)} {_fmt(cy)} "
-            f"a {_fmt(r)} {_fmt(r)} 0 1 0 {_fmt(2 * r)} 0 "
-            f'a {_fmt(r)} {_fmt(r)} 0 1 0 {_fmt(-2 * r)} 0 Z" '
-            f'fill="{FILL}" fill-rule="evenodd" '
-            f'stroke="{STROKE}" stroke-width="2"/>'
-        )
-    if isinstance(instance, PointedOpenBox):
-        corners = PointedOpenBox.CORNERS
-        pts = " ".join(frame.pt(c) for c in corners)
-        dots = "".join(
-            f'<circle cx="{_fmt(frame.map(c)[0])}" cy="{_fmt(frame.map(c)[1])}" '
-            f'r="4" fill="{STROKE}"/>'
-            for c in corners
-        )
-        return (
-            f'<polygon points="{pts}" fill="{FILL}" fill-opacity="0.5" '
-            f'stroke="{STROKE}" stroke-width="2" stroke-dasharray="6 4"/>'
-            + dots
-        )
-    if isinstance(instance, HPolyhedron):
-        if len(outline) < 3:
-            if not outline:
-                return "<!-- empty polyhedron -->"
-            pts = " ".join(frame.pt(v) for v in outline)
-            return (
-                f'<polyline points="{pts}" fill="none" stroke="{STROKE}" '
-                f'stroke-width="3"/>'
-            )
-        pts = " ".join(frame.pt(v) for v in outline)
-        suffix = "" if is_bounded(instance) else "<!-- cropped to viewport -->"
-        return (
-            f'<polygon points="{pts}" fill="{FILL}" stroke="{STROKE}" '
-            f'stroke-width="2"/>{suffix}'
-        )
-    if isinstance(instance, Epigraph1D):
-        pts = " ".join(frame.pt(p) for p in outline)
-        return (
+def _draw_polygon(polygon, frame_for):
+    rings = polygon.rings()
+    frame = frame_for(points=rings[0].vertices)
+    path = [
+        "M " + " L ".join(frame.pt(v) for v in ring.vertices) + " Z"
+        for ring in rings
+    ]
+    return frame, (
+        f'<path d="{" ".join(path)}" fill="{FILL}" fill-rule="evenodd" '
+        f'stroke="{STROKE}" stroke-width="2"/>'
+    )
+
+
+def _frame_circle(region, frame_for):
+    """(frame, cx, cy, r): the circle's bounding box and its canvas circle."""
+    (x, y), r = region.center.coords, region.radius
+    frame = frame_for((x - r, y - r, x + r, y + r))
+    return (frame, *frame.map(region.center), float(r) * frame.scale)
+
+
+def _draw_disk(disk, frame_for):
+    frame, cx, cy, r = _frame_circle(disk, frame_for)
+    return frame, (
+        f'<circle cx="{_fmt(cx)}" cy="{_fmt(cy)}" r="{_fmt(r)}" '
+        f'fill="{FILL}" stroke="{STROKE}" stroke-width="2"/>'
+    )
+
+
+def _draw_disk_complement(region, frame_for):
+    frame, cx, cy, r = _frame_circle(region, frame_for)
+    return frame, (
+        f'<path d="M 0 0 H {CANVAS} V {CANVAS} H 0 Z '
+        f"M {_fmt(cx - r)} {_fmt(cy)} "
+        f"a {_fmt(r)} {_fmt(r)} 0 1 0 {_fmt(2 * r)} 0 "
+        f'a {_fmt(r)} {_fmt(r)} 0 1 0 {_fmt(-2 * r)} 0 Z" '
+        f'fill="{FILL}" fill-rule="evenodd" '
+        f'stroke="{STROKE}" stroke-width="2"/>'
+    )
+
+
+def _draw_box(box, frame_for):
+    frame = frame_for((Q(-1, 2), Q(-1, 2), Q(3, 2), Q(3, 2)))
+    pts = " ".join(frame.pt(c) for c in box.CORNERS)
+    dots = "".join(
+        f'<circle cx="{_fmt(frame.map(c)[0])}" cy="{_fmt(frame.map(c)[1])}" '
+        f'r="4" fill="{STROKE}"/>'
+        for c in box.CORNERS
+    )
+    return frame, (
+        f'<polygon points="{pts}" fill="{FILL}" fill-opacity="0.5" '
+        f'stroke="{STROKE}" stroke-width="2" stroke-dasharray="6 4"/>'
+        + dots
+    )
+
+
+def _draw_polyhedron(P, frame_for):
+    """P's vertices clipped to the box |x|, |y| <= 12, in CCW order.
+
+    Unbounded sets get cropped; only 2D ones render.
+    """
+    if P.dim != 2:
+        raise DimensionMismatchError("can only render 2D polyhedra")
+    points = []
+    if not is_empty(P):
+        clipped = HPolyhedron((*P.halfspaces, *box_halfspaces(2, Q(12))), 2)
+        points = _angular_sort(list(extreme_points(clipped)))
+    frame = frame_for(points=points)
+    if not points:
+        return frame, "<!-- empty polyhedron -->"
+    pts = " ".join(frame.pt(v) for v in points)
+    if len(points) < 3:
+        return frame, (
             f'<polyline points="{pts}" fill="none" stroke="{STROKE}" '
-            f'stroke-width="2"/>'
+            f'stroke-width="3"/>'
         )
-    raise DimensionMismatchError(f"cannot render {type(instance).__name__}")
+    suffix = "" if is_bounded(P) else "<!-- cropped to viewport -->"
+    return frame, (
+        f'<polygon points="{pts}" fill="{FILL}" stroke="{STROKE}" '
+        f'stroke-width="2"/>{suffix}'
+    )
+
+
+def _draw_epigraph(epi, frame_for):
+    """The graph sampled at x = -4, -15/4, ..., 4."""
+    points = [Point((x, epi.value(x))) for x in (Q(k, 4) for k in range(-16, 17))]
+    frame = frame_for(points=points)
+    return frame, (
+        f'<polyline points="{" ".join(frame.pt(p) for p in points)}" '
+        f'fill="none" stroke="{STROKE}" stroke-width="2"/>'
+    )
+
+
+# Each drawable kind -> draw(instance, frame_for) -> (frame, its SVG element).
+# A kind frames itself through frame_for: by fixed bounds, which overlays do
+# not move, or by the points it draws together with every overlay point.
+_DRAWINGS = {
+    "polygon": _draw_polygon,
+    "disk": _draw_disk,
+    "disk-complement": _draw_disk_complement,
+    "pointed-open-box": _draw_box,
+    "h-polyhedron": _draw_polyhedron,
+    "epigraph1d": _draw_epigraph,
+}

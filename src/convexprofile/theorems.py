@@ -38,13 +38,7 @@ from .generators import (
     rng_from_seed,
     sample_member_points,
 )
-from .geometry_io import (
-    dump_geometry,
-    instance_digest,
-    pair_to_json,
-    point_to_json,
-    vector_to_json,
-)
+from .geometry_io import instance_digest, pair_to_json, point_to_json
 from .polyhedra import (
     Halfspace,
     HPolyhedron,
@@ -75,7 +69,6 @@ from .regions2d import (
     PointedOpenBox,
     PolygonRegion,
     SimplePolygon,
-    boundary_probe_points,
     classify_pair,
     first_pair_outside,
     is_convex_by_pairs,
@@ -153,7 +146,7 @@ def _report(theorem_id, instance, hypothesis, conclusion, **kw):
         hypothesis=hypothesis,
         conclusion=conclusion,
         instance_digest=instance_digest(instance),
-        instance_kind=dump_geometry(instance)["kind"],
+        instance_kind=instance.kind,
         **kw,
     )
 
@@ -287,7 +280,7 @@ def check_flat_theorem(instance, probe_density=DEFAULT_PROBE_DENSITY, seed=0):
     (a ring's vertex and the midpoint of an edge not incident to it, any
     chord of a circle, the pointed box's diagonal).
     """
-    probes = boundary_probe_points(instance, probe_density)
+    probes = instance.boundary_probes(probe_density)
     pair = first_pair_outside(instance, probes, {PairClass.FLAT})
     if pair is not None:
         return _violated("thm-2", instance, pair_to_json(*pair))
@@ -358,7 +351,7 @@ def _complement_convex_probed(P, probes, rng):
 
 def check_hyperbolic_theorem(region, probe_density=DEFAULT_PROBE_DENSITY):
     """All boundary pairs hyperbolic => strictly convex."""
-    probes = boundary_probe_points(region, probe_density)
+    probes = region.boundary_probes(probe_density)
     pair = first_pair_outside(region, probes, {PairClass.HYPERBOLIC})
     if pair is not None:
         return _violated("thm-4", region, pair_to_json(*pair))
@@ -392,7 +385,7 @@ def check_convexity_corollary(region, probe_density=DEFAULT_PROBE_DENSITY):
     rather than Fails.
     """
     by_pairs, witness = is_convex_by_pairs(region, probe_density)
-    if isinstance(region, PointedOpenBox):
+    if region.kind == "pointed-open-box":
         if by_pairs:
             classes = {}
             corners = PointedOpenBox.CORNERS
@@ -446,9 +439,9 @@ def _non_convexity_witness(region):
     disk complement's is the member pair center -/+ (2r, 0), whose
     midpoint, the center, leaves the set. Both are re-checked in rationals.
     """
-    if isinstance(region, Disk):
+    if region.kind == "disk":
         return None
-    if isinstance(region, DiskComplement):
+    if region.kind == "disk-complement":
         offset = Vector((2 * region.radius, ZERO))
         p, q = region.center - offset, region.center + offset
         mid = interpolate(p, q, Q(1, 2))
@@ -460,7 +453,7 @@ def _non_convexity_witness(region):
             raise CertificateError("disk complement pair does not witness")
         return {"p": point_to_json(p), "q": point_to_json(q),
                 "midpoint": point_to_json(mid)}
-    if not isinstance(region, PolygonRegion):
+    if region.kind != "polygon":
         raise TypeError(f"no convexity ground truth for {region!r}")
     # A ring is counterclockwise, so a right turn of the outer ring and a
     # left turn of a hole are both reflex angles of the region.
@@ -541,7 +534,7 @@ def check_extreme_existence(P):
         if d is None or any(h.normal.dot(d) != 0 for h in P.halfspaces):
             failures.append({"bad_line_witness": True})
         else:
-            witnesses.append({"line_direction": vector_to_json(d)})
+            witnesses.append({"line_direction": point_to_json(d)})
     if not agree:
         failures.append(
             {"biconditional": {"extreme_count": len(verts), "lineality": ld}}
@@ -567,7 +560,7 @@ def check_face_lemma(P, w):
         (v for v in face_verts if v not in set_verts), key=lambda p: p.coords
     )
     facts = {
-        "direction": vector_to_json(w),
+        "direction": point_to_json(w),
         "face_extremes": sorted(point_to_json(v) for v in face_verts),
         "set_extremes": sorted(point_to_json(v) for v in set_verts),
     }
@@ -584,7 +577,7 @@ def check_boundary_hull(instance, interior_samples=DEFAULT_SAMPLES, seed=0):
     Hypothesis-violated polyhedra (halfspace, slab) record whether the
     boundary hull happens to equal the set anyway.
     """
-    if isinstance(instance, Epigraph1D):
+    if instance.kind == "epigraph1d":
         return _check_epigraph_chords("thm-10", instance, interior_samples, seed)
     P = instance
     rng = rng_from_seed(seed)
@@ -699,7 +692,7 @@ def check_krein_milman(instance, samples=25, seed=0):
     """Bounded polyhedra: exact hull equality with the extreme points.
     Epigraphs: the graph is the profile and chords cover interior samples.
     Violated hypotheses record whether C(E(A)) = A anyway."""
-    if isinstance(instance, Epigraph1D):
+    if instance.kind == "epigraph1d":
         return _check_epigraph_chords("thm-13", instance, samples, seed)
     P = instance
     rng = rng_from_seed(seed)

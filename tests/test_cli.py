@@ -287,6 +287,26 @@ def test_render_of_a_3d_polyhedron_is_refused(geo, capsys, tmp_path):
     assert not (tmp_path / "c.svg").exists()
 
 
+HUGE = "1" + "0" * 400  # past the float range
+
+
+@pytest.mark.parametrize("doc", [
+    {"kind": "disk", "center": ["0", "0"], "radius": HUGE},
+    {"kind": "polygon", "outer": [["0", "0"], [HUGE, "0"], ["0", "1"]]},
+    {"kind": "epigraph1d", "coeffs": ["0", "0", HUGE]},
+], ids=["disk-radius", "polygon-vertex", "epigraph-coefficient"])
+def test_render_past_the_float_range_is_exit_2(doc, geo, capsys, tmp_path):
+    src = geo("huge.json", doc)
+    assert run(["render", src, "--svg", str(tmp_path / "h.svg")]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert json.loads(captured.err) == {
+        "error": "DisplayRangeError",
+        "message": "a coordinate is too large to draw",
+    }
+    assert not (tmp_path / "h.svg").exists()
+
+
 def test_out_flag_writes_file(geo, tmp_path, capsys):
     out = tmp_path / "report.json"
     code = run(["extremes", geo("cone.json", CONE), "--out", str(out)])
@@ -612,3 +632,133 @@ def test_cli_reports_are_pinned(argv, code, stdout_sha, svg_sha, stderr, capsys,
     if svg_sha is not None:
         svg = (tmp_path / "out.svg").read_bytes()
         assert hashlib.sha256(svg).hexdigest() == svg_sha
+
+
+# Goldens of the per-kind branches no golden above reaches: the drawing of
+# each remaining kind, the pair classes of the curved and the fixed region,
+# every kind gate's error and the unknown-kind error. Ids are fixed like the
+# ones above.
+KIND_FILES = {
+    **PINNED_FILES,
+    "disk.json": DISK,
+    "holes.json": HOLED_SQUARE,
+    "empty.json": {
+        "kind": "h-polyhedron",
+        "dim": 2,
+        "halfspaces": [
+            {"normal": ["1", "0"], "offset": "0"},
+            {"normal": ["-1", "0"], "offset": "-1"},
+        ],
+    },
+    "segment.json": {
+        "kind": "h-polyhedron",
+        "dim": 2,
+        "halfspaces": [
+            {"normal": ["0", "1"], "offset": "0"},
+            {"normal": ["0", "-1"], "offset": "0"},
+            {"normal": ["1", "0"], "offset": "1"},
+            {"normal": ["-1", "0"], "offset": "0"},
+        ],
+    },
+    "cylinder.json": {"kind": "cylinder", "radius": "1"},
+}
+
+EMPTY_SHA = "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855"
+
+
+@pytest.mark.parametrize("argv, code, stdout_sha, svg_sha, stderr", [
+    (["render", "disk.json", "--svg", "out.svg"], 0,
+     "685d3fc57ee0bc0e5d0ee4f2027dd1a41aadd6939e42056ac7bbd7751011036e",
+     "9edd06ae49708a5b395c291713059d48ebc437357cd7b9791f4f32a670fcd360", ""),
+    (["render", "holes.json", "--svg", "out.svg"], 0,
+     "a5318f11acfe9b05b6156ab1ff2437ee3158b540387f98e4b4c0e027270de10f",
+     "ac6ef2e75edf699e1b3757a6b08a70c7cc5fcf7a4a96d17fcbc0202d456e1b78", ""),
+    (["render", "empty.json", "--svg", "out.svg"], 0,
+     "e239ed2a80860574f17502e172278f6b2ac0fe41ad57b02d560655bc1ff8c598",
+     "2cdc3c664f5cf69eea618def6b387e769bd955237ca96369ef6b3896978f18c5", ""),
+    (["render", "segment.json", "--svg", "out.svg"], 0,
+     "ef5cc76e18f88ea2cab6e1ec36f8a789c1a7a0e28f1996cefa7f863aa4adf157",
+     "1e9e8bddb05bced3a68262169c74d7bcd6ab27726a60968d2566575d168e5d78", ""),
+    (["classify", "disk.json", "--probe-density", "6"], 0,
+     "10050d28ddb5d47b037bc28f119ea6d8d7ef13cef23adb1744042aefc5884bed",
+     None, ""),
+    (["classify", "box.json"], 0,
+     "197d567bd88a86499a2e07af045581a42a2ecc42b56535d246bfa8cf989ce18e",
+     None, ""),
+    (["classify", "vpoly.json"], 2,
+     EMPTY_SHA, None,
+     '{"error": "schema", '
+     '"message": "classify needs a region or an h-polyhedron"'
+     ', "path": "$.kind"}\n'),
+    (["convexity", "parabola.json"], 2,
+     EMPTY_SHA, None,
+     '{"error": "schema", '
+     '"message": "convexity needs a planar region"'
+     ', "path": "$.kind"}\n'),
+    (["extremes", "disk.json"], 2,
+     EMPTY_SHA, None,
+     '{"error": "schema", '
+     '"message": "extremes needs an h-polyhedron or a v-polytope"'
+     ', "path": "$.kind"}\n'),
+    (["reconstruct", "l.json"], 2,
+     EMPTY_SHA, None,
+     '{"error": "schema", '
+     '"message": "reconstruct needs an h-polyhedron or an epigraph"'
+     ', "path": "$.kind"}\n'),
+    (["render", "vpoly.json", "--svg", "out.svg"], 2,
+     EMPTY_SHA, None,
+     '{"error": "schema", '
+     '"message": "render supports regions, polyhedra, epigraphs"'
+     ', "path": "$.kind"}\n'),
+    (["render", "parabola.json", "--svg", "out.svg", "--overlays", "pairs"], 2,
+     EMPTY_SHA, None,
+     '{"error": "schema", '
+     '"message": "pair overlays need a region or an h-polyhedron"'
+     ', "path": "$.overlays"}\n'),
+    (["kernel", "disk.json"], 2,
+     EMPTY_SHA, None,
+     '{"error": "schema", '
+     '"message": "kernel is defined for simple polygons"'
+     ', "path": "$.kind"}\n'),
+    (["kernel", "holes.json"], 2,
+     EMPTY_SHA, None,
+     '{"error": "schema", '
+     '"message": "kernel is defined for simple polygons"'
+     ', "path": "$.kind"}\n'),
+    (["classify", "cylinder.json"], 2,
+     EMPTY_SHA, None,
+     '{"error": "schema", '
+     '"message": "unknown kind \'cylinder\'; expected one of'
+     ' h-polyhedron, v-polytope, polygon, disk, disk-complement,'
+     ' pointed-open-box, epigraph1d", "path": "$.kind"}\n'),
+], ids=[
+    "render-disk",
+    "render-holed-square",
+    "render-empty-h-polyhedron",
+    "render-segment-h-polyhedron",
+    "classify-disk",
+    "classify-pointed-box",
+    "gate-classify-v-polytope",
+    "gate-convexity-epigraph",
+    "gate-extremes-disk",
+    "gate-reconstruct-polygon",
+    "gate-render-v-polytope",
+    "gate-pair-overlay-epigraph",
+    "gate-kernel-disk",
+    "gate-kernel-holed-polygon",
+    "unknown-kind",
+])
+def test_kind_dispatch_reports_are_pinned(argv, code, stdout_sha, svg_sha,
+                                          stderr, capsys, tmp_path, monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    for name, doc in KIND_FILES.items():
+        (tmp_path / name).write_text(json.dumps(doc))
+    assert run(argv) == code
+    captured = capsys.readouterr()
+    assert hashlib.sha256(captured.out.encode("utf-8")).hexdigest() == stdout_sha
+    assert captured.err == stderr
+    if svg_sha is not None:
+        svg = (tmp_path / "out.svg").read_bytes()
+        assert hashlib.sha256(svg).hexdigest() == svg_sha
+    elif code == 2:
+        assert not (tmp_path / "out.svg").exists()

@@ -35,7 +35,6 @@ from convexprofile.regions2d import (
     PointedOpenBox,
     PolygonRegion,
     SimplePolygon,
-    boundary_probe_points,
     circle_points,
     classify_pair,
     convexity_oracle,
@@ -300,7 +299,7 @@ def test_classify_pair_symmetry_and_totality(seed):
     rng = rng_from_seed(seed)
     poly = random_simple_polygon(rng, max_vertices=8)
     region = PolygonRegion(poly)
-    probes = boundary_probe_points(region)
+    probes = region.boundary_probes(16)
     rng.shuffle(probes)
     for p, q in itertools.combinations(probes[:6], 2):
         cls = classify_pair(region, p, q)
@@ -324,7 +323,7 @@ def _first_pair_by_classify_pair(region, probes, classes):
 
 def test_pair_scan_witness_is_the_first_pair_in_combinations_order():
     L = PolygonRegion(l_polygon())
-    probes = boundary_probe_points(L)
+    probes = L.boundary_probes(16)
     witness = first_pair_outside(L, probes, CONVEX)
     assert witness == (point(1, 0), point(1, Q(3, 2)), PairClass.MIXED)
     assert witness == _first_pair_by_classify_pair(L, probes, CONVEX)
@@ -335,10 +334,10 @@ def test_pair_scan_witness_is_the_first_pair_in_combinations_order():
             _first_pair_by_classify_pair(L, probes, classes)
         )
     sq = square_region()
-    assert first_pair_outside(sq, boundary_probe_points(sq), {PairClass.FLAT}) == (
+    assert first_pair_outside(sq, sq.boundary_probes(16), {PairClass.FLAT}) == (
         point(0, 0), point(1, Q(1, 2)), PairClass.HYPERBOLIC
     )
-    assert first_pair_outside(sq, boundary_probe_points(sq), CONVEX) is None
+    assert first_pair_outside(sq, sq.boundary_probes(16), CONVEX) is None
 
 
 def _scan_cases():
@@ -400,7 +399,7 @@ def test_table_classification_agrees_with_the_partition(kind, seed):
     # contacts.
     poly = POLYGON_KINDS[kind](rng_from_seed(seed))
     region = PolygonRegion(poly)
-    probes = boundary_probe_points(region)
+    probes = region.boundary_probes(16)
     tables = {p: regions2d._probe(region, p)[1] for p in probes}
     for p, q in itertools.combinations(probes, 2):
         fast = regions2d._classify_by_tables(poly, tables[p], tables[q])
@@ -414,7 +413,7 @@ def test_table_classification_agrees_with_the_partition(kind, seed):
 def test_pair_scan_locates_each_probe_once_without_orient(monkeypatch):
     poly = SimplePolygon(circle_points(point(Q(3, 8), Q(-5, 8)), Q(41, 16), 47))
     region = PolygonRegion(poly)
-    probes = boundary_probe_points(region)
+    probes = region.boundary_probes(16)
     assert (poly.n, len(probes)) == (48, 96)
     calls = dict.fromkeys(("point_in_polygon", "orient"), 0)
     for name in calls:
@@ -627,7 +626,7 @@ def test_sight_lines_through_vertices_agree_with_the_partition():
             poly = POLYGON_KINDS[kind](rng)
             verts = poly._ivertices
             region = PolygonRegion(poly)
-            probes = boundary_probe_points(region)
+            probes = region.boundary_probes(16)
             tables = {p: regions2d._probe(region, p)[1] for p in probes}
             for p, q in itertools.combinations(probes, 2):
                 exact = regions2d._classify_from_partition(
@@ -725,7 +724,7 @@ def test_hole_free_polygons_reach_no_rational_partition(monkeypatch):
             region = PolygonRegion(poly)
             verdict, _ = is_convex_by_pairs(region)
             assert verdict == convexity_oracle(poly)
-            probes = boundary_probe_points(region)
+            probes = region.boundary_probes(16)
             pairs.append([
                 classify_pair(region, p, q)
                 for p, q in itertools.combinations(probes, 2)
@@ -790,7 +789,7 @@ def test_side_rule_matches_the_midpoint_parity(kind):
         poly = POLYGON_KINDS[kind](rng)
         verts = poly._ivertices
         region = PolygonRegion(poly)
-        probes = boundary_probe_points(region)
+        probes = region.boundary_probes(16)
         targets = _boundary_targets(poly, 4)
         sites = dict(targets)
         for p in probes:
