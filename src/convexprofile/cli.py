@@ -50,6 +50,9 @@ from .theorems import (
 
 DEFAULT_SEED = 0xC0FFEE
 
+# The parser `run` builds on its first call and reuses; not built at import.
+_parser = None
+
 
 def build_parser():
     parser = argparse.ArgumentParser(
@@ -388,8 +391,10 @@ _COMMANDS = {
 
 
 def run(argv):
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    global _parser
+    if _parser is None:
+        _parser = build_parser()
+    args = _parser.parse_args(argv)
     try:
         seed = _resolve_seed(args)
         _check_settings(args)

@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import itertools
 import math
+import operator
 from dataclasses import dataclass
 from enum import Enum
 from functools import cached_property
@@ -378,7 +379,7 @@ def _primitive(v):
 
 
 def _dot(u, v):
-    return sum(a * b for a, b in zip(u, v))
+    return sum(map(operator.mul, u, v))
 
 
 def _combine(a, u, b, v):

@@ -16,6 +16,10 @@ questions; every function below works through them:
   parameters where the segment a + t(b - a) may change location, and
   (lo, hi) rational intervals each holding one irrational boundary crossing;
 - `boundary_probes(density)` -> a finite list of boundary points.
+
+The pair scan runs row by row. On a hole-free polygon each probe's edge
+sign masks are read once per row, and they pick out the pairs that need a
+sight line; every other pair's class is the side of q at p's site.
 """
 
 from __future__ import annotations
@@ -598,6 +602,13 @@ class PairClass(Enum):
     MIXED = "mixed"
 
 
+# The classes by code: the side of q at p's site, -1 (the last) for
+# Elliptic, or 2 for a pair that is Mixed.
+_CLASSES = (
+    PairClass.FLAT, PairClass.HYPERBOLIC, PairClass.MIXED, PairClass.ELLIPTIC,
+)
+
+
 def classify_pair(region, p, q):
     """The trichotomy class of a boundary pair, or Mixed.
 
@@ -631,15 +642,6 @@ def _probe(region, x):
     return x, table
 
 
-def _classify(region, p_probe, q_probe):
-    """The class of a pair of `_probe` results: the one pair classifier."""
-    (p, p_table), (q, q_table) = p_probe, q_probe
-    if p_table is not None:
-        return _classify_by_tables(region.outer, p_table, q_table)
-    partition = partition_segment(region, Segment(p, q))
-    return _classify_from_partition(region, partition)
-
-
 def _classify_from_partition(region, partition):
     if partition.has_bracket():
         # A bracketed crossing has interior points on one side and
@@ -667,30 +669,60 @@ def _classify_from_partition(region, partition):
     return PairClass.MIXED
 
 
-def _classify_by_tables(polygon, p_table, q_table):
-    """Integer classification of a hole-free polygon pair.
+def _classify(region, p_probe, q_probe):
+    """The class of a pair of `_probe` results: the one-pair row."""
+    return _first_outside_in_row(region, p_probe, (q_probe,), ())[1]
 
-    A vertex inside the open segment is a boundary member, so a pair through
-    vertices is Flat when every piece between them is boundary, else Mixed.
+
+def _first_outside_in_row(region, p_probe, q_probes, classes):
+    """(j, class) of the first q_probes[j] whose pair with p has a class
+    not in `classes`; None when there is none.
+
+    Without tables every pair goes through the rational partition. On a
+    hole-free polygon p's masks and site are read once for the row, and a
+    pair needs a sight line only where some edge's line may meet the open
+    segment: p and q strictly on opposite sides of it, or both on it. For
+    every other pair `sight_blocked` would return False, and the class is
+    the side of q at p's site. A vertex inside the open segment is a
+    boundary member, so a pair through vertices is Flat when every piece
+    between them is boundary, else Mixed.
     """
-    (p_h, p_signs, p_site), (q_h, q_signs, _) = p_table, q_table
-    verts, turns = polygon._ivertices, polygon._turns
-    touching = intgeom.sight_blocked(verts, p_h, q_h, p_signs, q_signs)
-    if touching is True:
-        return PairClass.MIXED
-    code = intgeom.side_at(verts, turns, p_site, q_h, q_signs)
-    while touching:
-        k = (touching & -touching).bit_length() - 1
-        touching &= touching - 1
-        if code or intgeom.side_at(verts, turns, (k, True), q_h, q_signs):
-            return PairClass.MIXED
-    # One piece, or boundary pieces only: a boundary piece can only run
-    # along an edge from its start, so the whole open segment is boundary.
-    if code > 0:
-        return PairClass.HYPERBOLIC
-    if code < 0:
-        return PairClass.ELLIPTIC
-    return PairClass.FLAT
+    p, p_table = p_probe
+    if p_table is None:
+        for j, (q, _) in enumerate(q_probes):
+            partition = partition_segment(region, Segment(p, q))
+            cls = _classify_from_partition(region, partition)
+            if cls not in classes:
+                return j, cls
+        return None
+    verts, turns = region.outer._ivertices, region.outer._turns
+    p_h, p_signs, p_site = p_table
+    pp, pn = p_signs
+    p_on = ~(pp | pn) & ((1 << len(verts)) - 1)
+    # inside edge k the side of q is its mask bit for edge k
+    out = 0 if p_site[1] else 1 << p_site[0]
+    stop = [cls not in classes for cls in _CLASSES]
+    for j, (_, (q_h, q_signs, _)) in enumerate(q_probes):
+        qp, qn = q_signs
+        touching = 0
+        if (pp & qn) | (pn & qp) | (p_on & ~(qp | qn)):
+            touching = intgeom.sight_blocked(verts, p_h, q_h, p_signs, q_signs)
+        if touching is True:
+            code = 2
+        elif out:
+            code = 1 if qp & out else -1 if qn & out else 0
+        else:
+            code = intgeom.side_at(verts, turns, p_site, q_h, q_signs)
+        # One piece, or boundary pieces only (a boundary piece can only run
+        # along an edge from its start): the side at p's site is the class.
+        while touching and code != 2:
+            k = (touching & -touching).bit_length() - 1
+            touching &= touching - 1
+            if code or intgeom.side_at(verts, turns, (k, True), q_h, q_signs):
+                code = 2
+        if stop[code]:
+            return j, _CLASSES[code]
+    return None
 
 
 def convexity_oracle(polygon):
@@ -747,18 +779,19 @@ def first_pair_outside(region, probes, classes):
     """
     if len({p.coords for p in probes}) < len(probes):
         raise DegenerateSegmentError("pair endpoints must differ")
-    prepared = {}
+    prepared = []
 
-    def prepare(i):
-        if i not in prepared:
-            prepared[i] = _probe(region, probes[i])
-        return prepared[i]
+    def prepare(x):
+        prepared.append(_probe(region, x))
+        return prepared[-1]
 
-    for i, j in itertools.combinations(range(len(probes)), 2):
-        p, q = probes[i], probes[j]
-        cls = _classify(region, prepare(i), prepare(j))
-        if cls not in classes:
-            return p, q, cls
+    for i, p in enumerate(probes[:-1]):
+        # Row 0 prepares each probe when its first pair comes up.
+        row = (prepare(p), map(prepare, probes[1:])) if i == 0 else (
+            prepared[i], prepared[i + 1:])
+        hit = _first_outside_in_row(region, *row, classes)
+        if hit is not None:
+            return p, probes[i + 1 + hit[0]], hit[1]
     return None
 
 

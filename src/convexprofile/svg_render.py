@@ -7,12 +7,15 @@ produces a byte-identical document.
 
 from __future__ import annotations
 
+import math
+
 from .core import Point, Q, ZERO
 from .errors import DimensionMismatchError, DisplayRangeError
 from .polyhedra import (
     HPolyhedron,
     box_halfspaces,
     extreme_points,
+    feasible_point,
     is_bounded,
     is_empty,
 )
@@ -55,6 +58,9 @@ class _Frame:
         self.scale = (CANVAS - 2 * MARGIN) / span
         self.xmin = xmin - (span - (xmax - xmin)) / 2
         self.ymax = ymax + (span - (ymax - ymin)) / 2
+        # Each bound is a float, but the span or the centred frame may not be.
+        if not all(map(math.isfinite, (span, self.xmin, self.ymax))):
+            raise DisplayRangeError("a coordinate is too large to draw")
 
     def map(self, p):
         x = MARGIN + (float(p.coords[0]) - self.xmin) * self.scale
@@ -215,13 +221,18 @@ def _draw_box(box, frame_for):
 def _draw_polyhedron(P, frame_for):
     """P's vertices clipped to the box |x|, |y| <= 12, in CCW order.
 
-    Unbounded sets get cropped; only 2D ones render.
+    Unbounded sets get cropped; only 2D ones render. A P that misses that
+    box is clipped to the least box |x|, |y| <= 2^k holding its member point.
     """
     if P.dim != 2:
         raise DimensionMismatchError("can only render 2D polyhedra")
     points = []
     if not is_empty(P):
         clipped = HPolyhedron((*P.halfspaces, *box_halfspaces(2, Q(12))), 2)
+        if is_empty(clipped):
+            far = math.ceil(max(abs(c) for c in feasible_point(P).coords))
+            box = box_halfspaces(2, Q(1 << (far - 1).bit_length()))
+            clipped = HPolyhedron((*P.halfspaces, *box), 2)
         points = _angular_sort(list(extreme_points(clipped)))
     frame = frame_for(points=points)
     if not points:

@@ -4,6 +4,7 @@ import re
 
 import pytest
 
+from convexprofile import cli
 from convexprofile.cli import run
 
 CONE = {
@@ -287,6 +288,20 @@ def test_render_of_a_3d_polyhedron_is_refused(geo, capsys, tmp_path):
     assert not (tmp_path / "c.svg").exists()
 
 
+def test_render_of_a_polyhedron_outside_the_default_box(geo, capsys, tmp_path):
+    # {x >= 100} misses the box |x|, |y| <= 12, so it is clipped to the
+    # least power-of-two box holding its member point, |x|, |y| <= 128.
+    far = {"kind": "h-polyhedron", "dim": 2,
+           "halfspaces": [{"normal": ["-1", "0"], "offset": "-100"}]}
+    svg = tmp_path / "far.svg"
+    assert run(["render", geo("far.json", far), "--svg", str(svg)]) == 0
+    capsys.readouterr()
+    body = svg.read_text().splitlines()[3]
+    points = re.search(r'points="([^"]*)"', body).group(1).split()
+    assert body.startswith("<polygon ") and len(points) == 4
+    assert body.endswith("<!-- cropped to viewport -->")
+
+
 HUGE = "1" + "0" * 400  # past the float range
 
 
@@ -294,7 +309,15 @@ HUGE = "1" + "0" * 400  # past the float range
     {"kind": "disk", "center": ["0", "0"], "radius": HUGE},
     {"kind": "polygon", "outer": [["0", "0"], [HUGE, "0"], ["0", "1"]]},
     {"kind": "epigraph1d", "coeffs": ["0", "0", HUGE]},
-], ids=["disk-radius", "polygon-vertex", "epigraph-coefficient"])
+    # every vertex is a float, but the span between them is not
+    {"kind": "polygon",
+     "outer": [["-9" + "0" * 307, "0"], ["9" + "0" * 307, "0"], ["0", "1"]]},
+    # the span is a float, but centring the narrow side leaves the range
+    {"kind": "polygon", "outer": [["-16" + "0" * 307, "-4" + "0" * 307],
+                                  ["-15" + "0" * 307, "0"],
+                                  ["-16" + "0" * 307, "4" + "0" * 307]]},
+], ids=["disk-radius", "polygon-vertex", "epigraph-coefficient", "span",
+        "centred-frame"])
 def test_render_past_the_float_range_is_exit_2(doc, geo, capsys, tmp_path):
     src = geo("huge.json", doc)
     assert run(["render", src, "--svg", str(tmp_path / "h.svg")]) == 2
@@ -305,6 +328,33 @@ def test_render_past_the_float_range_is_exit_2(doc, geo, capsys, tmp_path):
         "message": "a coordinate is too large to draw",
     }
     assert not (tmp_path / "h.svg").exists()
+
+
+def test_one_parser_serves_every_command(geo, capsys, tmp_path, monkeypatch):
+    # `run` builds its parser on its first call and reuses it: each report
+    # of a sequence run in one process has the bytes of the same command
+    # run first, with a parser of its own.
+    l_path, svg = geo("l.json", L_POLYGON), tmp_path / "k.svg"
+    commands = [
+        ["classify", l_path, "--pairs", "all"],
+        ["classify", l_path],
+        ["render", l_path, "--svg", str(svg), "--overlays", "kernel"],
+        ["check", "thm-2", "--instances", "2"],
+    ]
+
+    def report(argv):
+        code = run(argv)
+        drawn = svg.read_bytes() if argv[0] == "render" else None
+        return code, capsys.readouterr().out, drawn
+
+    first = []
+    for argv in commands:
+        monkeypatch.setattr(cli, "_parser", None)
+        first.append(report(argv))
+    parser = cli._parser
+    assert [report(argv) for argv in commands] == first
+    assert cli._parser is parser
+    assert [code for code, _, _ in first] == [0, 0, 0, 0]
 
 
 def test_out_flag_writes_file(geo, tmp_path, capsys):

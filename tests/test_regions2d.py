@@ -352,6 +352,15 @@ def _scan_cases():
         (point(1, 0), point(-1, 0)),
         point(3, 3),
     )
+    # a hole sends the scan through the rational partition
+    yield (
+        PolygonRegion(
+            SimplePolygon([point(0, 0), point(4, 0), point(4, 4), point(0, 4)]),
+            [SimplePolygon([point(1, 1), point(3, 1), point(3, 3), point(1, 3)])],
+        ),
+        (point(0, 2), point(4, 2)),
+        point(2, 2),
+    )
 
 
 @pytest.mark.parametrize("region, pair, off", list(_scan_cases()))
@@ -391,6 +400,57 @@ POLYGON_KINDS = {
 }
 
 
+# every subset of the four classes
+CLASS_SETS = [
+    set(c) for r in range(5) for c in itertools.combinations(PairClass, r)
+]
+
+
+def _scan_outcome(scan, region, probes, classes):
+    """A scan's witness, or the type and message of the error it raised."""
+    try:
+        return scan(region, probes, classes)
+    except NotOnBoundaryError as exc:
+        return type(exc), str(exc)
+
+
+@pytest.mark.parametrize("region, pair, off", list(_scan_cases()))
+def test_pair_scan_raises_where_classify_pair_would(region, pair, off):
+    # Every order of a witness pair and an off-boundary probe, against
+    # every class set: the scan returns or raises what pair by pair does.
+    assert len(CLASS_SETS) == 16
+    outcomes = set()
+    for probes in itertools.permutations([*pair, off]):
+        for classes in CLASS_SETS:
+            got = _scan_outcome(first_pair_outside, region, list(probes), classes)
+            assert got == _scan_outcome(
+                _first_pair_by_classify_pair, region, probes, classes
+            ), (probes, classes)
+            outcomes.add("witness" if len(got) == 3 else "error")
+    assert outcomes == {"witness", "error"}
+
+
+@given(
+    st.sampled_from(sorted(POLYGON_KINDS)),
+    st.integers(0, 10**9),
+    st.one_of(st.none(), st.integers(0, 60)),
+)
+@settings(max_examples=30, deadline=None)
+def test_pair_scan_agrees_with_classify_pair_on_every_class_set(kind, seed, at):
+    # The row scan against classify_pair pair by pair, with an
+    # off-boundary probe at a drawn place in the list or none.
+    poly = POLYGON_KINDS[kind](rng_from_seed(seed))
+    region = PolygonRegion(poly)
+    probes = region.boundary_probes(16)
+    if at is not None:
+        _, _, xmax, ymax = poly.bounding_box()
+        probes.insert(at % (len(probes) + 1), point(xmax + 1, ymax + 1))
+    for classes in CLASS_SETS:
+        assert _scan_outcome(first_pair_outside, region, probes, classes) == (
+            _scan_outcome(_first_pair_by_classify_pair, region, probes, classes)
+        ), classes
+
+
 @given(st.sampled_from(sorted(POLYGON_KINDS)), st.integers(0, 10**9))
 @settings(max_examples=30)
 def test_table_classification_agrees_with_the_partition(kind, seed):
@@ -402,7 +462,7 @@ def test_table_classification_agrees_with_the_partition(kind, seed):
     probes = region.boundary_probes(16)
     tables = {p: regions2d._probe(region, p)[1] for p in probes}
     for p, q in itertools.combinations(probes, 2):
-        fast = regions2d._classify_by_tables(poly, tables[p], tables[q])
+        fast = regions2d._classify(region, (p, tables[p]), (q, tables[q]))
         exact = regions2d._classify_from_partition(
             region, partition_segment(region, Segment(p, q))
         )
@@ -425,6 +485,21 @@ def test_pair_scan_locates_each_probe_once_without_orient(monkeypatch):
     assert is_convex_by_pairs(region) == (True, None)
     assert calls["point_in_polygon"] <= len(probes)
     assert calls["orient"] == 0
+
+
+def test_pair_scan_draws_sight_lines_only_along_common_edge_lines(monkeypatch):
+    # On a convex ring the masks leave a sight line only to the pairs on
+    # one edge's line: its two vertices and midpoint, 3 pairs per edge.
+    poly = SimplePolygon(circle_points(point(Q(3, 8), Q(-5, 8)), Q(41, 16), 47))
+    calls = []
+
+    def counted(*args, _fn=intgeom.sight_blocked):
+        calls.append(args)
+        return _fn(*args)
+
+    monkeypatch.setattr(intgeom, "sight_blocked", counted)
+    assert is_convex_by_pairs(PolygonRegion(poly)) == (True, None)
+    assert len(calls) == 3 * poly.n == 144
 
 
 def test_pointed_open_box_pairs():
@@ -632,7 +707,9 @@ def test_sight_lines_through_vertices_agree_with_the_partition():
                 exact = regions2d._classify_from_partition(
                     region, partition_segment(region, Segment(p, q))
                 )
-                fast = regions2d._classify_by_tables(poly, tables[p], tables[q])
+                fast = regions2d._classify(
+                    region, (p, tables[p]), (q, tables[q])
+                )
                 assert fast is exact, (poly, p, q)
                 (p_h, p_signs, _), (q_h, q_signs, _) = tables[p], tables[q]
                 through["pairs"] += _through_vertex(
