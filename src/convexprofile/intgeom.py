@@ -22,6 +22,15 @@ piece's start site and the ring's vertex turns: the local wedge test at a
 boundary point of exact visibility-polygon algorithms (Lee 1983; Joe and
 Simpson 1987). Every sight-line query on a simple polygon is decided here,
 in integers, vertex contacts and collinear overlaps included.
+
+A second rule says when no sight line is needed: on a ring with no three
+consecutive collinear vertices an edge properly crosses the open segment
+(x, t), or a vertex lies strictly inside it, only if an edge line strictly
+separates x from t (for a vertex, that of an incident edge not along it).
+When `(xp & tn) | (xn & tp)` is 0, `segment_in_polygon` is `side_at` at
+t's site. The pair scan draws a sight line only when it is not 0; so does
+the kernel oracle for edge samples, after returning False at the first edge
+whose line has x strictly right (its first interior sample fails there).
 """
 
 from __future__ import annotations

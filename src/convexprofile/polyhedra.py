@@ -59,8 +59,21 @@ class Halfspace:
     def value(self, x):
         return self.normal.dot(Vector(x.coords))
 
+    @cached_property
+    def _row(self):
+        """a . x <= b as the primitive integer row (a, -b), so that x is in
+        the halfspace iff row . (x, 1) <= 0."""
+        return _primitive(_cleared([*self.normal.coords, -self.offset])[0])
+
     def contains(self, x):
-        return self.value(x) <= self.offset
+        """The sign of the integer row at x with its denominators cleared."""
+        if x.dim != self.normal.dim:
+            raise DimensionMismatchError(
+                f"dimension mismatch: {self.normal.dim} vs {x.dim}"
+            )
+        xs, s = _cleared(x.coords)
+        xs.append(s)
+        return _dot(self._row, xs) <= 0
 
 
 @dataclass(frozen=True)
@@ -90,8 +103,8 @@ class HPolyhedron:
 
     @cached_property
     def _rows(self):
-        """Each halfspace a . x <= b as its primitive integer row (a, -b)."""
-        return [_integer_row(h) for h in self.halfspaces]
+        """Each halfspace's primitive integer row (a, -b): `Halfspace._row`."""
+        return [h._row for h in self.halfspaces]
 
     def _values(self, x, w=1):
         """(values, s): row . (x s, w s) for each row, where s > 0 clears
@@ -365,12 +378,6 @@ def extreme_points(P):
             verts.append(Point([Q(c, y[n]) for c in y[:n]]))
     verts.sort(key=lambda p: p.coords)
     return tuple(verts)
-
-
-def _integer_row(h):
-    """a . x <= b as the primitive integer row (a, -b), so that x is in the
-    halfspace iff row . (x, 1) <= 0."""
-    return _primitive(_cleared([*h.normal.coords, -h.offset])[0])
 
 
 def _primitive(v):

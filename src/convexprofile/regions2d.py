@@ -71,7 +71,7 @@ class SimplePolygon:
 
     kind = "polygon"
 
-    __slots__ = ("vertices", "_ivertices", "_scale", "_turns")
+    __slots__ = ("vertices", "_ivertices", "_scale", "_turns", "_vtables")
 
     def __init__(self, vertices):
         vs = tuple(v if isinstance(v, Point) else Point(v) for v in vertices)
@@ -111,6 +111,7 @@ class SimplePolygon:
         self._ivertices, self._scale = iv, scale
         # +1 / -1: vertex i turns left (convex) / right (reflex)
         self._turns = turns
+        self._vtables = None
 
     @property
     def n(self):
@@ -166,6 +167,15 @@ class SimplePolygon:
 
     def locate(self, x):
         return self.table(x)[0]
+
+    def _vertex_tables(self):
+        """(edge tables, sign masks) of the ring's vertices, built on the
+        first call: only the visibility oracle reads them."""
+        if self._vtables is None:
+            verts = self._ivertices
+            dets = [intgeom.edge_dets(verts, intgeom.as_h(v)) for v in verts]
+            self._vtables = dets, [intgeom.edge_signs(d) for d in dets]
+        return self._vtables
 
     def __eq__(self, other):
         return (
@@ -293,16 +303,10 @@ class PolygonRegion:
         return _polyline_breakpoints(edges, a, b), []
 
     def boundary_probes(self, density):
-        """Every ring's vertices and edge midpoints, ring by ring."""
-        pts = []
-        seen = set()
-        for ring in self.rings():
-            for a, b in ring.edges():
-                for cand in (a, interpolate(a, b, Q(1, 2))):
-                    if cand.coords not in seen:
-                        seen.add(cand.coords)
-                        pts.append(cand)
-        return pts
+        """Every ring's vertices and edge midpoints, ring by ring: distinct
+        points, because the rings are simple and disjoint."""
+        return [x for ring in self.rings() for a, b in ring.edges()
+                for x in (a, interpolate(a, b, Q(1, 2)))]
 
 
 class _Circle:
@@ -681,7 +685,7 @@ def _first_outside_in_row(region, p_probe, q_probes, classes):
     Without tables every pair goes through the rational partition. On a
     hole-free polygon p's masks and site are read once for the row, and a
     pair needs a sight line only where some edge's line may meet the open
-    segment: p and q strictly on opposite sides of it, or both on it. For
+    segment: p and q strictly on opposite sides of it (see `intgeom`). For
     every other pair `sight_blocked` would return False, and the class is
     the side of q at p's site. A vertex inside the open segment is a
     boundary member, so a pair through vertices is Flat when every piece
@@ -698,14 +702,13 @@ def _first_outside_in_row(region, p_probe, q_probes, classes):
     verts, turns = region.outer._ivertices, region.outer._turns
     p_h, p_signs, p_site = p_table
     pp, pn = p_signs
-    p_on = ~(pp | pn) & ((1 << len(verts)) - 1)
     # inside edge k the side of q is its mask bit for edge k
     out = 0 if p_site[1] else 1 << p_site[0]
     stop = [cls not in classes for cls in _CLASSES]
     for j, (_, (q_h, q_signs, _)) in enumerate(q_probes):
         qp, qn = q_signs
         touching = 0
-        if (pp & qn) | (pn & qp) | (p_on & ~(qp | qn)):
+        if (pp & qn) | (pn & qp):
             touching = intgeom.sight_blocked(verts, p_h, q_h, p_signs, q_signs)
         if touching is True:
             code = 2
@@ -777,7 +780,9 @@ def first_pair_outside(region, probes, classes):
     when its first pair comes up, so errors surface as classify_pair would
     raise them pair by pair.
     """
-    if len({p.coords for p in probes}) < len(probes):
+    # keyed on integers: hashing a Fraction costs a modular inverse
+    if len({tuple((c.numerator, c.denominator) for c in p.coords)
+            for p in probes}) < len(probes):
         raise DegenerateSegmentError("pair endpoints must differ")
     prepared = []
 
@@ -837,35 +842,51 @@ def kernel_contains_by_visibility(polygon, x, boundary_samples):
     parameters k/m along each edge). Independent of the halfplane
     construction in kernel(); the two must agree on closed polygons. Sight
     lines through a vertex are decided in integers like every other.
+
+    Lemma: on a valid ring an edge properly crosses the open segment
+    (x, t), or a vertex lies strictly inside it, only if some edge line
+    strictly separates x from t (for a vertex, that of an incident edge
+    not along the segment). So a sample t inside edge i that no edge line
+    separates from x is seen iff x's bit for edge i is not "right", the
+    same bit for every k. Two gates follow. With m > 1, x strictly right
+    of edge i's line fails at sample 1/m: False before edge i's samples.
+    Otherwise an edge sample that no line separates from x is seen with no
+    sight line; when no edge line splits the edge's two vertices, all its
+    interior samples share one mask pair, and one test settles them all.
     """
     if boundary_samples < 1:
         raise ValueError("need at least one sample per edge")
     loc, x_h, x_dets, _ = polygon.table(x)
     if loc is PointLocation.EXTERIOR:
         raise NotAMemberError(f"{x!r} is not a member of the polygon")
-    x_signs = intgeom.edge_signs(x_dets)
+    x_signs = xp, xn = intgeom.edge_signs(x_dets)
     m = boundary_samples
     verts, turns = polygon._ivertices, polygon._turns
+    vertex_dets, vertex_signs = polygon._vertex_tables()
     nverts = len(verts)
-    # The vertices' edge tables and signs; the samples k/m along edge i
-    # blend the signs of its two vertices.
-    vertex_dets = [intgeom.edge_dets(verts, intgeom.as_h(v)) for v in verts]
-    vertex_signs = [intgeom.edge_signs(dets) for dets in vertex_dets]
     for i in range(nverts):
+        if m > 1 and xn >> i & 1:
+            return False
         j = (i + 1) % nverts
+        (vp, vn), (wp, wn) = vertex_signs[i], vertex_signs[j]
+        if (vp & wn) | (vn & wp):
+            samples = intgeom.sample_signs(
+                vertex_dets[i], vertex_dets[j], vertex_signs[i],
+                vertex_signs[j], m,
+            )
+        else:  # every interior sample has the one mask pair
+            tp, tn = (vp | wp) & ~(vn | wn), (vn | wn) & ~(vp | wp)
+            samples = [vertex_signs[i]]
+            if (xp & tn) | (xn & tp):
+                samples += [(tp, tn)] * (m - 1)
         vx, vy = verts[i]
         wx, wy = verts[j]
-        samples = intgeom.sample_signs(
-            vertex_dets[i], vertex_dets[j], vertex_signs[i], vertex_signs[j], m
-        )
-        for k, t_signs in enumerate(samples):
-            t_h = (
-                (m - k) * vx + k * wx,
-                (m - k) * vy + k * wy,
-                m,
-            )
+        for k, (tp, tn) in enumerate(samples):
+            if k and not (xp & tn) | (xn & tp):
+                continue
+            t_h = ((m - k) * vx + k * wx, (m - k) * vy + k * wy, m)
             if not intgeom.segment_in_polygon(
-                verts, turns, x_h, t_h, x_signs, t_signs, (i, k == 0)
+                verts, turns, x_h, t_h, x_signs, (tp, tn), (i, k == 0)
             ):
                 return False
     return True

@@ -7,8 +7,15 @@ dot product, per halfspace.
 """
 
 import itertools
+import math
+import os
+import subprocess
+import sys
+import textwrap
+from pathlib import Path
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from convexprofile.core import Matrix, Point, Q, Vector, point, rank, vector
 from convexprofile.errors import (
@@ -223,3 +230,71 @@ def test_polyhedron_predicates_do_not_evaluate_rational_dot_products(monkeypatch
     assert not is_vertex(box, b)
     assert box.breakpoints(a, b) == ([Q(1, 4)], [])
     assert clip_line(box, b, vector(1, 1)) == (Q(-6, 5), Q(1, 2))
+
+
+def _reference_row(h):
+    """(a, -b) scaled to coprime integers, for the halfspace a . x <= b."""
+    values = [*h.normal.coords, -h.offset]
+    scale = math.lcm(*(v.denominator for v in values))
+    ints = [int(v * scale) for v in values]
+    g = math.gcd(*ints)
+    return tuple(c // g for c in ints)
+
+
+_FRACTIONS = st.fractions(min_value=-20, max_value=20, max_denominator=9)
+
+
+@given(st.integers(1, 4), st.data())
+@settings(max_examples=80)
+def test_halfspace_contains_matches_the_rational_comparison(dim, data):
+    coords = st.lists(_FRACTIONS, min_size=dim, max_size=dim)
+    h = Halfspace(Vector(data.draw(coords.filter(any))), data.draw(_FRACTIONS))
+    x = Point(data.draw(coords))
+    # the foot of x on the hyperplane, and a step past it either way
+    n = h.normal
+    t = (h.offset - h.value(x)) / n.dot(n)
+    foot = x + n * t
+    assert h.value(foot) == h.offset and h.contains(foot)
+    for y in (x, foot, foot + n * Q(1, 97), foot + n * Q(-1, 97)):
+        assert h.contains(y) is (h.value(y) <= h.offset), (h, y)
+
+
+def test_halfspace_of_the_wrong_dimension_raises_also_under_python_O():
+    h = Halfspace(vector(1, Q(-2, 3)), Q(1, 2))
+    for x in (point(1), point(0, 0, 0)):
+        with pytest.raises(DimensionMismatchError):
+            h.contains(x)
+    script = textwrap.dedent(
+        """
+        import sys
+        from convexprofile.core import Q, point, vector
+        from convexprofile.errors import DimensionMismatchError
+        from convexprofile.polyhedra import Halfspace
+
+        print(sys.flags.optimize)
+        h = Halfspace(vector(1, Q(-2, 3)), Q(1, 2))
+        for x in (point(1), point(0, 0, 0)):
+            try:
+                h.contains(x)
+                print("accepted")
+            except DimensionMismatchError:
+                print("DimensionMismatchError")
+        """
+    )
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        p for p in (src, env.get("PYTHONPATH")) if p
+    )
+    proc = subprocess.run(
+        [sys.executable, "-O", "-c", script],
+        env=env, capture_output=True, text=True, timeout=60, check=False,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.split() == ["1"] + ["DimensionMismatchError"] * 2
+
+
+@pytest.mark.parametrize("P", list(_polyhedra()), ids=lambda P: f"E{P.dim}")
+def test_polyhedron_rows_are_the_halfspace_rows(P):
+    assert P._rows == [_reference_row(h) for h in P.halfspaces]
+    assert all(row is h._row for row, h in zip(P._rows, P.halfspaces))

@@ -488,8 +488,9 @@ def test_pair_scan_locates_each_probe_once_without_orient(monkeypatch):
 
 
 def test_pair_scan_draws_sight_lines_only_along_common_edge_lines(monkeypatch):
-    # On a convex ring the masks leave a sight line only to the pairs on
-    # one edge's line: its two vertices and midpoint, 3 pairs per edge.
+    # A sight line is drawn only for a pair that some edge line strictly
+    # separates; on a convex ring no pair of boundary points is, so even
+    # the pairs along one edge's line are decided by their masks.
     poly = SimplePolygon(circle_points(point(Q(3, 8), Q(-5, 8)), Q(41, 16), 47))
     calls = []
 
@@ -499,7 +500,7 @@ def test_pair_scan_draws_sight_lines_only_along_common_edge_lines(monkeypatch):
 
     monkeypatch.setattr(intgeom, "sight_blocked", counted)
     assert is_convex_by_pairs(PolygonRegion(poly)) == (True, None)
-    assert len(calls) == 3 * poly.n == 144
+    assert poly.n == 48 and len(calls) == 0
 
 
 def test_pointed_open_box_pairs():
@@ -778,6 +779,122 @@ def test_kernel_sight_line_through_a_vertex():
         assert ker.contains(x) is member
         for m in (1, 8):
             assert kernel_contains_by_visibility(poly, x, m) is member
+
+
+def _visibility_reference(verts, turns, x_h, x_signs, targets):
+    """Criterion 2 by brute force: every target (t_h, t_signs, site) in
+    turn through `intgeom.segment_in_polygon`, until the first unseen."""
+    return all(
+        intgeom.segment_in_polygon(verts, turns, x_h, t_h, x_signs, t_signs, site)
+        for t_h, t_signs, site in targets
+    )
+
+
+def _visibility_queries(poly, rng):
+    """Members, vertices, edge samples k/3, and the members on an edge
+    line's extension: collinear and vertex contacts for the sight lines."""
+    vs, n = poly.vertices, poly.n
+    edges = [(vs[i], vs[(i + 1) % n]) for i in range(n)]
+    beyond = [interpolate(a, b, s) for a, b in edges
+              for s in (Q(-1, 2), Q(-1, 5), Q(6, 5), Q(3, 2))]
+    return (
+        sample_member_points(poly, rng, 3) + list(vs)
+        + [interpolate(a, b, Q(k, 3)) for a, b in edges for k in (1, 2)]
+        + [y for y in beyond if poly.locate(y) is not PointLocation.EXTERIOR]
+    )
+
+
+def _recorded_sites(monkeypatch, decide):
+    """decide()'s answer and the sites of its `segment_in_polygon` calls."""
+    sites = []
+
+    def recorded(*args, _fn=intgeom.segment_in_polygon):
+        sites.append(args[-1])
+        return _fn(*args)
+
+    monkeypatch.setattr(intgeom, "segment_in_polygon", recorded)
+    answer = decide()
+    monkeypatch.undo()
+    return answer, sites
+
+
+@given(st.sampled_from(sorted(POLYGON_KINDS)), st.integers(0, 10**9))
+@settings(max_examples=30, deadline=None)
+def test_visibility_oracle_matches_every_sample_through_the_sight_line(
+    kind, seed
+):
+    # The oracle's gates against a reference that draws the sight line to
+    # every vertex and edge sample k/m. At m = 1 there is no edge sample,
+    # so the oracle draws the same vertex lines in the same order.
+    rng = rng_from_seed(f"oracle:{seed}")
+    poly = POLYGON_KINDS[kind](rng)
+    verts, turns = poly._ivertices, poly._turns
+    queries = _visibility_queries(poly, rng)
+    for m in (1, 2, 3, 8, 32):
+        targets = []
+        for t, site in _boundary_targets(poly, m):
+            t_h, _, t_signs = _homogeneous(poly, t)
+            targets.append((t_h, t_signs, site))
+        for x in queries:
+            x_h, _, x_signs = _homogeneous(poly, x)
+            expected = _visibility_reference(verts, turns, x_h, x_signs, targets)
+            if m > 1:
+                got = kernel_contains_by_visibility(poly, x, m)
+                assert got is expected, (poly, x, m)
+                continue
+            with pytest.MonkeyPatch.context() as mp:
+                got, sites = _recorded_sites(
+                    mp, lambda: kernel_contains_by_visibility(poly, x, 1))
+                _, ref_sites = _recorded_sites(
+                    mp, lambda: _visibility_reference(
+                        verts, turns, x_h, x_signs, targets))
+            assert got is expected and sites == ref_sites, (poly, x)
+
+
+def test_visibility_at_one_sample_draws_the_vertex_lines_past_an_edge(
+    monkeypatch,
+):
+    # x in the L's upper arm lies strictly right of edge 2, (2,1) -> (1,1).
+    # With m = 1 edge 2 has no sample to fail, so the oracle goes on to the
+    # line to vertex 2, which leaves the L. With m = 8 the line to sample
+    # 1/8 of edge 1 leaves it first.
+    poly, x = l_polygon(), point(Q(1, 2), Q(3, 2))
+    for m, drawn in ((1, [(0, True), (1, True), (2, True)]),
+                     (8, [(0, True)] + [(0, False)] * 7 + [(1, True), (1, False)])):
+        answer, sites = _recorded_sites(
+            monkeypatch, lambda: kernel_contains_by_visibility(poly, x, m))
+        assert answer is False and sites == drawn, m
+
+
+def test_visibility_oracle_draws_one_sight_line_per_vertex_on_a_convex_ring(
+    monkeypatch,
+):
+    # Every edge sample of a convex ring is seen from an interior point
+    # by its masks alone; only the 48 vertex lines are drawn, of 48 * 32.
+    centre = point(Q(3, 8), Q(-5, 8))
+    poly = SimplePolygon(circle_points(centre, Q(41, 16), 47))
+    calls = []
+
+    def counted(*args, _fn=intgeom.sight_blocked):
+        calls.append(args)
+        return _fn(*args)
+
+    monkeypatch.setattr(intgeom, "sight_blocked", counted)
+    assert kernel_contains_by_visibility(poly, centre, 32)
+    assert 0 < len(calls) <= poly.n == 48
+
+
+def test_vertex_tables_are_built_on_the_first_oracle_call_only():
+    centre = point(Q(3, 8), Q(-5, 8))
+    poly = SimplePolygon(circle_points(centre, Q(41, 16), 47))
+    assert is_convex_by_pairs(PolygonRegion(poly)) == (True, None)
+    assert is_starshaped(poly)
+    assert poly._vtables is None
+    assert kernel_contains_by_visibility(poly, centre, 8)
+    tables = poly._vtables
+    assert len(tables[0]) == len(tables[1]) == poly.n
+    assert kernel_contains_by_visibility(poly, centre, 32)
+    assert poly._vtables is tables
 
 
 def test_hole_free_polygons_reach_no_rational_partition(monkeypatch):
