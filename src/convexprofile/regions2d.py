@@ -2,9 +2,10 @@
 
 Home of the boundary-pair trichotomy (flat / hyperbolic / elliptic, plus
 Mixed for everything else), convexity-by-pairs, starshapedness, and
-kernels. All decisions are exact: polygon predicates run on
-denominator-cleared integers, circle crossings either land on rationals or
-are bracketed between certified rational parameters.
+kernels. All decisions are exact: polygon predicates run on each point's
+own homogeneous integer form and each edge's cached integer line row,
+circle crossings either land on rationals or are bracketed between
+certified rational parameters.
 
 The region protocol. A region kind (PolygonRegion, Disk, DiskComplement,
 PointedOpenBox here, and polyhedra.HPolyhedron in any dimension) has a
@@ -17,9 +18,10 @@ questions; every function below works through them:
   (lo, hi) rational intervals each holding one irrational boundary crossing;
 - `boundary_probes(density)` -> a finite list of boundary points.
 
-The pair scan runs row by row. On a hole-free polygon each probe's edge
-sign masks are read once per row, and they pick out the pairs that need a
-sight line; every other pair's class is the side of q at p's site.
+The pair scan runs row by row, row 0 pair by pair. On a hole-free polygon
+the later rows run on per-edge bit columns of the probes' sign masks: a row
+ORs columns into the set of q's that need a sight line and reads every
+other q's class, the side of q at p's site, from the columns there.
 """
 
 from __future__ import annotations
@@ -71,7 +73,7 @@ class SimplePolygon:
 
     kind = "polygon"
 
-    __slots__ = ("vertices", "_ivertices", "_scale", "_turns", "_vtables")
+    __slots__ = ("vertices", "_verts", "_rows", "_turns", "_vtables")
 
     def __init__(self, vertices):
         vs = tuple(v if isinstance(v, Point) else Point(v) for v in vertices)
@@ -80,35 +82,31 @@ class SimplePolygon:
         for v in vs:
             if v.dim != 2:
                 raise DimensionMismatchError("polygon vertices must be 2D")
-        # Every check runs on the denominator-cleared integer ring: scaling
-        # by the common multiplier keeps equalities and orientation signs.
-        iv, scale = intgeom.clear_denominators(vs)
-        n = len(iv)
+        # Every check runs on the vertices' primitive integer forms, which
+        # keep equalities and orientation signs.
+        hv = [intgeom.homogenize(v) for v in vs]
+        n = len(hv)
         turns = []
         for i in range(n):
-            if iv[i] == iv[(i + 1) % n]:
+            if hv[i] == hv[(i + 1) % n]:
                 raise InvalidPolygonError("repeated consecutive vertex")
-            turns.append(_orient(iv[i - 1], iv[i], iv[(i + 1) % n]))
+            turns.append(intgeom.orient(hv[i - 1], hv[i], hv[(i + 1) % n]))
             if turns[i] == 0:
                 raise InvalidPolygonError(
                     "three consecutive collinear vertices"
                 )
-        area2 = sum(
-            ax * by - ay * bx for (ax, ay), (bx, by) in zip(iv, iv[1:] + iv[:1])
-        )
+        area2 = _twice_area(hv)[0]
         if area2 == 0:
             raise InvalidPolygonError("degenerate polygon (zero area)")
         if area2 < 0:
             raise InvalidPolygonError("vertices must be counterclockwise")
-        edges = _boxed_edges(iv)
+        edges = _boxed_edges(hv)
         for i in range(n):
-            for j in range(i + 1, n):
-                if j == i or (j + 1) % n == i or (i + 1) % n == j:
-                    continue
+            for j in range(i + 2, n - (i == 0)):  # edges not next to edge i
                 if _edges_touch(edges[i], edges[j]):
                     raise InvalidPolygonError("polygon edges intersect")
         self.vertices = vs
-        self._ivertices, self._scale = iv, scale
+        self._verts, self._rows = hv, intgeom.edge_rows(hv)
         # +1 / -1: vertex i turns left (convex) / right (reflex)
         self._turns = turns
         self._vtables = None
@@ -125,13 +123,8 @@ class SimplePolygon:
         return [(vs[i], vs[(i + 1) % len(vs)]) for i in range(len(vs))]
 
     def signed_area(self):
-        vs = self.vertices
-        twice = sum(
-            (cross2(Vector(vs[i].coords), Vector(vs[(i + 1) % len(vs)].coords))
-             for i in range(len(vs))),
-            ZERO,
-        )
-        return twice / 2
+        num, den = _twice_area(self._verts)
+        return Q(num, 2 * den)
 
     def centroid(self):
         vs = self.vertices
@@ -154,15 +147,15 @@ class SimplePolygon:
     def table(self, x):
         """(location, homogeneous x, x's edge table, x's site) of a 2D point.
 
-        The table is `intgeom.edge_dets` of x over the integer ring: the
-        predicates that take two points reuse it, as `intgeom.edge_signs`
-        masks, instead of re-deriving the edge orientations of x. The site
-        (k, at_vertex) of a boundary x is its vertex k or edge k; None off
-        the boundary.
+        The table is `intgeom.edge_dets` of x's own integer form over the
+        cached edge rows: the predicates that take two points reuse it, as
+        `intgeom.edge_signs` masks, instead of re-deriving the edge
+        orientations of x. The site (k, at_vertex) of a boundary x is its
+        vertex k or edge k; None off the boundary.
         """
-        h = intgeom.homogenize(x, self._scale)
-        dets = intgeom.edge_dets(self._ivertices, h)
-        code, site = intgeom.point_in_polygon(h, self._ivertices, dets)
+        h = intgeom.homogenize(x)
+        dets = intgeom.edge_dets(self._rows, h)
+        code, site = intgeom.point_in_polygon(h, self._verts, dets)
         return _LOCATIONS[code], h, dets, site
 
     def locate(self, x):
@@ -172,8 +165,7 @@ class SimplePolygon:
         """(edge tables, sign masks) of the ring's vertices, built on the
         first call: only the visibility oracle reads them."""
         if self._vtables is None:
-            verts = self._ivertices
-            dets = [intgeom.edge_dets(verts, intgeom.as_h(v)) for v in verts]
+            dets = [intgeom.edge_dets(self._rows, v) for v in self._verts]
             self._vtables = dets, [intgeom.edge_signs(d) for d in dets]
         return self._vtables
 
@@ -189,31 +181,37 @@ class SimplePolygon:
         return f"SimplePolygon({list(self.vertices)!r})"
 
 
-def _orient(a, b, c):
-    """Orientation sign of three integer pairs."""
-    return intgeom.orient(intgeom.as_h(a), intgeom.as_h(b), intgeom.as_h(c))
+def _twice_area(verts):
+    """Twice the signed area of a ring of point forms as (num, den), den > 0."""
+    num, den = 0, 1
+    for (ax, ay, aw), (bx, by, bw) in zip(verts, verts[1:] + verts[:1]):
+        num, den = num * aw * bw + (ax * by - ay * bx) * den, den * aw * bw
+    return num, den
 
 
 def _segments_touch(a, b, c, d):
-    """Whether closed segments [a,b] and [c,d] of integer pairs share a point."""
-    o1 = _orient(a, b, c)
-    o2 = _orient(a, b, d)
-    o3 = _orient(c, d, a)
-    o4 = _orient(c, d, b)
+    """Whether closed segments [a,b] and [c,d] of point forms share a point."""
+    o1 = intgeom.orient(a, b, c)
+    o2 = intgeom.orient(a, b, d)
+    o3 = intgeom.orient(c, d, a)
+    o4 = intgeom.orient(c, d, b)
     if o1 * o2 < 0 and o3 * o4 < 0:
         return True
+    # a collinear endpoint touches when it lies on the other closed segment
     for p, u, v, o in ((c, a, b, o1), (d, a, b, o2), (a, c, d, o3), (b, c, d, o4)):
-        if o == 0 and _collinear_on(p, u, v):
+        if o == 0 and (p == u or p == v or intgeom.strictly_between(p, u, v)):
             return True
     return False
 
 
-def _boxed_edges(iv):
-    """A ring's edges (a, b, x_lo, x_hi, y_lo, y_hi) over integer vertices."""
+def _boxed_edges(verts):
+    """A ring's edges (a, b, s, x_lo, x_hi, y_lo, y_hi) over its point forms:
+    the bounding box scaled by s = a_w * b_w."""
     edges = []
-    for a, b in zip(iv, iv[1:] + iv[:1]):
-        (ax, ay), (bx, by) = a, b
-        edges.append((a, b, min(ax, bx), max(ax, bx), min(ay, by), max(ay, by)))
+    for a, b in zip(verts, verts[1:] + verts[:1]):
+        (ax, ay, aw), (bx, by, bw) = a, b
+        xs, ys = (ax * bw, bx * aw), (ay * bw, by * aw)
+        edges.append((a, b, aw * bw, min(xs), max(xs), min(ys), max(ys)))
     return edges
 
 
@@ -223,22 +221,12 @@ def _edges_touch(e, f):
     Edges whose bounding boxes are disjoint cannot touch, which settles
     most pairs of a large ring without an orientation test.
     """
+    s, t = e[2], f[2]
     return (
-        e[2] <= f[3] and f[2] <= e[3] and e[4] <= f[5] and f[4] <= e[5]
+        e[3] * t <= f[4] * s and f[3] * s <= e[4] * t
+        and e[5] * t <= f[6] * s and f[5] * s <= e[6] * t
         and _segments_touch(e[0], e[1], f[0], f[1])
     )
-
-
-def _collinear_on(p, a, b):
-    """p (known collinear with a,b) lies on the closed segment [a,b]."""
-    ax, ay = a
-    bx, by = b
-    px, py = p
-    if ax != bx:
-        lo, hi = (ax, bx) if ax < bx else (bx, ax)
-        return lo <= px <= hi
-    lo, hi = (ay, by) if ay < by else (by, ay)
-    return lo <= py <= hi
 
 
 class PolygonRegion:
@@ -254,15 +242,7 @@ class PolygonRegion:
         self.holes = tuple(holes)
         if not self.holes:
             return
-        # The rings' edges over one common denominator, for the touch tests.
-        ints, _ = intgeom.clear_denominators(
-            [v for ring in self.rings() for v in ring.vertices]
-        )
-        edges = []
-        for ring in self.rings():
-            iv, ints = ints[:ring.n], ints[ring.n:]
-            edges.append(_boxed_edges(iv))
-        outer_edges, hole_edges = edges[0], edges[1:]
+        outer_edges, *hole_edges = (_boxed_edges(r._verts) for r in self.rings())
         for h, h_edges in zip(self.holes, hole_edges):
             for v in h.vertices:
                 if self.outer.locate(v) is not PointLocation.INTERIOR:
@@ -699,7 +679,8 @@ def _first_outside_in_row(region, p_probe, q_probes, classes):
             if cls not in classes:
                 return j, cls
         return None
-    verts, turns = region.outer._ivertices, region.outer._turns
+    ring = region.outer
+    verts, rows, turns = ring._verts, ring._rows, ring._turns
     p_h, p_signs, p_site = p_table
     pp, pn = p_signs
     # inside edge k the side of q is its mask bit for edge k
@@ -715,13 +696,15 @@ def _first_outside_in_row(region, p_probe, q_probes, classes):
         elif out:
             code = 1 if qp & out else -1 if qn & out else 0
         else:
-            code = intgeom.side_at(verts, turns, p_site, q_h, q_signs)
+            code = intgeom.side_at(verts, rows, turns, p_site, q_h, q_signs)
         # One piece, or boundary pieces only (a boundary piece can only run
         # along an edge from its start): the side at p's site is the class.
         while touching and code != 2:
             k = (touching & -touching).bit_length() - 1
             touching &= touching - 1
-            if code or intgeom.side_at(verts, turns, (k, True), q_h, q_signs):
+            if code or intgeom.side_at(
+                verts, rows, turns, (k, True), q_h, q_signs
+            ):
                 code = 2
         if stop[code]:
             return j, _CLASSES[code]
@@ -732,7 +715,7 @@ def convexity_oracle(polygon):
     """Classical convex-polygon test on the vertex turns.
 
     A valid ring is counterclockwise, so it is convex iff every integer
-    turn of its cleared ring, stored at construction, is a left turn.
+    turn of its vertex forms, stored at construction, is a left turn.
     """
     return all(turn > 0 for turn in polygon._turns)
 
@@ -784,19 +767,97 @@ def first_pair_outside(region, probes, classes):
     if len({tuple((c.numerator, c.denominator) for c in p.coords)
             for p in probes}) < len(probes):
         raise DegenerateSegmentError("pair endpoints must differ")
+    if len(probes) < 2:
+        return None
     prepared = []
 
     def prepare(x):
         prepared.append(_probe(region, x))
         return prepared[-1]
 
-    for i, p in enumerate(probes[:-1]):
-        # Row 0 prepares each probe when its first pair comes up.
-        row = (prepare(p), map(prepare, probes[1:])) if i == 0 else (
-            prepared[i], prepared[i + 1:])
-        hit = _first_outside_in_row(region, *row, classes)
+    hit = _first_outside_in_row(
+        region, prepare(probes[0]), map(prepare, probes[1:]), classes
+    )
+    if hit is not None:
+        return probes[0], probes[1 + hit[0]], hit[1]
+    if prepared[0][1] is not None:
+        hit = _first_outside_by_columns(region, prepared, classes)
+        return hit and (probes[hit[0]], probes[hit[1]], hit[2])
+    for i, p in enumerate(probes[1:-1], 1):
+        hit = _first_outside_in_row(
+            region, prepared[i], prepared[i + 1:], classes
+        )
         if hit is not None:
             return p, probes[i + 1 + hit[0]], hit[1]
+    return None
+
+
+def _bits(mask):
+    """The indices of the set bits of mask, lowest first."""
+    while mask:
+        low = mask & -mask
+        mask ^= low
+        yield low.bit_length() - 1
+
+
+def _columns(masks, n):
+    """Per-edge probe columns: bit j of column k is bit k of masks[j]
+    (`format`, `zip` and `int` transpose the n-bit masks in C)."""
+    strings = [format(mask, f"0{n}b") for mask in reversed(masks)]
+    return [int("".join(col), 2) for col in zip(*strings)][::-1]
+
+
+def _first_outside_by_columns(region, prepared, classes):
+    """(i, j, class) of the first pair i >= 1, j > i of prepared probes on
+    a hole-free polygon with a class not in `classes`; None if none.
+
+    Column P_k (N_k) holds the probes strictly left (right) of edge k. Row
+    i's `across` q's are the OR of N_k over p's left edges and P_k over its
+    right ones. Every other q gets `intgeom.side_at` from the columns: P_k /
+    N_k inside edge k, P_k and P_k-1 by the turn at vertex k less the q's
+    on an incident ray. Sight lines are drawn, in order, only for the
+    `across` q's before the first other q that stops."""
+    ring, m = region.outer, len(prepared)
+    verts, rows, turns = ring._verts, ring._rows, ring._turns
+    P = _columns([table[1][0] for _, table in prepared], ring.n)
+    N = _columns([table[1][1] for _, table in prepared], ring.n)
+    # the edges whose column holds a probe, the only ones `across` visits
+    has_left = sum(1 << k for k, col in enumerate(P) if col)
+    has_right = sum(1 << k for k, col in enumerate(N) if col)
+    stop = [cls not in classes for cls in _CLASSES]
+    for i in range(1, m - 1):
+        _, (pp, pn), (k, at_vertex) = prepared[i][1]
+        ahead = (1 << m) - (2 << i)  # the q's of row i
+        across = 0
+        for e in _bits(pp & has_right):
+            across |= N[e]
+        for e in _bits(pn & has_left):
+            across |= P[e]
+        across &= ahead
+        rest = ahead & ~across
+        if not at_vertex:
+            plus, minus = P[k] & rest, N[k] & rest
+        else:  # the q's on the ray along edge k or back along k-1: boundary
+            inner = rest
+            for e, sign in ((k, 1), (k - 1, -1)):
+                for j in _bits(inner & ~(P[e] | N[e])):
+                    d = intgeom.along(rows[e], verts[k], prepared[j][1][0])
+                    inner ^= (sign * d >= 0) << j
+            wedge = P[k] & P[k - 1] if turns[k] > 0 else P[k] | P[k - 1]
+            plus = wedge & inner
+            minus = inner & ~plus
+        sides = (rest & ~(plus | minus), plus, minus)  # by code 0, 1, -1
+        stopping = sum(sides[code] for code in (0, 1, -1) if stop[code])
+        first = stopping & -stopping
+        for j in _bits(across & (first - 1) if first else across):
+            hit = _first_outside_in_row(
+                region, prepared[i], (prepared[j],), classes
+            )
+            if hit is not None:
+                return i, j, hit[1]
+        if first:
+            code = next(code for code in (0, 1, -1) if first & sides[code])
+            return i, first.bit_length() - 1, _CLASSES[code]
     return None
 
 
@@ -861,7 +922,7 @@ def kernel_contains_by_visibility(polygon, x, boundary_samples):
         raise NotAMemberError(f"{x!r} is not a member of the polygon")
     x_signs = xp, xn = intgeom.edge_signs(x_dets)
     m = boundary_samples
-    verts, turns = polygon._ivertices, polygon._turns
+    verts, rows, turns = polygon._verts, polygon._rows, polygon._turns
     vertex_dets, vertex_signs = polygon._vertex_tables()
     nverts = len(verts)
     for i in range(nverts):
@@ -872,21 +933,22 @@ def kernel_contains_by_visibility(polygon, x, boundary_samples):
         if (vp & wn) | (vn & wp):
             samples = intgeom.sample_signs(
                 vertex_dets[i], vertex_dets[j], vertex_signs[i],
-                vertex_signs[j], m,
+                vertex_signs[j], m, verts[i][2], verts[j][2],
             )
         else:  # every interior sample has the one mask pair
             tp, tn = (vp | wp) & ~(vn | wn), (vn | wn) & ~(vp | wp)
             samples = [vertex_signs[i]]
             if (xp & tn) | (xn & tp):
                 samples += [(tp, tn)] * (m - 1)
-        vx, vy = verts[i]
-        wx, wy = verts[j]
+        vx, vy, vw = verts[i]
+        wx, wy, ww = verts[j]
         for k, (tp, tn) in enumerate(samples):
             if k and not (xp & tn) | (xn & tp):
                 continue
-            t_h = ((m - k) * vx + k * wx, (m - k) * vy + k * wy, m)
+            a, b = (m - k) * ww, k * vw
+            t_h = (a * vx + b * wx, a * vy + b * wy, m * vw * ww)
             if not intgeom.segment_in_polygon(
-                verts, turns, x_h, t_h, x_signs, (tp, tn), (i, k == 0)
+                verts, rows, turns, x_h, t_h, x_signs, (tp, tn), (i, k == 0)
             ):
                 return False
     return True

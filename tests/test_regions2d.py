@@ -490,17 +490,155 @@ def test_pair_scan_locates_each_probe_once_without_orient(monkeypatch):
 def test_pair_scan_draws_sight_lines_only_along_common_edge_lines(monkeypatch):
     # A sight line is drawn only for a pair that some edge line strictly
     # separates; on a convex ring no pair of boundary points is, so even
-    # the pairs along one edge's line are decided by their masks.
+    # the pairs along one edge's line are decided by their masks. Row 0
+    # goes pair by pair from vertex 0, one side_at per q (95); the later
+    # rows read every side from the edge columns.
     poly = SimplePolygon(circle_points(point(Q(3, 8), Q(-5, 8)), Q(41, 16), 47))
-    calls = []
+    calls = collections.Counter()
+    for name in ("side_at", "sight_blocked"):
+        def counted(*args, _name=name, _fn=getattr(intgeom, name)):
+            calls[_name] += 1
+            return _fn(*args)
 
-    def counted(*args, _fn=intgeom.sight_blocked):
-        calls.append(args)
+        monkeypatch.setattr(intgeom, name, counted)
+    assert is_convex_by_pairs(PolygonRegion(poly)) == (True, None)
+    assert poly.n == 48 and calls["sight_blocked"] == 0
+    assert calls["side_at"] <= 95
+
+
+def test_edge_tables_are_bounded_by_their_own_inputs():
+    # A probe's table entry is its own form against one edge's row; a
+    # ring-wide common denominator would take it to 3,992 bits here.
+    poly = SimplePolygon(circle_points(point(0, 0), 1, 400))
+    probes = PolygonRegion(poly).boundary_probes(16)
+    assert (poly.n, len(probes)) == (401, 802)
+    widest = max(
+        abs(d).bit_length() for x in probes for d in poly.table(x)[2]
+    )
+    assert widest <= 128
+
+
+def _notched_circle(rng):
+    """The 48-gon of `circle_points` with three to six edges dented
+    toward the centre: one reflex vertex per dent."""
+    centre = point(Q(rng.randint(-8, 8), 8), Q(rng.randint(-8, 8), 8))
+    vs = circle_points(centre, Q(rng.randint(16, 48), 8), 47)
+    for i in sorted(rng.sample(range(len(vs)), rng.randint(3, 6)), reverse=True):
+        mid = interpolate(vs[i], vs[(i + 1) % len(vs)], Q(1, 2))
+        vs.insert(i + 1, interpolate(mid, centre, Q(rng.randint(1, 3), 4)))
+    return SimplePolygon(vs)
+
+
+def _long_skyline(rng):
+    """An orthogonal skyline of 20 columns: 42 vertices."""
+    xs, heights = [Q(0)], []
+    for _ in range(20):
+        xs.append(xs[-1] + Q(rng.randint(1, 16), 4))
+        h = Q(rng.randint(1, 24), 4)
+        while heights and h == heights[-1]:
+            h = Q(rng.randint(1, 24), 4)
+        heights.append(h)
+    vs = [point(0, 0), point(xs[-1], 0)]
+    for i in reversed(range(20)):
+        vs += [point(xs[i + 1], heights[i]), point(xs[i], heights[i])]
+    return SimplePolygon(vs)
+
+
+LARGE_POLYGON_KINDS = {
+    "notched-circle": _notched_circle,
+    "skyline": _long_skyline,
+}
+
+
+@given(
+    st.sampled_from(sorted(LARGE_POLYGON_KINDS)),
+    st.integers(0, 10**9),
+    st.integers(0, 10**9),
+)
+@settings(max_examples=6, deadline=None)
+def test_column_scan_agrees_with_classify_pair_on_large_rings(kind, seed, shift):
+    # Rings of 40 and more vertices, with probe lists rotated so that row 0
+    # starts anywhere, against every class set. Many pairs are `across`
+    # pairs, so rows OR many columns and draw sight lines between the q's
+    # they settle from the columns. classify_pair classifies every pair
+    # once; the reference witness is the first pair outside the set.
+    poly = LARGE_POLYGON_KINDS[kind](rng_from_seed(seed))
+    assert poly.n >= 40 and not convexity_oracle(poly)
+    region = PolygonRegion(poly)
+    probes = region.boundary_probes(16)
+    start = shift % len(probes)
+    probes = probes[start:] + probes[:start]
+    pairs = list(itertools.combinations(probes, 2))
+    found = [classify_pair(region, p, q) for p, q in pairs]
+    signs = [regions2d._probe(region, p)[1][1] for p in probes]
+    across = sum(
+        bool((pp & qn) | (pn & qp))
+        for (pp, pn), (qp, qn) in itertools.combinations(signs, 2)
+    )
+    assert across * 10 >= len(pairs)
+    for classes in CLASS_SETS:
+        expected = next(
+            ((p, q, cls) for (p, q), cls in zip(pairs, found)
+             if cls not in classes),
+            None,
+        )
+        assert first_pair_outside(region, probes, classes) == expected, classes
+
+
+@given(st.sampled_from(sorted(LARGE_POLYGON_KINDS)), st.integers(0, 10**9))
+@settings(max_examples=2, deadline=None)
+def test_column_rows_match_the_rows_pair_by_pair(kind, seed):
+    # The column scan reaches rows 1, 2, ... only when row 0 passes, which
+    # few class sets allow, so it runs here on rotations of the prepared
+    # probes, against its rows taken pair by pair: the witness is the first
+    # pair outside the class set, and a sight line is drawn, in order, for
+    # each pair before it that some edge line strictly separates. Rotations
+    # put the probes of the edge into a row's vertex after that vertex.
+    poly = LARGE_POLYGON_KINDS[kind](rng_from_seed(seed))
+    region = PolygonRegion(poly)
+    prepared = [regions2d._probe(region, p) for p in region.boundary_probes(16)]
+    m = len(prepared)
+    found = {}
+    for a, b in itertools.combinations(range(m), 2):
+        found[a, b] = found[b, a] = regions2d._classify(
+            region, prepared[a], prepared[b]
+        )
+    signs = [table[1] for _, table in prepared]
+    across = {
+        (a, b) for a, b in itertools.permutations(range(m), 2)
+        if (signs[a][0] & signs[b][1]) | (signs[a][1] & signs[b][0])
+    }
+
+    def by_pairs(order, classes):
+        lines = []
+        for i, j in itertools.combinations(range(1, m), 2):
+            a, b = order[i], order[j]
+            if (a, b) in across:
+                lines.append((prepared[a][1][0], prepared[b][1][0]))
+            if found[a, b] not in classes:
+                return (i, j, found[a, b]), lines
+        return None, lines
+
+    drawn = []
+
+    def recorded(*args, _fn=intgeom.sight_blocked):
+        drawn.append(args[1:3])
         return _fn(*args)
 
-    monkeypatch.setattr(intgeom, "sight_blocked", counted)
-    assert is_convex_by_pairs(PolygonRegion(poly)) == (True, None)
-    assert poly.n == 48 and len(calls) == 0
+    witnesses = collections.Counter()
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(intgeom, "sight_blocked", recorded)
+        for start in range(0, m, 3):
+            order = list(range(start, m)) + list(range(start))
+            for classes in CLASS_SETS:
+                del drawn[:]
+                got = regions2d._first_outside_by_columns(
+                    region, [prepared[a] for a in order], classes
+                )
+                assert (got, drawn) == by_pairs(order, classes), (start, classes)
+                witnesses[got is not None and got[2]] += 1
+    assert set(witnesses) == {False, *PairClass}
+    assert len(across) > m * m // 10
 
 
 def test_pointed_open_box_pairs():
@@ -657,10 +795,10 @@ def _boundary_targets(poly, m):
 
 
 def _homogeneous(poly, x):
-    """x's homogeneous integer triple, edge table and edge signs over the
-    cleared ring."""
-    h = intgeom.homogenize(x, poly._scale)
-    dets = intgeom.edge_dets(poly._ivertices, h)
+    """x's primitive homogeneous integer triple, and its edge table and edge
+    signs over the ring's edge rows."""
+    h = intgeom.homogenize(x)
+    dets = intgeom.edge_dets(poly._rows, h)
     return h, dets, intgeom.edge_signs(dets)
 
 
@@ -678,7 +816,8 @@ def test_integer_fast_path_agrees_with_rational_sees(seed):
         for t, site in _boundary_targets(poly, 3):
             t_h, _, t_signs = _homogeneous(poly, t)
             fast = intgeom.segment_in_polygon(
-                poly._ivertices, poly._turns, x_h, t_h, x_signs, t_signs, site
+                poly._verts, poly._rows, poly._turns, x_h, t_h, x_signs,
+                t_signs, site,
             )
             assert fast is sees(region, x, t)
 
@@ -700,7 +839,7 @@ def test_sight_lines_through_vertices_agree_with_the_partition():
         for seed in range(6):
             rng = rng_from_seed(f"through-vertex:{kind}:{seed}")
             poly = POLYGON_KINDS[kind](rng)
-            verts = poly._ivertices
+            verts = poly._verts
             region = PolygonRegion(poly)
             probes = region.boundary_probes(16)
             tables = {p: regions2d._probe(region, p)[1] for p in probes}
@@ -721,7 +860,8 @@ def test_sight_lines_through_vertices_agree_with_the_partition():
                 for t, site in _boundary_targets(poly, 3):
                     t_h, _, t_signs = _homogeneous(poly, t)
                     fast = intgeom.segment_in_polygon(
-                        verts, poly._turns, x_h, t_h, x_signs, t_signs, site
+                        verts, poly._rows, poly._turns, x_h, t_h, x_signs,
+                        t_signs, site,
                     )
                     assert fast is sees(region, x, t), (poly, x, t)
                     through["lines"] += _through_vertex(
@@ -747,7 +887,7 @@ def test_pairs_through_a_vertex_are_mixed(fixture, p, q, pieces):
         regions2d._probe(region, x)[1] for x in (p, q)
     )
     assert p_site == pieces[0][0]
-    mask = intgeom.sight_blocked(poly._ivertices, p_h, q_h, p_signs, q_signs)
+    mask = intgeom.sight_blocked(poly._verts, p_h, q_h, p_signs, q_signs)
     assert mask == sum(1 << k for (k, _), _ in pieces[1:])
     for site, code in pieces:
         assert _side_rule(poly, site, q_h, q_signs) == code
@@ -770,7 +910,7 @@ def test_kernel_sight_line_through_a_vertex():
                       (point(0, Q(3, 2)), False)):
         x_h, _, x_signs = _homogeneous(poly, x)
         mask = intgeom.sight_blocked(
-            poly._ivertices, x_h, t_h, x_signs, t_signs
+            poly._verts, x_h, t_h, x_signs, t_signs
         )
         if member:
             assert mask == 1 << 4
@@ -781,11 +921,14 @@ def test_kernel_sight_line_through_a_vertex():
             assert kernel_contains_by_visibility(poly, x, m) is member
 
 
-def _visibility_reference(verts, turns, x_h, x_signs, targets):
+def _visibility_reference(poly, x_h, x_signs, targets):
     """Criterion 2 by brute force: every target (t_h, t_signs, site) in
     turn through `intgeom.segment_in_polygon`, until the first unseen."""
     return all(
-        intgeom.segment_in_polygon(verts, turns, x_h, t_h, x_signs, t_signs, site)
+        intgeom.segment_in_polygon(
+            poly._verts, poly._rows, poly._turns, x_h, t_h, x_signs, t_signs,
+            site,
+        )
         for t_h, t_signs, site in targets
     )
 
@@ -828,7 +971,6 @@ def test_visibility_oracle_matches_every_sample_through_the_sight_line(
     # so the oracle draws the same vertex lines in the same order.
     rng = rng_from_seed(f"oracle:{seed}")
     poly = POLYGON_KINDS[kind](rng)
-    verts, turns = poly._ivertices, poly._turns
     queries = _visibility_queries(poly, rng)
     for m in (1, 2, 3, 8, 32):
         targets = []
@@ -837,7 +979,7 @@ def test_visibility_oracle_matches_every_sample_through_the_sight_line(
             targets.append((t_h, t_signs, site))
         for x in queries:
             x_h, _, x_signs = _homogeneous(poly, x)
-            expected = _visibility_reference(verts, turns, x_h, x_signs, targets)
+            expected = _visibility_reference(poly, x_h, x_signs, targets)
             if m > 1:
                 got = kernel_contains_by_visibility(poly, x, m)
                 assert got is expected, (poly, x, m)
@@ -847,7 +989,7 @@ def test_visibility_oracle_matches_every_sample_through_the_sight_line(
                     mp, lambda: kernel_contains_by_visibility(poly, x, 1))
                 _, ref_sites = _recorded_sites(
                     mp, lambda: _visibility_reference(
-                        verts, turns, x_h, x_signs, targets))
+                        poly, x_h, x_signs, targets))
             assert got is expected and sites == ref_sites, (poly, x)
 
 
@@ -944,30 +1086,34 @@ def _midpoint_code(verts, x_h, t_h, x_dets, t_dets):
 
     Locates the midpoint t_w * x + x_w * t, whose edge table is
     t_w * x_dets + x_w * t_dets, by the half-open crossing parity on the
-    ray to +x: -1 exterior, 0 boundary, +1 interior.
+    ray to +x: -1 exterior, 0 boundary, +1 interior. The vertex forms are
+    compared with it as rationals.
     """
     xw, tw = x_h[2], t_h[2]
-    mx = x_h[0] * tw + t_h[0] * xw
-    my = x_h[1] * tw + t_h[1] * xw
-    mw = 2 * xw * tw
+    mx = Q(x_h[0] * tw + t_h[0] * xw, 2 * xw * tw)
+    my = Q(x_h[1] * tw + t_h[1] * xw, 2 * xw * tw)
     inside = False
-    ring = zip(verts, verts[1:] + verts[:1])
-    for ((ax, ay), (bx, by)), a, b in zip(ring, x_dets, t_dets):
+    ring = [(Q(vx, vw), Q(vy, vw)) for vx, vy, vw in verts]
+    for ((ax, ay), (bx, by)), a, b in zip(
+        zip(ring, ring[1:] + ring[:1]), x_dets, t_dets
+    ):
         d = tw * a + xw * b
         if d == 0:
             if ax != bx:
-                if min(ax, bx) * mw <= mx <= max(ax, bx) * mw:
+                if min(ax, bx) <= mx <= max(ax, bx):
                     return 0
-            elif min(ay, by) * mw <= my <= max(ay, by) * mw:
+            elif min(ay, by) <= my <= max(ay, by):
                 return 0
-        a_above = ay * mw > my
-        if a_above != (by * mw > my) and (d < 0 if a_above else d > 0):
+        a_above = ay > my
+        if a_above != (by > my) and (d < 0 if a_above else d > 0):
             inside = not inside
     return 1 if inside else -1
 
 
 def _side_rule(poly, site, x_h, x_signs):
-    return intgeom.side_at(poly._ivertices, poly._turns, site, x_h, x_signs)
+    return intgeom.side_at(
+        poly._verts, poly._rows, poly._turns, site, x_h, x_signs
+    )
 
 
 @pytest.mark.parametrize("kind", sorted(POLYGON_KINDS))
@@ -981,7 +1127,7 @@ def test_side_rule_matches_the_midpoint_parity(kind):
     for seed in range(20):
         rng = rng_from_seed(f"side-rule:{kind}:{seed}")
         poly = POLYGON_KINDS[kind](rng)
-        verts = poly._ivertices
+        verts = poly._verts
         region = PolygonRegion(poly)
         probes = region.boundary_probes(16)
         targets = _boundary_targets(poly, 4)
@@ -989,12 +1135,13 @@ def test_side_rule_matches_the_midpoint_parity(kind):
         for p in probes:
             assert regions2d._probe(region, p)[1][2] == sites[p]
         # the kernel oracle blends its edge samples' masks from the vertices'
-        vertex = [intgeom.edge_dets(verts, intgeom.as_h(v)) for v in verts]
+        vertex = [intgeom.edge_dets(poly._rows, v) for v in verts]
         for i in range(poly.n):
-            v_dets, w_dets = vertex[i], vertex[(i + 1) % poly.n]
+            j = (i + 1) % poly.n
+            v_dets, w_dets = vertex[i], vertex[j]
             blended = intgeom.sample_signs(
                 v_dets, w_dets, intgeom.edge_signs(v_dets),
-                intgeom.edge_signs(w_dets), 4,
+                intgeom.edge_signs(w_dets), 4, verts[i][2], verts[j][2],
             )
             assert blended == [
                 _homogeneous(poly, t)[2] for t, _ in targets[4 * i:4 * i + 4]
@@ -1041,14 +1188,14 @@ L_REFLEX_FIRST = SimplePolygon(
     (L_REFLEX_FIRST, (1, 1), (0, True), (2, 2), -1),  # into the notch
 ])
 def test_side_rule_hand_cases(poly, t, site, x, code):
-    verts = poly._ivertices
+    verts = poly._verts
     t_h, t_dets, t_signs = _homogeneous(poly, point(*t))
     x_h, x_dets, x_signs = _homogeneous(poly, point(*x))
     assert intgeom.sight_blocked(verts, x_h, t_h, x_signs, t_signs) is False
     assert _midpoint_code(verts, x_h, t_h, x_dets, t_dets) == code
     assert _side_rule(poly, site, x_h, x_signs) == code
     inside = intgeom.segment_in_polygon(
-        verts, poly._turns, x_h, t_h, x_signs, t_signs, site
+        verts, poly._rows, poly._turns, x_h, t_h, x_signs, t_signs, site
     )
     assert inside is (code >= 0)
 
