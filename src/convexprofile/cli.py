@@ -22,7 +22,7 @@ from .geometry_io import (
     instance_digest,
     load_geometry_file,
     pair_to_json,
-    parse_rational,
+    parse_coords,
     point_to_json,
     read_json_file,
 )
@@ -166,14 +166,7 @@ def _load_pairs_file(path, dim):
         for j, raw in enumerate(entry):
             if not isinstance(raw, list) or len(raw) != dim:
                 raise SchemaError(f"points have {dim} coordinates", f"{path_i}[{j}]")
-            pts.append(
-                Point(
-                    [
-                        parse_rational(c, f"{path_i}[{j}][{k}]")
-                        for k, c in enumerate(raw)
-                    ]
-                )
-            )
+            pts.append(Point(parse_coords(raw, f"{path_i}[{j}]")))
         pairs.append((pts[0], pts[1]))
     return pairs
 

@@ -12,7 +12,7 @@ import hashlib
 import json
 import re
 
-from .core import Point, Vector, format_rational, rational
+from .core import Point, Q, Vector, format_rational
 from .epigraph import Epigraph1D
 from .errors import (
     InvalidPolygonError,
@@ -28,30 +28,39 @@ from .regions2d import (
     SimplePolygon,
 )
 
-_RATIONAL_RE = re.compile(r"^[+-]?\d+(/\d+)?$")
+_RATIONAL_RE = re.compile(r"([+-]?\d+)(?:/(\d+))?")
 
 
 def parse_rational(value, path):
+    """A JSON integer or "p/q" string as a rational; `int` reads the digits."""
     if isinstance(value, bool):
         raise SchemaError("expected a rational, got a boolean", path)
     if isinstance(value, int):
-        return rational(value)
+        return Q(value)
     if isinstance(value, str):
-        if not _RATIONAL_RE.match(value.strip()):
-            raise SchemaError(f"not a rational: {value!r}", path)
-        try:
-            return rational(value)
-        except (ValueError, ZeroDivisionError, TypeError):
-            raise SchemaError(f"not a rational: {value!r}", path) from None
+        match = _RATIONAL_RE.fullmatch(value.strip())
+        if match:
+            try:
+                return Q(int(match[1]), int(match[2] or 1))
+            except (ValueError, ZeroDivisionError):  # digit limit, q = 0
+                pass
+        raise SchemaError(f"not a rational: {value!r}", path)
     raise SchemaError(f"expected 'p/q' string or integer, got {value!r}", path)
 
 
-def _parse_coords(value, path, dim=None):
+def parse_coords(value, path, dim=None):
+    """A non-empty JSON array of rationals; entry paths are built on error."""
     if not isinstance(value, list) or not value:
         raise SchemaError("expected a non-empty coordinate array", path)
     if dim is not None and len(value) != dim:
         raise SchemaError(f"expected {dim} coordinates, got {len(value)}", path)
-    return [parse_rational(v, f"{path}[{i}]") for i, v in enumerate(value)]
+    coords = []
+    try:
+        for v in value:
+            coords.append(parse_rational(v, path))
+    except SchemaError as exc:
+        raise SchemaError(exc.message, f"{path}[{len(coords)}]") from None
+    return coords
 
 
 def _require(doc, field, path, typ=None):
@@ -99,7 +108,7 @@ def _load_h_polyhedron(doc, path):
         hpath = f"{path}.halfspaces[{i}]"
         if not isinstance(h, dict):
             raise SchemaError("expected an object", hpath)
-        normal = _parse_coords(
+        normal = parse_coords(
             _require(h, "normal", hpath, list), f"{hpath}.normal", dim
         )
         offset = parse_rational(_require(h, "offset", hpath), f"{hpath}.offset")
@@ -126,7 +135,7 @@ def _load_v_polytope(doc, path):
     if not raw:
         raise SchemaError("a v-polytope needs at least one point", f"{path}.points")
     pts = [
-        Point(_parse_coords(p, f"{path}.points[{i}]", dim))
+        Point(parse_coords(p, f"{path}.points[{i}]", dim))
         for i, p in enumerate(raw)
     ]
     return (tuple(pts), dim), path
@@ -151,7 +160,7 @@ def _load_ring(raw, path):
     if not isinstance(raw, list) or len(raw) < 3:
         raise SchemaError("a polygon ring needs at least 3 vertices", path)
     pts = [
-        Point(_parse_coords(p, f"{path}[{i}]", 2)) for i, p in enumerate(raw)
+        Point(parse_coords(p, f"{path}[{i}]", 2)) for i, p in enumerate(raw)
     ]
     try:
         return SimplePolygon(pts)
@@ -170,7 +179,7 @@ def _dump_polygon(polygon):
 
 def _load_circle(doc, path):
     center = Point(
-        _parse_coords(_require(doc, "center", path, list), f"{path}.center", 2)
+        parse_coords(_require(doc, "center", path, list), f"{path}.center", 2)
     )
     radius = parse_rational(_require(doc, "radius", path), f"{path}.radius")
     return (center, radius), f"{path}.radius"

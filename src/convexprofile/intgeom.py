@@ -60,6 +60,14 @@ def edge_rows(verts):
     return rows
 
 
+def midpoint(a, b):
+    """The primitive form of the midpoint of point forms a and b."""
+    (ax, ay, aw), (bx, by, bw) = a, b
+    x, y, w = ax * bw + bx * aw, ay * bw + by * aw, 2 * aw * bw
+    g = math.gcd(x, y, w)
+    return x // g, y // g, w // g
+
+
 def orient(p, q, r):
     """Orientation sign of the homogeneous triple (all w > 0)."""
     px, py, pw = p

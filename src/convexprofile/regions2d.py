@@ -73,7 +73,7 @@ class SimplePolygon:
 
     kind = "polygon"
 
-    __slots__ = ("vertices", "_verts", "_rows", "_turns", "_vtables")
+    __slots__ = ("vertices", "_verts", "_rows", "_turns", "_vtables", "_probes")
 
     def __init__(self, vertices):
         vs = tuple(v if isinstance(v, Point) else Point(v) for v in vertices)
@@ -109,7 +109,7 @@ class SimplePolygon:
         self._verts, self._rows = hv, intgeom.edge_rows(hv)
         # +1 / -1: vertex i turns left (convex) / right (reflex)
         self._turns = turns
-        self._vtables = None
+        self._vtables = self._probes = None
 
     @property
     def n(self):
@@ -163,11 +163,32 @@ class SimplePolygon:
 
     def _vertex_tables(self):
         """(edge tables, sign masks) of the ring's vertices, built on the
-        first call: only the visibility oracle reads them."""
+        first call: the visibility oracle and `probe_tables` read them."""
         if self._vtables is None:
             dets = [intgeom.edge_dets(self._rows, v) for v in self._verts]
             self._vtables = dets, [intgeom.edge_signs(d) for d in dets]
         return self._vtables
+
+    def probe_tables(self):
+        """id(x) -> (x, `_probe`'s table of x) for the ring's vertices and
+        edge midpoints x in ring order, built once. A midpoint's form and
+        masks (`intgeom.sample_signs` at m = 2) come from its edge's ends,
+        and its form is re-checked to lie on the edge strictly between them."""
+        if self._probes is None:
+            (dets, signs), verts, probes = self._vertex_tables(), self._verts, {}
+            for k, (v, (a, b, c)) in enumerate(zip(self.vertices, self._rows)):
+                j = (k + 1) % len(verts)
+                h = x, y, w = intgeom.midpoint(verts[k], verts[j])
+                if a * x + b * y + c * w or not intgeom.strictly_between(
+                        h, verts[k], verts[j]):
+                    raise CertificateError(f"edge {k}'s midpoint is off the edge")
+                masks = intgeom.sample_signs(dets[k], dets[j], signs[k], signs[j],
+                                             2, verts[k][2], verts[j][2])[1]
+                mid = Point((Q(x, w), Q(y, w)))
+                probes[id(v)] = v, (verts[k], signs[k], (k, True))
+                probes[id(mid)] = mid, (h, masks, (k, False))
+            self._probes = probes
+        return self._probes
 
     def __eq__(self, other):
         return (
@@ -283,10 +304,9 @@ class PolygonRegion:
         return _polyline_breakpoints(edges, a, b), []
 
     def boundary_probes(self, density):
-        """Every ring's vertices and edge midpoints, ring by ring: distinct
-        points, because the rings are simple and disjoint."""
-        return [x for ring in self.rings() for a, b in ring.edges()
-                for x in (a, interpolate(a, b, Q(1, 2)))]
+        """Every ring's `probe_tables` points, ring by ring: distinct points,
+        because the rings are simple and disjoint."""
+        return [x for ring in self.rings() for x, _ in ring.probe_tables().values()]
 
 
 class _Circle:
@@ -612,11 +632,14 @@ def _probe(region, x):
     Returns (x, table): on a hole-free polygon table is (homogeneous x,
     x's edge signs, x's boundary site) for the integer classifier, which
     decides every pair, through vertices too; every other kind has None
-    and goes through the rational partition.
+    and goes through the rational partition. Ring-built points are looked up.
     """
     if x.dim != region.dim:
         raise DimensionMismatchError(f"query point must be {region.dim}D")
     if isinstance(region, PolygonRegion) and not region.holes:
+        built = region.outer.probe_tables().get(id(x))
+        if built is not None:
+            return built
         loc, h, dets, site = region.outer.table(x)
         table = h, intgeom.edge_signs(dets), site
     else:
@@ -885,14 +908,14 @@ def kernel(polygon):
     """The kernel of a simple polygon as an exact H-polyhedron.
 
     Intersection of the inner halfplanes of all edge supporting lines;
-    empty iff the polygon is not starshaped.
+    empty iff the polygon is not starshaped. Built from the vertex forms
+    alone: the visibility oracle, checked against it, reads the edge rows.
     """
-    halfspaces = []
-    for v, w in polygon.edges():
-        d = w - v
-        normal = Vector((d.coords[1], -d.coords[0]))
-        offset = d.coords[1] * v.coords[0] - d.coords[0] * v.coords[1]
-        halfspaces.append(Halfspace(normal, offset))
+    verts, halfspaces = polygon._verts, []
+    for (vx, vy, vw), (wx, wy, ww) in zip(verts, verts[1:] + verts[:1]):
+        s = vw * ww
+        normal = Vector((Q(wy * vw - vy * ww, s), Q(vx * ww - wx * vw, s)))
+        halfspaces.append(Halfspace(normal, Q(vx * wy - vy * wx, s)))
     return HPolyhedron(tuple(halfspaces), 2)
 
 

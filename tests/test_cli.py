@@ -598,6 +598,27 @@ def test_planar_reports_are_pinned(command, name, doc, digest, capsys, tmp_path,
     assert hashlib.sha256(out.encode("utf-8")).hexdigest() == digest
 
 
+@pytest.mark.parametrize("mode, name, doc, digest", [
+    # 4,560 and 1,128 pairs of the 48-gon's probes and vertices
+    ("all", "ngon.json", _ngon_doc,
+     "f3c74633de9ffc52f1c8566dfbd7e7a0137a1975ac2280c96d669a9bd92d497b"),
+    ("vertices", "ngon.json", _ngon_doc,
+     "dd3c7cea223b63908fe92a568d3e8f8d53787364c2eeecb9ff4f5bf1c740ac16"),
+    ("all", "notched.json", lambda: NOTCHED,
+     "78b2e289cc9759ae0b1f2e900ca92895eef3eb07efcf827a178dfa2100f20ef8"),
+    ("vertices", "notched.json", lambda: NOTCHED,
+     "ec05fa17c2ea80349ec65a222e8f537c8b04158b4f4dbe584b6f86e1bd9a153a"),
+], ids=["classify-all-ngon", "classify-vertices-ngon", "classify-all-notched",
+        "classify-vertices-notched"])
+def test_classify_reports_are_pinned(mode, name, doc, digest, capsys, tmp_path,
+                                     monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / name).write_text(json.dumps(doc()))
+    assert run(["classify", name, "--pairs", mode]) == 0
+    out = capsys.readouterr().out
+    assert hashlib.sha256(out.encode("utf-8")).hexdigest() == digest
+
+
 PINNED_FILES = {
     "cone.json": CONE,
     "triangle.json": {

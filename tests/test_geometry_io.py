@@ -3,6 +3,7 @@ import json
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from convexprofile.cli import _load_pairs_file
 from convexprofile.core import Q, point
 from convexprofile.epigraph import Epigraph1D
 from convexprofile.errors import SchemaError
@@ -30,6 +31,60 @@ def test_parse_rational_forms():
     for bad in ("1.5", "a/b", "1/0", None, True, [1]):
         with pytest.raises(SchemaError):
             parse_rational(bad, "$.x")
+
+
+_LONG = "1" * 5000  # past int()'s default digit limit
+
+
+# Each input with its value, or with the SchemaError message it raises.
+RATIONAL_PINS = [
+    (" 3/4 ", Q(3, 4)),
+    ("+3", Q(3)),
+    ("-0/5", Q(0)),
+    ("007/010", Q(7, 10)),
+    ("٣/٤", Q(3, 4)),  # Arabic-Indic digits are decimal digits
+    (" -12/8", Q(-3, 2)),
+    ("9" * 400 + "/7", Q(int("9" * 400), 7)),
+    (7, Q(7)),
+    (-7, Q(-7)),
+    ("3/0", "not a rational: '3/0'"),
+    ("1/-2", "not a rational: '1/-2'"),
+    ("3/", "not a rational: '3/'"),
+    ("/4", "not a rational: '/4'"),
+    ("", "not a rational: ''"),
+    ("1e3", "not a rational: '1e3'"),
+    ("1_000", "not a rational: '1_000'"),
+    ("3/4/5", "not a rational: '3/4/5'"),
+    ("¹/2", "not a rational: '¹/2'"),  # a superscript is no digit
+    (_LONG, f"not a rational: {_LONG!r}"),
+    (True, "expected a rational, got a boolean"),
+    (3.5, "expected 'p/q' string or integer, got 3.5"),
+]
+
+
+@pytest.mark.parametrize("value, want", RATIONAL_PINS,
+                         ids=[repr(v)[:24] for v, _ in RATIONAL_PINS])
+def test_parse_rational_is_pinned_on_every_route(value, want, tmp_path):
+    # The value or the message and path, straight, as a polygon vertex
+    # coordinate and as a pair-file coordinate.
+    polygon = {"kind": "polygon", "outer": [["0", "0"], ["4", "0"], [value, "4"]]}
+    pairs = tmp_path / "pairs.json"
+    pairs.write_text(json.dumps([[["0", "0"], [value, "1"]]]))
+    routes = [
+        (lambda: parse_rational(value, "$.x"), "$.x"),
+        (lambda: load_geometry(polygon).outer.vertices[2].coords[0],
+         "$.outer[2][0]"),
+        (lambda: _load_pairs_file(str(pairs), 2)[0][1].coords[0],
+         "$.pairs[0][1][0]"),
+    ]
+    for route, path in routes:
+        if isinstance(want, str):
+            with pytest.raises(SchemaError) as err:
+                route()
+            assert (err.value.message, err.value.path) == (want, path)
+        else:
+            got = route()
+            assert got == want and type(got) is type(want)
 
 
 def _roundtrip(doc):

@@ -1,11 +1,19 @@
 import collections
 import itertools
+import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from convexprofile import core
+from convexprofile.cli import run
 from convexprofile.core import Q, Segment, interpolate, point
 from convexprofile.errors import (
+    CertificateError,
     DegenerateSegmentError,
     InvalidPolygonError,
     InvalidRegionError,
@@ -13,6 +21,7 @@ from convexprofile.errors import (
     NotOnBoundaryError,
 )
 from convexprofile import intgeom, regions2d
+from convexprofile.geometry_io import dump_geometry
 from convexprofile.generators import (
     random_convex_polygon,
     random_notched_polygon,
@@ -1026,15 +1035,17 @@ def test_visibility_oracle_draws_one_sight_line_per_vertex_on_a_convex_ring(
     assert 0 < len(calls) <= poly.n == 48
 
 
-def test_vertex_tables_are_built_on_the_first_oracle_call_only():
+def test_vertex_tables_are_built_once_and_shared():
+    # The pair scan's probe tables build them; the oracle reuses them.
     centre = point(Q(3, 8), Q(-5, 8))
     poly = SimplePolygon(circle_points(centre, Q(41, 16), 47))
+    assert poly._vtables is None
     assert is_convex_by_pairs(PolygonRegion(poly)) == (True, None)
     assert is_starshaped(poly)
-    assert poly._vtables is None
-    assert kernel_contains_by_visibility(poly, centre, 8)
     tables = poly._vtables
     assert len(tables[0]) == len(tables[1]) == poly.n
+    assert kernel_contains_by_visibility(poly, centre, 8)
+    assert poly._vtables is tables
     assert kernel_contains_by_visibility(poly, centre, 32)
     assert poly._vtables is tables
 
@@ -1331,3 +1342,108 @@ def test_circle_points_are_exactly_on_the_circle():
         dx = p.coords[0] - disk.center.coords[0]
         dy = p.coords[1] - disk.center.coords[1]
         assert dx * dx + dy * dy == disk.radius * disk.radius
+
+
+def _circle48(rng):
+    """A `circle_points` 48-gon: convex, with a drawn centre and radius."""
+    centre = point(Q(rng.randint(-8, 8), 8), Q(rng.randint(-8, 8), 8))
+    return SimplePolygon(circle_points(centre, Q(rng.randint(16, 48), 8), 47))
+
+
+RING_KINDS = {**POLYGON_KINDS, **LARGE_POLYGON_KINDS, "circle-48": _circle48}
+
+
+def _interpolated_probes(region):
+    """The probes as rational `interpolate` built them: each ring's vertices
+    and edge midpoints, ring by ring."""
+    return [x for ring in region.rings() for a, b in ring.edges()
+            for x in (a, interpolate(a, b, Q(1, 2)))]
+
+
+@given(st.sampled_from(sorted(RING_KINDS)), st.integers(0, 10**9))
+@settings(max_examples=25, deadline=None)
+def test_ring_built_probe_tables_match_the_located_ones(kind, seed):
+    # Each ring-built table is the one `_probe` locates for an equal point
+    # from outside the ring, the points are the rational midpoints, holed
+    # rings too, and the pair scan finds the same witness on the ring-built
+    # tables as on plain copies of the probes, which it locates.
+    poly = RING_KINDS[kind](rng_from_seed(seed))
+    region = PolygonRegion(poly)
+    probes = region.boundary_probes(16)
+    built = list(poly.probe_tables().values())
+    assert [x for x, _ in built] == probes == _interpolated_probes(region)
+    copies = [point(*x.coords) for x in probes]
+    for (x, table), copy in zip(built, copies):
+        assert regions2d._probe(region, x) == (x, table)
+        assert regions2d._probe(region, copy)[1] == table
+    for classes in CLASS_SETS:
+        assert first_pair_outside(region, probes, classes) == (
+            first_pair_outside(region, copies, classes)
+        ), classes
+    xmin, ymin, xmax, ymax = poly.bounding_box()
+    frame = SimplePolygon([point(xmin - 1, ymin - 1), point(xmax + 1, ymin - 1),
+                           point(xmax + 1, ymax + 1), point(xmin - 1, ymax + 1)])
+    holed = PolygonRegion(frame, (poly,))
+    assert holed.boundary_probes(16) == _interpolated_probes(holed)
+
+
+FORGERIES = {
+    "off the edge's line": lambda a, b: (a[0] + b[0], a[1] + b[1] + 1, 2),
+    "at the edge's start": lambda a, b: a,
+}
+
+
+@pytest.mark.parametrize("forge", sorted(FORGERIES))
+def test_a_forged_midpoint_is_refused(forge, monkeypatch):
+    # Integer vertices, so the forged forms are primitive points on or off
+    # the edge's line; nothing is cached after the refusal.
+    poly = SimplePolygon([point(0, 0), point(4, 0), point(4, 2), point(0, 2)])
+    monkeypatch.setattr(intgeom, "midpoint", FORGERIES[forge])
+    with pytest.raises(CertificateError):
+        poly.probe_tables()
+    assert poly._probes is None
+    with pytest.raises(CertificateError):
+        is_convex_by_pairs(PolygonRegion(poly))
+
+
+def test_a_forged_midpoint_is_refused_under_python_O():
+    script = (
+        "from convexprofile import intgeom\n"
+        "from convexprofile.core import point\n"
+        "from convexprofile.errors import CertificateError\n"
+        "from convexprofile.regions2d import SimplePolygon\n"
+        "intgeom.midpoint = lambda a, b: a\n"
+        "try:\n"
+        "    SimplePolygon([point(0, 0), point(4, 0), point(0, 2)]).probe_tables()\n"
+        "    print('accepted')\n"
+        "except CertificateError:\n"
+        "    print('CertificateError')\n"
+    )
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(p for p in (src, env.get("PYTHONPATH")) if p)
+    proc = subprocess.run(
+        [sys.executable, "-O", "-c", script],
+        env=env, capture_output=True, text=True, timeout=60, check=False,
+    )
+    assert (proc.returncode, proc.stdout) == (0, "CertificateError\n"), proc.stderr
+
+
+def test_cli_convexity_builds_probes_in_integers(monkeypatch, tmp_path):
+    # Counted on the 48-gon: no rational midpoint, no point location, and
+    # one homogeneous form per vertex, at load. Deterministic, unlike time.
+    poly = SimplePolygon(circle_points(point(Q(3, 8), Q(-5, 8)), Q(41, 16), 47))
+    path = tmp_path / "ngon.json"
+    path.write_text(json.dumps(dump_geometry(poly)))
+    calls = collections.Counter()
+    for module, name in ((core, "interpolate"), (regions2d, "interpolate"),
+                         (intgeom, "point_in_polygon"), (intgeom, "homogenize")):
+        def counted(*args, _name=name, _fn=getattr(module, name)):
+            calls[_name] += 1
+            return _fn(*args)
+
+        monkeypatch.setattr(module, name, counted)
+    assert run(["convexity", str(path), "--out", str(tmp_path / "out.json")]) == 0
+    result = json.loads((tmp_path / "out.json").read_text())["results"][0]
+    assert result["convex_by_pairs"] is result["vertex_turn_oracle"] is True
+    assert calls == {"homogenize": 48}
