@@ -7,9 +7,12 @@ is read from it with no LP: emptiness and a member point, full-dimensionality,
 an interior point, the vertices, boundedness and a recession direction, the
 boundary-ray test, exposed faces, redundancy and the facet probes.
 Membership, segment breakpoints and line clipping read the signs of the
-rows at the point with its denominators cleared. Every certificate (member
-point, vertex, interior point, face optimum, recession ray, probe) is
-re-verified by substitution. The one LP left is V-polytope membership,
+rows at the point with its denominators cleared. The facet probes are
+built as homogeneous integer forms (X, T) from the incident rays, each
+with the mask of the rows at 0 there, and cached on the polyhedron; that
+mask is its answer to `supports`. Every certificate (member point, vertex,
+interior point, face optimum, recession ray, probe) is re-verified by
+substitution. The one LP left is V-polytope membership,
 `hull_contains` (and so `profile`).
 """
 
@@ -29,7 +32,6 @@ from .core import (
     Vector,
     ZERO,
     _cleared,
-    interpolate,
     nullspace_basis,
     rank,
     rational,
@@ -81,10 +83,13 @@ class HPolyhedron:
     """Intersection of closed halfspaces in E^dim (closed, convex).
 
     Implements the region protocol of `regions2d` (locate2, breakpoints,
-    boundary_probes) in any dimension.
+    boundary_probes, supports, chord) in any dimension. A pair of boundary
+    points is Flat iff one row is 0 at both, else its open chord is
+    interior: Hyperbolic.
     """
 
     kind = "h-polyhedron"
+    chord = "hyperbolic"
     halfspaces: tuple
     dim: int
 
@@ -93,6 +98,7 @@ class HPolyhedron:
         for h in self.halfspaces:
             if h.normal.dim != self.dim:
                 raise DimensionMismatchError("halfspace dimension mismatch")
+        object.__setattr__(self, "_probes", None)  # see `probe_tables`
 
     def contains(self, x):
         return all(v <= 0 for v in self._values(x)[0])
@@ -199,6 +205,62 @@ class HPolyhedron:
 
     def boundary_probes(self, density):
         return polyhedron_boundary_probes(self)
+
+    def probe_tables(self):
+        """id(x) -> (x, mask) of the boundary probes x, sorted, built once
+        with no LP, where mask is x's `supports` answer.
+
+        Per row of `_facets`: its incident vertices, their centroid, the
+        centroid stepped along each incident ray and lineality direction
+        (both signs) to a box of 8 around it, and the midpoints of the first
+        four. Each is a primitive integer form (X, T), T > 0, so a point has
+        one form; each distinct form is checked once, one `_dot` per row, to
+        be a boundary point, and its rows at 0 are its mask.
+        """
+        if self._probes is not None:
+            return self._probes
+        n = self.dim
+        lineality = self._dd[0]
+        forms = set()
+        for _, incident in self._facets:
+            verts = [_primitive(y) for y in incident if y[n]]
+            scale = math.lcm(*(y[n] for y in verts))
+            total = [sum(y[i] * (scale // y[n]) for y in verts) for i in range(n)]
+            witness = _primitive(total + [len(verts) * scale])
+            *wx, wt = witness
+            dirs = [y[:n] for y in incident if not y[n]]
+            dirs += [tuple(s * c for c in v[:n]) for v in lineality for s in (1, -1)]
+            facet_pts = [witness, *verts]
+            for d in dirs:
+                m = max(map(abs, d))
+                facet_pts.append(_primitive(
+                    [x * m + 8 * wt * c for x, c in zip(wx, d)] + [wt * m]
+                ))
+            # Facet midpoints stay on the facet (it is convex) and give
+            # non-vertex probes, without which a simplex would look all-flat.
+            for a, b in itertools.combinations(facet_pts[:4], 2):
+                facet_pts.append(_combine(b[n], a, a[n], b))
+            forms.update(facet_pts)
+        # sorted by coordinates, as integers over the forms' common T
+        scale = math.lcm(*(form[n] for form in forms))
+        probes = {}
+        for form in sorted(forms, key=lambda f: [c * (scale // f[n]) for c in f[:n]]):
+            pt = Point([Q(c, form[n]) for c in form[:n]])
+            mask = _boundary_mask([_dot(row, form) for row in self._rows])
+            if mask is None:
+                raise CertificateError(f"probe {pt} is not a boundary point of P")
+            probes[id(pt)] = pt, mask
+        object.__setattr__(self, "_probes", probes)
+        return probes
+
+    def supports(self, x):
+        """The mask of the rows that are 0 at x (bit k for row k), or None
+        when x is not a boundary point. A probe's mask is looked up."""
+        built = self._probes and self._probes.get(id(x))
+        if built:
+            return built[1]
+        _require_nonempty(self)
+        return _boundary_mask(self._values(x)[0])
 
 
 @dataclass(frozen=True)
@@ -638,30 +700,17 @@ def clip_line(P, base, direction):
     return (lo, hi)
 
 
+def _boundary_mask(values):
+    """The mask of the rows at 0 among a polyhedron's row values at a point,
+    or None when the point is not on its boundary: a member is a boundary
+    point iff some row is 0 there, also when P has no interior, since some
+    row is then 0 on all of P (Schrijver 1986, Sec. 8.2)."""
+    if any(v > 0 for v in values):
+        return None
+    return sum(1 << k for k, v in enumerate(values) if not v) or None
+
+
 def polyhedron_boundary_probes(P):
-    """Boundary probes with no LP: per row of `P._facets`, its incident
-    vertices, their centroid, the centroid stepped along each incident ray
-    and lineality direction (both signs) to a box of 8 around it, and the
-    midpoints of the first four. Each is re-checked as a boundary point."""
-    n = P.dim
-    lineality = P._dd[0]
-    box = Q(8)
-    probes = set()
-    for _, incident in P._facets:
-        verts = [Point([Q(c, y[n]) for c in y[:n]]) for y in incident if y[n]]
-        witness = Point([sum(col) / len(verts) for col in zip(*verts)])
-        dirs = [y[:n] for y in incident if not y[n]]
-        dirs += [tuple(s * c for c in v[:n]) for v in lineality for s in (1, -1)]
-        facet_pts = [witness, *verts] + [
-            witness + Vector([box * c / max(map(abs, d)) for c in d])
-            for d in dirs
-        ]
-        # Facet midpoints stay on the facet (it is convex) and give
-        # non-vertex probes, without which a simplex would look all-flat.
-        for a, b in itertools.combinations(facet_pts[:4], 2):
-            facet_pts.append(interpolate(a, b, Q(1, 2)))
-        probes.update(facet_pts)
-    for pt in probes:
-        if locate_point(P, pt) is not PointLocation.BOUNDARY:
-            raise CertificateError(f"probe {pt} is not a boundary point of P")
-    return sorted(probes, key=lambda pt: pt.coords)
+    """Boundary probes with no LP, in sorted order: the points of
+    `P.probe_tables()`, each re-checked as a boundary point when built."""
+    return [pt for pt, _ in P.probe_tables().values()]

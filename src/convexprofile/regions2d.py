@@ -4,8 +4,9 @@ Home of the boundary-pair trichotomy (flat / hyperbolic / elliptic, plus
 Mixed for everything else), convexity-by-pairs, starshapedness, and
 kernels. All decisions are exact: polygon predicates run on each point's
 own homogeneous integer form and each edge's cached integer line row,
-circle crossings either land on rationals or are bracketed between
-certified rational parameters.
+convex kinds decide a pair by their integer supporting rows, and circle
+crossings of the rational partition either land on rationals or are
+bracketed between certified rational parameters.
 
 The region protocol. A region kind (PolygonRegion, Disk, DiskComplement,
 PointedOpenBox here, and polyhedra.HPolyhedron in any dimension) has a
@@ -17,6 +18,17 @@ questions; every function below works through them:
   parameters where the segment a + t(b - a) may change location, and
   (lo, hi) rational intervals each holding one irrational boundary crossing;
 - `boundary_probes(density)` -> a finite list of boundary points.
+
+A convex kind (Disk, DiskComplement, PointedOpenBox, HPolyhedron) also
+answers `supports(x)`: the bit mask of its supporting rows `_rows` that are
+0 at x, or None when x is not a boundary point; and it names in `chord` the
+class of a pair that shares no row. A pair x != y is Flat iff the masks
+share a row (Rockafellar 1970, Thm 6.1 and Sec. 18): a disk's rows are its
+tangents, which no two points share; the chord of a convex body is
+Hyperbolic, that of its complement Elliptic. The lowest common row of a
+Flat pair is re-checked in integers at both ends. Kinds without
+`supports` (polygons with holes, kinds defined outside the package)
+classify a pair by the rational partition of its open segment.
 
 The pair scan runs row by row, row 0 pair by pair. On a hole-free polygon
 the later rows run on per-edge bit columns of the probes' sign masks: a row
@@ -38,6 +50,7 @@ from .core import (
     Segment,
     Vector,
     ZERO,
+    _cleared,
     cross2,
     interpolate,
     rational,
@@ -51,7 +64,14 @@ from .errors import (
     NotAMemberError,
     NotOnBoundaryError,
 )
-from .polyhedra import Halfspace, HPolyhedron, PointLocation, is_empty
+from .polyhedra import (
+    Halfspace,
+    HPolyhedron,
+    PointLocation,
+    _dot,
+    is_empty,
+    locate_point,
+)
 
 BRACKET_WIDTH = Q(1, 2**20)
 
@@ -340,11 +360,16 @@ class _Circle:
     def boundary_probes(self, density):
         return circle_points(self.center, self.radius, density)
 
+    def supports(self, x):
+        """No row, or None off the circle: no tangent holds two points."""
+        return 0 if self.locate2(x)[0] is PointLocation.BOUNDARY else None
+
 
 class Disk(_Circle):
     """The closed disk {x : |x - center| <= radius}."""
 
     kind = "disk"
+    chord = "hyperbolic"
     SIDES = {
         -1: (PointLocation.INTERIOR, True),
         0: (PointLocation.BOUNDARY, True),
@@ -358,6 +383,7 @@ class DiskComplement(_Circle):
     """The open exterior {x : |x - center| > radius} of a closed disk."""
 
     kind = "disk-complement"
+    chord = "elliptic"
     SIDES = {
         -1: (PointLocation.EXTERIOR, False),
         0: (PointLocation.BOUNDARY, False),
@@ -386,25 +412,27 @@ class PointedOpenBox:
         Point((0, 1)),
     )
 
+    # Its locations are the closed unit square's, and so are its pairs'
+    # classes: a corner's supporting rows are the two edges through it.
+    _square = HPolyhedron(tuple(
+        Halfspace(Vector(normal), offset)
+        for normal, offset in (((-1, 0), 0), ((1, 0), 1), ((0, -1), 0), ((0, 1), 1))
+    ), 2)
+    _rows = _square._rows
+    chord = "hyperbolic"
+
     def locate2(self, x):
-        xv, yv = x.coords
-        if 0 < xv < 1 and 0 < yv < 1:
-            return PointLocation.INTERIOR, True
-        on_frame = (
-            (xv == 0 or xv == 1) and 0 <= yv <= 1
-        ) or ((yv == 0 or yv == 1) and 0 <= xv <= 1)
-        if on_frame:
-            is_corner = xv in (ZERO, Q(1)) and yv in (ZERO, Q(1))
-            return PointLocation.BOUNDARY, bool(is_corner)
-        return PointLocation.EXTERIOR, False
+        loc = locate_point(self._square, x)
+        return loc, loc is PointLocation.INTERIOR or x in self.CORNERS
 
     def breakpoints(self, a, b):
-        c = self.CORNERS
-        frame = [(c[i], c[(i + 1) % 4]) for i in range(4)]
-        return _polyline_breakpoints(frame, a, b), []
+        return self._square.breakpoints(a, b)
 
     def boundary_probes(self, density):
         return list(self.CORNERS)
+
+    def supports(self, x):
+        return self._square.supports(x)
 
 
 def locate_point2(region, x):
@@ -631,8 +659,9 @@ def _probe(region, x):
 
     Returns (x, table): on a hole-free polygon table is (homogeneous x,
     x's edge signs, x's boundary site) for the integer classifier, which
-    decides every pair, through vertices too; every other kind has None
-    and goes through the rational partition. Ring-built points are looked up.
+    decides every pair, through vertices too; on a convex kind it is x's
+    `supports` mask; every other kind has None and goes through the
+    rational partition. Ring-built points and polyhedron probes are looked up.
     """
     if x.dim != region.dim:
         raise DimensionMismatchError(f"query point must be {region.dim}D")
@@ -642,6 +671,9 @@ def _probe(region, x):
             return built
         loc, h, dets, site = region.outer.table(x)
         table = h, intgeom.edge_signs(dets), site
+    elif hasattr(region, "supports"):
+        table = region.supports(x)
+        loc = table is not None and PointLocation.BOUNDARY
     else:
         loc, table = region.locate2(x)[0], None
     if loc is not PointLocation.BOUNDARY:
@@ -676,6 +708,20 @@ def _classify_from_partition(region, partition):
     return PairClass.MIXED
 
 
+def _supported_class(region, p, q, common):
+    """The class of a convex kind's pair whose `supports` masks share the
+    rows `common`: Flat once the lowest is re-checked in integers to be 0
+    at both ends, else the kind's chord class."""
+    if not common:
+        return PairClass(region.chord)
+    k = (common & -common).bit_length() - 1
+    for x in (p, q):
+        xs, s = _cleared(x.coords)
+        if _dot(region._rows[k], xs + [s]):
+            raise CertificateError(f"supporting row {k} is not 0 at {x!r}")
+    return PairClass.FLAT
+
+
 def _classify(region, p_probe, q_probe):
     """The class of a pair of `_probe` results: the one-pair row."""
     return _first_outside_in_row(region, p_probe, (q_probe,), ())[1]
@@ -685,20 +731,24 @@ def _first_outside_in_row(region, p_probe, q_probes, classes):
     """(j, class) of the first q_probes[j] whose pair with p has a class
     not in `classes`; None when there is none.
 
-    Without tables every pair goes through the rational partition. On a
-    hole-free polygon p's masks and site are read once for the row, and a
-    pair needs a sight line only where some edge's line may meet the open
-    segment: p and q strictly on opposite sides of it (see `intgeom`). For
-    every other pair `sight_blocked` would return False, and the class is
-    the side of q at p's site. A vertex inside the open segment is a
+    On a convex kind a pair's class is read from the two `supports`
+    masks; without tables every pair goes through the rational partition.
+    On a hole-free polygon p's masks and site are read once for the row,
+    and a pair needs a sight line only where some edge's line may meet the
+    open segment: p and q strictly on opposite sides of it (see `intgeom`).
+    For every other pair `sight_blocked` would return False, and the class
+    is the side of q at p's site. A vertex inside the open segment is a
     boundary member, so a pair through vertices is Flat when every piece
     between them is boundary, else Mixed.
     """
     p, p_table = p_probe
-    if p_table is None:
-        for j, (q, _) in enumerate(q_probes):
-            partition = partition_segment(region, Segment(p, q))
-            cls = _classify_from_partition(region, partition)
+    if type(p_table) is not tuple:  # a `supports` mask, or no table
+        for j, (q, q_table) in enumerate(q_probes):
+            if p_table is None:
+                partition = partition_segment(region, Segment(p, q))
+                cls = _classify_from_partition(region, partition)
+            else:
+                cls = _supported_class(region, p, q, p_table & q_table)
             if cls not in classes:
                 return j, cls
         return None
@@ -803,7 +853,7 @@ def first_pair_outside(region, probes, classes):
     )
     if hit is not None:
         return probes[0], probes[1 + hit[0]], hit[1]
-    if prepared[0][1] is not None:
+    if type(prepared[0][1]) is tuple:
         hit = _first_outside_by_columns(region, prepared, classes)
         return hit and (probes[hit[0]], probes[hit[1]], hit[2])
     for i, p in enumerate(probes[1:-1], 1):

@@ -458,27 +458,43 @@ VERDICT_SETTINGS = [
 ]
 
 
-@pytest.mark.parametrize("settings, digest", [
+# The full `check all` stdout is pinned too at the defaults, at `--seed 7`
+# and at `--instances 8 --seed 42`.
+@pytest.mark.parametrize("settings, digest, report", [
     (VERDICT_SETTINGS[0],
-     "da1c22bd2776c002ef773ceb6d146ab06e02108870804a04362c4c651adf11a6"),
+     "da1c22bd2776c002ef773ceb6d146ab06e02108870804a04362c4c651adf11a6",
+     "b4896042aac551f4d8b1e173a54d3d01b01b5b0025726903283c1bf7b29f2556"),
     (VERDICT_SETTINGS[1],
-     "3f9f82d0331871b878ee11a329174da90007deee40828856decbf254beb8b587"),
+     "3f9f82d0331871b878ee11a329174da90007deee40828856decbf254beb8b587",
+     "ce9ce95255932de0e87c87caa95310ed4e91a618c54c648f037f395f89fbb3b6"),
     (VERDICT_SETTINGS[2],
-     "3f9f82d0331871b878ee11a329174da90007deee40828856decbf254beb8b587"),
+     "3f9f82d0331871b878ee11a329174da90007deee40828856decbf254beb8b587",
+     None),
     (VERDICT_SETTINGS[3],
-     "86ead6e145cc40c79d48a43fd891654b8dbaf2386d6dbe03e9c0dc4396ea61ef"),
+     "86ead6e145cc40c79d48a43fd891654b8dbaf2386d6dbe03e9c0dc4396ea61ef",
+     None),
     (VERDICT_SETTINGS[4],
-     "641ef6596cd2b9b06af1d8066f698bbff1fea4b3b718f00754f1321eeea1df42"),
-], ids=["defaults", "seed42", "criterion10", "seed7", "two-instances"])
-def test_check_all_verdicts_are_pinned(settings, digest, capsys, monkeypatch):
-    # Only the (theorem, hypothesis, conclusion) sequence: a declared change
-    # of probe or witness bytes must leave every verdict where it was.
+     "641ef6596cd2b9b06af1d8066f698bbff1fea4b3b718f00754f1321eeea1df42",
+     None),
+    (["--seed", "7"],
+     "5c97c03232e11c00a078de7c14d9d86f8cc1a1333ee41e1ed9ad9d9d7485eea0",
+     "8de11e8913a35de0ab169e80171fdca14a001c06f6441ba1e18d0081728fc294"),
+], ids=["defaults", "seed42", "criterion10", "seed7", "two-instances",
+        "defaults-seed7"])
+def test_check_all_verdicts_are_pinned(settings, digest, report, capsys,
+                                       monkeypatch):
+    # The (theorem, hypothesis, conclusion) sequence: a declared change of
+    # probe or witness bytes must leave every verdict where it was. Where
+    # `report` is given, the whole report must stay byte-identical.
     monkeypatch.delenv("CONVEX_PROFILE_SEED", raising=False)
     assert run(["check", "all", *settings]) == 0
-    results = json.loads(capsys.readouterr().out)["results"]
+    out = capsys.readouterr().out
+    results = json.loads(out)["results"]
     verdicts = [[r["theorem"], r["hypothesis"], r["conclusion"]] for r in results]
     text = json.dumps(verdicts)
     assert hashlib.sha256(text.encode("utf-8")).hexdigest() == digest
+    if report is not None:
+        assert hashlib.sha256(out.encode("utf-8")).hexdigest() == report
 
 
 def _ngon_doc():

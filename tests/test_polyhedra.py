@@ -19,6 +19,7 @@ from convexprofile.core import (
     Q,
     SolveStatus,
     Vector,
+    interpolate,
     orientation,
     point,
     solve_linear,
@@ -59,7 +60,13 @@ from convexprofile.polyhedra import (
     recession_direction,
     remove_redundant,
 )
-from convexprofile.regions2d import SimplePolygon, circle_points, kernel
+from convexprofile.regions2d import (
+    PairClass,
+    SimplePolygon,
+    circle_points,
+    classify_pair,
+    kernel,
+)
 from convexprofile.theorems import _two_sided_direction
 from lp_reference import (
     lp_face_optimum,
@@ -336,14 +343,18 @@ UNIT_SQUARE_ROWS = (((-1, 0), 0), ((1, 0), 1), ((0, -1), 0), ((0, 1), 1))
 
 
 def _forgery_verdicts_under_python_O(function, forgeries, args="",
-                                     rows=UNIT_SQUARE_ROWS):
-    """Run polyhedra.<function>(shape<args>) on a fresh polyhedron with the
-    (normal, offset) rows, the unit square by default, per forged ray under
-    python -O; return the printed optimize flag and one verdict per ray."""
+                                     rows=UNIT_SQUARE_ROWS, plant=None):
+    """Run <function>(shape<args>), polyhedra.<function> unless it names its
+    module, on a fresh polyhedron with the (normal, offset) rows, the unit
+    square by default, per forgery under python -O; return the printed
+    optimize flag and one verdict per forgery. A forgery is a ray appended
+    to the double description, or, given `plant`, a statement run on the
+    fresh shape with the forgery bound to `forged`."""
+    call = function if "." in function else f"polyhedra.{function}"
     script = textwrap.dedent(
         f"""
         import sys
-        from convexprofile import polyhedra
+        from convexprofile import polyhedra, regions2d
         from convexprofile.core import vector
         from convexprofile.errors import CertificateError
         from convexprofile.polyhedra import Halfspace, HPolyhedron
@@ -357,15 +368,17 @@ def _forgery_verdicts_under_python_O(function, forgeries, args="",
                 return lineality, rays + [ray]
             return forged
 
-        for ray, _ in {forgeries!r}:
-            polyhedra._double_description = forge(ray)
+        for forged, _ in {forgeries!r}:
+            if {plant is None}:
+                polyhedra._double_description = forge(forged)
             # A fresh shape: each polyhedron caches its description.
             shape = HPolyhedron(
                 tuple(Halfspace(vector(*n), o) for n, o in {rows!r}),
                 {len(rows[0][0])},
             )
+            {plant or "pass"}
             try:
-                polyhedra.{function}(shape{args})
+                {call}(shape{args})
                 print("accepted")
             except CertificateError:
                 print("CertificateError")
@@ -456,6 +469,96 @@ def test_forged_probe_rays_raise_under_python_O():
         "polyhedron_boundary_probes", PROBE_FORGERIES
     )
     assert verdicts == ["1"] + ["CertificateError"] * 2
+
+
+def _fraction_boundary_probes(P):
+    """Test-only copy of the rational probe builder that the integer one
+    replaced: per facet, its vertices, their centroid, the centroid stepped
+    to a box of 8 and the midpoints of the first four, as Fraction points,
+    each located as a boundary point."""
+    n = P.dim
+    lineality = P._dd[0]
+    box = Q(8)
+    probes = set()
+    for _, incident in P._facets:
+        verts = [Point([Q(c, y[n]) for c in y[:n]]) for y in incident if y[n]]
+        witness = Point([sum(col) / len(verts) for col in zip(*verts)])
+        dirs = [y[:n] for y in incident if not y[n]]
+        dirs += [tuple(s * c for c in v[:n]) for v in lineality for s in (1, -1)]
+        facet_pts = [witness, *verts] + [
+            witness + Vector([box * c / max(map(abs, d)) for c in d])
+            for d in dirs
+        ]
+        for a, b in itertools.combinations(facet_pts[:4], 2):
+            facet_pts.append(interpolate(a, b, Q(1, 2)))
+        probes.update(facet_pts)
+    for pt in probes:
+        if locate_point(P, pt) is not PointLocation.BOUNDARY:
+            raise CertificateError(f"probe {pt} is not a boundary point of P")
+    return sorted(probes, key=lambda pt: pt.coords)
+
+
+def _probe_instances():
+    """At least 200 seeded polyhedra in dims 1-4: random and bounded ones,
+    their faces (no interior), with rows doubled and with redundant rows."""
+    for dim, seeds in ((1, 12), (2, 16), (3, 12), (4, 8)):
+        for seed in range(seeds):
+            rng = rng_from_seed(f"probes:{dim}:{seed}")
+            for P in (random_hpolyhedron(rng, dim),
+                      random_bounded_polytope(rng, dim)):
+                yield P
+                yield _with_copies(P) if seed % 2 else _with_redundant_rows(P)
+                face = face_in_direction(P, random_direction(rng, dim))
+                if face is not None:
+                    yield face
+
+
+def test_integer_probes_match_the_fraction_probes():
+    shapes = 0
+    for P in _probe_instances():
+        shapes += 1
+        probes = polyhedron_boundary_probes(P)
+        assert probes == _fraction_boundary_probes(P)
+        assert polyhedron_boundary_probes(P) == probes  # the cached table
+        for x, mask in P.probe_tables().values():
+            zeros = sum(1 << k for k, v in enumerate(P._values(x)[0]) if v == 0)
+            assert mask == zeros == P.supports(Point(x.coords))
+            assert P.supports(x) == mask
+    assert shapes >= 200
+
+
+# The unit square's probes (0, 0) and (1, 1) share no row; the forged mask
+# of (1, 1) adds row 0, x >= 0, which is 0 at (0, 0) only.
+FLAT_FORGERIES = [(0b0001, "flat")]
+PLANT_FLAT = (
+    "p, *_, q = polyhedra.polyhedron_boundary_probes(shape); "
+    "table = shape.probe_tables(); table[id(q)] = (q, table[id(q)][1] | forged)"
+)
+
+
+def test_forged_flat_certificate_raises():
+    sq = unit_square()
+    probes = polyhedron_boundary_probes(sq)
+    p, q = probes[0], probes[-1]
+    table = sq.probe_tables()
+    assert (table[id(p)][1], table[id(q)][1]) == (0b0101, 0b1010)
+    table[id(q)] = (q, table[id(q)][1] | FLAT_FORGERIES[0][0])
+    with pytest.raises(CertificateError, match="row 0 is not 0"):
+        classify_pair(sq, p, q)
+    # (1/2, 0) shares row 2, y >= 0, with (0, 0); a forged row 0 comes
+    # first, and the lowest common row is the one re-checked.
+    mid = next(x for x in probes if x == point(Q(1, 2), 0))
+    assert classify_pair(sq, p, mid) is PairClass.FLAT
+    table[id(mid)] = (mid, table[id(mid)][1] | FLAT_FORGERIES[0][0])
+    with pytest.raises(CertificateError, match="row 0 is not 0"):
+        classify_pair(sq, p, mid)
+
+
+def test_forged_flat_certificate_raises_under_python_O():
+    verdicts = _forgery_verdicts_under_python_O(
+        "regions2d.classify_pair", FLAT_FORGERIES, ", p, q", plant=PLANT_FLAT
+    )
+    assert verdicts == ["1", "CertificateError"]
 
 
 # A ray whose addition puts the unit square's ray sum (5, 3, 5) on x <= 1.

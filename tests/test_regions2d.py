@@ -11,7 +11,7 @@ from hypothesis import given, settings, strategies as st
 
 from convexprofile import core
 from convexprofile.cli import run
-from convexprofile.core import Q, Segment, interpolate, point
+from convexprofile.core import Point, Q, Segment, interpolate, point
 from convexprofile.errors import (
     CertificateError,
     DegenerateSegmentError,
@@ -24,6 +24,8 @@ from convexprofile import intgeom, regions2d
 from convexprofile.geometry_io import dump_geometry
 from convexprofile.generators import (
     random_convex_polygon,
+    random_direction,
+    random_hpolyhedron,
     random_notched_polygon,
     random_simple_polygon,
     random_staircase_polygon,
@@ -31,6 +33,8 @@ from convexprofile.generators import (
     sample_member_points,
 )
 from convexprofile.polyhedra import (
+    Halfspace,
+    HPolyhedron,
     PointLocation,
     extreme_points,
     face_in_direction,
@@ -1055,7 +1059,8 @@ def test_hole_free_polygons_reach_no_rational_partition(monkeypatch):
     # and the pair criterion and every probe pair's class on skylines, are
     # the same when the rational partition and `sees` refuse hole-free
     # polygons: every sight line through a vertex is decided in integers.
-    # The disks and the pointed box of cor-5 still use the partition.
+    # The disks and the pointed box of cor-5 decide their pairs by their
+    # supporting rows (test_convex_kinds_reach_no_rational_partition).
     skylines = [
         random_staircase_polygon(rng_from_seed(f"skyline:{seed}"))
         for seed in range(10)
@@ -1447,3 +1452,144 @@ def test_cli_convexity_builds_probes_in_integers(monkeypatch, tmp_path):
     result = json.loads((tmp_path / "out.json").read_text())["results"][0]
     assert result["convex_by_pairs"] is result["vertex_turn_oracle"] is True
     assert calls == {"homogenize": 48}
+
+
+# --- convex kinds: pairs by supporting rows ---------------------------------
+
+# The pointed box's frame points besides its corners: on one edge each.
+BOX_FRAME = [point(Q(1, 2), 0), point(1, Q(1, 3)), point(Q(2, 3), 1),
+             point(0, Q(3, 4)), point(Q(1, 4), 0), point(1, Q(5, 7))]
+
+
+def _h_variant(rng, dim):
+    """A random h-polyhedron, or one of its variants: no interior (an
+    exposed face), duplicated rows, or a slab along its first row."""
+    P = random_hpolyhedron(rng, dim)
+    variant = rng.choice(("plain", "face", "copies", "slab"))
+    if variant == "face":
+        face = face_in_direction(P, random_direction(rng, dim))
+        return P if face is None else face
+    if variant == "copies":
+        hs = P.halfspaces
+        doubled = tuple(Halfspace(h.normal * 2, h.offset * 2) for h in hs)
+        return HPolyhedron(hs + hs[:2] + doubled, dim)
+    if variant == "slab":
+        h = P.halfspaces[0]
+        return HPolyhedron((h, Halfspace(-h.normal, 2 - h.offset)), dim)
+    return P
+
+
+def _convex_case(kind, seed):
+    """(region, boundary points) of a seeded convex kind: probes in a seeded
+    order, some of them as fresh copies, which `supports` locates."""
+    rng = rng_from_seed(f"convex-kind:{kind}:{seed}")
+    if kind in ("disk", "disk-complement"):
+        centre = point(Q(rng.randint(-9, 9), rng.randint(1, 4)),
+                       Q(rng.randint(-9, 9), rng.randint(1, 4)))
+        radius = Q(rng.randint(1, 12), rng.randint(1, 4))
+        region = (Disk if kind == "disk" else DiskComplement)(centre, radius)
+        probes = region.boundary_probes(rng.randint(2, 9))
+    elif kind == "box":
+        region = PointedOpenBox()
+        probes = region.boundary_probes(8) + rng.sample(BOX_FRAME, 3)
+    else:
+        region = _h_variant(rng, int(kind[1:]))
+        probes = region.boundary_probes(8)
+    rng.shuffle(probes)
+    probes = [Point(x.coords) if rng.random() < 0.3 else x for x in probes[:24]]
+    return region, probes
+
+
+CONVEX_KINDS = ["disk", "disk-complement", "box", "h1", "h2", "h3", "h4"]
+
+
+@given(st.sampled_from(CONVEX_KINDS), st.integers(0, 10**9))
+@settings(max_examples=60, deadline=None)
+def test_supporting_rows_agree_with_the_partition(kind, seed):
+    # Every probe pair's class from the two `supports` masks against the
+    # rational partition, and the row scan against classify_pair pair by
+    # pair on every class set.
+    region, probes = _convex_case(kind, seed)
+    pairs = list(itertools.combinations(probes, 2))
+    found = [classify_pair(region, p, q) for p, q in pairs]
+    for (p, q), cls in zip(pairs, found):
+        partition = partition_segment(region, Segment(p, q))
+        assert cls is regions2d._classify_from_partition(region, partition), (p, q)
+    for classes in CLASS_SETS:
+        expected = next(
+            ((p, q, cls) for (p, q), cls in zip(pairs, found)
+             if cls not in classes),
+            None,
+        )
+        assert first_pair_outside(region, probes, classes) == expected, classes
+
+
+def test_supporting_rows_cover_every_class_of_a_convex_kind():
+    # The hand cases: a corner pair on one square edge, a frame pair on
+    # none, a no-interior polyhedron whose every pair shares its equality
+    # row, duplicated rows, and a slab with lineality.
+    box = PointedOpenBox()
+    crossing = partition_segment(box, Segment(point(-1, Q(1, 2)), point(2, Q(1, 2))))
+    E, B, I = PointLocation.EXTERIOR, PointLocation.BOUNDARY, PointLocation.INTERIOR
+    assert crossing.locations() == (E, B, I, B, E)
+    assert classify_pair(box, point(0, 0), point(Q(1, 2), 0)) is PairClass.FLAT
+    assert classify_pair(box, point(0, 1), point(1, Q(1, 3))) is PairClass.HYPERBOLIC
+    H, V = Halfspace, core.vector
+    segment = HPolyhedron((H(V(0, 1), 0), H(V(0, -1), 0), H(V(1, 0), 1),
+                           H(V(-1, 0), 0)), 2)
+    assert classify_pair(segment, point(Q(1, 3), 0), point(Q(2, 3), 0)) is (
+        PairClass.FLAT
+    )
+    doubled = HPolyhedron((H(V(1, 0), 1), H(V(2, 0), 2), H(V(-1, 0), 0)), 2)
+    assert regions2d._probe(doubled, point(1, 5))[1] == 0b011
+    assert classify_pair(doubled, point(1, 5), point(0, 5)) is PairClass.HYPERBOLIC
+    assert classify_pair(doubled, point(1, 5), point(1, -5)) is PairClass.FLAT
+    with pytest.raises(NotOnBoundaryError):
+        classify_pair(doubled, point(Q(1, 2), 0), point(1, 0))
+
+
+def _refuse_partition_on_built_in_kinds(monkeypatch):
+    """Refuse `partition_segment` on every built-in kind but a polygon with
+    holes; return the counter of its calls on other kinds."""
+    real, calls = regions2d.partition_segment, collections.Counter()
+    built_in = (PolygonRegion, Disk, DiskComplement, PointedOpenBox, HPolyhedron)
+
+    def guarded(region, seg):
+        if isinstance(region, built_in) and not getattr(region, "holes", ()):
+            raise AssertionError(f"partition_segment on a {region.kind}")
+        calls[region.kind] += 1
+        return real(region, seg)
+
+    monkeypatch.setattr(regions2d, "partition_segment", guarded)
+    return calls
+
+
+@pytest.mark.parametrize("settings, report", [
+    ([], "b4896042aac551f4d8b1e173a54d3d01b01b5b0025726903283c1bf7b29f2556"),
+    (["--instances", "8", "--samples", "12", "--probe-density", "8",
+      "--seed", "7"],
+     "94ad738d8797a4b25e83758db5d0ee8d45b0e85b5246c3171adbb982bcc6483b"),
+], ids=["defaults", "bench-settings"])
+def test_convex_kinds_reach_no_rational_partition(settings, report, capsys,
+                                                  monkeypatch):
+    # `check all` at the defaults and at the benchmark's settings, with the
+    # partition refused on every built-in kind but a polygon with holes:
+    # the full reports are the pinned ones (tests/test_cli.py).
+    import hashlib
+
+    monkeypatch.delenv("CONVEX_PROFILE_SEED", raising=False)
+    calls = _refuse_partition_on_built_in_kinds(monkeypatch)
+    assert run(["check", "all", *settings]) == 0
+    out = capsys.readouterr().out
+    assert hashlib.sha256(out.encode("utf-8")).hexdigest() == report
+    assert not calls
+
+
+def test_a_kind_without_supports_classifies_by_the_partition(monkeypatch):
+    from test_kinds import HalfPlane
+
+    calls = _refuse_partition_on_built_in_kinds(monkeypatch)
+    plane = HalfPlane()
+    assert classify_pair(plane, point(0, 0), point(3, 0)) is PairClass.FLAT
+    assert calls == {"half-plane": 1}
+
