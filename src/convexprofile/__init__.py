@@ -59,6 +59,7 @@ from .regions2d import (
     is_starshaped,
     kernel,
     kernel_contains_by_visibility,
+    kernel_vertices,
     locate_point2,
     partition_segment,
     sees,

@@ -31,7 +31,6 @@ from .polyhedra import (
     extreme_points,
     hull_equal,
     is_bounded,
-    is_empty,
     profile,
 )
 from .regions2d import (
@@ -39,6 +38,7 @@ from .regions2d import (
     convexity_oracle,
     is_convex_by_pairs,
     kernel,
+    kernel_vertices,
 )
 from .svg_render import render_svg
 from .theorems import (
@@ -241,17 +241,17 @@ def _cmd_kernel(args, seed):
     ring = _simple_ring(
         load_geometry_file(args.file), "kernel is defined for simple polygons"
     )
-    ker = kernel(ring)
-    empty = is_empty(ker)
+    verts = kernel_vertices(ring)
+    empty = not verts
     result = {
-        "kernel": dump_geometry(ker),
+        "kernel": dump_geometry(kernel(ring)),
         "empty": empty,
         # A polygon is starshaped iff its kernel is non-empty.
         "starshaped": not empty,
     }
     if not empty:
         result["kernel_vertices"] = [
-            point_to_json(v) for v in extreme_points(ker)
+            point_to_json(v) for v in sorted(verts, key=lambda p: p.coords)
         ]
     return [result], 0
 

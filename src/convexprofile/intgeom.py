@@ -33,13 +33,20 @@ When `(xp & tn) | (xn & tp)` is 0, `segment_in_polygon` is `side_at` at
 t's site. The pair scan draws a sight line only when it is not 0; so does
 the kernel oracle for edge samples, after returning False at the first edge
 whose line has x strictly right (its first interior sample fails there).
+
+`kernel_ring` intersects a ring's edge rows in the plane: its kernel's
+vertex ring, or a Farkas certificate of at most three rows when it is
+empty, each re-checked in integers before it is returned.
 """
 
 from __future__ import annotations
 
+import functools
+import itertools
 import math
 
 from .core import _cleared
+from .errors import CertificateError
 
 
 def homogenize(point):
@@ -49,23 +56,31 @@ def homogenize(point):
     return x, y, w
 
 
+def _cross3(u, v):
+    """The cross product of two integer triples: the line row through two
+    point forms, or the point form where the lines of two rows meet. Its
+    last entry is the cross product of the first two entries of each."""
+    (a, b, c), (d, e, f) = u, v
+    return b * f - c * e, c * d - a * f, a * e - b * d
+
+
+def _primitive(t):
+    """The integer triple t divided by the gcd of its entries."""
+    x, y, w = t
+    g = math.gcd(x, y, w) or 1
+    return x // g, y // g, w // g
+
+
 def edge_rows(verts):
     """The primitive line rows (a, b, c) of the ring's directed edges: the
     cross product of vertex forms k and k + 1 divided by its gcd."""
-    rows = []
-    for (ax, ay, aw), (bx, by, bw) in zip(verts, verts[1:] + verts[:1]):
-        a, b, c = ay * bw - aw * by, aw * bx - ax * bw, ax * by - ay * bx
-        g = math.gcd(a, b, c)
-        rows.append((a // g, b // g, c // g))
-    return rows
+    return [_primitive(_cross3(a, b)) for a, b in zip(verts, verts[1:] + verts[:1])]
 
 
 def midpoint(a, b):
     """The primitive form of the midpoint of point forms a and b."""
     (ax, ay, aw), (bx, by, bw) = a, b
-    x, y, w = ax * bw + bx * aw, ay * bw + by * aw, 2 * aw * bw
-    g = math.gcd(x, y, w)
-    return x // g, y // g, w // g
+    return _primitive((ax * bw + bx * aw, ay * bw + by * aw, 2 * aw * bw))
 
 
 def orient(p, q, r):
@@ -282,3 +297,238 @@ def segment_in_polygon(verts, rows, turns, x_h, t_h, x_signs, t_signs, t_site):
         if side_at(verts, rows, turns, (k, True), x_h, x_signs) < 0:
             return False
     return True
+
+
+# -- the kernel of a ring's edge rows ----------------------------------------
+
+def _half(row):
+    """0 when the normal (a, b) of the row points into [0, pi), else 1."""
+    return 0 if row[1] > 0 or (row[1] == 0 and row[0] > 0) else 1
+
+
+def _cross(r, s):
+    """The cross product of the normals of rows r and s."""
+    return r[0] * s[1] - r[1] * s[0]
+
+
+def _angle_cmp(r, s):
+    """-1 / 0 / +1 as the normal of row r points before / with / after
+    that of row s, by angle from the +x axis over [0, 2 pi)."""
+    h = _half(r) - _half(s)
+    if h:
+        return h
+    cross = _cross(r, s)
+    return (cross < 0) - (cross > 0)
+
+
+def _value(row, p):
+    return row[0] * p[0] + row[1] * p[1] + row[2] * p[2]
+
+
+def _chain(rows, ks):
+    """The rows ks, one per direction in angle order within less than pi,
+    less every row that holds where its neighbours meet: the rows whose
+    lines carry an edge of their intersection, in order along it."""
+    chain = []
+    for k in ks:
+        while len(chain) > 1 and _value(
+                rows[chain[-1]], _cross3(rows[chain[-2]], rows[k])) >= 0:
+            chain.pop()
+        chain.append(k)
+    return chain
+
+
+def _farkas(rows, ks):
+    """{row index: multiplier} of the first pair, then triple, of rows ks
+    whose nonnegative integer combination has normal 0 and a negative
+    constant; None when there is none. A pair must be antiparallel; a
+    triple's multipliers are the cross products of the other two normals."""
+    for size in (2, 3):
+        for combo in itertools.combinations(ks, size):
+            picked = [rows[k] for k in combo]
+            if size == 2:
+                (a, b, _), (d, e, _) = picked
+                lam = [abs(d) + abs(e), abs(a) + abs(b)]
+            else:
+                r, s, t = picked
+                lam = [_cross(s, t), _cross(t, r), _cross(r, s)]
+                if max(lam) <= 0:
+                    lam = [-x for x in lam]
+            if min(lam) < 0:
+                continue
+            sums = [sum(x * row[c] for x, row in zip(lam, picked)) for c in range(3)]
+            if sums[0] == sums[1] == 0 and sums[2] < 0:
+                g = math.gcd(*lam)
+                return {k: x // g for k, x in zip(combo, lam)}
+    return None
+
+
+def _kernel_answer(rows, order):
+    """The kernel's edge cycle [(row index, form)], or a Farkas
+    certificate {row index: multiplier} when the kernel is empty (None
+    when none is found); `order` holds the row indices by angle.
+
+    One row per direction is kept, the tightest. Rows with b > 0 bound y
+    from below, rows with b < 0 from above and rows with b = 0 bound x, so
+    the kernel is {xlo <= x <= xhi, L(x) <= y <= U(x)}: L is the convex
+    chain of the first (`_chain`, left to right), U the concave chain of
+    the second. f = U - L is concave and linear between events: the
+    chains' breakpoints inside the strip, and its ends. f >= 0 at some
+    event iff the kernel is non-empty; its edge rows are then the rows
+    active at such events, in angle order. Otherwise f peaks at the first
+    event with no rise to its right, and the rows active there hold a
+    certificate of at most three rows (Helly).
+    """
+    dirs = []
+    for k in order:
+        if dirs and not _angle_cmp(rows[dirs[-1]], rows[k]):
+            (a, b, c), (d, e, f) = rows[dirs[-1]], rows[k]
+            if c * (abs(d) + abs(e)) > f * (abs(a) + abs(b)):
+                dirs[-1] = k  # the tighter of two rows with one direction
+        else:
+            dirs.append(k)
+    lower, upper, vl, vr = [], [], None, None
+    for k in dirs:
+        a, b, _ = rows[k]
+        if b:
+            (lower if b > 0 else upper).append(k)
+        elif a > 0:
+            vl = k
+        else:
+            vr = k
+    if vl is not None and vr is not None:
+        strip = _farkas(rows, (vl, vr))
+        if strip:
+            return strip
+    lower, upper = _chain(rows, lower), _chain(rows, upper)[::-1]
+    bl = [_cross3(rows[p], rows[q]) for p, q in zip(lower, lower[1:])]
+    bu = [_cross3(rows[q], rows[p]) for p, q in zip(upper, upper[1:])]
+    # an event: (i, j, di, dj, p, walls): lower[i] and upper[j] are active
+    # at and left of it, the chains break there when di / dj, p is a form
+    # on L or U there, and walls are the strip's rows through it
+    events, i, j = [], 0, 0
+    while i < len(bl) or j < len(bu):
+        di, dj = i < len(bl), j < len(bu)
+        if di and dj:
+            d = bl[i][0] * bu[j][2] - bu[j][0] * bl[i][2]
+            di, dj = d <= 0, d >= 0
+        events.append((i, j, di, dj, bl[i] if di else bu[j], ()))
+        i, j = i + di, j + dj
+    for wall, side in ((vl, 1), (vr, -1)):  # the strip's ends
+        if wall is None:
+            continue
+        # events[k] is the first event at or right of the wall: it joins
+        # the wall's event, or the wall's own goes in before it
+        row = rows[wall]
+        k = next((k for k, e in enumerate(events)
+                  if side * _value(row, e[4]) >= 0), len(events))
+        if k < len(events) and not _value(row, events[k][4]):
+            e = events[k]
+            events[k] = e[:5] + (e[5] + (wall,),)
+        else:
+            i, j = events[k][:2] if k < len(events) else (len(bl), len(bu))
+            low = rows[lower[i]]
+            p = _cross3(row, low) if side > 0 else _cross3(low, row)
+            events.insert(k, (i, j, False, False, p, (wall,)))
+        if side > 0:
+            del events[:k]
+        else:
+            del events[k + 1:]
+
+    def active(e):
+        i, j, di, dj, _, walls = e
+        return lower[i:i + 1 + di] + upper[j:j + 1 + dj] + list(walls)
+
+    tight = set()
+    for e in events:
+        i, j, di, dj, p, _ = e
+        if _value(rows[lower[i]] if dj and not di else rows[upper[j]], p) >= 0:
+            tight.update(active(e))
+    if not tight:
+        peak = next((e for e in events if _cross(
+            rows[lower[e[0] + e[2]]], rows[upper[e[1] + e[3]]]) >= 0), events[-1])
+        return _farkas(rows, active(peak))
+    cycle = [k for k in dirs if k in tight]
+    return [(k, _primitive(_cross3(rows[h], rows[k])))
+            for h, k in zip(cycle[-1:] + cycle[:-1], cycle)]
+
+
+def _check_cycle(rows, order, cycle):
+    """The kernel's distinct vertex forms in CCW order, once the edge
+    cycle [(row index, form)] is re-checked in integers; CertificateError
+    if it fails.
+
+    The cycle's rows must turn left and wind once, and its distinct
+    vertices turn left; each form must lie on its edge's row and the next
+    form ahead along it. The intersection of the cycle's rows is then the
+    convex ring, and every row holds on the ring iff it holds at its
+    extreme vertex: the vertex between the cycle rows whose normals enclose
+    its own. One walk over `order`, every row's index sorted by angle,
+    finds them all.
+    """
+    n = len(cycle)
+    nxt = cycle[1:] + cycle[:1]
+    wraps = 0
+    for (k, _), (h, _) in zip(cycle, nxt):
+        if _cross(rows[k], rows[h]) <= 0:
+            raise CertificateError(f"kernel edge rows {k} and {h} do not turn left")
+        wraps += _half(rows[k]) > _half(rows[h])
+    if wraps != 1:
+        raise CertificateError(f"the kernel's edge rows wind {wraps} times")
+    ring = [v for (_, v), (_, w) in zip(cycle, nxt)
+            if v[0] * w[2] != w[0] * v[2] or v[1] * w[2] != w[1] * v[2]]
+    ring = ring or [cycle[0][1]]
+    if len(ring) > 2 and any(orient(ring[t - 2], ring[t - 1], ring[t]) <= 0
+                             for t in range(len(ring))):
+        raise CertificateError("the kernel ring turns right")
+    for (k, v), (_, w) in zip(cycle, nxt):
+        row = rows[k]
+        if v[2] <= 0 or _value(row, v) or _value(row, w):
+            raise CertificateError(f"a kernel vertex is off edge row {k}")
+        if along(row, v, w) < 0:
+            raise CertificateError(f"kernel edge {k} runs against its row")
+    start = next(t for t in range(n)
+                 if _half(rows[cycle[t - 1][0]]) > _half(rows[cycle[t][0]]))
+    walk, t = cycle[start:] + cycle[:start], 0
+    for k in order:
+        row = rows[k]
+        while t < n and _angle_cmp(rows[walk[t][0]], row) < 0:
+            t += 1
+        if _value(row, walk[t % n][1]) < 0:
+            raise CertificateError(f"row {k} fails at its extreme kernel vertex")
+    return tuple(ring)
+
+
+def _check_farkas(rows, lam):
+    """Raise CertificateError unless the multipliers {row index: lam}
+    are nonnegative and sum the rows to (0, 0, negative): then no point
+    satisfies every row (Farkas)."""
+    if not lam:
+        raise CertificateError("an empty kernel without a Farkas certificate")
+    if any(x < 0 for x in lam.values()):
+        raise CertificateError(f"a Farkas multiplier is negative: {lam}")
+    a, b, c = (sum(x * rows[k][i] for k, x in lam.items()) for i in range(3))
+    if a or b:
+        raise CertificateError(f"Farkas multipliers {lam} leave a normal")
+    if c >= 0:
+        raise CertificateError(f"Farkas multipliers {lam} sum to {c} >= 0")
+
+
+def kernel_ring(rows):
+    """(ring, certificate): the kernel {p : a x + b y + c w >= 0 for each
+    row} of a ring's `edge_rows`, re-checked in integers.
+
+    For a non-empty kernel ring is its CCW vertex forms, one for a point
+    and two for a segment, and certificate its edge cycle (see
+    `_check_cycle`); for an empty one ring is () and certificate at most
+    three {row index: multiplier}, with `_check_farkas`. The rows are
+    sorted by angle once (Preparata and Shamos 1985, Sec. 7.2) and the
+    rest is linear, the check included (Mehlhorn et al. 1999).
+    """
+    order = sorted(range(len(rows)), key=functools.cmp_to_key(
+        lambda i, j: _angle_cmp(rows[i], rows[j])))
+    answer = _kernel_answer(rows, order)
+    if type(answer) is list:
+        return _check_cycle(rows, order, answer), answer
+    _check_farkas(rows, answer)
+    return (), answer

@@ -34,6 +34,12 @@ The pair scan runs row by row, row 0 pair by pair. On a hole-free polygon
 the later rows run on per-edge bit columns of the probes' sign masks: a row
 ORs columns into the set of q's that need a sight line and reads every
 other q's class, the side of q at p's site, from the columns there.
+
+A simple polygon's kernel has two forms. `kernel` is the H-polyhedron of
+its edge halfplanes, which the visibility oracle is checked against.
+`kernel_vertices` and `is_starshaped` read the kernel ring that
+`intgeom.kernel_ring` intersects in the plane from the cached edge rows,
+re-checked in integers, with no double description.
 """
 
 from __future__ import annotations
@@ -69,7 +75,6 @@ from .polyhedra import (
     HPolyhedron,
     PointLocation,
     _dot,
-    is_empty,
     locate_point,
 )
 
@@ -1027,6 +1032,18 @@ def kernel_contains_by_visibility(polygon, x, boundary_samples):
     return True
 
 
+def kernel_vertices(polygon):
+    """The vertices of the polygon's kernel as points in CCW order: one for
+    a point, two for a segment, () when the kernel is empty.
+
+    `intgeom.kernel_ring` intersects the cached edge rows in the plane and
+    re-checks its answer in integers: the ring against every row, or, for
+    an empty kernel, a Farkas certificate of at most three rows.
+    """
+    ring, _ = intgeom.kernel_ring(polygon._rows)
+    return tuple(Point((Q(x, w), Q(y, w))) for x, y, w in ring)
+
+
 def is_starshaped(polygon):
     """True iff the kernel is non-empty."""
-    return not is_empty(kernel(polygon))
+    return bool(kernel_vertices(polygon))

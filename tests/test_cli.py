@@ -73,7 +73,7 @@ def test_kernel_command(geo, capsys):
 
 
 def test_kernel_command_past_64_edges(capsys, tmp_path, monkeypatch):
-    # A convex 100-gon is its own kernel; vertex enumeration has no edge cap.
+    # A convex 100-gon is its own kernel; the planar kernel has no edge cap.
     from convexprofile.core import Point, Q
     from convexprofile.geometry_io import dump_geometry, point_to_json
     from convexprofile.regions2d import SimplePolygon, circle_points
@@ -87,6 +87,53 @@ def test_kernel_command_past_64_edges(capsys, tmp_path, monkeypatch):
     assert doc["results"][0]["kernel_vertices"] == [
         point_to_json(v) for v in sorted(poly.vertices, key=lambda p: p.coords)
     ]
+
+
+@pytest.mark.parametrize("doc, empty", [
+    (L_POLYGON, False),
+    ({"kind": "polygon",
+      "outer": [["0", "0"], ["3", "0"], ["3", "1"], ["2", "1"], ["2", "2"],
+                ["3", "2"], ["3", "3"], ["0", "3"], ["0", "2"], ["1", "2"],
+                ["1", "1"], ["0", "1"]]}, True),
+], ids=["starshaped", "not-starshaped"])
+def test_kernel_command_runs_no_double_description(doc, empty, geo, capsys,
+                                                   monkeypatch):
+    from convexprofile import polyhedra
+
+    def refuse(*args):
+        raise AssertionError("CLI kernel reached the double description")
+
+    for module in (polyhedra, cli):
+        monkeypatch.setattr(module, "extreme_points", refuse)
+    monkeypatch.setattr(polyhedra, "_double_description", refuse)
+    code, doc = _run_json(capsys, ["kernel", geo("p.json", doc)])
+    assert code == 0
+    assert doc["results"][0]["empty"] is empty
+    assert ("kernel_vertices" in doc["results"][0]) is not empty
+
+
+def _circle_ladder_doc(n):
+    from convexprofile.core import Point
+    from convexprofile.geometry_io import dump_geometry
+    from convexprofile.regions2d import SimplePolygon, circle_points
+
+    return dump_geometry(SimplePolygon(circle_points(Point((0, 0)), 1, n)))
+
+
+# Full stdout of CLI `kernel` up the n-gon ladder, `circle_points(0, 1, n)`
+# with n + 1 vertices, as the double description gave it.
+@pytest.mark.parametrize("n, digest", [
+    (400, "be30e2631a42fd0d81c2c8585cdf878c904b0150fa03cd32991d68e99ec90aff"),
+    (800, "447e63b64a218facc65b49108807fd57b8188f4ea2aa72170151edecfeefe3ff"),
+], ids=["kernel-circle401", "kernel-circle801"])
+def test_kernel_ladder_reports_are_pinned(n, digest, capsys, tmp_path,
+                                          monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    name = f"circle{n + 1}.json"
+    (tmp_path / name).write_text(json.dumps(_circle_ladder_doc(n)))
+    assert run(["kernel", name]) == 0
+    out = capsys.readouterr().out
+    assert hashlib.sha256(out.encode("utf-8")).hexdigest() == digest
 
 
 def test_classify_explicit_pair_file(geo, capsys, tmp_path):

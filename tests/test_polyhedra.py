@@ -12,7 +12,7 @@ from pathlib import Path
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from convexprofile import polyhedra
+from convexprofile import intgeom, polyhedra
 from convexprofile.core import (
     Matrix,
     Point,
@@ -66,6 +66,7 @@ from convexprofile.regions2d import (
     circle_points,
     classify_pair,
     kernel,
+    kernel_vertices,
 )
 from convexprofile.theorems import _two_sided_direction
 from lp_reference import (
@@ -559,6 +560,65 @@ def test_forged_flat_certificate_raises_under_python_O():
         "regions2d.classify_pair", FLAT_FORGERIES, ", p, q", plant=PLANT_FLAT
     )
     assert verdicts == ["1", "CertificateError"]
+
+
+# The L-shaped ring L_RING has the edge rows 0: y >= 0, 1: x <= 2, 2: y <= 1,
+# 3: x <= 1, 4: y <= 2 and 5: x >= 0, and its kernel, the unit square, the
+# edge cycle L_CYCLE of (row index, the form where the edge on it starts).
+L_RING = [(0, 0), (2, 0), (2, 1), (1, 1), (1, 2), (0, 2)]
+L_CYCLE = [(5, (0, 1, 1)), (0, (0, 0, 1)), (3, (1, 0, 1)), (2, (1, 1, 1))]
+# Four blades around [-1, 1]^2 with the kernel x = 0, 0 <= y <= 1: row 1 is
+# y <= 1, row 2 x <= 0, row 8 x >= 0 and row 11 y >= 0.
+SEGMENT_RING = [(2, 0), (2, 1), (0, 1), (0, 2), (-1, 2), (-1, 1), (-2, 1),
+                (-2, -1), (0, -1), (0, -2), (1, -2), (1, 0)]
+# The same rows 2, 8 and 11, with row 5 now y <= -1: an empty kernel.
+BLADES_RING = [(2, 0), (2, 1), (0, 1), (0, 2), (-1, 2), (-1, -1), (-2, -1),
+               (-2, -2), (0, -2), (0, -3), (1, -3), (1, 0)]
+# ((ring, forged answer), match): each answer, given for its ring, must raise
+KERNEL_FORGERIES = [
+    # (1, 0) moved to (2, 0): the ring still turns left, but leaves x <= 1
+    ((L_RING, [(5, (0, 1, 1)), (0, (0, 0, 1)), (3, (2, 0, 1)), (2, (1, 1, 1))]),
+     "off edge row 3"),
+    # the vertices in clockwise order
+    ((L_RING, [(5, (1, 1, 1)), (0, (1, 0, 1)), (3, (0, 0, 1)), (2, (0, 1, 1))]),
+     "turns right"),
+    ((L_RING, L_CYCLE * 2), "wind 2 times"),
+    # the square [0, 2]^2 of the outer rows, which x <= 1 (first by angle)
+    # and y <= 1 cut
+    ((L_RING, [(5, (0, 2, 1)), (0, (0, 0, 1)), (1, (2, 0, 1)), (4, (2, 2, 1))]),
+     "row 3 fails at its extreme kernel vertex"),
+    # the segment from (0, 1/2) to (0, 1), turning by pi from x >= 0 to
+    # x <= 0: every row holds on it, but y >= 0 is missing from the cycle
+    ((SEGMENT_RING, [(1, (0, 1, 1)), (8, (0, 1, 1)), (2, (0, 1, 2))]),
+     "rows 8 and 2 do not turn left"),
+    # the rows x >= 0, y >= 0, x <= 0, y <= -1 turn left and meet at (0, -1)
+    # and (0, 0), every row holds there, but x >= 0 runs down, not up
+    ((BLADES_RING, [(8, (0, -1, 1)), (11, (0, 0, 1)), (2, (0, 0, 1)),
+                    (5, (0, -1, 1))]), "kernel edge 8 runs against its row"),
+    ((L_RING, {0: 1, 2: -1}), "negative"),
+    ((L_RING, {0: 1, 2: 1}), "sum to 1 >= 0"),  # y >= 0 and y <= 1 add to 1
+    ((SEGMENT_RING, {8: 1, 2: 1}), "sum to 0 >= 0"),  # x >= 0 and x <= 0
+    ((L_RING, {0: 1, 3: 1}), "leave a normal"),
+]
+PLANT_KERNEL = (
+    "shape = regions2d.SimplePolygon(forged[0]); "
+    "regions2d.intgeom._kernel_answer = lambda rows, order: forged[1]"
+)
+
+
+def test_forged_kernel_certificates_raise(monkeypatch):
+    assert intgeom.kernel_ring(SimplePolygon(L_RING)._rows)[1] == L_CYCLE
+    for (ring, forged), match in KERNEL_FORGERIES:
+        monkeypatch.setattr(intgeom, "_kernel_answer", lambda rows, order: forged)
+        with pytest.raises(CertificateError, match=match):
+            kernel_vertices(SimplePolygon(ring))
+
+
+def test_forged_kernel_certificates_raise_under_python_O():
+    verdicts = _forgery_verdicts_under_python_O(
+        "regions2d.kernel_vertices", KERNEL_FORGERIES, plant=PLANT_KERNEL
+    )
+    assert verdicts == ["1"] + ["CertificateError"] * len(KERNEL_FORGERIES)
 
 
 # A ray whose addition puts the unit square's ray sum (5, 3, 5) on x <= 1.

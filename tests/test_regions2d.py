@@ -56,6 +56,7 @@ from convexprofile.regions2d import (
     is_starshaped,
     kernel,
     kernel_contains_by_visibility,
+    kernel_vertices,
     locate_point2,
     partition_segment,
     sees,
@@ -757,6 +758,81 @@ def test_kernel_examples():
     assert not is_starshaped(z_polygon())
     convex = SimplePolygon([point(0, 0), point(2, 0), point(1, 2)])
     assert set(extreme_points(kernel(convex))) == set(convex.vertices)
+
+
+def _kernel_against_the_dd(poly):
+    """`intgeom.kernel_ring` of the polygon, checked against the double
+    description of `kernel(poly)`: the same emptiness and vertex set, and
+    a Farkas certificate of at most three rows that re-checks when empty."""
+    ring, certificate = intgeom.kernel_ring(poly._rows)
+    ker = kernel(poly)
+    assert bool(ring) == is_starshaped(poly) == (not is_empty(ker))
+    if ring:
+        verts = kernel_vertices(poly)
+        assert len(verts) == len(ring)
+        assert set(verts) == set(extreme_points(ker))
+    else:
+        assert 2 <= len(certificate) <= 3
+        intgeom._check_farkas(poly._rows, certificate)
+    return ring, certificate
+
+
+def test_planar_kernel_matches_the_double_description():
+    rng = rng_from_seed("planar-kernel")
+    makers = (random_simple_polygon, random_convex_polygon,
+              random_staircase_polygon, random_notched_polygon)
+    counts = collections.Counter()
+    for k in range(2000):
+        ring, _ = _kernel_against_the_dd(makers[k % 4](rng))
+        counts[len(ring) if len(ring) < 3 else "ring"] += 1
+    assert counts[0] >= 200 and counts["ring"] >= 1000
+
+
+# A pinwheel: four blades around the square [-1, 1]^2, whose inner edges
+# lie on x = 0 and y = 0 facing both ways, so the kernel is the origin.
+PINWHEEL = [(2, 0), (2, 1), (0, 1), (0, 2), (-1, 2), (-1, 0), (-2, 0),
+            (-2, -1), (0, -1), (0, -2), (1, -2), (1, 0)]
+# Its left blade raised to y = 1: two edges on y = 1, collinear and not
+# adjacent, and the kernel is the segment from (0, 0) to (0, 1).
+PINWHEEL_SEGMENT = [(2, 0), (2, 1), (0, 1), (0, 2), (-1, 2), (-1, 1), (-2, 1),
+                    (-2, -1), (0, -1), (0, -2), (1, -2), (1, 0)]
+# Antiparallel edges y <= 1 and y >= 2: an empty strip.
+Z_RING = [(0, 0), (3, 0), (3, 1), (2, 1), (2, 2), (3, 2), (3, 3), (0, 3),
+          (0, 2), (1, 2), (1, 1), (0, 1)]
+# No two edges parallel and an empty kernel: every certificate takes three rows.
+SPIKED_HEXAGON = [(1, 5), (0, 9), (0, 3), (3, 1), (4, 7), (3, 2)]
+# The rows y >= -x and y >= x break the lower chain at (0, 0), on the row
+# x >= 0 of the edge from (0, 6) to (0, 4): the strip starts at a break.
+WINGED = [(0, 0), (3, 3), (3, 6), (0, 6), (0, 4), (-3, 4), (-1, 1)]
+
+
+def _turned(vertices):
+    """The vertices under (x, y) -> (3x - 4y, 4x + 3y): no edge is vertical."""
+    return [(3 * x - 4 * y, 4 * x + 3 * y) for x, y in vertices]
+
+
+@pytest.mark.parametrize("vertices, expected", [
+    (PINWHEEL, [(0, 0)]),
+    (_turned(PINWHEEL), [(0, 0)]),
+    (PINWHEEL_SEGMENT, [(0, 0), (0, 1)]),
+    (_turned(PINWHEEL_SEGMENT), [(0, 0), (-4, 3)]),
+    (Z_RING, 2),  # the two antiparallel rows
+    ([(-y, x) for x, y in Z_RING], 2),  # the strip turned: x >= -1, x <= -2
+    (SPIKED_HEXAGON, 3),
+    (WINGED, [(0, 0), (3, 3), (3, 4), (0, 4)]),
+    ([(-x, y) for x, y in reversed(WINGED)], [(0, 0), (-3, 3), (-3, 4), (0, 4)]),
+], ids=["point", "point-turned", "segment", "segment-turned", "empty-strip",
+        "empty-strip-vertical", "empty-three-rows", "wall-on-a-break",
+        "wall-on-a-break-mirrored"])
+def test_planar_kernel_degenerate_cases(vertices, expected):
+    """`expected` is the kernel's vertices, or an empty kernel's number of
+    certificate rows."""
+    poly = SimplePolygon(vertices)
+    ring, certificate = _kernel_against_the_dd(poly)
+    if isinstance(expected, int):
+        assert not ring and len(certificate) == expected
+    else:
+        assert set(kernel_vertices(poly)) == {point(*v) for v in expected}
 
 
 def test_kernel_facets_support_the_kernel():
