@@ -66,7 +66,8 @@ def build_parser():
         p.add_argument("--samples", type=int, default=50,
                        help="interior/member samples per instance")
         p.add_argument("--probe-density", type=int, default=32,
-                       help="boundary samples per edge or curve")
+                       help="boundary probes per circle (disks, disk complements); "
+                       "polygons, h-polyhedra and the box probe fixed points")
         p.add_argument("--out", default=None, help="write the report here")
 
     p = sub.add_parser("classify", help="classify boundary pairs")
@@ -332,7 +333,7 @@ def _cmd_render(args, seed):
             f"unknown overlays: {sorted(unknown)}", "$.overlays"
         )
     pair_overlays = []
-    kernel_region = None
+    kernel_region = ()
     extreme_overlay = []
     if "pairs" in wanted:
         message = "pair overlays need a region or an h-polyhedron"
@@ -343,7 +344,7 @@ def _cmd_render(args, seed):
             for p, q in itertools.combinations(points[:8], 2)
         ]
     if "kernel" in wanted:
-        kernel_region = kernel(
+        kernel_region = kernel_vertices(
             _simple_ring(instance, "kernel overlay needs a simple polygon")
         )
     if "extremes" in wanted:

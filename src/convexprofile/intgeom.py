@@ -36,7 +36,9 @@ whose line has x strictly right (its first interior sample fails there).
 
 `kernel_ring` intersects a ring's edge rows in the plane: its kernel's
 vertex ring, or a Farkas certificate of at most three rows when it is
-empty, each re-checked in integers before it is returned.
+empty, each re-checked in integers before it is returned. A det-1 shear
+x' = x + s y leaves no edge row with b = 0, so the kernel is the region
+between a lower and an upper chain of rows, with no vertical special case.
 """
 
 from __future__ import annotations
@@ -368,17 +370,25 @@ def _kernel_answer(rows, order):
     certificate {row index: multiplier} when the kernel is empty (None
     when none is found); `order` holds the row indices by angle.
 
-    One row per direction is kept, the tightest. Rows with b > 0 bound y
-    from below, rows with b < 0 from above and rows with b = 0 bound x, so
-    the kernel is {xlo <= x <= xhi, L(x) <= y <= U(x)}: L is the convex
-    chain of the first (`_chain`, left to right), U the concave chain of
-    the second. f = U - L is concave and linear between events: the
-    chains' breakpoints inside the strip, and its ends. f >= 0 at some
-    event iff the kernel is non-empty; its edge rows are then the rows
-    active at such events, in angle order. Otherwise f peaks at the first
-    event with no rise to its right, and the rows active there hold a
-    certificate of at most three rows (Helly).
+    The rows are sheared first, by x' = x + s y: (a, b, c) becomes
+    (a, b - s a, c), with s the least integer >= 0 that leaves no row with
+    b = 0. The shear has determinant 1, so it keeps the rows' cyclic angle
+    order and every Farkas multiplier; it only chooses the rows, and the
+    cycle's forms and the certificate come from the given rows. One
+    sheared row per direction is kept, the tightest. Rows with b > 0 bound
+    y from below and rows with b < 0 from above, so the sheared kernel is
+    {L(x) <= y <= U(x)}: L is the convex chain of the first (`_chain`,
+    left to right), U the concave chain of the second. f = U - L is
+    concave and linear between events, the chains' breakpoints. f >= 0 at
+    some event iff the kernel is non-empty; its edge rows are then the
+    rows active at such events, in angle order. Otherwise f peaks at the
+    first event with no rise to its right, and the rows active there hold
+    a certificate of at most three rows (Helly).
     """
+    s, cut = 0, {b // a for a, b, _ in rows if a and not b % a}
+    while s in cut:
+        s += 1
+    given, rows = rows, [(a, b - s * a, c) for a, b, c in rows]
     dirs = []
     for k in order:
         if dirs and not _angle_cmp(rows[dirs[-1]], rows[k]):
@@ -387,69 +397,39 @@ def _kernel_answer(rows, order):
                 dirs[-1] = k  # the tighter of two rows with one direction
         else:
             dirs.append(k)
-    lower, upper, vl, vr = [], [], None, None
-    for k in dirs:
-        a, b, _ = rows[k]
-        if b:
-            (lower if b > 0 else upper).append(k)
-        elif a > 0:
-            vl = k
-        else:
-            vr = k
-    if vl is not None and vr is not None:
-        strip = _farkas(rows, (vl, vr))
-        if strip:
-            return strip
-    lower, upper = _chain(rows, lower), _chain(rows, upper)[::-1]
+    start = next(t for t, k in enumerate(dirs) if rows[k][1] > 0)
+    dirs = dirs[start:] + dirs[:start]  # by the sheared angle
+    lower = _chain(rows, [k for k in dirs if rows[k][1] > 0])
+    upper = _chain(rows, [k for k in dirs if rows[k][1] < 0])[::-1]
     bl = [_cross3(rows[p], rows[q]) for p, q in zip(lower, lower[1:])]
     bu = [_cross3(rows[q], rows[p]) for p, q in zip(upper, upper[1:])]
-    # an event: (i, j, di, dj, p, walls): lower[i] and upper[j] are active
-    # at and left of it, the chains break there when di / dj, p is a form
-    # on L or U there, and walls are the strip's rows through it
+    # an event: (i, j, di, dj, p): lower[i] and upper[j] are active at and
+    # left of it, the chains break there when di / dj, and p is a form on
+    # L or U there
     events, i, j = [], 0, 0
     while i < len(bl) or j < len(bu):
         di, dj = i < len(bl), j < len(bu)
         if di and dj:
             d = bl[i][0] * bu[j][2] - bu[j][0] * bl[i][2]
             di, dj = d <= 0, d >= 0
-        events.append((i, j, di, dj, bl[i] if di else bu[j], ()))
+        events.append((i, j, di, dj, bl[i] if di else bu[j]))
         i, j = i + di, j + dj
-    for wall, side in ((vl, 1), (vr, -1)):  # the strip's ends
-        if wall is None:
-            continue
-        # events[k] is the first event at or right of the wall: it joins
-        # the wall's event, or the wall's own goes in before it
-        row = rows[wall]
-        k = next((k for k, e in enumerate(events)
-                  if side * _value(row, e[4]) >= 0), len(events))
-        if k < len(events) and not _value(row, events[k][4]):
-            e = events[k]
-            events[k] = e[:5] + (e[5] + (wall,),)
-        else:
-            i, j = events[k][:2] if k < len(events) else (len(bl), len(bu))
-            low = rows[lower[i]]
-            p = _cross3(row, low) if side > 0 else _cross3(low, row)
-            events.insert(k, (i, j, False, False, p, (wall,)))
-        if side > 0:
-            del events[:k]
-        else:
-            del events[k + 1:]
 
     def active(e):
-        i, j, di, dj, _, walls = e
-        return lower[i:i + 1 + di] + upper[j:j + 1 + dj] + list(walls)
+        i, j, di, dj, _ = e
+        return lower[i:i + 1 + di] + upper[j:j + 1 + dj]
 
     tight = set()
     for e in events:
-        i, j, di, dj, p, _ = e
+        i, j, di, dj, p = e
         if _value(rows[lower[i]] if dj and not di else rows[upper[j]], p) >= 0:
             tight.update(active(e))
     if not tight:
         peak = next((e for e in events if _cross(
             rows[lower[e[0] + e[2]]], rows[upper[e[1] + e[3]]]) >= 0), events[-1])
-        return _farkas(rows, active(peak))
-    cycle = [k for k in dirs if k in tight]
-    return [(k, _primitive(_cross3(rows[h], rows[k])))
+        return _farkas(given, active(peak))
+    cycle = [k for k in order if k in tight]
+    return [(k, _primitive(_cross3(given[h], given[k])))
             for h, k in zip(cycle[-1:] + cycle[:-1], cycle)]
 
 

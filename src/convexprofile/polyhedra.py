@@ -396,11 +396,10 @@ def _normal_matrix(P):
 
 
 def lineality_dim(P):
-    """Dimension of {d : normal_i . d = 0 for all i} = n - rank(normals)."""
+    """Dimension of {d : normal_i . d = 0 for all i}: the number of `_dd`'s
+    lineality vectors, which are the (d, 0) with every normal_i . d = 0."""
     _require_nonempty(P)
-    if not P.halfspaces:
-        return P.dim
-    return P.dim - rank(_normal_matrix(P))
+    return len(P._dd[0])
 
 
 def lineality_direction(P):

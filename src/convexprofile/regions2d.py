@@ -36,10 +36,10 @@ ORs columns into the set of q's that need a sight line and reads every
 other q's class, the side of q at p's site, from the columns there.
 
 A simple polygon's kernel has two forms. `kernel` is the H-polyhedron of
-its edge halfplanes, which the visibility oracle is checked against.
-`kernel_vertices` and `is_starshaped` read the kernel ring that
+its edge halfplanes, whose membership the visibility oracle is checked
+against. `kernel_vertices` and `is_starshaped` read the kernel ring that
 `intgeom.kernel_ring` intersects in the plane from the cached edge rows,
-re-checked in integers, with no double description.
+re-checked in integers; no polygon kernel runs the double description.
 """
 
 from __future__ import annotations

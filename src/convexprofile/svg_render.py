@@ -111,16 +111,14 @@ def _angular_sort(points):
     return sorted(points, key=functools.cmp_to_key(cmp))
 
 
-def render_svg(instance, pair_overlays=(), kernel_region=None, extreme_overlay=()):
+def render_svg(instance, pair_overlays=(), kernel_region=(), extreme_overlay=()):
     """A deterministic SVG document for a 2D instance with overlay layers.
 
     pair_overlays: iterable of (Point, Point, PairClass) chords.
-    kernel_region: an HPolyhedron to shade (or None).
+    kernel_region: the kernel's vertices, shaded when there are 3 or more.
     extreme_overlay: points drawn as dots.
     """
-    kernel_verts = []
-    if kernel_region is not None and not is_empty(kernel_region):
-        kernel_verts = _angular_sort(list(extreme_points(kernel_region)))
+    kernel_verts = _angular_sort(list(kernel_region))
     draw = _DRAWINGS.get(getattr(instance, "kind", None))
     if draw is None:
         raise DimensionMismatchError(f"cannot render {type(instance).__name__}")

@@ -27,7 +27,6 @@ from .core import (
 from .epigraph import CHORD_TOLERANCE, Epigraph1D, chord_find
 from .errors import (
     CertificateError,
-    EmptyPolyhedronError,
     UnboundedPolyhedronError,
 )
 from .generators import (
@@ -74,6 +73,7 @@ from .regions2d import (
     is_convex_by_pairs,
     kernel,
     kernel_contains_by_visibility,
+    kernel_vertices,
     locate_point2,
 )
 
@@ -480,15 +480,12 @@ def check_kernel_characterization(polygon, samples=DEFAULT_SAMPLES, seed=0):
 
     Every sample k/8 is the sample 4k/32, so a point that sees all 32
     samples per edge sees the 8: the oracle runs at 8 only after a False
-    at 32.
+    at 32. A kernel vertex (`kernel_vertices`) joins the member samples.
     """
     rng = rng_from_seed(seed)
     ker = kernel(polygon)
     pts = sample_member_points(polygon, rng, samples)
-    try:
-        pts.append(feasible_point(ker))
-    except EmptyPolyhedronError:
-        pass
+    pts += kernel_vertices(polygon)[:1]
     kernel_empty = len(pts) == samples
     disagreements = []
     inside = 0

@@ -112,6 +112,38 @@ def test_kernel_command_runs_no_double_description(doc, empty, geo, capsys,
     assert ("kernel_vertices" in doc["results"][0]) is not empty
 
 
+def test_no_polygon_kernel_reaches_the_double_description(geo, capsys,
+                                                         tmp_path, monkeypatch):
+    """Prop 8, CLI `kernel` and the kernel overlay give the same output when
+    every `kernel` they can call returns an H-polyhedron whose double
+    description raises."""
+    from convexprofile import regions2d, theorems
+    from convexprofile.polyhedra import HPolyhedron
+
+    class NoDoubleDescription(HPolyhedron):
+        @property
+        def _dd(self):
+            raise AssertionError("a polygon kernel reached the double description")
+
+    src, svg = geo("l.json", L_POLYGON), tmp_path / "k.svg"
+    commands = [["check", "prop-8", "--instances", "4"], ["kernel", src],
+                ["render", src, "--svg", str(svg), "--overlays", "kernel"]]
+
+    def outputs():
+        reports = []
+        for argv in commands:
+            assert run(argv) == 0
+            reports.append(capsys.readouterr().out)
+        return reports, svg.read_bytes()
+
+    expected = outputs()
+    kernel = regions2d.kernel
+    for module in (regions2d, theorems, cli):
+        monkeypatch.setattr(
+            module, "kernel", lambda p: NoDoubleDescription(kernel(p).halfspaces, 2))
+    assert outputs() == expected
+
+
 def _circle_ladder_doc(n):
     from convexprofile.core import Point
     from convexprofile.geometry_io import dump_geometry

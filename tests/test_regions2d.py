@@ -802,7 +802,8 @@ Z_RING = [(0, 0), (3, 0), (3, 1), (2, 1), (2, 2), (3, 2), (3, 3), (0, 3),
 # No two edges parallel and an empty kernel: every certificate takes three rows.
 SPIKED_HEXAGON = [(1, 5), (0, 9), (0, 3), (3, 1), (4, 7), (3, 2)]
 # The rows y >= -x and y >= x break the lower chain at (0, 0), on the row
-# x >= 0 of the edge from (0, 6) to (0, 4): the strip starts at a break.
+# x >= 0 of the edge from (0, 6) to (0, 4): three rows meet at a kernel
+# vertex, and the rows with b = 0 and b = a make the kernel's shear s = 2.
 WINGED = [(0, 0), (3, 3), (3, 6), (0, 6), (0, 4), (-3, 4), (-1, 1)]
 
 
@@ -811,19 +812,55 @@ def _turned(vertices):
     return [(3 * x - 4 * y, 4 * x + 3 * y) for x, y in vertices]
 
 
-@pytest.mark.parametrize("vertices, expected", [
-    (PINWHEEL, [(0, 0)]),
-    (_turned(PINWHEEL), [(0, 0)]),
-    (PINWHEEL_SEGMENT, [(0, 0), (0, 1)]),
-    (_turned(PINWHEEL_SEGMENT), [(0, 0), (-4, 3)]),
-    (Z_RING, 2),  # the two antiparallel rows
-    ([(-y, x) for x, y in Z_RING], 2),  # the strip turned: x >= -1, x <= -2
-    (SPIKED_HEXAGON, 3),
-    (WINGED, [(0, 0), (3, 3), (3, 4), (0, 4)]),
-    ([(-x, y) for x, y in reversed(WINGED)], [(0, 0), (-3, 3), (-3, 4), (0, 4)]),
-], ids=["point", "point-turned", "segment", "segment-turned", "empty-strip",
-        "empty-strip-vertical", "empty-three-rows", "wall-on-a-break",
-        "wall-on-a-break-mirrored"])
+DEGENERATE_CASES = [
+    ("point", PINWHEEL, [(0, 0)]),
+    ("point-turned", _turned(PINWHEEL), [(0, 0)]),
+    ("segment", PINWHEEL_SEGMENT, [(0, 0), (0, 1)]),
+    ("segment-turned", _turned(PINWHEEL_SEGMENT), [(0, 0), (-4, 3)]),
+    ("empty-strip", Z_RING, 2),  # the two antiparallel rows
+    # the strip turned: x >= -1, x <= -2
+    ("empty-strip-vertical", [(-y, x) for x, y in Z_RING], 2),
+    ("empty-three-rows", SPIKED_HEXAGON, 3),
+    ("wall-on-a-break", WINGED, [(0, 0), (3, 3), (3, 4), (0, 4)]),
+    ("wall-on-a-break-mirrored", [(-x, y) for x, y in reversed(WINGED)],
+     [(0, 0), (-3, 3), (-3, 4), (0, 4)]),
+]
+
+
+def _image_maps(rng):
+    """Three seeded orientation-preserving maps (matrix, shift): a det-1
+    shear, a quarter turn after one, and one moved by a rational shift."""
+    def shear():
+        k = rng.choice((-2, -1, 1, 2))
+        return ((1, k), (0, 1)) if rng.random() < 0.5 else ((1, 0), (k, 1))
+
+    (p, q), (r, t) = shear()
+    shift = (Q(rng.randint(-9, 9), rng.choice((2, 3, 5))),
+             Q(rng.randint(-9, 9), rng.choice((2, 3, 5))))
+    return [(shear(), (0, 0)), (((-r, -t), (p, q)), (0, 0)), (shear(), shift)]
+
+
+def _image(points, m, shift):
+    """The points under x -> m x + shift."""
+    ((p, q), (r, t)), (u, v) = m, shift
+    return [(p * x + q * y + u, r * x + t * y + v) for x, y in points]
+
+
+# Each hand case, and its seeded images: the images create and remove
+# vertical edges, so the kernel's shear takes s = 0, 1 and 2 among them.
+_rng = rng_from_seed("kernel-images")
+DEGENERATE_IMAGES = [
+    (f"{name}-image{j}", _image(vertices, m, shift),
+     expected if isinstance(expected, int) else _image(expected, m, shift))
+    for name, vertices, expected in DEGENERATE_CASES
+    for j, (m, shift) in enumerate(_image_maps(_rng))
+]
+
+
+@pytest.mark.parametrize(
+    "vertices, expected",
+    [case[1:] for case in DEGENERATE_CASES + DEGENERATE_IMAGES],
+    ids=[case[0] for case in DEGENERATE_CASES + DEGENERATE_IMAGES])
 def test_planar_kernel_degenerate_cases(vertices, expected):
     """`expected` is the kernel's vertices, or an empty kernel's number of
     certificate rows."""
@@ -833,6 +870,17 @@ def test_planar_kernel_degenerate_cases(vertices, expected):
         assert not ring and len(certificate) == expected
     else:
         assert set(kernel_vertices(poly)) == {point(*v) for v in expected}
+
+
+def test_degenerate_images_need_every_shear():
+    """The least s >= 0 with no edge row (a, b, c) at b = s a, the shear
+    the planar kernel takes, is 0, 1 and at least 2 among the images."""
+    shears = set()
+    for _, vertices, _ in DEGENERATE_IMAGES:
+        rows = SimplePolygon(vertices)._rows
+        shears.add(next(s for s in itertools.count()
+                        if all(b != s * a for a, b, _ in rows)))
+    assert {0, 1} <= shears and max(shears) >= 2
 
 
 def test_kernel_facets_support_the_kernel():
