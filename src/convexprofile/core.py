@@ -1,22 +1,18 @@
 """Exact rational scalars, points, vectors, and small dense linear algebra.
 
-Every coordinate in the library is an exact rational; no predicate ever
-touches floating point. Rationals are kept in reduced form with a positive
-denominator, so equality and hashing are cheap. `gmpy2.mpq` is used when
-available (same semantics as `fractions.Fraction`, roughly an order of
-magnitude faster); the stdlib Fraction is the fallback.
+Every coordinate in the library is an exact `fractions.Fraction`, reduced
+with a positive denominator; no predicate ever touches floating point. The
+integer forms the predicates run on are built here alone: `_cleared`,
+`_primitive` and `_dot`.
 """
 
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass
 from enum import Enum, IntEnum
-
-try:
-    from gmpy2 import mpq as Q
-except ImportError:  # pragma: no cover - gmpy2 is an optional speedup
-    from fractions import Fraction as Q
+from fractions import Fraction as Q
 
 from .errors import DimensionMismatchError
 
@@ -45,9 +41,20 @@ def rational(value, den=None):
 def _cleared(values):
     """(integers scale * v, scale) for rationals v, where scale is the lcm
     of their denominators. The one place rationals become Python ints."""
-    scale = math.lcm(*(int(v.denominator) for v in values))
-    ints = [int(v.numerator) * (scale // int(v.denominator)) for v in values]
+    scale = math.lcm(*(v.denominator for v in values))
+    ints = [v.numerator * (scale // v.denominator) for v in values]
     return ints, scale
+
+
+def _primitive(v):
+    """The integer vector v divided by the gcd of its entries, as a tuple."""
+    g = math.gcd(*v)
+    return tuple([c // g for c in v]) if g > 1 else tuple(v)
+
+
+def _dot(u, v):
+    """The dot product of two integer vectors."""
+    return sum(map(operator.mul, u, v))
 
 
 def format_rational(q):

@@ -1,11 +1,12 @@
 """Exact integer predicates for the planar hot paths.
 
 Every point travels in its own primitive homogeneous form (x, y, w), w > 0,
-and every ring edge as its cached primitive line row (a, b, c); with no
-ring-wide denominator a predicate's bit size is bounded by its own inputs
-(Fortune and Van Wyk 1996). a * x + b * y + c * w > 0 when (x, y, w) lies
-strictly left of the edge, whose direction is (b, -a). Every predicate is
-pure integer arithmetic (no divisions), so the results are exact.
+and every ring edge as its cached primitive line row (a, b, c), built with
+`core`'s `_cleared` and `_primitive`; with no ring-wide denominator a
+predicate's bit size is bounded by its own inputs (Fortune and Van Wyk
+1996). a * x + b * y + c * w > 0 when (x, y, w) lies strictly left of the
+edge, whose direction is (b, -a). Every predicate is pure integer
+arithmetic (no divisions), so the results are exact.
 
 Each query point touches the polygon's edges once: `edge_dets` gives its
 table a * x + b * y + c * w over the edge rows, and `edge_signs` packs the
@@ -47,7 +48,7 @@ import functools
 import itertools
 import math
 
-from .core import _cleared
+from .core import _cleared, _dot, _primitive
 from .errors import CertificateError
 
 
@@ -64,13 +65,6 @@ def _cross3(u, v):
     last entry is the cross product of the first two entries of each."""
     (a, b, c), (d, e, f) = u, v
     return b * f - c * e, c * d - a * f, a * e - b * d
-
-
-def _primitive(t):
-    """The integer triple t divided by the gcd of its entries."""
-    x, y, w = t
-    g = math.gcd(x, y, w) or 1
-    return x // g, y // g, w // g
 
 
 def edge_rows(verts):
@@ -323,17 +317,13 @@ def _angle_cmp(r, s):
     return (cross < 0) - (cross > 0)
 
 
-def _value(row, p):
-    return row[0] * p[0] + row[1] * p[1] + row[2] * p[2]
-
-
 def _chain(rows, ks):
     """The rows ks, one per direction in angle order within less than pi,
     less every row that holds where its neighbours meet: the rows whose
     lines carry an edge of their intersection, in order along it."""
     chain = []
     for k in ks:
-        while len(chain) > 1 and _value(
+        while len(chain) > 1 and _dot(
                 rows[chain[-1]], _cross3(rows[chain[-2]], rows[k])) >= 0:
             chain.pop()
         chain.append(k)
@@ -422,7 +412,7 @@ def _kernel_answer(rows, order):
     tight = set()
     for e in events:
         i, j, di, dj, p = e
-        if _value(rows[lower[i]] if dj and not di else rows[upper[j]], p) >= 0:
+        if _dot(rows[lower[i]] if dj and not di else rows[upper[j]], p) >= 0:
             tight.update(active(e))
     if not tight:
         peak = next((e for e in events if _cross(
@@ -463,7 +453,7 @@ def _check_cycle(rows, order, cycle):
         raise CertificateError("the kernel ring turns right")
     for (k, v), (_, w) in zip(cycle, nxt):
         row = rows[k]
-        if v[2] <= 0 or _value(row, v) or _value(row, w):
+        if v[2] <= 0 or _dot(row, v) or _dot(row, w):
             raise CertificateError(f"a kernel vertex is off edge row {k}")
         if along(row, v, w) < 0:
             raise CertificateError(f"kernel edge {k} runs against its row")
@@ -474,7 +464,7 @@ def _check_cycle(rows, order, cycle):
         row = rows[k]
         while t < n and _angle_cmp(rows[walk[t][0]], row) < 0:
             t += 1
-        if _value(row, walk[t % n][1]) < 0:
+        if _dot(row, walk[t % n][1]) < 0:
             raise CertificateError(f"row {k} fails at its extreme kernel vertex")
     return tuple(ring)
 

@@ -1,18 +1,19 @@
 """Closed convex sets as halfspace intersections and point hulls.
 
 Each polyhedron caches its halfspaces as primitive integer rows and one
-integer double description of its homogenized cone (no cap on the number
-of constraints or on the dimension). Every question about an H-polyhedron
-is read from it with no LP: emptiness and a member point, full-dimensionality,
-an interior point, the vertices, boundedness and a recession direction, the
-boundary-ray test, exposed faces, redundancy and the facet probes.
-Membership, segment breakpoints and line clipping read the signs of the
-rows at the point with its denominators cleared. The facet probes are
-built as homogeneous integer forms (X, T) from the incident rays, each
-with the mask of the rows at 0 there, and cached on the polyhedron; that
-mask is its answer to `supports`. Every certificate (member point, vertex,
-interior point, face optimum, recession ray, probe) is re-verified by
-substitution. The one LP left is V-polytope membership,
+integer double description of its homogenized cone (no cap on the number of
+constraints or on the dimension), built with `core`'s integer forms. Every
+question about an H-polyhedron is read from it with no LP: emptiness and a
+member point, full-dimensionality, an interior point, the vertices,
+boundedness and a recession direction, the boundary-ray test, exposed
+faces, redundancy and the facet probes. Membership, point location, segment
+breakpoints and line clipping read the signs of the rows at the point with
+its denominators cleared; a member is a boundary point iff some row is 0
+there. The facet probes are built as homogeneous integer forms (X, T) from
+the incident rays, each with the mask of the rows at 0 there, and cached on
+the polyhedron; that mask is its answer to `supports`. Every certificate
+(member point, vertex, interior point, face optimum, recession ray, probe)
+is re-verified by substitution. The one LP left is V-polytope membership,
 `hull_contains` (and so `profile`).
 """
 
@@ -20,7 +21,6 @@ from __future__ import annotations
 
 import itertools
 import math
-import operator
 from dataclasses import dataclass
 from enum import Enum
 from functools import cached_property
@@ -32,6 +32,8 @@ from .core import (
     Vector,
     ZERO,
     _cleared,
+    _dot,
+    _primitive,
     nullspace_basis,
     rank,
     rational,
@@ -317,17 +319,16 @@ def interior_point(P):
 def locate_point(P, x):
     """Interior / Boundary / Exterior of x relative to P (ambient topology).
 
-    Emptiness is surfaced as an error before any classification. For
-    non-full-dimensional P every member point is Boundary.
+    Emptiness is surfaced as an error before any classification. A member
+    is Boundary iff some row is 0 there, the rule of `_boundary_mask`, so
+    every member of a P with no interior is Boundary.
     """
     P._check_point(x)
     _require_nonempty(P)
     values = P._values(x)[0]
     if any(v > 0 for v in values):
         return PointLocation.EXTERIOR
-    # Full-dimensional: a member is on the boundary iff some constraint is
-    # tight (a redundant constraint can only be tight at boundary points).
-    if not P.full_dimensional or 0 in values:
+    if 0 in values:
         return PointLocation.BOUNDARY
     return PointLocation.INTERIOR
 
@@ -439,15 +440,6 @@ def extreme_points(P):
             verts.append(Point([Q(c, y[n]) for c in y[:n]]))
     verts.sort(key=lambda p: p.coords)
     return tuple(verts)
-
-
-def _primitive(v):
-    g = math.gcd(*v)
-    return tuple(c // g for c in v) if g > 1 else tuple(v)
-
-
-def _dot(u, v):
-    return sum(map(operator.mul, u, v))
 
 
 def _combine(a, u, b, v):

@@ -57,6 +57,7 @@ from .core import (
     Vector,
     ZERO,
     _cleared,
+    _dot,
     cross2,
     interpolate,
     rational,
@@ -74,7 +75,6 @@ from .polyhedra import (
     Halfspace,
     HPolyhedron,
     PointLocation,
-    _dot,
     locate_point,
 )
 
@@ -178,6 +178,8 @@ class SimplePolygon:
         orientations of x. The site (k, at_vertex) of a boundary x is its
         vertex k or edge k; None off the boundary.
         """
+        if len(x.coords) != 2:
+            raise DimensionMismatchError("query point must be 2D")
         h = intgeom.homogenize(x)
         dets = intgeom.edge_dets(self._rows, h)
         code, site = intgeom.point_in_polygon(h, self._verts, dets)
@@ -275,6 +277,11 @@ def _edges_touch(e, f):
     )
 
 
+def _rings_touch(edges1, edges2):
+    """Whether some edge of one `_boxed_edges` ring touches one of another."""
+    return any(_edges_touch(e1, e2) for e1 in edges1 for e2 in edges2)
+
+
 class PolygonRegion:
     """A closed polygon with optional holes (holes strictly inside, disjoint)."""
 
@@ -293,18 +300,16 @@ class PolygonRegion:
             for v in h.vertices:
                 if self.outer.locate(v) is not PointLocation.INTERIOR:
                     raise InvalidRegionError("hole must be strictly inside")
-            for e1 in h_edges:
-                for e2 in outer_edges:
-                    if _edges_touch(e1, e2):
-                        raise InvalidRegionError("hole touches the outer ring")
+            if _rings_touch(h_edges, outer_edges):
+                raise InvalidRegionError("hole touches the outer ring")
         for (h1, edges1), (h2, edges2) in itertools.combinations(
             zip(self.holes, hole_edges), 2
         ):
-            for e1 in edges1:
-                for e2 in edges2:
-                    if _edges_touch(e1, e2):
-                        raise InvalidRegionError("holes touch each other")
-            if h1.locate(h2.vertices[0]) is not PointLocation.EXTERIOR:
+            if _rings_touch(edges1, edges2):
+                raise InvalidRegionError("holes touch each other")
+            # with no edges touching, a vertex each way settles nesting
+            if (h1.locate(h2.vertices[0]) is not PointLocation.EXTERIOR
+                    or h2.locate(h1.vertices[0]) is not PointLocation.EXTERIOR):
                 raise InvalidRegionError("holes are nested")
 
     def rings(self):
@@ -517,8 +522,7 @@ def _polyline_breakpoints(edges, a, b):
 
 def _rational_sqrt(q):
     """Exact square root of a nonnegative rational, or None if irrational."""
-    num = int(q.numerator)
-    den = int(q.denominator)
+    num, den = q.numerator, q.denominator
     rn = math.isqrt(num)
     if rn * rn != num:
         return None

@@ -7,10 +7,12 @@ produces a byte-identical document.
 
 from __future__ import annotations
 
+import functools
 import math
 
 from .core import Point, Q, ZERO
 from .errors import DimensionMismatchError, DisplayRangeError
+from .intgeom import _angle_cmp
 from .polyhedra import (
     HPolyhedron,
     box_halfspaces,
@@ -89,24 +91,10 @@ def _angular_sort(points):
     cx = sum((p.coords[0] for p in points), ZERO) / len(points)
     cy = sum((p.coords[1] for p in points), ZERO) / len(points)
 
-    def half(p):
-        dx, dy = p.coords[0] - cx, p.coords[1] - cy
-        return 0 if (dy > 0 or (dy == 0 and dx > 0)) else 1
-
-    import functools
-
     def cmp(a, b):
-        ha, hb = half(a), half(b)
-        if ha != hb:
-            return -1 if ha < hb else 1
-        ax, ay = a.coords[0] - cx, a.coords[1] - cy
-        bx, by = b.coords[0] - cx, b.coords[1] - cy
-        cross = ax * by - ay * bx
-        if cross > 0:
-            return -1
-        if cross < 0:
-            return 1
-        return -1 if a.coords < b.coords else (0 if a == b else 1)
+        # by the angle of p - centroid, as `_angle_cmp` orders row normals
+        by_angle = _angle_cmp(*((p.coords[0] - cx, p.coords[1] - cy) for p in (a, b)))
+        return by_angle or (a.coords > b.coords) - (a.coords < b.coords)
 
     return sorted(points, key=functools.cmp_to_key(cmp))
 

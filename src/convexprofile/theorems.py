@@ -785,15 +785,8 @@ def slab_fixture():
 
 
 def unit_square_fixture():
-    return HPolyhedron(
-        (
-            Halfspace(Vector((Q(-1), ZERO)), ZERO),
-            Halfspace(Vector((Q(1), ZERO)), Q(1)),
-            Halfspace(Vector((ZERO, Q(-1))), ZERO),
-            Halfspace(Vector((ZERO, Q(1))), Q(1)),
-        ),
-        2,
-    )
+    """The closed unit square [0, 1]^2: the pointed open box's closure."""
+    return PointedOpenBox._square
 
 
 def segment_fixture():

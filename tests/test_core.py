@@ -1,6 +1,11 @@
+import ast
+import fractions
+from pathlib import Path
+
 import pytest
 from hypothesis import given, strategies as st
 
+import convexprofile
 from convexprofile.core import (
     Matrix,
     Orientation,
@@ -132,3 +137,29 @@ def test_vector_dimension_checks():
         vector(1, 2).dot(vector(1, 2, 3))
     with pytest.raises(DimensionMismatchError):
         Matrix([[1, 2], [1, 2, 3]])
+
+
+# The integer forms and the angle order that the exact predicates share.
+SHARED_HELPERS = ("_cleared", "_primitive", "_dot", "_angle_cmp")
+
+
+def test_each_shared_helper_is_defined_in_one_module():
+    homes = {name: [] for name in SHARED_HELPERS}
+    for path in sorted(Path(convexprofile.__file__).parent.glob("*.py")):
+        names = set()
+        for node in ast.walk(ast.parse(path.read_text(), str(path))):
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                names.add(node.name)
+            elif isinstance(node, ast.Name) and isinstance(node.ctx, ast.Store):
+                names.add(node.id)
+        for name in names & set(SHARED_HELPERS):
+            homes[name].append(path.stem)
+    assert homes == {
+        "_cleared": ["core"], "_primitive": ["core"], "_dot": ["core"],
+        "_angle_cmp": ["intgeom"],
+    }
+
+
+def test_rationals_are_fractions():
+    assert Q is fractions.Fraction
+    assert type(rational("3/4")) is fractions.Fraction

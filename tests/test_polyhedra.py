@@ -126,6 +126,38 @@ def test_locate_point_non_full_dimensional_members_are_boundary():
     assert locate_point(seg, point(Q(1, 2), Q(1, 10))) is PointLocation.EXTERIOR
 
 
+def test_locate_point_and_supports_share_one_boundary_rule():
+    # A member is a boundary point iff some row is 0 there: the rule of
+    # `supports`, also on faces with no interior, where every member is a
+    # boundary point (some row is 0 on all of P).
+    points = faces = flat_members = 0
+    for dim in (1, 2, 3):
+        for seed in range(12):
+            rng = rng_from_seed(f"boundary-rule:{dim}:{seed}")
+            P = random_hpolyhedron(rng, dim)
+            face = face_in_direction(P, random_direction(rng, dim))
+            for S in (P,) if face is None else (P, face):
+                faces += not S.full_dimensional
+                tests = [feasible_point(S)]
+                for x in polyhedron_boundary_probes(S):
+                    tests.append(x)
+                    for j, k, sign in itertools.product(range(dim), (1, 2), (1, -1)):
+                        step = [Q(0)] * dim
+                        step[j] = Q(sign * k, 4)
+                        tests.append(x + Vector(step))
+                for x in tests:
+                    loc = locate_point(S, x)
+                    member = S.contains(x)
+                    assert (loc is not PointLocation.EXTERIOR) == member, (S, x)
+                    boundary = member and S.supports(x) is not None
+                    assert (loc is PointLocation.BOUNDARY) == boundary, (S, x)
+                    if member and not S.full_dimensional:
+                        assert boundary, (S, x)
+                        flat_members += 1
+                    points += 1
+    assert faces >= 20 and flat_members >= 50 and points >= 5000
+
+
 def test_locate_point_empty_is_an_error():
     empty = HPolyhedron((H(V(1), 0), H(V(-1), -1)), 1)
     assert is_empty(empty)

@@ -15,6 +15,7 @@ from convexprofile.core import Point, Q, Segment, interpolate, point
 from convexprofile.errors import (
     CertificateError,
     DegenerateSegmentError,
+    DimensionMismatchError,
     InvalidPolygonError,
     InvalidRegionError,
     NotAMemberError,
@@ -113,6 +114,44 @@ def test_hole_validation():
             outer,
             (SimplePolygon([point(0, 0), point(1, 0), point(1, 1), point(0, 1)]),),
         )
+
+
+def _square_ring(lo, hi):
+    return SimplePolygon([point(lo, lo), point(hi, lo), point(hi, hi), point(lo, hi)])
+
+
+@pytest.mark.parametrize("inner_first", [True, False])
+def test_nested_holes_are_rejected_in_either_order(inner_first, tmp_path, capsys):
+    # [4, 6]^2 lies strictly inside [2, 8]^2; the edges do not touch, so
+    # only a containment test in both directions sees the nesting.
+    holes = [_square_ring(4, 6), _square_ring(2, 8)]
+    if not inner_first:
+        holes.reverse()
+    outer = _square_ring(0, 10)
+    with pytest.raises(InvalidRegionError, match="holes are nested"):
+        PolygonRegion(outer, holes)
+    path = tmp_path / "nested.json"
+    path.write_text(json.dumps({
+        "kind": "polygon",
+        "outer": [[str(c) for c in v.coords] for v in outer.vertices],
+        "holes": [[[str(c) for c in v.coords] for v in h.vertices] for h in holes],
+    }))
+    assert run(["convexity", str(path)]) == 2
+    err = json.loads(capsys.readouterr().err)
+    assert (err["error"], err["path"], err["message"]) == (
+        "schema", "$", "holes are nested")
+
+
+def test_polygon_rejects_points_that_are_not_2d():
+    poly = l_polygon()
+    for x in (point(1), point(1, 1, 1)):
+        with pytest.raises(DimensionMismatchError):
+            poly.locate(x)
+        with pytest.raises(DimensionMismatchError):
+            poly.table(x)
+        with pytest.raises(DimensionMismatchError):
+            kernel_contains_by_visibility(poly, x, 4)
+    assert poly.locate(point(Q(1, 2), Q(1, 2))) is PointLocation.INTERIOR
 
 
 def _points(*coords):
