@@ -986,53 +986,35 @@ def kernel_contains_by_visibility(polygon, x, boundary_samples):
     construction in kernel(); the two must agree on closed polygons. Sight
     lines through a vertex are decided in integers like every other.
 
-    Lemma: on a valid ring an edge properly crosses the open segment
-    (x, t), or a vertex lies strictly inside it, only if some edge line
-    strictly separates x from t (for a vertex, that of an incident edge
-    not along the segment). So a sample t inside edge i that no edge line
-    separates from x is seen iff x's bit for edge i is not "right", the
-    same bit for every k. Two gates follow. With m > 1, x strictly right
-    of edge i's line fails at sample 1/m: False before edge i's samples.
-    Otherwise an edge sample that no line separates from x is seen with no
-    sight line; when no edge line splits the edge's two vertices, all its
-    interior samples share one mask pair, and one test settles them all.
+    With m > 1 the gate comes first: x strictly right of any edge's line
+    fails at that edge's sample 1/m, whose sight line leaves into the
+    exterior at once, so the answer is False before any sight line is
+    drawn. Then each vertex's sight line is drawn in ring order, and after
+    vertex i the interior samples of edge i are settled together by
+    `intgeom.edge_samples_seen`: the samples that an edge crosses form an
+    integer range of k per edge, and only the samples where a vertex lies
+    on the sight line or x shares an edge line with the sample are drawn,
+    each behind its masks (a sample that no edge line separates from x is
+    seen with no sight line). With m = 1 only the vertex lines are drawn.
     """
     if boundary_samples < 1:
         raise ValueError("need at least one sample per edge")
     loc, x_h, x_dets, _ = polygon.table(x)
     if loc is PointLocation.EXTERIOR:
         raise NotAMemberError(f"{x!r} is not a member of the polygon")
-    x_signs = xp, xn = intgeom.edge_signs(x_dets)
+    x_signs = intgeom.edge_signs(x_dets)
     m = boundary_samples
+    if m > 1 and x_signs[1]:
+        return False
     verts, rows, turns = polygon._verts, polygon._rows, polygon._turns
-    vertex_dets, vertex_signs = polygon._vertex_tables()
-    nverts = len(verts)
-    for i in range(nverts):
-        if m > 1 and xn >> i & 1:
+    tables = polygon._vertex_tables()
+    for i, (v, v_signs) in enumerate(zip(verts, tables[1])):
+        if not intgeom.segment_in_polygon(
+            verts, rows, turns, x_h, v, x_signs, v_signs, (i, True)
+        ) or m > 1 and not intgeom.edge_samples_seen(
+            verts, rows, turns, tables, x_h, x_signs, i, m
+        ):
             return False
-        j = (i + 1) % nverts
-        (vp, vn), (wp, wn) = vertex_signs[i], vertex_signs[j]
-        if (vp & wn) | (vn & wp):
-            samples = intgeom.sample_signs(
-                vertex_dets[i], vertex_dets[j], vertex_signs[i],
-                vertex_signs[j], m, verts[i][2], verts[j][2],
-            )
-        else:  # every interior sample has the one mask pair
-            tp, tn = (vp | wp) & ~(vn | wn), (vn | wn) & ~(vp | wp)
-            samples = [vertex_signs[i]]
-            if (xp & tn) | (xn & tp):
-                samples += [(tp, tn)] * (m - 1)
-        vx, vy, vw = verts[i]
-        wx, wy, ww = verts[j]
-        for k, (tp, tn) in enumerate(samples):
-            if k and not (xp & tn) | (xn & tp):
-                continue
-            a, b = (m - k) * ww, k * vw
-            t_h = (a * vx + b * wx, a * vy + b * wy, m * vw * ww)
-            if not intgeom.segment_in_polygon(
-                verts, rows, turns, x_h, t_h, x_signs, (tp, tn), (i, k == 0)
-            ):
-                return False
     return True
 
 

@@ -92,9 +92,9 @@ def _angular_sort(points):
     cy = sum((p.coords[1] for p in points), ZERO) / len(points)
 
     def cmp(a, b):
-        # by the angle of p - centroid, as `_angle_cmp` orders row normals
-        by_angle = _angle_cmp(*((p.coords[0] - cx, p.coords[1] - cy) for p in (a, b)))
-        return by_angle or (a.coords > b.coords) - (a.coords < b.coords)
+        # by the angle of p - centroid, as `_angle_cmp` orders row normals;
+        # both callers pass a convex polygon's vertices, no two at one angle
+        return _angle_cmp(*((p.coords[0] - cx, p.coords[1] - cy) for p in (a, b)))
 
     return sorted(points, key=functools.cmp_to_key(cmp))
 

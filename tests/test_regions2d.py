@@ -1174,14 +1174,158 @@ def test_visibility_at_one_sample_draws_the_vertex_lines_past_an_edge(
 ):
     # x in the L's upper arm lies strictly right of edge 2, (2,1) -> (1,1).
     # With m = 1 edge 2 has no sample to fail, so the oracle goes on to the
-    # line to vertex 2, which leaves the L. With m = 8 the line to sample
-    # 1/8 of edge 1 leaves it first.
+    # line to vertex 2, which leaves the L. With m = 8 sample 1/8 of edge 2
+    # fails, and the oracle returns False before it draws any sight line.
     poly, x = l_polygon(), point(Q(1, 2), Q(3, 2))
-    for m, drawn in ((1, [(0, True), (1, True), (2, True)]),
-                     (8, [(0, True)] + [(0, False)] * 7 + [(1, True), (1, False)])):
+    for m, drawn in ((1, [(0, True), (1, True), (2, True)]), (8, [])):
         answer, sites = _recorded_sites(
             monkeypatch, lambda: kernel_contains_by_visibility(poly, x, m))
         assert answer is False and sites == drawn, m
+
+
+def _interior_samples(poly, i, m):
+    """(form, masks) of the samples k/m, 0 < k < m, of edge i."""
+    vs = poly.vertices
+    return [
+        _homogeneous(poly, interpolate(vs[i], vs[(i + 1) % poly.n], Q(k, m)))[::2]
+        for k in range(1, m)
+    ]
+
+
+def _edge_samples_reference(poly, x_h, x_signs, i, m):
+    """Edge i's samples k/m, 0 < k < m, one sight line each: those behind
+    the mask prefilter through `segment_in_polygon`."""
+    xp, xn = x_signs
+    return all(
+        intgeom.segment_in_polygon(poly._verts, poly._rows, poly._turns,
+                                   x_h, t_h, x_signs, (tp, tn), (i, False))
+        for t_h, (tp, tn) in _interior_samples(poly, i, m)
+        if (xp & tn) | (xn & tp)
+    )
+
+
+def _edge_samples(poly, x_h, x_signs, i, m):
+    return intgeom.edge_samples_seen(
+        poly._verts, poly._rows, poly._turns, poly._vertex_tables(), x_h,
+        x_signs, i, m)
+
+
+def _fallback_kinds(poly, x_h, t_h):
+    """{"vertex"} when a vertex lies strictly inside the sight segment
+    (x, t), {"shared"} when an edge line holds both x and t: the samples
+    that must be drawn one at a time."""
+    kinds = set()
+    if any(intgeom.orient(x_h, t_h, a) == 0
+           and intgeom.strictly_between(a, x_h, t_h) for a in poly._verts):
+        kinds.add("vertex")
+    if any(core._dot(row, x_h) == 0 == core._dot(row, t_h) for row in poly._rows):
+        kinds.add("shared")
+    return kinds
+
+
+def test_edge_crossing_ranges_match_the_per_sample_sight_lines(monkeypatch):
+    # Every edge whose line does not have x strictly right, from members,
+    # vertices, edge points and points on edge lines' extensions: points
+    # outside the kernel give the blocked ranges, which the oracle itself
+    # never reaches at m > 1, as its gate answers first. Every sample the
+    # routine draws is one of the two kinds it may not settle by a range,
+    # and an edge line separates it from x.
+    drawn = []
+
+    def recorded(*args, _fn=intgeom.segment_in_polygon):
+        drawn.append((args[4], args[6]))
+        return _fn(*args)
+
+    monkeypatch.setattr(intgeom, "segment_in_polygon", recorded)
+    blocked, fallbacks = collections.Counter(), collections.Counter()
+    for kind, make in sorted(POLYGON_KINDS.items()):
+        for seed in range(6):
+            rng = rng_from_seed(f"edge-ranges:{kind}:{seed}")
+            poly = make(rng)
+            for x in _visibility_queries(poly, rng):
+                x_h, _, x_signs = _homogeneous(poly, x)
+                for m, i in itertools.product((2, 3, 5, 8, 32), range(poly.n)):
+                    if x_signs[1] >> i & 1:
+                        continue
+                    expected = _edge_samples_reference(poly, x_h, x_signs, i, m)
+                    drawn.clear()
+                    assert _edge_samples(poly, x_h, x_signs, i, m) is expected, (
+                        poly, x, i, m)
+                    blocked[kind] += not expected
+                    for t_h, (tp, tn) in drawn:
+                        kinds = _fallback_kinds(poly, x_h, t_h)
+                        assert kinds and (x_signs[0] & tn) | (x_signs[1] & tp), (
+                            poly, x, i, m, t_h)
+                        fallbacks.update(kinds)
+    assert sum(blocked.values()) >= 1000 and blocked["convex"] == 0
+    assert fallbacks["vertex"] >= 1 and fallbacks["shared"] >= 1, fallbacks
+
+
+@pytest.mark.parametrize("ring, x, i, m, seen, drawn", [
+    # from (0, 3/2) the line to sample 1/2 of edge 1, (2, 0) -> (2, 1),
+    # passes through the L's reflex vertex (1, 1), where `side_at` judges
+    # the touch; at m = 4 the line to sample 3/4 crosses edge 2
+    (l_polygon(), (0, Q(3, 2)), 1, 2, True, [(2, Q(1, 2))]),
+    (l_polygon(), (0, Q(3, 2)), 1, 4, False, []),
+    # x on edge 3, x = 1: the line's extension meets edge 0 at sample 1/2
+    (l_polygon(), (1, Q(3, 2)), 0, 2, True, [(1, 0)]),
+    # (3/2, 1) lies on the Z's line y = 1 of edges 2 and 10, beyond both:
+    # every sample of edge 10 shares that line with x
+    (z_polygon(), (Q(3, 2), 1), 10, 4, True,
+     [(Q(3, 4), 1), (Q(1, 2), 1), (Q(1, 4), 1)]),
+])
+def test_edge_crossing_ranges_hand_cases(ring, x, i, m, seen, drawn, monkeypatch):
+    x_h, _, x_signs = _homogeneous(ring, point(*x))
+    assert not x_signs[1] >> i & 1
+    assert _edge_samples_reference(ring, x_h, x_signs, i, m) is seen
+    sites = []
+
+    def recorded(*args, _fn=intgeom.segment_in_polygon):
+        sites.append(args[4])
+        return _fn(*args)
+
+    monkeypatch.setattr(intgeom, "segment_in_polygon", recorded)
+    assert _edge_samples(ring, x_h, x_signs, i, m) is seen
+    assert [(Q(tx, tw), Q(ty, tw)) for tx, ty, tw in sites] == drawn
+
+
+def _convex_ring_edge_point():
+    poly = SimplePolygon(circle_points(point(Q(3, 8), Q(-5, 8)), Q(41, 16), 47))
+    return poly, interpolate(poly.vertices[0], poly.vertices[1], Q(1, 2))
+
+
+@pytest.mark.parametrize("case", [
+    lambda: (l_polygon(), point(Q(1, 2), Q(1, 2))),
+    lambda: (l_polygon(), point(Q(1, 4), Q(3, 4))),
+    lambda: (l_polygon(), point(1, Q(1, 2))),
+    _convex_ring_edge_point,
+], ids=["l-inside", "l-inside-2", "l-on-edge-line", "convex-mid-edge"])
+def test_visibility_oracle_draws_no_sight_line_per_sample_in_a_kernel(
+    case, monkeypatch
+):
+    # Points of a kernel at m = 32: the oracle draws the vertex lines, and
+    # of the edge samples that an edge line separates from x only those
+    # whose sight line meets a vertex or shares an edge line with x. From
+    # inside the L's kernel [0, 1]^2 that is none of 154; from (1, 1/2),
+    # on edge 3's line, edge 3's 31 samples of 77. On the convex ring edge
+    # 0's samples share their line with x, but no line separates them.
+    poly, x = case()
+    x_h, _, (xp, xn) = _homogeneous(poly, x)
+    fallbacks = sum(
+        bool(_fallback_kinds(poly, x_h, t_h))
+        for i in range(poly.n)
+        for t_h, (tp, tn) in _interior_samples(poly, i, 32)
+        if (xp & tn) | (xn & tp)
+    )
+    calls = []
+
+    def counted(*args, _fn=intgeom.segment_in_polygon):
+        calls.append(args)
+        return _fn(*args)
+
+    monkeypatch.setattr(intgeom, "segment_in_polygon", counted)
+    assert kernel_contains_by_visibility(poly, x, 32)
+    assert len(calls) <= poly.n + fallbacks, (len(calls), fallbacks)
 
 
 def test_visibility_oracle_draws_one_sight_line_per_vertex_on_a_convex_ring(
