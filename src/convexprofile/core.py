@@ -3,7 +3,10 @@
 Every coordinate in the library is an exact `fractions.Fraction`, reduced
 with a positive denominator; no predicate ever touches floating point. The
 integer forms the predicates run on are built here alone: `_cleared`,
-`_primitive` and `_dot`.
+`_primitive` and `_dot`. A `Point` carries its own primitive homogeneous
+form (X_1, ..., X_n, W), W > 0, in a slot: built by `_cleared` on the first
+read of `Point.form`, or given to `Point._from_form`, so no point is cleared
+twice.
 """
 
 from __future__ import annotations
@@ -99,6 +102,30 @@ class _Coords:
 class Point(_Coords):
     """A point of E^n with exact rational coordinates."""
 
+    __slots__ = ("_form",)
+
+    @property
+    def form(self):
+        """The primitive integer form (X_1, ..., X_n, W), W > 0, of the
+        point: W is the lcm of its denominators, so equal points have equal
+        forms. Built once, on the first read."""
+        form = getattr(self, "_form", None)
+        if form is None:
+            xs, w = _cleared(self.coords)
+            self._form = form = (*xs, w)
+        return form
+
+    @classmethod
+    def _from_form(cls, form):
+        """The point X / W of a primitive integer form (X_1, ..., X_n, W),
+        W > 0, with its form cached; ValueError for any other form."""
+        *xs, w = form = tuple(form)
+        if not xs or w <= 0 or math.gcd(*form) != 1:
+            raise ValueError(f"{form} is not a primitive form with W > 0")
+        p = cls.__new__(cls)
+        p.coords, p._form = tuple([Q(x, w) for x in xs]), form
+        return p
+
     def __sub__(self, other):
         if isinstance(other, Point):
             _check_same_dim(self, other)
@@ -117,6 +144,8 @@ class Point(_Coords):
 
 class Vector(_Coords):
     """A direction of E^n with exact rational coordinates."""
+
+    __slots__ = ()
 
     def __add__(self, other):
         if not isinstance(other, Vector):

@@ -1,12 +1,13 @@
 """Exact integer predicates for the planar hot paths.
 
 Every point travels in its own primitive homogeneous form (x, y, w), w > 0,
-and every ring edge as its cached primitive line row (a, b, c), built with
-`core`'s `_cleared` and `_primitive`; with no ring-wide denominator a
-predicate's bit size is bounded by its own inputs (Fortune and Van Wyk
-1996). a * x + b * y + c * w > 0 when (x, y, w) lies strictly left of the
-edge, whose direction is (b, -a). Every predicate is pure integer
-arithmetic (no divisions), so the results are exact.
+the `Point.form` that `core` builds once per point and caches on it, and
+every ring edge as its cached primitive line row (a, b, c), built with
+`core`'s `_primitive`; with no ring-wide denominator a predicate's bit size
+is bounded by its own inputs (Fortune and Van Wyk 1996).
+a * x + b * y + c * w > 0 when (x, y, w) lies strictly left of the edge,
+whose direction is (b, -a). Every predicate is pure integer arithmetic (no
+divisions), so the results are exact.
 
 Each query point touches the polygon's edges once: `edge_dets` gives its
 table a * x + b * y + c * w over the edge rows, and `edge_signs` packs the
@@ -52,15 +53,14 @@ import functools
 import itertools
 import math
 
-from .core import _cleared, _dot, _primitive
+from .core import _dot, _primitive
 from .errors import CertificateError
 
 
 def homogenize(point):
-    """The primitive integer form (x, y, w), w > 0, of a 2D point: w is the
-    lcm of its denominators, so equal points have equal forms."""
-    (x, y), w = _cleared(point.coords)
-    return x, y, w
+    """The primitive integer form (x, y, w), w > 0, of a 2D point: its
+    cached `Point.form`."""
+    return point.form
 
 
 def _cross3(u, v):
@@ -132,38 +132,31 @@ def edge_signs(dets):
     return pos, neg
 
 
-def sample_signs(v_dets, w_dets, v_signs, w_signs, m, v_w, w_w):
-    """The sign masks of the samples ((m - k) * v + k * w) / m, 0 <= k < m.
+def midpoint_signs(v_dets, w_dets, v_signs, w_signs, v_w, w_w):
+    """The sign masks of the midpoint of v and w.
 
     v and w are points with tables `v_dets` / `w_dets`, masks `v_signs` /
-    `w_signs` and homogeneous weights `v_w` / `w_w`. Sample k is the
-    homogeneous point (m - k) * w_w * v + k * v_w * w, and its determinants
-    are (m - k) * w_w * v_dets + k * v_w * w_dets, because det is linear in
-    the point. Where v and w lie on one side of an edge line, or one of
-    them on it, every sample with k > 0 takes that side; only the edges
-    that separate v and w are evaluated per sample.
+    `w_signs` and homogeneous weights `v_w` / `w_w`. The midpoint is the
+    homogeneous point w_w * v + v_w * w, and its determinants are
+    w_w * v_dets + v_w * w_dets, because det is linear in the point. Where
+    v and w lie on one side of an edge line, or one of them on it, the
+    midpoint takes that side; only the edges that separate v and w are
+    evaluated.
     """
     (vp, vn), (wp, wn) = v_signs, w_signs
     pos = (vp | wp) & ~(vn | wn)
     neg = (vn | wn) & ~(vp | wp)
     split = (vp & wn) | (vn & wp)
-    bits = []
     while split:
         bit = split & -split
         split ^= bit
         i = bit.bit_length() - 1
-        bits.append((bit, w_w * v_dets[i], v_w * w_dets[i]))
-    samples = [v_signs]
-    for k in range(1, m):
-        p, q = pos, neg
-        for bit, v_det, w_det in bits:
-            d = (m - k) * v_det + k * w_det
-            if d > 0:
-                p |= bit
-            elif d < 0:
-                q |= bit
-        samples.append((p, q))
-    return samples
+        d = w_w * v_dets[i] + v_w * w_dets[i]
+        if d > 0:
+            pos |= bit
+        elif d < 0:
+            neg |= bit
+    return pos, neg
 
 
 def point_in_polygon(q, verts, dets):

@@ -7,11 +7,11 @@ question about an H-polyhedron is read from it with no LP: emptiness and a
 member point, full-dimensionality, an interior point, the vertices,
 boundedness and a recession direction, the boundary-ray test, exposed
 faces, redundancy and the facet probes. Membership, point location, segment
-breakpoints and line clipping read the signs of the rows at the point with
-its denominators cleared; a member is a boundary point iff some row is 0
-there. The facet probes are built as homogeneous integer forms (X, T) from
-the incident rays, each with the mask of the rows at 0 there, and cached on
-the polyhedron; that mask is its answer to `supports`. Every certificate
+breakpoints and line clipping read the signs of the rows at the point's
+cached `Point.form`; a member is a boundary point iff some row is 0 there.
+The facet probes are built as homogeneous integer forms (X, T) from the
+incident rays, each with the mask of the rows at 0 there, and cached on the
+polyhedron; that mask is its answer to `supports`. Every certificate
 (member point, vertex, interior point, face optimum, recession ray, probe)
 is re-verified by substitution. The one LP left is V-polytope membership,
 `hull_contains` (and so `profile`).
@@ -70,14 +70,12 @@ class Halfspace:
         return _primitive(_cleared([*self.normal.coords, -self.offset])[0])
 
     def contains(self, x):
-        """The sign of the integer row at x with its denominators cleared."""
+        """The sign of the integer row at x's cached `Point.form`."""
         if x.dim != self.normal.dim:
             raise DimensionMismatchError(
                 f"dimension mismatch: {self.normal.dim} vs {x.dim}"
             )
-        xs, s = _cleared(x.coords)
-        xs.append(s)
-        return _dot(self._row, xs) <= 0
+        return _dot(self._row, x.form) <= 0
 
 
 @dataclass(frozen=True)
@@ -117,10 +115,15 @@ class HPolyhedron:
     def _values(self, x, w=1):
         """(values, s): row . (x s, w s) for each row, where s > 0 clears
         x's denominators. With w = 1 each value has the sign of a . x - b
-        at the point x; with w = 0 that of a . x along the direction x."""
+        at the point x, read from its `Point.form`; with w = 0 that of
+        a . x along the direction x."""
         self._check_point(x)
-        xs, s = _cleared(x.coords)
-        xs.append(w * s)
+        if w:
+            xs = x.form
+            s = xs[-1]
+        else:
+            xs, s = _cleared(x.coords)
+            xs.append(0)
         return [_dot(row, xs) for row in self._rows], s
 
     @cached_property
@@ -139,7 +142,7 @@ class HPolyhedron:
             return None
         if any(_dot(row, y) > 0 for row in self._rows):
             raise CertificateError(f"member ray {y} violates a halfspace")
-        return Point([Q(c, y[-1]) for c in y[:-1]])
+        return Point._from_form(y)
 
     @cached_property
     def _rank(self):
@@ -247,7 +250,7 @@ class HPolyhedron:
         scale = math.lcm(*(form[n] for form in forms))
         probes = {}
         for form in sorted(forms, key=lambda f: [c * (scale // f[n]) for c in f[:n]]):
-            pt = Point([Q(c, form[n]) for c in form[:n]])
+            pt = Point._from_form(form)
             mask = _boundary_mask([_dot(row, form) for row in self._rows])
             if mask is None:
                 raise CertificateError(f"probe {pt} is not a boundary point of P")
@@ -437,7 +440,7 @@ def extreme_points(P):
     for y in rays:
         if y[n] > 0:
             _check_vertex(P._rows, y, n)
-            verts.append(Point([Q(c, y[n]) for c in y[:n]]))
+            verts.append(Point._from_form(y))
     verts.sort(key=lambda p: p.coords)
     return tuple(verts)
 

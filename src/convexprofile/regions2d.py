@@ -56,7 +56,6 @@ from .core import (
     Segment,
     Vector,
     ZERO,
-    _cleared,
     _dot,
     cross2,
     interpolate,
@@ -199,8 +198,8 @@ class SimplePolygon:
     def probe_tables(self):
         """id(x) -> (x, `_probe`'s table of x) for the ring's vertices and
         edge midpoints x in ring order, built once. A midpoint's form and
-        masks (`intgeom.sample_signs` at m = 2) come from its edge's ends,
-        and its form is re-checked to lie on the edge strictly between them."""
+        masks (`intgeom.midpoint_signs`) come from its edge's ends, and its
+        form is re-checked to lie on the edge strictly between them."""
         if self._probes is None:
             (dets, signs), verts, probes = self._vertex_tables(), self._verts, {}
             for k, (v, (a, b, c)) in enumerate(zip(self.vertices, self._rows)):
@@ -209,9 +208,9 @@ class SimplePolygon:
                 if a * x + b * y + c * w or not intgeom.strictly_between(
                         h, verts[k], verts[j]):
                     raise CertificateError(f"edge {k}'s midpoint is off the edge")
-                masks = intgeom.sample_signs(dets[k], dets[j], signs[k], signs[j],
-                                             2, verts[k][2], verts[j][2])[1]
-                mid = Point((Q(x, w), Q(y, w)))
+                masks = intgeom.midpoint_signs(dets[k], dets[j], signs[k], signs[j],
+                                               verts[k][2], verts[j][2])
+                mid = Point._from_form(h)
                 probes[id(v)] = v, (verts[k], signs[k], (k, True))
                 probes[id(mid)] = mid, (h, masks, (k, False))
             self._probes = probes
@@ -725,8 +724,7 @@ def _supported_class(region, p, q, common):
         return PairClass(region.chord)
     k = (common & -common).bit_length() - 1
     for x in (p, q):
-        xs, s = _cleared(x.coords)
-        if _dot(region._rows[k], xs + [s]):
+        if _dot(region._rows[k], x.form):
             raise CertificateError(f"supporting row {k} is not 0 at {x!r}")
     return PairClass.FLAT
 
@@ -1027,7 +1025,7 @@ def kernel_vertices(polygon):
     an empty kernel, a Farkas certificate of at most three rows.
     """
     ring, _ = intgeom.kernel_ring(polygon._rows)
-    return tuple(Point((Q(x, w), Q(y, w))) for x, y, w in ring)
+    return tuple(Point._from_form(v) for v in ring)
 
 
 def is_starshaped(polygon):

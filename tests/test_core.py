@@ -1,5 +1,9 @@
 import ast
 import fractions
+import math
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -9,7 +13,9 @@ import convexprofile
 from convexprofile.core import (
     Matrix,
     Orientation,
+    Point,
     Q,
+    _cleared,
     SolveStatus,
     format_rational,
     midpoint,
@@ -160,6 +166,111 @@ def test_each_shared_helper_is_defined_in_one_module():
     }
 
 
+# The calls outside `core` that may clear an object's `.coords`, each with
+# its reason; a point's integer form is read as its cached `Point.form`.
+CLEARED_COORDS_ALLOWED = {
+    ("polyhedra", "face_in_direction"): "w is a direction (a Vector), with no form",
+    ("polyhedra", "HPolyhedron._values"): "at w = 0, x is a direction (a Vector)",
+}
+
+
+def test_only_core_clears_a_points_coords():
+    found = set()
+
+    def visit(stem, node, scope):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+                visit(stem, child, scope + (child.name,))
+                continue
+            if isinstance(child, ast.Call) and child.args:
+                func, arg = child.func, child.args[0]
+                name = getattr(func, "id", getattr(func, "attr", None))
+                if name == "_cleared" and isinstance(arg, ast.Attribute) and (
+                        arg.attr == "coords"):
+                    found.add((stem, ".".join(scope)))
+            visit(stem, child, scope)
+
+    for path in sorted(Path(convexprofile.__file__).parent.glob("*.py")):
+        if path.stem != "core":
+            visit(path.stem, ast.parse(path.read_text(), str(path)), ())
+    assert found == set(CLEARED_COORDS_ALLOWED)
+
+
 def test_rationals_are_fractions():
     assert Q is fractions.Fraction
     assert type(rational("3/4")) is fractions.Fraction
+
+
+# negative, zero and integral coordinates as well as fractions
+coordinates = st.one_of(st.integers(-50, 50).map(Q), rationals)
+
+
+@given(st.lists(coordinates, min_size=1, max_size=5))
+def test_a_point_carries_its_primitive_form(coords):
+    x = Point(coords)
+    ints, w = _cleared(x.coords)
+    assert x.form == (*ints, w)
+    assert x.form[-1] > 0 and math.gcd(*x.form) == 1
+    y = Point._from_form(x.form)
+    assert (y, hash(y), y.form) == (x, hash(x), x.form)
+    for g in (2, 3, 12):
+        with pytest.raises(ValueError):
+            Point._from_form([g * c for c in x.form])
+    for bad_w in (0, -w):
+        with pytest.raises(ValueError):
+            Point._from_form((*ints, bad_w))
+    assert not hasattr(x, "__dict__")
+    assert not hasattr(vector(*coords), "__dict__")
+
+
+@given(st.lists(st.integers(-10**6, 10**6), min_size=1, max_size=5),
+       st.integers(1, 10**6))
+def test_a_point_built_from_its_form_equals_the_rational_point(xs, w):
+    g = math.gcd(*xs, w)
+    form = tuple(c // g for c in (*xs, w))
+    x = Point._from_form(form)
+    rational_point = Point([Q(c, w) for c in xs])
+    assert x.form == rational_point.form == form
+    assert (x, hash(x), repr(x)) == (
+        rational_point, hash(rational_point), repr(rational_point))
+
+
+# Each check runs after the point's form is cached; the printed names are
+# the errors raised, under plain python and python -O alike.
+CACHED_FORM_CHECKS = (
+    "from convexprofile.core import Point, point, vector\n"
+    "from convexprofile.polyhedra import Halfspace, HPolyhedron\n"
+    "from convexprofile.regions2d import SimplePolygon\n"
+    "h = Halfspace(vector(1, 0), 1)\n"
+    "square = SimplePolygon([point(0, 0), point(1, 0), point(1, 1), point(0, 1)])\n"
+    "checks = [(point(0, 0, 0), h.contains),\n"
+    "          (point(0), HPolyhedron((h,), 2).contains),\n"
+    "          (point(0, 0, 0), square.table),\n"
+    "          (None, lambda _: Point._from_form((2, 4, 2))),\n"
+    "          (None, lambda _: Point._from_form((1, 0, 0)))]\n"
+    "for x, check in checks:\n"
+    "    if x is not None:\n"
+    "        x.form\n"
+    "    try:\n"
+    "        check(x)\n"
+    "        print('accepted')\n"
+    "    except Exception as exc:\n"
+    "        print(type(exc).__name__)\n"
+)
+CACHED_FORM_ERRORS = "DimensionMismatchError\n" * 3 + "ValueError\n" * 2
+
+
+def test_a_cached_form_skips_no_dimension_check(capsys):
+    exec(CACHED_FORM_CHECKS, {})
+    assert capsys.readouterr().out == CACHED_FORM_ERRORS
+
+
+def test_a_cached_form_skips_no_dimension_check_under_python_O():
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(p for p in (src, env.get("PYTHONPATH")) if p)
+    proc = subprocess.run(
+        [sys.executable, "-O", "-c", CACHED_FORM_CHECKS],
+        env=env, capture_output=True, text=True, timeout=60, check=False,
+    )
+    assert (proc.returncode, proc.stdout) == (0, CACHED_FORM_ERRORS), proc.stderr

@@ -1433,6 +1433,39 @@ def _midpoint_code(verts, x_h, t_h, x_dets, t_dets):
     return 1 if inside else -1
 
 
+def _sample_signs(v_dets, w_dets, v_signs, w_signs, m, v_w, w_w):
+    """The sign masks of the samples ((m - k) * v + k * w) / m, 0 <= k < m.
+
+    Sample k is the homogeneous point (m - k) * w_w * v + k * v_w * w, and
+    its determinants are (m - k) * w_w * v_dets + k * v_w * w_dets, because
+    det is linear in the point. Where v and w lie on one side of an edge
+    line, or one of them on it, every sample with k > 0 takes that side;
+    only the edges that separate v and w are evaluated per sample. At
+    m = 2, entry 1 is `intgeom.midpoint_signs`.
+    """
+    (vp, vn), (wp, wn) = v_signs, w_signs
+    pos = (vp | wp) & ~(vn | wn)
+    neg = (vn | wn) & ~(vp | wp)
+    split = (vp & wn) | (vn & wp)
+    bits = []
+    while split:
+        bit = split & -split
+        split ^= bit
+        i = bit.bit_length() - 1
+        bits.append((bit, w_w * v_dets[i], v_w * w_dets[i]))
+    samples = [v_signs]
+    for k in range(1, m):
+        p, q = pos, neg
+        for bit, v_det, w_det in bits:
+            d = (m - k) * v_det + k * w_det
+            if d > 0:
+                p |= bit
+            elif d < 0:
+                q |= bit
+        samples.append((p, q))
+    return samples
+
+
 def _side_rule(poly, site, x_h, x_signs):
     return intgeom.side_at(
         poly._verts, poly._rows, poly._turns, site, x_h, x_signs
@@ -1457,18 +1490,20 @@ def test_side_rule_matches_the_midpoint_parity(kind):
         sites = dict(targets)
         for p in probes:
             assert regions2d._probe(region, p)[1][2] == sites[p]
-        # the kernel oracle blends its edge samples' masks from the vertices'
+        # edge samples' masks blend from the vertices', as the probe
+        # midpoints' do
         vertex = [intgeom.edge_dets(poly._rows, v) for v in verts]
         for i in range(poly.n):
             j = (i + 1) % poly.n
             v_dets, w_dets = vertex[i], vertex[j]
-            blended = intgeom.sample_signs(
-                v_dets, w_dets, intgeom.edge_signs(v_dets),
-                intgeom.edge_signs(w_dets), 4, verts[i][2], verts[j][2],
-            )
+            args = (v_dets, w_dets, intgeom.edge_signs(v_dets),
+                    intgeom.edge_signs(w_dets))
+            blended = _sample_signs(*args, 4, verts[i][2], verts[j][2])
             assert blended == [
                 _homogeneous(poly, t)[2] for t, _ in targets[4 * i:4 * i + 4]
             ]
+            assert intgeom.midpoint_signs(*args, verts[i][2], verts[j][2]) == (
+                blended[2])
         sources = probes + sample_member_points(poly, rng, 8)
         for t, site in targets:
             t_h, t_dets, t_signs = _homogeneous(poly, t)
@@ -1759,6 +1794,33 @@ def test_cli_convexity_builds_probes_in_integers(monkeypatch, tmp_path):
     result = json.loads((tmp_path / "out.json").read_text())["results"][0]
     assert result["convex_by_pairs"] is result["vertex_turn_oracle"] is True
     assert calls == {"homogenize": 48}
+
+
+@pytest.mark.parametrize("kind", sorted(POLYGON_KINDS))
+def test_the_visibility_path_clears_a_point_once(kind, monkeypatch):
+    # A fresh member is cleared once, by its first table; the oracle at
+    # m = 1, 8 and 32 and every kernel halfspace read its cached form. The
+    # other calls build each halfspace's own row. Deterministic, unlike time.
+    rng = rng_from_seed(f"cleared-once:{kind}")
+    poly = POLYGON_KINDS[kind](rng)
+    x = Point(sample_member_points(poly, rng, 1)[0].coords)
+    calls = []
+    cleared = core._cleared
+
+    def counted(values):
+        calls.append(values)
+        return cleared(values)
+
+    for name, module in list(sys.modules.items()):
+        if name.startswith("convexprofile") and hasattr(module, "_cleared"):
+            monkeypatch.setattr(module, "_cleared", counted)
+    poly.table(x)
+    seen = [kernel_contains_by_visibility(poly, x, m) for m in (1, 8, 32)]
+    halfspaces = kernel(poly).halfspaces
+    inside = [h.contains(x) for h in halfspaces]
+    assert all(inside) == seen[1] == seen[2]
+    assert calls[0] == x.coords
+    assert len(calls) == 1 + len(halfspaces)
 
 
 # --- convex kinds: pairs by supporting rows ---------------------------------
