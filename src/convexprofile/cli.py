@@ -42,13 +42,15 @@ from .regions2d import (
 )
 from .svg_render import render_svg
 from .theorems import (
+    DEFAULT_INSTANCES,
+    DEFAULT_PROBE_DENSITY,
+    DEFAULT_SAMPLES,
+    DEFAULT_SEED,
     THEOREM_IDS,
     check_boundary_hull,
     check_krein_milman,
     run_suite,
 )
-
-DEFAULT_SEED = 0xC0FFEE
 
 # The parser `run` builds on its first call and reuses; not built at import.
 _parser = None
@@ -63,9 +65,10 @@ def build_parser():
 
     def common(p):
         p.add_argument("--seed", default=None, help="RNG seed (int, 0x.. ok)")
-        p.add_argument("--samples", type=int, default=50,
+        p.add_argument("--samples", type=int, default=DEFAULT_SAMPLES,
                        help="interior/member samples per instance")
-        p.add_argument("--probe-density", type=int, default=32,
+        p.add_argument("--probe-density", type=int,
+                       default=DEFAULT_PROBE_DENSITY,
                        help="boundary probes per circle (disks, disk complements); "
                        "polygons, h-polyhedra and the box probe fixed points")
         p.add_argument("--out", default=None, help="write the report here")
@@ -99,7 +102,7 @@ def build_parser():
 
     p = sub.add_parser("check", help="run a theorem suite")
     p.add_argument("theorem", help="|".join(THEOREM_IDS) + "|all")
-    p.add_argument("--instances", type=int, default=25)
+    p.add_argument("--instances", type=int, default=DEFAULT_INSTANCES)
     common(p)
 
     p = sub.add_parser("render", help="render a 2D instance to SVG")

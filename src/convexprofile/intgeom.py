@@ -33,12 +33,10 @@ consecutive collinear vertices an edge properly crosses the open segment
 separates x from t (for a vertex, that of an incident edge not along it).
 When `(xp & tn) | (xn & tp)` is 0, `segment_in_polygon` is `side_at` at
 t's site. The pair scan draws a sight line only when it is not 0. The
-kernel oracle returns False before any sight line when x lies strictly
-right of an edge line (that edge's first interior sample fails there);
-then `edge_samples_seen` settles all interior samples of an edge at once,
-as the samples whose sight line an edge crosses form an integer range of
-k, and draws a sample's line only where a vertex lies on it or x shares
-an edge line with the sample, and the sample's masks do not exclude it.
+kernel oracle draws one sight line per vertex and no other: in a hole-free
+polygon, x sees a whole edge once it sees both ends a and b, because the
+triangle xab lies in the polygon (Jordan curve theorem; Lee and Preparata
+1979), so no edge line's side and no edge sample is read.
 
 `kernel_ring` intersects a ring's edge rows in the plane: its kernel's
 vertex ring, or a Farkas certificate of at most three rows when it is
@@ -55,12 +53,6 @@ import math
 
 from .core import _dot, _primitive
 from .errors import CertificateError
-
-
-def homogenize(point):
-    """The primitive integer form (x, y, w), w > 0, of a 2D point: its
-    cached `Point.form`."""
-    return point.form
 
 
 def _cross3(u, v):
@@ -288,91 +280,6 @@ def segment_in_polygon(verts, rows, turns, x_h, t_h, x_signs, t_signs, t_site):
         k = (touching & -touching).bit_length() - 1
         touching &= touching - 1
         if side_at(verts, rows, turns, (k, True), x_h, x_signs) < 0:
-            return False
-    return True
-
-
-def _positive(p, q, lo, hi):
-    """(lo', hi'): the integers k in [lo, hi] with p + q * k > 0, empty
-    when lo' > hi'. Each bound is one floor division."""
-    if q > 0:
-        return max(lo, -p // q + 1), hi
-    if q < 0:
-        return lo, min(hi, (p - 1) // -q)
-    return (lo, hi) if p > 0 else (1, 0)
-
-
-def edge_samples_seen(verts, rows, turns, tables, x_h, x_signs, i, m):
-    """Whether x sees every interior sample t_k = ((m - k) * v + k * w) / m,
-    0 < k < m, of edge i from v to w: `segment_in_polygon` for all of them.
-
-    x must be a member not strictly right of edge i's line; `tables` holds
-    the vertices' `edge_dets` tables and `edge_signs` masks. t_k is the form
-    (m - k) * w_w * v + k * v_w * w, so t_k's determinant for an edge row,
-    and det(x, t_k, a) for a vertex a (the sight line's side of a, as in
-    `sight_blocked`), are both linear in k. Edge c crosses the open segment
-    (x, t_k) iff t_k lies strictly across c's line from x and c's two ends
-    lie strictly on opposite sides of the sight line: an intersection of
-    three strict sign ranges of k, so one range test per edge settles every
-    sample. Two kinds of k are drawn one at a time instead, the samples'
-    mask prefilter kept: those at which a vertex lies on the sight line
-    (`side_at` judges the touch), and those sharing an edge line with x.
-    A vertex inside (x, t_k) starts an edge whose line either holds x and
-    t_k (a shared line) or has them strictly apart (t_k across it), so only
-    the roots k of det(x, t_k, a) at the start a of an edge t_k lies
-    across are drawn.
-    """
-    xp, xn = x_signs
-    n = len(verts)
-    j = (i + 1) % n
-    (vp, vn), (wp, wn) = tables[1][i], tables[1][j]
-    across = (xp & (vn | wn)) | (xn & (vp | wp))  # edges t_k may lie across
-    if not across:  # no edge line separates x from any sample
-        return True
-    v_dets, w_dets = tables[0][i], tables[0][j]
-    v, w = verts[i], verts[j]
-    (vx, vy, vw), (wx, wy, ww) = v, w
-
-    def linear(dv, dw):
-        """(p, q) with p + q * k = (m - k) * w_w * dv + k * v_w * dw."""
-        return m * ww * dv, vw * dw - ww * dv
-
-    drawn = set()
-    on = ~(xp | xn) & ((1 << n) - 1)  # the edge lines through x
-    while on:
-        c = (on & -on).bit_length() - 1
-        on &= on - 1
-        p, q = linear(v_dets[c], w_dets[c])
-        if not p and not q:  # x on the line of edge i, or of one along it
-            drawn.update(range(1, m))
-        elif q and not p % q and 0 < -p // q < m:
-            drawn.add(-p // q)
-    xv, xw = _cross3(x_h, v), _cross3(x_h, w)
-    while across:
-        bit = across & -across
-        across ^= bit
-        c = bit.bit_length() - 1
-        s = -1 if xp & bit else 1  # the sign of c's row at x is -s
-        p, q = linear(v_dets[c], w_dets[c])
-        lo, hi = _positive(s * p, s * q, 1, m - 1)  # t_k strictly across
-        if lo > hi:
-            continue
-        a, b = verts[c], verts[c + 1 - n]
-        pa, qa = linear(_dot(a, xv), _dot(a, xw))
-        pb, qb = linear(_dot(b, xv), _dot(b, xw))
-        if qa and not pa % qa and lo <= -pa // qa <= hi:
-            drawn.add(-pa // qa)  # a on the sight line, inside (x, t_k)
-        # crossing c's line from x's side to t_k's, the sight line can meet
-        # edge c only with c's start a on its side of sign s and b on -s
-        lo, hi = _positive(-s * pb, -s * qb, *_positive(s * pa, s * qa, lo, hi))
-        if lo <= hi:
-            return False
-    for k in sorted(drawn):
-        sv, sw = (m - k) * ww, k * vw
-        t_h = (sv * vx + sw * wx, sv * vy + sw * wy, m * vw * ww)
-        tp, tn = t_signs = edge_signs(edge_dets(rows, t_h))
-        if (xp & tn) | (xn & tp) and not segment_in_polygon(
-                verts, rows, turns, x_h, t_h, x_signs, t_signs, (i, False)):
             return False
     return True
 

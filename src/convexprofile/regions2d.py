@@ -108,7 +108,7 @@ class SimplePolygon:
                 raise DimensionMismatchError("polygon vertices must be 2D")
         # Every check runs on the vertices' primitive integer forms, which
         # keep equalities and orientation signs.
-        hv = [intgeom.homogenize(v) for v in vs]
+        hv = [v.form for v in vs]
         n = len(hv)
         turns = []
         for i in range(n):
@@ -179,7 +179,7 @@ class SimplePolygon:
         """
         if len(x.coords) != 2:
             raise DimensionMismatchError("query point must be 2D")
-        h = intgeom.homogenize(x)
+        h = x.form
         dets = intgeom.edge_dets(self._rows, h)
         code, site = intgeom.point_in_polygon(h, self._verts, dets)
         return _LOCATIONS[code], h, dets, site
@@ -979,21 +979,17 @@ def kernel(polygon):
 def kernel_contains_by_visibility(polygon, x, boundary_samples):
     """Visibility oracle for kernel membership.
 
-    True iff x sees every vertex and every sampled edge point (rational
-    parameters k/m along each edge). Independent of the halfplane
-    construction in kernel(); the two must agree on closed polygons. Sight
-    lines through a vertex are decided in integers like every other.
+    True iff x sees every vertex and every edge point k/m, 0 < k < m, for
+    m = `boundary_samples`. Independent of the halfplane construction in
+    kernel(); the two must agree on closed polygons (Prop 8).
 
-    With m > 1 the gate comes first: x strictly right of any edge's line
-    fails at that edge's sample 1/m, whose sight line leaves into the
-    exterior at once, so the answer is False before any sight line is
-    drawn. Then each vertex's sight line is drawn in ring order, and after
-    vertex i the interior samples of edge i are settled together by
-    `intgeom.edge_samples_seen`: the samples that an edge crosses form an
-    integer range of k per edge, and only the samples where a vertex lies
-    on the sight line or x shares an edge line with the sample are drawn,
-    each behind its masks (a sample that no edge line separates from x is
-    seen with no sight line). With m = 1 only the vertex lines are drawn.
+    The answer is the same at every m >= 1, and only the vertex sight lines
+    are drawn, in ring order, up to the first that leaves the polygon. If x
+    sees both ends a and b of an edge, the closed curve xa, ab, bx lies in
+    the polygon; its complement is connected and unbounded, so it misses
+    the inside of that curve, and the triangle xab, with every segment from
+    x to a point of ab, lies in the polygon (Jordan curve theorem; Lee and
+    Preparata 1979). No edge line's side is read as the answer.
     """
     if boundary_samples < 1:
         raise ValueError("need at least one sample per edge")
@@ -1001,19 +997,13 @@ def kernel_contains_by_visibility(polygon, x, boundary_samples):
     if loc is PointLocation.EXTERIOR:
         raise NotAMemberError(f"{x!r} is not a member of the polygon")
     x_signs = intgeom.edge_signs(x_dets)
-    m = boundary_samples
-    if m > 1 and x_signs[1]:
-        return False
     verts, rows, turns = polygon._verts, polygon._rows, polygon._turns
-    tables = polygon._vertex_tables()
-    for i, (v, v_signs) in enumerate(zip(verts, tables[1])):
-        if not intgeom.segment_in_polygon(
+    return all(
+        intgeom.segment_in_polygon(
             verts, rows, turns, x_h, v, x_signs, v_signs, (i, True)
-        ) or m > 1 and not intgeom.edge_samples_seen(
-            verts, rows, turns, tables, x_h, x_signs, i, m
-        ):
-            return False
-    return True
+        )
+        for i, (v, v_signs) in enumerate(zip(verts, polygon._vertex_tables()[1]))
+    )
 
 
 def kernel_vertices(polygon):

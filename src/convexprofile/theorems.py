@@ -79,6 +79,8 @@ from .regions2d import (
 
 DEFAULT_SAMPLES = 50
 DEFAULT_PROBE_DENSITY = 32
+DEFAULT_SEED = 0xC0FFEE
+DEFAULT_INSTANCES = 25
 
 
 class HypothesisStatus(Enum):
@@ -478,9 +480,12 @@ def check_kernel_characterization(polygon, samples=DEFAULT_SAMPLES, seed=0):
     """H-representation kernel membership must match the visibility oracle,
     run at 8 and at 32 boundary samples per edge.
 
-    Every sample k/8 is the sample 4k/32, so a point that sees all 32
-    samples per edge sees the 8: the oracle runs at 8 only after a False
-    at 32. A kernel vertex (`kernel_vertices`) joins the member samples.
+    The oracle decides from the sight lines to the vertices alone, as x
+    sees an edge once it sees both its ends (the Jordan curve theorem), so
+    its answer is the same at both densities. A point that sees the 32
+    samples per edge sees the 8 (k/8 is 4k/32), so the oracle runs at 8
+    only after a False at 32. A kernel vertex (`kernel_vertices`) joins
+    the member samples.
     """
     rng = rng_from_seed(seed)
     ker = kernel(polygon)
@@ -927,8 +932,8 @@ THEOREM_IDS = tuple(_SUITES)
 
 def run_suite(
     theorem_id,
-    seed=0xC0FFEE,
-    instances=25,
+    seed=DEFAULT_SEED,
+    instances=DEFAULT_INSTANCES,
     samples=DEFAULT_SAMPLES,
     probe_density=DEFAULT_PROBE_DENSITY,
 ):

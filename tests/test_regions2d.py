@@ -973,7 +973,7 @@ def _boundary_targets(poly, m):
 def _homogeneous(poly, x):
     """x's primitive homogeneous integer triple, and its edge table and edge
     signs over the ring's edge rows."""
-    h = intgeom.homogenize(x)
+    h = x.form
     dets = intgeom.edge_dets(poly._rows, h)
     return h, dets, intgeom.edge_signs(dets)
 
@@ -1142,9 +1142,9 @@ def _recorded_sites(monkeypatch, decide):
 def test_visibility_oracle_matches_every_sample_through_the_sight_line(
     kind, seed
 ):
-    # The oracle's gates against a reference that draws the sight line to
-    # every vertex and edge sample k/m. At m = 1 there is no edge sample,
-    # so the oracle draws the same vertex lines in the same order.
+    # The oracle against a reference that draws the sight line to every
+    # vertex and edge sample k/m: the same answer at every m, and the same
+    # sight lines, in the same order, as the reference over the vertices.
     rng = rng_from_seed(f"oracle:{seed}")
     poly = POLYGON_KINDS[kind](rng)
     queries = _visibility_queries(poly, rng)
@@ -1153,140 +1153,49 @@ def test_visibility_oracle_matches_every_sample_through_the_sight_line(
         for t, site in _boundary_targets(poly, m):
             t_h, _, t_signs = _homogeneous(poly, t)
             targets.append((t_h, t_signs, site))
+        vertex_targets = [t for t in targets if t[2][1]]
         for x in queries:
             x_h, _, x_signs = _homogeneous(poly, x)
             expected = _visibility_reference(poly, x_h, x_signs, targets)
-            if m > 1:
-                got = kernel_contains_by_visibility(poly, x, m)
-                assert got is expected, (poly, x, m)
-                continue
             with pytest.MonkeyPatch.context() as mp:
                 got, sites = _recorded_sites(
-                    mp, lambda: kernel_contains_by_visibility(poly, x, 1))
+                    mp, lambda: kernel_contains_by_visibility(poly, x, m))
                 _, ref_sites = _recorded_sites(
                     mp, lambda: _visibility_reference(
-                        poly, x_h, x_signs, targets))
-            assert got is expected and sites == ref_sites, (poly, x)
+                        poly, x_h, x_signs, vertex_targets))
+            assert got is expected and sites == ref_sites, (poly, x, m)
 
 
 def test_visibility_at_one_sample_draws_the_vertex_lines_past_an_edge(
     monkeypatch,
 ):
     # x in the L's upper arm lies strictly right of edge 2, (2,1) -> (1,1).
-    # With m = 1 edge 2 has no sample to fail, so the oracle goes on to the
-    # line to vertex 2, which leaves the L. With m = 8 sample 1/8 of edge 2
-    # fails, and the oracle returns False before it draws any sight line.
+    # At m = 1 and at m = 8 alike the oracle draws the lines to vertices 0,
+    # 1 and 2, and the one to vertex 2 leaves the L: no edge line's side
+    # answers before a sight line does.
     poly, x = l_polygon(), point(Q(1, 2), Q(3, 2))
-    for m, drawn in ((1, [(0, True), (1, True), (2, True)]), (8, [])):
+    for m in (1, 8):
         answer, sites = _recorded_sites(
             monkeypatch, lambda: kernel_contains_by_visibility(poly, x, m))
-        assert answer is False and sites == drawn, m
+        assert answer is False, m
+        assert sites == [(0, True), (1, True), (2, True)], m
 
 
-def _interior_samples(poly, i, m):
-    """(form, masks) of the samples k/m, 0 < k < m, of edge i."""
-    vs = poly.vertices
-    return [
-        _homogeneous(poly, interpolate(vs[i], vs[(i + 1) % poly.n], Q(k, m)))[::2]
-        for k in range(1, m)
-    ]
-
-
-def _edge_samples_reference(poly, x_h, x_signs, i, m):
-    """Edge i's samples k/m, 0 < k < m, one sight line each: those behind
-    the mask prefilter through `segment_in_polygon`."""
-    xp, xn = x_signs
-    return all(
-        intgeom.segment_in_polygon(poly._verts, poly._rows, poly._turns,
-                                   x_h, t_h, x_signs, (tp, tn), (i, False))
-        for t_h, (tp, tn) in _interior_samples(poly, i, m)
-        if (xp & tn) | (xn & tp)
-    )
-
-
-def _edge_samples(poly, x_h, x_signs, i, m):
-    return intgeom.edge_samples_seen(
-        poly._verts, poly._rows, poly._turns, poly._vertex_tables(), x_h,
-        x_signs, i, m)
-
-
-def _fallback_kinds(poly, x_h, t_h):
-    """{"vertex"} when a vertex lies strictly inside the sight segment
-    (x, t), {"shared"} when an edge line holds both x and t: the samples
-    that must be drawn one at a time."""
-    kinds = set()
-    if any(intgeom.orient(x_h, t_h, a) == 0
-           and intgeom.strictly_between(a, x_h, t_h) for a in poly._verts):
-        kinds.add("vertex")
-    if any(core._dot(row, x_h) == 0 == core._dot(row, t_h) for row in poly._rows):
-        kinds.add("shared")
-    return kinds
-
-
-def test_edge_crossing_ranges_match_the_per_sample_sight_lines(monkeypatch):
-    # Every edge whose line does not have x strictly right, from members,
-    # vertices, edge points and points on edge lines' extensions: points
-    # outside the kernel give the blocked ranges, which the oracle itself
-    # never reaches at m > 1, as its gate answers first. Every sample the
-    # routine draws is one of the two kinds it may not settle by a range,
-    # and an edge line separates it from x.
-    drawn = []
-
-    def recorded(*args, _fn=intgeom.segment_in_polygon):
-        drawn.append((args[4], args[6]))
-        return _fn(*args)
-
-    monkeypatch.setattr(intgeom, "segment_in_polygon", recorded)
-    blocked, fallbacks = collections.Counter(), collections.Counter()
+def test_every_false_of_the_visibility_oracle_comes_from_a_sight_line(
+    monkeypatch,
+):
+    # With every sight line free, the oracle must answer True for every
+    # member at every density, those outside the kernel included: no edge
+    # line's side decides on its own.
+    cases = []
     for kind, make in sorted(POLYGON_KINDS.items()):
-        for seed in range(6):
-            rng = rng_from_seed(f"edge-ranges:{kind}:{seed}")
-            poly = make(rng)
-            for x in _visibility_queries(poly, rng):
-                x_h, _, x_signs = _homogeneous(poly, x)
-                for m, i in itertools.product((2, 3, 5, 8, 32), range(poly.n)):
-                    if x_signs[1] >> i & 1:
-                        continue
-                    expected = _edge_samples_reference(poly, x_h, x_signs, i, m)
-                    drawn.clear()
-                    assert _edge_samples(poly, x_h, x_signs, i, m) is expected, (
-                        poly, x, i, m)
-                    blocked[kind] += not expected
-                    for t_h, (tp, tn) in drawn:
-                        kinds = _fallback_kinds(poly, x_h, t_h)
-                        assert kinds and (x_signs[0] & tn) | (x_signs[1] & tp), (
-                            poly, x, i, m, t_h)
-                        fallbacks.update(kinds)
-    assert sum(blocked.values()) >= 1000 and blocked["convex"] == 0
-    assert fallbacks["vertex"] >= 1 and fallbacks["shared"] >= 1, fallbacks
-
-
-@pytest.mark.parametrize("ring, x, i, m, seen, drawn", [
-    # from (0, 3/2) the line to sample 1/2 of edge 1, (2, 0) -> (2, 1),
-    # passes through the L's reflex vertex (1, 1), where `side_at` judges
-    # the touch; at m = 4 the line to sample 3/4 crosses edge 2
-    (l_polygon(), (0, Q(3, 2)), 1, 2, True, [(2, Q(1, 2))]),
-    (l_polygon(), (0, Q(3, 2)), 1, 4, False, []),
-    # x on edge 3, x = 1: the line's extension meets edge 0 at sample 1/2
-    (l_polygon(), (1, Q(3, 2)), 0, 2, True, [(1, 0)]),
-    # (3/2, 1) lies on the Z's line y = 1 of edges 2 and 10, beyond both:
-    # every sample of edge 10 shares that line with x
-    (z_polygon(), (Q(3, 2), 1), 10, 4, True,
-     [(Q(3, 4), 1), (Q(1, 2), 1), (Q(1, 4), 1)]),
-])
-def test_edge_crossing_ranges_hand_cases(ring, x, i, m, seen, drawn, monkeypatch):
-    x_h, _, x_signs = _homogeneous(ring, point(*x))
-    assert not x_signs[1] >> i & 1
-    assert _edge_samples_reference(ring, x_h, x_signs, i, m) is seen
-    sites = []
-
-    def recorded(*args, _fn=intgeom.segment_in_polygon):
-        sites.append(args[4])
-        return _fn(*args)
-
-    monkeypatch.setattr(intgeom, "segment_in_polygon", recorded)
-    assert _edge_samples(ring, x_h, x_signs, i, m) is seen
-    assert [(Q(tx, tw), Q(ty, tw)) for tx, ty, tw in sites] == drawn
+        rng = rng_from_seed(f"sight-lines-decide:{kind}")
+        poly = make(rng)
+        cases += [(poly, x) for x in _visibility_queries(poly, rng)]
+    assert sum(not kernel(poly).contains(x) for poly, x in cases) >= 10
+    monkeypatch.setattr(intgeom, "segment_in_polygon", lambda *args: True)
+    for (poly, x), m in itertools.product(cases, (1, 8, 32)):
+        assert kernel_contains_by_visibility(poly, x, m) is True, (poly, x, m)
 
 
 def _convex_ring_edge_point():
@@ -1303,20 +1212,10 @@ def _convex_ring_edge_point():
 def test_visibility_oracle_draws_no_sight_line_per_sample_in_a_kernel(
     case, monkeypatch
 ):
-    # Points of a kernel at m = 32: the oracle draws the vertex lines, and
-    # of the edge samples that an edge line separates from x only those
-    # whose sight line meets a vertex or shares an edge line with x. From
-    # inside the L's kernel [0, 1]^2 that is none of 154; from (1, 1/2),
-    # on edge 3's line, edge 3's 31 samples of 77. On the convex ring edge
-    # 0's samples share their line with x, but no line separates them.
+    # Points of a kernel at m = 32, inside the L's kernel [0, 1]^2, on an
+    # edge line through it and on a convex ring's edge: the oracle draws
+    # the n vertex lines and none per edge sample.
     poly, x = case()
-    x_h, _, (xp, xn) = _homogeneous(poly, x)
-    fallbacks = sum(
-        bool(_fallback_kinds(poly, x_h, t_h))
-        for i in range(poly.n)
-        for t_h, (tp, tn) in _interior_samples(poly, i, 32)
-        if (xp & tn) | (xn & tp)
-    )
     calls = []
 
     def counted(*args, _fn=intgeom.segment_in_polygon):
@@ -1325,14 +1224,14 @@ def test_visibility_oracle_draws_no_sight_line_per_sample_in_a_kernel(
 
     monkeypatch.setattr(intgeom, "segment_in_polygon", counted)
     assert kernel_contains_by_visibility(poly, x, 32)
-    assert len(calls) <= poly.n + fallbacks, (len(calls), fallbacks)
+    assert len(calls) == poly.n
 
 
 def test_visibility_oracle_draws_one_sight_line_per_vertex_on_a_convex_ring(
     monkeypatch,
 ):
-    # Every edge sample of a convex ring is seen from an interior point
-    # by its masks alone; only the 48 vertex lines are drawn, of 48 * 32.
+    # Only the 48 vertex lines are drawn, none for the 48 * 31 edge
+    # samples, each with one `sight_blocked` call.
     centre = point(Q(3, 8), Q(-5, 8))
     poly = SimplePolygon(circle_points(centre, Q(41, 16), 47))
     calls = []
@@ -1343,7 +1242,7 @@ def test_visibility_oracle_draws_one_sight_line_per_vertex_on_a_convex_ring(
 
     monkeypatch.setattr(intgeom, "sight_blocked", counted)
     assert kernel_contains_by_visibility(poly, centre, 32)
-    assert 0 < len(calls) <= poly.n == 48
+    assert len(calls) == poly.n == 48
 
 
 def test_vertex_tables_are_built_once_and_shared():
@@ -1778,13 +1677,14 @@ def test_a_forged_midpoint_is_refused_under_python_O():
 
 def test_cli_convexity_builds_probes_in_integers(monkeypatch, tmp_path):
     # Counted on the 48-gon: no rational midpoint, no point location, and
-    # one homogeneous form per vertex, at load. Deterministic, unlike time.
+    # one homogeneous form cleared per vertex, at load. Deterministic,
+    # unlike time.
     poly = SimplePolygon(circle_points(point(Q(3, 8), Q(-5, 8)), Q(41, 16), 47))
     path = tmp_path / "ngon.json"
     path.write_text(json.dumps(dump_geometry(poly)))
     calls = collections.Counter()
     for module, name in ((core, "interpolate"), (regions2d, "interpolate"),
-                         (intgeom, "point_in_polygon"), (intgeom, "homogenize")):
+                         (intgeom, "point_in_polygon"), (core, "_cleared")):
         def counted(*args, _name=name, _fn=getattr(module, name)):
             calls[_name] += 1
             return _fn(*args)
@@ -1793,7 +1693,7 @@ def test_cli_convexity_builds_probes_in_integers(monkeypatch, tmp_path):
     assert run(["convexity", str(path), "--out", str(tmp_path / "out.json")]) == 0
     result = json.loads((tmp_path / "out.json").read_text())["results"][0]
     assert result["convex_by_pairs"] is result["vertex_turn_oracle"] is True
-    assert calls == {"homogenize": 48}
+    assert calls == {"_cleared": 48}
 
 
 @pytest.mark.parametrize("kind", sorted(POLYGON_KINDS))
