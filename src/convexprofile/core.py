@@ -3,10 +3,11 @@
 Every coordinate in the library is an exact `fractions.Fraction`, reduced
 with a positive denominator; no predicate ever touches floating point. The
 integer forms the predicates run on are built here alone: `_cleared`,
-`_primitive` and `_dot`. A `Point` carries its own primitive homogeneous
-form (X_1, ..., X_n, W), W > 0, in a slot: built by `_cleared` on the first
-read of `Point.form`, or given to `Point._from_form`, so no point is cleared
-twice.
+`_primitive`, `_dot` and `_orient`. A `Point` carries its own primitive
+homogeneous form (X_1, ..., X_n, W), W > 0, in a slot: built by `_cleared`
+on the first read of `Point.form`, or given to `Point._from_form`, so no
+point is cleared twice. `interpolate`, `midpoint` and `orientation` read
+the forms of their points, with no rational arithmetic.
 """
 
 from __future__ import annotations
@@ -192,15 +193,20 @@ def _check_same_dim(a, b):
 
 
 def midpoint(a, b):
-    _check_same_dim(a, b)
-    half = Q(1, 2)
-    return Point((x + y) * half for x, y in zip(a.coords, b.coords))
+    return interpolate(a, b, Q(1, 2))
 
 
 def interpolate(a, b, t):
-    """a + t*(b - a) for rational t."""
+    """a + t*(b - a) for rational t = p/q, built from the two forms as the
+    primitive form of ((q - p) w_b X_a + p w_a X_b, q w_a w_b)."""
+    _check_same_dim(a, b)
     t = rational(t)
-    return Point(x + t * (y - x) for x, y in zip(a.coords, b.coords))
+    p, q = t.numerator, t.denominator
+    *xa, wa = a.form
+    *xb, wb = b.form
+    u, v = (q - p) * wb, p * wa
+    xs = [u * x + v * y for x, y in zip(xa, xb)]
+    return Point._from_form(_primitive([*xs, q * wa * wb]))
 
 
 @dataclass(frozen=True)
@@ -228,15 +234,25 @@ class Orientation(IntEnum):
     POSITIVE = 1
 
 
+def _orient(p, q, r):
+    """Sign of det(q - p, r - p) for the points of three forms (x, y, w), w > 0."""
+    px, py, pw = p
+    qx, qy, qw = q
+    rx, ry, rw = r
+    det = (
+        px * (qy * rw - ry * qw)
+        - py * (qx * rw - rx * qw)
+        + pw * (qx * ry - rx * qy)
+    )
+    return (det > 0) - (det < 0)
+
+
 def orientation(a, b, c):
-    """Sign of det(b - a, c - a) for 2D points; exact, no tolerance."""
+    """Sign of det(b - a, c - a) for 2D points, read from their forms."""
     for p in (a, b, c):
         if p.dim != 2:
             raise DimensionMismatchError("orientation is a 2D predicate")
-    d = (b.coords[0] - a.coords[0]) * (c.coords[1] - a.coords[1]) - (
-        b.coords[1] - a.coords[1]
-    ) * (c.coords[0] - a.coords[0])
-    return Orientation((d > 0) - (d < 0))
+    return Orientation(_orient(a.form, b.form, c.form))
 
 
 def cross2(u, v):

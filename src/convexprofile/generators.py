@@ -9,7 +9,9 @@ from __future__ import annotations
 
 import random
 
-from .core import Point, Q, Vector, ZERO, interpolate, midpoint, orientation
+from . import intgeom
+from .core import (Point, Q, Vector, ZERO, _cleared, _primitive, interpolate,
+                   midpoint, orientation)
 from .errors import InvalidPolygonError
 from .polyhedra import Halfspace, HPolyhedron, PointLocation, box_halfspaces
 from .regions2d import SimplePolygon, convexity_oracle
@@ -177,18 +179,20 @@ def sample_member_points(polygon, rng, count):
     """Deterministic member samples of a simple polygon.
 
     Rejection sampling from the bounding box, topped up with inward-nudged
-    edge midpoints when the polygon is thin.
+    edge midpoints when the polygon is thin. Each draw is located as its
+    integer form; a `Point` is built only for an accepted one.
     """
-    xmin, ymin, xmax, ymax = polygon.bounding_box()
+    (x0, y0, x1, y1), d = _cleared(polygon.bounding_box())
     out = []
     attempts = 0
     while len(out) < count and attempts < count * 40:
         attempts += 1
-        x = xmin + (xmax - xmin) * Q(rng.randint(0, 256), 256)
-        y = ymin + (ymax - ymin) * Q(rng.randint(0, 256), 256)
-        p = Point((x, y))
-        if polygon.locate(p) is not PointLocation.EXTERIOR:
-            out.append(p)
+        # the form of (xmin + (xmax - xmin) i / 256, ymin + (ymax - ymin) j / 256)
+        h = _primitive((256 * x0 + (x1 - x0) * rng.randint(0, 256),
+                        256 * y0 + (y1 - y0) * rng.randint(0, 256), 256 * d))
+        dets = intgeom.edge_dets(polygon._rows, h)
+        if intgeom.point_in_polygon(h, polygon._verts, dets)[0] >= 0:
+            out.append(Point._from_form(h))
     edges = polygon.edges()
     i = 0
     while len(out) < count:

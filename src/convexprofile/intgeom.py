@@ -51,7 +51,7 @@ import functools
 import itertools
 import math
 
-from .core import _dot, _primitive
+from .core import _dot, _orient, _primitive
 from .errors import CertificateError
 
 
@@ -76,16 +76,8 @@ def midpoint(a, b):
 
 
 def orient(p, q, r):
-    """Orientation sign of the homogeneous triple (all w > 0)."""
-    px, py, pw = p
-    qx, qy, qw = q
-    rx, ry, rw = r
-    det = (
-        px * (qy * rw - ry * qw)
-        - py * (qx * rw - rx * qw)
-        + pw * (qx * ry - rx * qy)
-    )
-    return (det > 0) - (det < 0)
+    """Orientation sign of the homogeneous triple (all w > 0): `core._orient`."""
+    return _orient(p, q, r)
 
 
 def strictly_between(p, a, b):

@@ -20,6 +20,9 @@ from .core import (
     Q,
     Vector,
     ZERO,
+    _cleared,
+    _dot,
+    _primitive,
     cross2,
     interpolate,
     rank,
@@ -43,8 +46,8 @@ from .polyhedra import (
     HPolyhedron,
     PointLocation,
     VPolytope,
+    _boundary_mask,
     boundary_has_ray,
-    clip_line,
     contains_hyperplane,
     extreme_points,
     face_in_direction,
@@ -213,60 +216,82 @@ def _two_sided_direction(a, b):
 
     d = (b.b + a.b) a - (a.a + a.b) b gives a . d = G and b . d = -G, with
     G = (a.a)(b.b) - (a.b)^2 > 0 unless a and b are parallel; then d = a
-    serves iff a . b < 0.
+    serves iff a . b < 0. Integer vectors give an integer d.
     """
-    aa, ab, bb = a.dot(a), a.dot(b), b.dot(b)
+    aa, ab, bb = _dot(a, a), _dot(a, b), _dot(b, b)
     if aa * bb != ab * ab:
-        return (bb + ab) * a - (aa + ab) * b
-    return a if ab < 0 else None
+        return tuple((bb + ab) * x - (aa + ab) * y for x, y in zip(a, b))
+    return tuple(a) if ab < 0 else None
 
 
 def _two_sided_directions(P):
-    """Directions whose line through any interior point is clipped both ways.
-
-    Cheap coordinate directions first; then, for each ordered pair of
-    constraints (a, b), a direction that a bounds above and b below
-    (`_two_sided_direction`). Whenever the set contains no hyperplane at
-    least one constraint pair admits such a direction.
+    """Integer directions whose line through any interior point is clipped
+    both ways: coordinate directions first; then, for each ordered pair of
+    constraints (a, b), one that a bounds above and b below
+    (`_two_sided_direction`), with the normals cleared over one scale.
+    Whenever the set contains no hyperplane some pair admits one.
     """
     dim = P.dim
-    for j in range(dim):
-        e = [ZERO] * dim
-        e[j] = Q(1)
-        yield Vector(e)
-    for i in range(dim):
-        for j in range(i + 1, dim):
-            for s in (1, -1):
-                e = [ZERO] * dim
-                e[i] = Q(1)
-                e[j] = Q(s)
-                yield Vector(e)
-    normals = [h.normal for h in P.halfspaces]
+    units = [tuple(int(i == j) for j in range(dim)) for i in range(dim)]
+    yield from units
+    for i, j in itertools.combinations(range(dim), 2):
+        for s in (1, -1):
+            yield tuple(u + s * v for u, v in zip(units[i], units[j]))
+    flat = _cleared([c for h in P.halfspaces for c in h.normal])[0]
+    normals = [flat[k : k + dim] for k in range(0, len(flat), dim)]
     for a, b in itertools.permutations(normals, 2):
         d = _two_sided_direction(a, b)
         if d is not None:
             yield d
 
 
-def _find_boundary_chord(P, x):
-    """A chord through x with both endpoints on the boundary, or None."""
-    for d in _two_sided_directions(P):
-        clipped = clip_line(P, x, d)
-        if clipped is None:
-            continue
-        lo, hi = clipped
-        if lo is None or hi is None:
-            continue
-        if not (lo < 0 < hi):
-            continue
-        a = x + lo * d
-        b = x + hi * d
-        if (
-            locate_point(P, a) is PointLocation.BOUNDARY
-            and locate_point(P, b) is PointLocation.BOUNDARY
-        ):
-            return a, b
-    return None
+def _boundary_chord_search(P):
+    """x -> a chord (a, b) through x with both ends on P's boundary, or None:
+    on the first line x + t d, d from `_two_sided_directions`, that leaves P
+    on both sides of x. Only a d whose slopes s = row . (d, 0) take both
+    signs can; those d are kept, with their slopes, for every x of a check.
+    The row of value v = row . form(x) cuts the line at t = -v / (s W); the
+    nearest row on each side gives the end (s X - v d, s W), re-checked with
+    `_boundary_mask`. For an interior x the first such d gives the chord.
+    """
+    rows, lines = P._rows, []
+    fresh = ((d, s) for d in _two_sided_directions(P)
+             for s in [[_dot(row, d) for row in rows]]
+             if max(s, default=0) > 0 > min(s, default=0))
+
+    def each_line():
+        yield from lines
+        for line in fresh:
+            lines.append(line)
+            yield line
+
+    def end(form, d, v, s):
+        *xs, w = form
+        e = [s * x - v * c for x, c in zip(xs, d)] + [s * w]
+        return _primitive([-c for c in e] if s < 0 else e)
+
+    def find(x):
+        form = x.form
+        values = [_dot(row, form) for row in rows]
+        if any(v > 0 for v in values):
+            return None  # a row above 0 at x bounds every line on one side
+        for d, slopes in each_line():
+            lo = hi = None  # (v, s) of the nearest row on each side
+            for v, s in zip(values, slopes):
+                if s > 0:
+                    if hi is None or v * hi[1] > hi[0] * s:
+                        hi = v, s
+                elif s < 0 and (lo is None or v * lo[1] < lo[0] * s):
+                    lo = v, s
+            if not (lo[0] and hi[0]):
+                continue  # x is an end: lo < 0 < hi fails
+            ends = [end(form, d, *lo), end(form, d, *hi)]
+            if all(_boundary_mask([_dot(row, e) for row in rows]) is not None
+                   for e in ends):
+                return tuple(Point._from_form(e) for e in ends)
+        return None
+
+    return find
 
 
 # ---------------------------------------------------------------------------
@@ -605,12 +630,13 @@ def check_boundary_hull(instance, interior_samples=DEFAULT_SAMPLES, seed=0):
     failures = []
     chords = 0
     trivial = 0
+    find_chord = _boundary_chord_search(P)
     for x in pts:
         loc = locate_point(P, x)
         if loc is PointLocation.BOUNDARY:
             trivial += 1
             continue
-        found = _find_boundary_chord(P, x)
+        found = find_chord(x)
         if found is None:
             failures.append({"no_chord_through": point_to_json(x)})
         else:
@@ -641,8 +667,9 @@ def _boundary_hull_fact(P, rng, facts):
     center = interior_point(P)
     probes = polyhedron_boundary_probes(P)
     pts = _interior_samples_polyhedron(rng, 10, probes, center)
+    find_chord = _boundary_chord_search(P)
     for x in pts:
-        if _find_boundary_chord(P, x) is None:
+        if find_chord(x) is None:
             facts["reason"] = f"no boundary chord through {point_to_json(x)}"
             return False
     facts["reason"] = "chord-verified on interior samples"
@@ -683,11 +710,12 @@ def _check_epigraph_chords(theorem_id, epi, interior_samples, seed):
 
 
 def _epigraph_strictness_probes(epi, rng):
+    """Whether every graph chord over 12 drawn abscissae passes strictly
+    above the graph at its midpoint; f is read once per abscissa."""
     xs = sorted({Q(rng.randint(-16, 16), 4) for _ in range(12)})
-    for a, b in itertools.combinations(xs, 2):
-        mid = (a + b) / 2
-        chord_mid = (epi.value(a) + epi.value(b)) / 2
-        if chord_mid <= epi.value(mid):
+    fs = [epi.value(x) for x in xs]
+    for (a, fa), (b, fb) in itertools.combinations(zip(xs, fs), 2):
+        if (fa + fb) / 2 <= epi.value((a + b) / 2):
             return False
     return True
 

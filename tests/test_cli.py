@@ -537,8 +537,8 @@ VERDICT_SETTINGS = [
 ]
 
 
-# The full `check all` stdout is pinned too at the defaults, at `--seed 7`
-# and at `--instances 8 --seed 42`.
+# The full `check all` stdout is pinned too at the defaults, at `--seed 7`,
+# at `--instances 8 --seed 42` and at the criterion-10 settings.
 @pytest.mark.parametrize("settings, digest, report", [
     (VERDICT_SETTINGS[0],
      "da1c22bd2776c002ef773ceb6d146ab06e02108870804a04362c4c651adf11a6",
@@ -548,7 +548,7 @@ VERDICT_SETTINGS = [
      "ce9ce95255932de0e87c87caa95310ed4e91a618c54c648f037f395f89fbb3b6"),
     (VERDICT_SETTINGS[2],
      "3f9f82d0331871b878ee11a329174da90007deee40828856decbf254beb8b587",
-     None),
+     "224095a46e45d57e7d03065330ef36f5ef804de7107641f148f200ad15dcdec9"),
     (VERDICT_SETTINGS[3],
      "86ead6e145cc40c79d48a43fd891654b8dbaf2386d6dbe03e9c0dc4396ea61ef",
      None),

@@ -18,6 +18,7 @@ from convexprofile.core import (
     _cleared,
     SolveStatus,
     format_rational,
+    interpolate,
     midpoint,
     nullspace_basis,
     orientation,
@@ -146,7 +147,7 @@ def test_vector_dimension_checks():
 
 
 # The integer forms and the angle order that the exact predicates share.
-SHARED_HELPERS = ("_cleared", "_primitive", "_dot", "_angle_cmp")
+SHARED_HELPERS = ("_cleared", "_primitive", "_dot", "_orient", "_angle_cmp")
 
 
 def test_each_shared_helper_is_defined_in_one_module():
@@ -162,7 +163,7 @@ def test_each_shared_helper_is_defined_in_one_module():
             homes[name].append(path.stem)
     assert homes == {
         "_cleared": ["core"], "_primitive": ["core"], "_dot": ["core"],
-        "_angle_cmp": ["intgeom"],
+        "_orient": ["core"], "_angle_cmp": ["intgeom"],
     }
 
 
@@ -274,3 +275,34 @@ def test_a_cached_form_skips_no_dimension_check_under_python_O():
         env=env, capture_output=True, text=True, timeout=60, check=False,
     )
     assert (proc.returncode, proc.stdout) == (0, CACHED_FORM_ERRORS), proc.stderr
+
+
+def _points(dim):
+    return st.lists(coordinates, min_size=dim, max_size=dim).map(Point)
+
+
+@given(st.integers(1, 4).flatmap(lambda n: st.tuples(_points(n), _points(n))),
+       st.one_of(rationals, st.integers(-3, 3).map(Q)))
+def test_interpolate_matches_the_fraction_formula(ends, t):
+    # t < 0, t > 1, t = 0 and t = 1 included; the result's cached form must
+    # be the one `_cleared` gives its coordinates.
+    a, b = ends
+    for u, v in ((a, b), (a, a), (b, a)):
+        for s, x in ((t, interpolate(u, v, t)), (Q(1, 2), midpoint(u, v))):
+            assert x.coords == tuple(p + s * (q - p) for p, q in zip(u, v))
+            ints, w = _cleared(x.coords)
+            assert x.form == (*ints, w)
+    assert interpolate(a, a, t) == a
+
+
+def test_interpolate_rejects_a_dimension_mismatch():
+    for f in (lambda a, b: interpolate(a, b, Q(1, 3)), midpoint):
+        with pytest.raises(DimensionMismatchError):
+            f(point(0, 1), point(0, 1, 2))
+
+
+@given(st.tuples(_points(2), _points(2), _points(2)))
+def test_orientation_matches_the_fraction_determinant(abc):
+    a, b, c = abc
+    d = (b[0] - a[0]) * (c[1] - a[1]) - (b[1] - a[1]) * (c[0] - a[0])
+    assert orientation(a, b, c) == (d > 0) - (d < 0)

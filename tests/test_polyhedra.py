@@ -1093,7 +1093,7 @@ def test_member_recession_and_chord_directions_match_the_lp_oracles(
         d = _two_sided_direction(a, b)
         assert (d is None) == (lp_d is None), (a, b)
         if d is not None:
-            assert a.dot(d) > 0 > b.dot(d), (a, b)
+            assert a.dot(Vector(d)) > 0 > b.dot(Vector(d)), (a, b)
         seen["two-sided" if d is not None else "one-sided"] += 1
     assert seen["empty"] == 4 and seen["bounded"] > 250
     assert seen["unbounded"] > 30 and seen["past e_1"] > 5

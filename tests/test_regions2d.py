@@ -1097,6 +1097,28 @@ def test_kernel_sight_line_through_a_vertex():
             assert kernel_contains_by_visibility(poly, x, m) is member
 
 
+def test_kernel_sight_line_blocked_only_by_a_proper_crossing():
+    # A U. From x in the left arm, outside the kernel, the line to the
+    # corner (3,3) of the right arm properly crosses the inner edges x = 1
+    # and x = 2, touches no vertex, and reaches (3,3) from inside its
+    # corner: the side rule at (3,3) passes, and only the crossing blocks.
+    poly = SimplePolygon([point(0, 0), point(3, 0), point(3, 3), point(2, 3),
+                          point(2, 1), point(1, 1), point(1, 3), point(0, 3)])
+    x, t = point(Q(1, 2), Q(5, 2)), point(3, 3)
+    x_h, _, x_signs = _homogeneous(poly, x)
+    t_h, _, t_signs = _homogeneous(poly, t)
+    assert intgeom.sight_blocked(poly._verts, x_h, t_h, x_signs, t_signs) is True
+    assert _side_rule(poly, (2, True), x_h, x_signs) > 0
+    assert intgeom.segment_in_polygon(
+        poly._verts, poly._rows, poly._turns, x_h, t_h, x_signs, t_signs,
+        (2, True),
+    ) is False
+    assert sees(PolygonRegion(poly), x, t) is False
+    assert not kernel(poly).contains(x)
+    for m in (1, 8, 32):
+        assert kernel_contains_by_visibility(poly, x, m) is False
+
+
 def _visibility_reference(poly, x_h, x_signs, targets):
     """Criterion 2 by brute force: every target (t_h, t_signs, site) in
     turn through `intgeom.segment_in_polygon`, until the first unseen."""

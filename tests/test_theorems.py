@@ -1,19 +1,27 @@
 import collections
+import itertools
 import json
 import traceback
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from convexprofile.core import point, vector
+from convexprofile.core import Q, interpolate, point, vector
 from convexprofile.errors import CertificateError, UnboundedPolyhedronError
 from convexprofile.generators import (
     random_bounded_polytope,
     random_direction,
+    random_hpolyhedron,
     rng_from_seed,
 )
 from convexprofile import linprog, theorems
-from convexprofile.polyhedra import polyhedron_boundary_probes
+from convexprofile.polyhedra import (
+    PointLocation,
+    clip_line,
+    interior_point,
+    locate_point,
+    polyhedron_boundary_probes,
+)
 from convexprofile.regions2d import (
     Disk,
     DiskComplement,
@@ -229,10 +237,84 @@ def test_boundary_hull_cone_chords():
 
 
 def test_boundary_chord_through_cone_point_is_symmetric():
-    from convexprofile.theorems import _find_boundary_chord
+    from convexprofile.theorems import _boundary_chord_search
 
-    a, b = _find_boundary_chord(cone_fixture(), point(0, 5))
+    a, b = _boundary_chord_search(cone_fixture())(point(0, 5))
     assert {a, b} == {point(-5, 5), point(5, 5)}
+
+
+def _clip_line_chord(P, x):
+    """The rational chord search that `_boundary_chord_search` replaced:
+    the same direction order built as rational vectors, each line clipped
+    with `clip_line` and both ends located with `locate_point`."""
+    dim = P.dim
+    units = [vector(*(int(i == j) for j in range(dim))) for i in range(dim)]
+    dirs = units + [units[i] + s * units[j]
+                    for i, j in itertools.combinations(range(dim), 2)
+                    for s in (1, -1)]
+    for a, b in itertools.permutations([h.normal for h in P.halfspaces], 2):
+        aa, ab, bb = a.dot(a), a.dot(b), b.dot(b)
+        if aa * bb != ab * ab:
+            dirs.append((bb + ab) * a - (aa + ab) * b)
+        elif ab < 0:
+            dirs.append(a)
+    for d in dirs:
+        clipped = clip_line(P, x, d)
+        if clipped is None or None in clipped or not clipped[0] < 0 < clipped[1]:
+            continue
+        ends = x + clipped[0] * d, x + clipped[1] * d
+        if all(locate_point(P, e) is PointLocation.BOUNDARY for e in ends):
+            return ends
+    return None
+
+
+def _chord_queries(P, rng):
+    """Interior, member, probe and exterior points of a non-empty P."""
+    probes = polyhedron_boundary_probes(P)
+    xs = theorems._member_samples_polyhedron(P, rng, 6, probes) + probes[:6]
+    if P.full_dimensional:
+        center = interior_point(P)
+        xs += theorems._interior_samples_polyhedron(rng, 6, probes, center)
+        xs += [interpolate(center, p, Q(3, 2)) for p in probes[:3]]
+    return xs
+
+
+def test_the_integer_chord_search_matches_the_clip_line_search():
+    # Found / None and the chord itself agree with the rational search on
+    # seeded polyhedra of dimensions 1 to 4 and on every fixture; each
+    # chord's ends are boundary points with x strictly between them.
+    rng = rng_from_seed("chord-search")
+    cases = [random_hpolyhedron(rng, dim) for dim in (1, 2, 3, 4) for _ in range(6)]
+    cases += [cone_fixture(), halfspace_fixture(), slab_fixture(),
+              unit_square_fixture(), segment_fixture()]
+    seen = collections.Counter()
+    for P in cases:
+        find = theorems._boundary_chord_search(P)
+        for x in _chord_queries(P, rng):
+            chord = find(x)
+            assert chord == _clip_line_chord(P, x), (P, x)
+            seen[locate_point(P, x), chord is not None] += 1
+            if chord is None:
+                continue
+            a, b = chord
+            assert locate_point(P, a) is locate_point(P, b) is PointLocation.BOUNDARY
+            # x = a + lam (b - a) with 0 < lam < 1, in every coordinate
+            k = next(k for k in range(P.dim) if a[k] != b[k])
+            lam = (x[k] - a[k]) / (b[k] - a[k])
+            assert 0 < lam < 1 and x == interpolate(a, b, lam), (P, x)
+    interior, boundary = PointLocation.INTERIOR, PointLocation.BOUNDARY
+    assert seen[interior, True] > 200 and seen[interior, False] > 10
+    assert seen[boundary, True] > 50 and seen[boundary, False] > 100
+    assert seen[PointLocation.EXTERIOR, False] > 50
+
+
+def test_the_chord_search_rechecks_both_ends(monkeypatch):
+    # Each end must pass `_boundary_mask` before its `Point` is built; an
+    # end it rejects sends the search on to the next direction.
+    seen = []
+    monkeypatch.setattr(theorems, "_boundary_mask", seen.append)
+    assert theorems._boundary_chord_search(cone_fixture())(point(0, 5)) is None
+    assert len(seen) > 1
 
 
 def test_boundary_hull_halfspace_records_failure_of_equality():
@@ -383,7 +465,7 @@ EPIGRAPH_CHORD_FAILURES = (
     (_square_loses_face_vertex,
      lambda: check_face_lemma(_SQUARE, vector(1, 0)),
      (["1", "0"],)),
-    (_set("_find_boundary_chord", lambda P, x: None),
+    (_set("_boundary_chord_search", lambda P: lambda x: None),
      lambda: check_boundary_hull(cone_fixture(), 3, 5),
      tuple({"no_chord_through": x}
            for x in (["0", "2"], ["11/4", "27/8"], ["5", "23/4"]))),
