@@ -25,6 +25,10 @@ class InvalidPolygonError(ConvexProfileError):
     """Vertex list does not describe a valid simple CCW polygon."""
 
 
+class GeneratorExhaustedError(ConvexProfileError):
+    """A seeded generator drew no valid instance within its attempt budget."""
+
+
 class InvalidRegionError(ConvexProfileError):
     """Region constraints violated (hole placement, radius sign, ...)."""
 

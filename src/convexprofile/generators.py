@@ -12,11 +12,16 @@ import random
 from . import intgeom
 from .core import (Point, Q, Vector, ZERO, _cleared, _primitive, interpolate,
                    midpoint, orientation)
-from .errors import InvalidPolygonError
+from .errors import GeneratorExhaustedError, InvalidPolygonError
 from .polyhedra import Halfspace, HPolyhedron, PointLocation, box_halfspaces
 from .regions2d import SimplePolygon, convexity_oracle
 
 _DENOMS = (1, 2, 4, 8, 16, 32, 64)
+
+# Draws a polygon generator makes before it gives up: far above any
+# seeded run's, so a broken predicate (say, an orientation of the wrong
+# sign, which no hull passes) fails fast instead of looping forever.
+ATTEMPTS = 1000
 
 
 def rng_from_seed(seed):
@@ -63,7 +68,7 @@ def _convex_hull_ccw(points):
 
 def random_convex_polygon(rng, max_vertices=10):
     """Hull of k random rational points; retries until a valid polygon."""
-    while True:
+    for _ in range(ATTEMPTS):
         k = rng.randint(3, max_vertices)
         pts = [random_point2(rng) for _ in range(k)]
         hull = _convex_hull_ccw(pts)
@@ -73,12 +78,13 @@ def random_convex_polygon(rng, max_vertices=10):
             return SimplePolygon(hull)
         except InvalidPolygonError:
             continue
+    raise GeneratorExhaustedError(f"no convex polygon in {ATTEMPTS} draws")
 
 
 def random_staircase_polygon(rng):
     """Orthogonal skyline polygon: 2 to 5 columns with distinct adjacent
     heights, on a grid of quarters."""
-    while True:
+    for _ in range(ATTEMPTS):
         k = rng.randint(2, 5)
         xs = [ZERO]
         for _ in range(k):
@@ -104,11 +110,12 @@ def random_staircase_polygon(rng):
             return SimplePolygon(cleaned)
         except InvalidPolygonError:
             continue
+    raise GeneratorExhaustedError(f"no skyline polygon in {ATTEMPTS} draws")
 
 
 def random_notched_polygon(rng, max_vertices=9):
     """Convex polygon with one edge dented toward the centroid (one reflex)."""
-    while True:
+    for _ in range(ATTEMPTS):
         convex = random_convex_polygon(rng, max_vertices)
         vs = list(convex.vertices)
         n = len(vs)
@@ -124,6 +131,7 @@ def random_notched_polygon(rng, max_vertices=9):
             continue
         if not convexity_oracle(poly):
             return poly
+    raise GeneratorExhaustedError(f"no notched polygon in {ATTEMPTS} draws")
 
 
 def random_simple_polygon(rng, max_vertices=10):

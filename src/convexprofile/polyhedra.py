@@ -6,9 +6,9 @@ constraints or on the dimension), built with `core`'s integer forms. Every
 question about an H-polyhedron is read from it with no LP: emptiness and a
 member point, full-dimensionality, an interior point, the vertices,
 boundedness and a recession direction, the boundary-ray test, exposed
-faces, redundancy and the facet probes. Membership, point location, segment
-breakpoints and line clipping read the signs of the rows at the point's
-cached `Point.form`; a member is a boundary point iff some row is 0 there.
+faces, redundancy and the facet probes. Membership, point location and the
+vertex test read the signs of the rows at the point's cached `Point.form`;
+a member is a boundary point iff some row is 0 there.
 The facet probes are built as homogeneous integer forms (X, T) from the
 incident rays, each with the mask of the rows at 0 there, and cached on the
 polyhedron; that mask is its answer to `supports`. Every certificate
@@ -82,7 +82,7 @@ class Halfspace:
 class HPolyhedron:
     """Intersection of closed halfspaces in E^dim (closed, convex).
 
-    Implements the region protocol of `regions2d` (locate2, breakpoints,
+    Implements the region protocol of `regions2d` (locate2,
     boundary_probes, supports, chord) in any dimension. A pair of boundary
     points is Flat iff one row is 0 at both, else its open chord is
     interior: Hyperbolic.
@@ -101,7 +101,7 @@ class HPolyhedron:
         object.__setattr__(self, "_probes", None)  # see `probe_tables`
 
     def contains(self, x):
-        return all(v <= 0 for v in self._values(x)[0])
+        return all(v <= 0 for v in self._values(x))
 
     def _check_point(self, x):
         if x.dim != self.dim:
@@ -112,19 +112,11 @@ class HPolyhedron:
         """Each halfspace's primitive integer row (a, -b): `Halfspace._row`."""
         return [h._row for h in self.halfspaces]
 
-    def _values(self, x, w=1):
-        """(values, s): row . (x s, w s) for each row, where s > 0 clears
-        x's denominators. With w = 1 each value has the sign of a . x - b
-        at the point x, read from its `Point.form`; with w = 0 that of
-        a . x along the direction x."""
+    def _values(self, x):
+        """Each row . x.form: the sign of a . x - b at the point x."""
         self._check_point(x)
-        if w:
-            xs = x.form
-            s = xs[-1]
-        else:
-            xs, s = _cleared(x.coords)
-            xs.append(0)
-        return [_dot(row, xs) for row in self._rows], s
+        xs = x.form
+        return [_dot(row, xs) for row in self._rows]
 
     @cached_property
     def _dd(self):
@@ -193,21 +185,6 @@ class HPolyhedron:
         loc = locate_point(self, x)
         return loc, loc is not PointLocation.EXTERIOR
 
-    def breakpoints(self, a, b):
-        """Exact parameters in (0,1) where [a,b] meets a constraint hyperplane:
-        t = f(a) / (f(a) - f(b)) for each row's affine form f."""
-        fa, sa = self._values(a)
-        fb, sb = self._values(b)
-        ts = set()
-        for u, v in zip(fa, fb):
-            # u / sa and v / sb are f(a) and f(b), up to the row's scale
-            u, v = u * sb, v * sa
-            if u != v:
-                t = Q(u, u - v)
-                if 0 < t < 1:
-                    ts.add(t)
-        return sorted(ts), []
-
     def boundary_probes(self, density):
         return polyhedron_boundary_probes(self)
 
@@ -265,7 +242,7 @@ class HPolyhedron:
         if built:
             return built[1]
         _require_nonempty(self)
-        return _boundary_mask(self._values(x)[0])
+        return _boundary_mask(self._values(x))
 
 
 @dataclass(frozen=True)
@@ -328,7 +305,7 @@ def locate_point(P, x):
     """
     P._check_point(x)
     _require_nonempty(P)
-    values = P._values(x)[0]
+    values = P._values(x)
     if any(v > 0 for v in values):
         return PointLocation.EXTERIOR
     if 0 in values:
@@ -546,7 +523,7 @@ def _integer_rank(rows, ncols):
 def is_vertex(P, x):
     """Whether x is feasible with n linearly independent tight constraints
     (their rational normals' rank, an independent check of the rows)."""
-    values = P._values(x)[0]
+    values = P._values(x)
     if any(v > 0 for v in values):
         return False
     tight = [h.normal for h, v in zip(P.halfspaces, values) if v == 0]
@@ -665,33 +642,6 @@ def boundary_has_ray(P):
             "boundary ray test needs a full-dimensional polyhedron"
         )
     return P.dim >= 2 and bool(P.halfspaces) and not is_bounded(P)
-
-
-def clip_line(P, base, direction):
-    """Exact parameter interval of {base + t*direction} inside P.
-
-    Returns None when the line misses P, else (lo, hi) where either end
-    may be None for an unbounded side.
-    """
-    if direction.is_zero():
-        raise ValueError("direction must be nonzero")
-    values, s = P._values(base)
-    slopes, r = P._values(direction, w=0)
-    lo, hi = None, None
-    for v, ad in zip(values, slopes):
-        # v / s and ad / r are a . base - b and a . direction, up to scale
-        if ad == 0:
-            if v > 0:
-                return None
-            continue
-        bound = Q(-v * r, ad * s)
-        if ad > 0 and (hi is None or bound < hi):
-            hi = bound
-        elif ad < 0 and (lo is None or bound > lo):
-            lo = bound
-    if lo is not None and hi is not None and lo > hi:
-        return None
-    return (lo, hi)
 
 
 def _boundary_mask(values):

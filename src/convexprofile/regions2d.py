@@ -3,20 +3,15 @@
 Home of the boundary-pair trichotomy (flat / hyperbolic / elliptic, plus
 Mixed for everything else), convexity-by-pairs, starshapedness, and
 kernels. All decisions are exact: polygon predicates run on each point's
-own homogeneous integer form and each edge's cached integer line row,
-convex kinds decide a pair by their integer supporting rows, and circle
-crossings of the rational partition either land on rationals or are
-bracketed between certified rational parameters.
+own homogeneous integer form and each edge's cached integer line row, and
+convex kinds decide a pair by their integer supporting rows.
 
 The region protocol. A region kind (PolygonRegion, Disk, DiskComplement,
 PointedOpenBox here, and polyhedra.HPolyhedron in any dimension) has a
-`kind` (its name in geometry JSON) and a `dim`, and answers three
+`kind` (its name in geometry JSON) and a `dim`, and answers two
 questions; every function below works through them:
 
 - `locate2(x)` -> (PointLocation, membership) of a point of E^dim;
-- `breakpoints(a, b)` -> (sorted exact parameters in (0,1), brackets): the
-  parameters where the segment a + t(b - a) may change location, and
-  (lo, hi) rational intervals each holding one irrational boundary crossing;
 - `boundary_probes(density)` -> a finite list of boundary points.
 
 A convex kind (Disk, DiskComplement, PointedOpenBox, HPolyhedron) also
@@ -26,9 +21,13 @@ class of a pair that shares no row. A pair x != y is Flat iff the masks
 share a row (Rockafellar 1970, Thm 6.1 and Sec. 18): a disk's rows are its
 tangents, which no two points share; the chord of a convex body is
 Hyperbolic, that of its complement Elliptic. The lowest common row of a
-Flat pair is re-checked in integers at both ends. Kinds without
-`supports` (polygons with holes, kinds defined outside the package)
-classify a pair by the rational partition of its open segment.
+Flat pair is re-checked in integers at both ends.
+
+A kind without `supports` (a polygon with holes, a kind defined outside
+the package) classifies a pair by the rational partition of its open
+segment, and so answers `breakpoints(a, b)`: the sorted exact parameters
+in (0,1) where the segment a + t(b - a) may change location. Only such a
+kind can be partitioned (`partition_segment`, `sees`).
 
 The pair scan runs row by row, row 0 pair by pair. On a hole-free polygon
 the later rows run on per-edge bit columns of the probes' sign masks: a row
@@ -45,7 +44,6 @@ re-checked in integers; no polygon kernel runs the double description.
 from __future__ import annotations
 
 import itertools
-import math
 from dataclasses import dataclass
 from enum import Enum
 
@@ -76,8 +74,6 @@ from .polyhedra import (
     PointLocation,
     locate_point,
 )
-
-BRACKET_WIDTH = Q(1, 2**20)
 
 # point_in_polygon's codes as locations
 _LOCATIONS = {
@@ -330,7 +326,7 @@ class PolygonRegion:
 
     def breakpoints(self, a, b):
         edges = [e for ring in self.rings() for e in ring.edges()]
-        return _polyline_breakpoints(edges, a, b), []
+        return _polyline_breakpoints(edges, a, b)
 
     def boundary_probes(self, density):
         """Every ring's `probe_tables` points, ring by ring: distinct points,
@@ -362,9 +358,6 @@ class _Circle:
         dy = x.coords[1] - self.center.coords[1]
         value = dx * dx + dy * dy - self.radius * self.radius
         return self.SIDES[(value > 0) - (value < 0)]
-
-    def breakpoints(self, a, b):
-        return _circle_breakpoints(self.center, self.radius, a, b)
 
     def boundary_probes(self, density):
         return circle_points(self.center, self.radius, density)
@@ -434,9 +427,6 @@ class PointedOpenBox:
         loc = locate_point(self._square, x)
         return loc, loc is PointLocation.INTERIOR or x in self.CORNERS
 
-    def breakpoints(self, a, b):
-        return self._square.breakpoints(a, b)
-
     def boundary_probes(self, density):
         return list(self.CORNERS)
 
@@ -460,10 +450,7 @@ def locate_point2(region, x):
 class SegmentPiece:
     """One piece of a partitioned open segment, in segment parameters.
 
-    lo == hi encodes a single parameter point. location None marks a
-    bracketed irrational boundary crossing: the open interval (lo, hi)
-    contains exactly one boundary point, and lo / hi are certified to lie
-    in the regions of the adjacent pieces.
+    lo == hi encodes a single parameter point.
 
     Pieces are maximal: a breakpoint whose location matches an adjacent
     piece is absorbed by it (that endpoint belongs to the piece); a
@@ -473,7 +460,7 @@ class SegmentPiece:
 
     lo: object
     hi: object
-    location: PointLocation | None
+    location: PointLocation
 
     def is_point(self):
         return self.lo == self.hi
@@ -491,9 +478,6 @@ class SegmentPartition:
 
     def locations(self):
         return tuple(p.location for p in self.pieces)
-
-    def has_bracket(self):
-        return any(p.location is None for p in self.pieces)
 
 
 def _polyline_breakpoints(edges, a, b):
@@ -519,120 +503,46 @@ def _polyline_breakpoints(edges, a, b):
     return sorted(ts)
 
 
-def _rational_sqrt(q):
-    """Exact square root of a nonnegative rational, or None if irrational."""
-    num, den = q.numerator, q.denominator
-    rn = math.isqrt(num)
-    if rn * rn != num:
-        return None
-    rd = math.isqrt(den)
-    if rd * rd != den:
-        return None
-    return Q(rn, rd)
-
-
-def _circle_breakpoints(center, radius, a, b):
-    """(exact rational crossing params, irrational-root brackets) in (0,1).
-
-    The segment is a + t(b - a); crossings are roots of a rational
-    quadratic. A double root is always rational; a pair of irrational
-    roots is bracketed between rationals with certified signs.
-    """
-    d = b - a
-    w = a - center
-    qa = d.dot(d)
-    qb = 2 * d.dot(Vector(w.coords))
-    qc = Vector(w.coords).dot(Vector(w.coords)) - radius * radius
-
-    def f(t):
-        return (qa * t + qb) * t + qc
-
-    disc = qb * qb - 4 * qa * qc
-    if disc < 0:
-        return [], []
-    if disc == 0:
-        t = -qb / (2 * qa)
-        return ([t] if 0 < t < 1 else []), []
-    s = _rational_sqrt(disc)
-    if s is not None:
-        r1 = (-qb - s) / (2 * qa)
-        r2 = (-qb + s) / (2 * qa)
-        return sorted(t for t in (r1, r2) if 0 < t < 1), []
-    # Irrational conjugate pair: the vertex separates the two roots and the
-    # quadratic cannot vanish at any rational parameter.
-    m = -qb / (2 * qa)
-    samples = [ZERO, Q(1)]
-    if 0 < m < 1:
-        samples = [ZERO, m, Q(1)]
-    brackets = []
-    for lo, hi in zip(samples, samples[1:]):
-        flo, fhi = f(lo), f(hi)
-        if flo == 0 or fhi == 0:
-            raise CertificateError("irrational roots vanished at a rational")
-        if (flo > 0) == (fhi > 0):
-            continue
-        want = flo > 0
-        while hi - lo > BRACKET_WIDTH or lo == 0 or hi == 1:
-            mid = (lo + hi) / 2
-            fm = f(mid)
-            if fm == 0:
-                raise CertificateError("irrational roots vanished at a rational")
-            if (fm > 0) == want:
-                lo = mid
-            else:
-                hi = mid
-        brackets.append((lo, hi))
-    return [], brackets
+def _breakpoints(region):
+    """The region's `breakpoints`, or TypeError: a kind that classifies
+    its pairs by `supports` has no segment partition."""
+    breakpoints = getattr(region, "breakpoints", None)
+    if breakpoints is None:
+        raise TypeError(f"a {region.kind} region has no breakpoints to "
+                        "partition a segment by")
+    return breakpoints
 
 
 def partition_segment(region, seg):
     """Exact decomposition of the open segment by region location.
 
     Pieces cover (0,1) in order; adjacent pieces never share a location.
-    Circle crossings at irrational parameters appear as location-None
-    bracket pieces (see SegmentPiece).
+    The region must answer `breakpoints` (a polygon or a kind without
+    `supports`), else TypeError.
     """
+    breakpoints = _breakpoints(region)
     a, b = seg.a, seg.b
     if a == b:
         raise DegenerateSegmentError("cannot partition a degenerate segment")
     if a.dim != region.dim:
         raise DimensionMismatchError(f"segment must be {region.dim}D")
 
-    exact, brackets = region.breakpoints(a, b)
-    events = [("point", t, t) for t in exact]
-    events.extend(("bracket", lo, hi) for lo, hi in brackets)
-    events.sort(key=lambda e: e[1])
+    pieces = []
 
-    def loc_at(t):
-        return region.locate2(interpolate(a, b, t))[0]
+    def add(lo, hi, t):
+        # a piece with the location of the last one extends it
+        loc = region.locate2(interpolate(a, b, t))[0]
+        if pieces and pieces[-1].location is loc:
+            lo = pieces.pop().lo
+        pieces.append(SegmentPiece(lo, hi, loc))
 
-    raw = []
     cursor = ZERO
-    for kindname, lo, hi in events:
-        if lo > cursor:
-            raw.append(SegmentPiece(cursor, lo, loc_at((cursor + lo) / 2)))
-        if kindname == "point":
-            raw.append(SegmentPiece(lo, lo, loc_at(lo)))
-            cursor = lo
-        else:
-            raw.append(SegmentPiece(lo, hi, None))
-            cursor = hi
-    if cursor < 1:
-        raw.append(SegmentPiece(cursor, Q(1), loc_at((cursor + 1) / 2)))
-
-    merged = []
-    for piece in raw:
-        if (
-            merged
-            and piece.location is not None
-            and merged[-1].location is piece.location
-        ):
-            merged[-1] = SegmentPiece(
-                merged[-1].lo, piece.hi, piece.location
-            )
-        else:
-            merged.append(piece)
-    return SegmentPartition(seg, tuple(merged))
+    for t in breakpoints(a, b):
+        add(cursor, t, (cursor + t) / 2)
+        add(t, t, t)
+        cursor = t
+    add(cursor, Q(1), (cursor + 1) / 2)
+    return SegmentPartition(seg, tuple(pieces))
 
 
 class PairClass(Enum):
@@ -690,10 +600,6 @@ def _probe(region, x):
 
 
 def _classify_from_partition(region, partition):
-    if partition.has_bracket():
-        # A bracketed crossing has interior points on one side and
-        # exterior on the other, plus the boundary point itself.
-        return PairClass.MIXED
     locs = set(partition.locations())
     if locs == {PointLocation.BOUNDARY}:
         return PairClass.FLAT
@@ -942,15 +848,17 @@ def _first_outside_by_columns(region, prepared, classes):
 
 
 def sees(region, p, q):
-    """Whether p sees q via the region: the closed segment stays in the set."""
+    """Whether p sees q via the region: the closed segment stays in the set.
+
+    The region must answer `breakpoints`, as for `partition_segment`.
+    """
+    _breakpoints(region)
     for endpoint in (p, q):
         if not locate_point2(region, endpoint)[1]:
             raise NotAMemberError(f"{endpoint!r} is not a member of the region")
     if p == q:
         return True
     partition = partition_segment(region, Segment(p, q))
-    if partition.has_bracket():
-        return False
     for piece in partition.pieces:
         if piece.location is PointLocation.EXTERIOR:
             return False

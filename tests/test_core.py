@@ -150,8 +150,8 @@ def test_vector_dimension_checks():
 SHARED_HELPERS = ("_cleared", "_primitive", "_dot", "_orient", "_angle_cmp")
 
 
-def test_each_shared_helper_is_defined_in_one_module():
-    homes = {name: [] for name in SHARED_HELPERS}
+def _defined_names():
+    """(module, the function names and stored names it defines), per module."""
     for path in sorted(Path(convexprofile.__file__).parent.glob("*.py")):
         names = set()
         for node in ast.walk(ast.parse(path.read_text(), str(path))):
@@ -159,8 +159,14 @@ def test_each_shared_helper_is_defined_in_one_module():
                 names.add(node.name)
             elif isinstance(node, ast.Name) and isinstance(node.ctx, ast.Store):
                 names.add(node.id)
+        yield path.stem, names
+
+
+def test_each_shared_helper_is_defined_in_one_module():
+    homes = {name: [] for name in SHARED_HELPERS}
+    for stem, names in _defined_names():
         for name in names & set(SHARED_HELPERS):
-            homes[name].append(path.stem)
+            homes[name].append(stem)
     assert homes == {
         "_cleared": ["core"], "_primitive": ["core"], "_dot": ["core"],
         "_orient": ["core"], "_angle_cmp": ["intgeom"],
@@ -171,7 +177,6 @@ def test_each_shared_helper_is_defined_in_one_module():
 # its reason; a point's integer form is read as its cached `Point.form`.
 CLEARED_COORDS_ALLOWED = {
     ("polyhedra", "face_in_direction"): "w is a direction (a Vector), with no form",
-    ("polyhedra", "HPolyhedron._values"): "at w = 0, x is a direction (a Vector)",
 }
 
 
@@ -195,6 +200,21 @@ def test_only_core_clears_a_points_coords():
         if path.stem != "core":
             visit(path.stem, ast.parse(path.read_text(), str(path)), ())
     assert found == set(CLEARED_COORDS_ALLOWED)
+
+
+# The segment machine of the convex kinds, whose pairs their supporting
+# rows decide: the rational references live in tests/test_polyhedra_rows.py.
+RETIRED_NAMES = ("clip_line", "_circle_breakpoints", "_rational_sqrt", "BRACKET_WIDTH")
+
+
+def test_convex_kinds_keep_no_segment_machine():
+    from convexprofile.polyhedra import HPolyhedron
+    from convexprofile.regions2d import Disk, DiskComplement, PointedOpenBox
+
+    for kind in (Disk, DiskComplement, PointedOpenBox, HPolyhedron):
+        assert hasattr(kind, "supports") and not hasattr(kind, "breakpoints"), kind
+    assert {stem: names & set(RETIRED_NAMES) for stem, names in _defined_names()
+            if names & set(RETIRED_NAMES)} == {}
 
 
 def test_rationals_are_fractions():

@@ -1,5 +1,10 @@
+import time
+
+import pytest
 from hypothesis import given, settings, strategies as st
 
+from convexprofile import generators
+from convexprofile.errors import GeneratorExhaustedError, InvalidPolygonError
 from convexprofile.generators import (
     random_bounded_polytope,
     random_convex_polygon,
@@ -82,3 +87,23 @@ def test_generators_are_deterministic_per_seed():
     a = random_simple_polygon(rng_from_seed(424242))
     b = random_simple_polygon(rng_from_seed(424242))
     assert a.vertices == b.vertices
+
+
+def test_polygon_generators_give_up_after_their_attempts(monkeypatch):
+    # A broken predicate makes every draw invalid; each polygon generator
+    # then raises after `ATTEMPTS` draws instead of retrying forever.
+    def refuse(vertices):
+        raise InvalidPolygonError("refused")
+
+    start = time.monotonic()
+    for name, stub, generate in (
+        ("orientation", lambda *points: 0, random_convex_polygon),
+        ("orientation", lambda *points: 0, random_notched_polygon),
+        ("SimplePolygon", refuse, random_staircase_polygon),
+        ("convexity_oracle", lambda poly: True, random_notched_polygon),
+    ):
+        with monkeypatch.context() as patch:
+            patch.setattr(generators, name, stub)
+            with pytest.raises(GeneratorExhaustedError, match="1000 draws"):
+                generate(rng_from_seed(name))
+    assert time.monotonic() - start < 10

@@ -34,8 +34,8 @@ class HalfPlane:
     def breakpoints(self, a, b):
         ya, yb = a.coords[1], b.coords[1]
         if ya != yb and 0 < ya / (ya - yb) < 1:
-            return [ya / (ya - yb)], []
-        return [], []
+            return [ya / (ya - yb)]
+        return []
 
     def boundary_probes(self, density):
         return [Point((Q(k), ZERO)) for k in range(density)]

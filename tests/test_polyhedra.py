@@ -554,7 +554,7 @@ def test_integer_probes_match_the_fraction_probes():
         assert probes == _fraction_boundary_probes(P)
         assert polyhedron_boundary_probes(P) == probes  # the cached table
         for x, mask in P.probe_tables().values():
-            zeros = sum(1 << k for k, v in enumerate(P._values(x)[0]) if v == 0)
+            zeros = sum(1 << k for k, v in enumerate(P._values(x)) if v == 0)
             assert mask == zeros == P.supports(Point(x.coords))
             assert P.supports(x) == mask
     assert shapes >= 200

@@ -28,7 +28,6 @@ from convexprofile.polyhedra import (
     HPolyhedron,
     PointLocation,
     box_halfspaces,
-    clip_line,
     extreme_points,
     interior_point,
     is_empty,
@@ -80,7 +79,7 @@ def _fraction_breakpoints(P, a, b):
             t = (h.offset - h.value(a)) / ad
             if 0 < t < 1:
                 ts.add(t)
-    return sorted(ts), []
+    return sorted(ts)
 
 
 def _fraction_clip_line(P, base, direction):
@@ -179,12 +178,6 @@ def _points(P, rng):
     return pts + [Point([Q(0)] * (P.dim + 1))]
 
 
-def _directions(P, rng):
-    axes = [Vector([Q(int(i == j)) for j in range(P.dim)]) for i in range(P.dim)]
-    dirs = [Vector([_rational(rng, 2) for _ in range(P.dim)]) for _ in range(3)]
-    return axes + dirs + [Vector([Q(0)] * P.dim)]
-
-
 @pytest.mark.parametrize("P", list(_polyhedra()), ids=lambda P: f"E{P.dim}")
 def test_row_predicates_match_the_rational_predicates(P):
     rng = rng_from_seed(f"rows-points:{len(P.halfspaces)}:{P.dim}")
@@ -197,24 +190,6 @@ def test_row_predicates_match_the_rational_predicates(P):
             (lambda x: is_vertex(P, x), lambda x: _fraction_is_vertex(P, x)),
         ):
             assert _outcome(new, x) == _outcome(old, x), x
-    right = [x for x in pts if x.dim == P.dim]
-    for a, b in zip(right, right[1:] + right[:2]):
-        assert _outcome(P.breakpoints, a, b) == _outcome(
-            _fraction_breakpoints, P, a, b
-        )
-    for base, d in itertools.product(right[::3], _directions(P, rng)):
-        assert _outcome(clip_line, P, base, d) == _outcome(
-            _fraction_clip_line, P, base, d
-        )
-
-
-@pytest.mark.parametrize(
-    "P", [HPolyhedron(tuple(box_halfspaces(2, 1)), 2), HPolyhedron((), 2)],
-    ids=["box", "no-halfspaces"],
-)
-def test_clip_line_direction_of_the_wrong_dimension_raises(P):
-    with pytest.raises(DimensionMismatchError):
-        clip_line(P, point(0, 0), vector(1, 0, 0))
 
 
 def test_polyhedron_predicates_do_not_evaluate_rational_dot_products(monkeypatch):
@@ -228,8 +203,6 @@ def test_polyhedron_predicates_do_not_evaluate_rational_dot_products(monkeypatch
     assert box.contains(b) and not box.contains(a)
     assert locate_point(box, b) is PointLocation.INTERIOR
     assert not is_vertex(box, b)
-    assert box.breakpoints(a, b) == ([Q(1, 4)], [])
-    assert clip_line(box, b, vector(1, 1)) == (Q(-6, 5), Q(1, 2))
 
 
 def _reference_row(h):

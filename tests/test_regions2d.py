@@ -67,6 +67,7 @@ from convexprofile.theorems import (
     run_suite,
     z_polygon_fixture,
 )
+from test_polyhedra_rows import _fraction_breakpoints
 
 
 def square_region():
@@ -285,44 +286,22 @@ def test_partition_edge_is_single_boundary_piece():
     ]
 
 
-def test_partition_disk_chord():
-    part = partition_segment(Disk(point(0, 0), 1), Segment(point(-1, 0), point(1, 0)))
-    assert [(p.lo, p.hi, p.location) for p in part.pieces] == [
-        (Q(0), Q(1), PointLocation.INTERIOR)
-    ]
-
-
-def test_partition_disk_irrational_crossings_are_bracketed():
-    # the horizontal line y = 1/2 meets x^2 + y^2 = 1 at irrational x
-    disk = Disk(point(0, 0), 1)
-    part = partition_segment(disk, Segment(point(-2, Q(1, 2)), point(2, Q(1, 2))))
-    kinds = [p.location for p in part.pieces]
-    assert kinds[0] is PointLocation.EXTERIOR
-    assert kinds[-1] is PointLocation.EXTERIOR
-    assert kinds.count(None) == 2
-    assert PointLocation.INTERIOR in kinds
-    for piece in part.pieces:
-        if piece.location is None:
-            assert piece.hi - piece.lo <= Q(1, 2**20)
-        else:
-            x = interpolate(part.segment.a, part.segment.b, piece.representative())
-            assert locate_point2(disk, x)[0] is piece.location
-
-
-def test_partition_disk_tangent_line():
-    disk = Disk(point(0, 0), 1)
-    part = partition_segment(disk, Segment(point(-2, 1), point(2, 1)))
-    locs = [(p.lo, p.hi, p.location) for p in part.pieces]
-    assert locs == [
-        (Q(0), Q(1, 2), PointLocation.EXTERIOR),
-        (Q(1, 2), Q(1, 2), PointLocation.BOUNDARY),
-        (Q(1, 2), Q(1), PointLocation.EXTERIOR),
-    ]
-
-
 def test_partition_rejects_degenerate_segment():
     with pytest.raises(DegenerateSegmentError):
         partition_segment(square_region(), Segment(point(0, 0), point(0, 0)))
+
+
+@pytest.mark.parametrize("region", [Disk(point(0, 0), 1), PointedOpenBox()],
+                         ids=lambda region: region.kind)
+def test_partition_and_sees_refuse_a_kind_without_breakpoints(region):
+    # A convex kind classifies its pairs by `supports` and has no segment
+    # partition: both entry points name its kind, also for a pair that
+    # `sees` would otherwise settle before partitioning.
+    p, q = region.boundary_probes(4)[:2]
+    for call in (lambda: partition_segment(region, Segment(p, q)),
+                 lambda: sees(region, p, q), lambda: sees(region, p, p)):
+        with pytest.raises(TypeError, match=f"a {region.kind} region"):
+            call()
 
 
 # --- classify_pair ----------------------------------------------------------
@@ -780,7 +759,7 @@ def test_sees_examples():
 
 
 def test_sees_pointed_open_box_edge_pair():
-    box = PointedOpenBox()
+    box = _FractionRows(PointedOpenBox(), UNIT_SQUARE)
     # both corners are members but the frame between them is not
     assert not sees(box, point(0, 0), point(1, 0))
     assert sees(box, point(0, 0), point(1, 1))
@@ -1516,8 +1495,7 @@ def _assert_partition_matches_bruteforce(region, a, b):
         cursor = p.hi
     assert cursor == 1
     for p1, p2 in zip(part.pieces, part.pieces[1:]):
-        if p1.location is not None and p2.location is not None:
-            assert p1.location is not p2.location
+        assert p1.location is not p2.location
     for den in (64, 97):
         for k in range(1, den):
             t = Q(k, den)
@@ -1525,8 +1503,6 @@ def _assert_partition_matches_bruteforce(region, a, b):
             covering = {
                 p.location for p in part.pieces if p.lo <= t <= p.hi
             }
-            if None in covering:
-                continue
             assert expected in covering, (t, part.pieces, expected)
 
 
@@ -1548,24 +1524,6 @@ def test_partition_matches_bruteforce_on_adversarial_segments(seed):
     for a, b in segs:
         if a != b:
             _assert_partition_matches_bruteforce(region, a, b)
-
-
-@given(st.integers(0, 10**9))
-@settings(max_examples=15)
-def test_partition_matches_bruteforce_on_disks(seed):
-    rng = rng_from_seed(seed)
-    center = point(Q(rng.randint(-8, 8), 4), Q(rng.randint(-8, 8), 4))
-    r = Q(rng.randint(1, 10), 2)
-    for region in (Disk(center, r), DiskComplement(center, r)):
-        pts = circle_points(center, r, 4)
-        _assert_partition_matches_bruteforce(region, pts[0], pts[1])
-        for _ in range(2):
-            a = point(center.coords[0] + Q(rng.randint(-40, 40), 8),
-                      center.coords[1] + Q(rng.randint(-40, 40), 8))
-            b = point(center.coords[0] + Q(rng.randint(-40, 40), 8),
-                      center.coords[1] + Q(rng.randint(-40, 40), 8))
-            if a != b:
-                _assert_partition_matches_bruteforce(region, a, b)
 
 
 def test_partition_and_pairs_across_a_hole():
@@ -1793,19 +1751,56 @@ def _convex_case(kind, seed):
 
 CONVEX_KINDS = ["disk", "disk-complement", "box", "h1", "h2", "h3", "h4"]
 
+UNIT_SQUARE = HPolyhedron(tuple(
+    Halfspace(core.vector(*normal), offset)
+    for normal, offset in (((-1, 0), 0), ((1, 0), 1), ((0, -1), 0), ((0, 1), 1))
+), 2)
+
+
+class _FractionRows:
+    """A convex kind as a kind without `supports`: its own `locate2`, and
+    the rational `_fraction_breakpoints` of the polyhedron P whose
+    halfspaces bound it, so `partition_segment` can run on it."""
+
+    def __init__(self, region, P):
+        self.kind, self.dim, self.locate2, self._P = (
+            region.kind, region.dim, region.locate2, P)
+
+    def breakpoints(self, a, b):
+        return _fraction_breakpoints(self._P, a, b)
+
+
+def _partition_class(region, p, q):
+    """The class of a pair by a rule kept apart from the supporting rows.
+
+    A circle's chord: f(t) = |p + t(q - p) - centre|^2 - radius^2 is 0 at
+    t = 0 and 1 and opens upwards, so f(1/2) < 0 puts the open chord
+    strictly inside the circle: the disk's interior, and non-members of
+    the complement. A box or an h-polyhedron: its rational partition.
+    """
+    if region.kind in ("disk", "disk-complement"):
+        def f(x):
+            return sum((u - c) ** 2 for u, c in zip(x.coords, region.center.coords)
+                       ) - region.radius ** 2
+        assert f(p) == f(q) == 0 and f(interpolate(p, q, Q(1, 2))) < 0
+        return PairClass.HYPERBOLIC if region.kind == "disk" else PairClass.ELLIPTIC
+    rows = _FractionRows(region, UNIT_SQUARE if region.kind == "pointed-open-box"
+                         else region)
+    return regions2d._classify_from_partition(
+        rows, partition_segment(rows, Segment(p, q)))
+
 
 @given(st.sampled_from(CONVEX_KINDS), st.integers(0, 10**9))
 @settings(max_examples=60, deadline=None)
 def test_supporting_rows_agree_with_the_partition(kind, seed):
-    # Every probe pair's class from the two `supports` masks against the
-    # rational partition, and the row scan against classify_pair pair by
-    # pair on every class set.
+    # Every probe pair's class from the two `supports` masks against an
+    # exact rule of the tests (`_partition_class`), and the row scan
+    # against classify_pair pair by pair on every class set.
     region, probes = _convex_case(kind, seed)
     pairs = list(itertools.combinations(probes, 2))
     found = [classify_pair(region, p, q) for p, q in pairs]
     for (p, q), cls in zip(pairs, found):
-        partition = partition_segment(region, Segment(p, q))
-        assert cls is regions2d._classify_from_partition(region, partition), (p, q)
+        assert cls is _partition_class(region, p, q), (p, q)
     for classes in CLASS_SETS:
         expected = next(
             ((p, q, cls) for (p, q), cls in zip(pairs, found)
@@ -1820,7 +1815,8 @@ def test_supporting_rows_cover_every_class_of_a_convex_kind():
     # none, a no-interior polyhedron whose every pair shares its equality
     # row, duplicated rows, and a slab with lineality.
     box = PointedOpenBox()
-    crossing = partition_segment(box, Segment(point(-1, Q(1, 2)), point(2, Q(1, 2))))
+    crossing = partition_segment(_FractionRows(box, UNIT_SQUARE),
+                                 Segment(point(-1, Q(1, 2)), point(2, Q(1, 2))))
     E, B, I = PointLocation.EXTERIOR, PointLocation.BOUNDARY, PointLocation.INTERIOR
     assert crossing.locations() == (E, B, I, B, E)
     assert classify_pair(box, point(0, 0), point(Q(1, 2), 0)) is PairClass.FLAT

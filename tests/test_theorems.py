@@ -17,7 +17,6 @@ from convexprofile.generators import (
 from convexprofile import linprog, theorems
 from convexprofile.polyhedra import (
     PointLocation,
-    clip_line,
     interior_point,
     locate_point,
     polyhedron_boundary_probes,
@@ -53,6 +52,7 @@ from convexprofile.theorems import (
     unit_square_fixture,
     z_polygon_fixture,
 )
+from test_polyhedra_rows import _fraction_clip_line
 
 SAT = HypothesisStatus.SATISFIED
 VIO = HypothesisStatus.VIOLATED
@@ -246,7 +246,8 @@ def test_boundary_chord_through_cone_point_is_symmetric():
 def _clip_line_chord(P, x):
     """The rational chord search that `_boundary_chord_search` replaced:
     the same direction order built as rational vectors, each line clipped
-    with `clip_line` and both ends located with `locate_point`."""
+    with the `Fraction` reference `_fraction_clip_line` and both ends
+    located with `locate_point`."""
     dim = P.dim
     units = [vector(*(int(i == j) for j in range(dim))) for i in range(dim)]
     dirs = units + [units[i] + s * units[j]
@@ -259,7 +260,7 @@ def _clip_line_chord(P, x):
         elif ab < 0:
             dirs.append(a)
     for d in dirs:
-        clipped = clip_line(P, x, d)
+        clipped = _fraction_clip_line(P, x, d)
         if clipped is None or None in clipped or not clipped[0] < 0 < clipped[1]:
             continue
         ends = x + clipped[0] * d, x + clipped[1] * d
