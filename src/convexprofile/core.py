@@ -3,11 +3,12 @@
 Every coordinate in the library is an exact `fractions.Fraction`, reduced
 with a positive denominator; no predicate ever touches floating point. The
 integer forms the predicates run on are built here alone: `_cleared`,
-`_primitive`, `_dot` and `_orient`. A `Point` carries its own primitive
-homogeneous form (X_1, ..., X_n, W), W > 0, in a slot: built by `_cleared`
-on the first read of `Point.form`, or given to `Point._from_form`, so no
-point is cleared twice. `interpolate`, `midpoint` and `orientation` read
-the forms of their points, with no rational arithmetic.
+`_primitive`, `_dot`, `_combine` and `_orient`. A `Point` carries its own
+primitive homogeneous form (X_1, ..., X_n, W), W > 0, in a slot: built by
+`_cleared` on the first read of `Point.form`, or given to
+`Point._from_form`, so no point is cleared twice. `interpolate`,
+`midpoint` and `orientation` read the forms of their points, with no
+rational arithmetic.
 """
 
 from __future__ import annotations
@@ -59,6 +60,11 @@ def _primitive(v):
 def _dot(u, v):
     """The dot product of two integer vectors."""
     return sum(map(operator.mul, u, v))
+
+
+def _combine(a, u, b, v):
+    """The primitive integer vector along a * u + b * v."""
+    return _primitive([a * x + b * y for x, y in zip(u, v)])
 
 
 def format_rational(q):
@@ -202,11 +208,8 @@ def interpolate(a, b, t):
     _check_same_dim(a, b)
     t = rational(t)
     p, q = t.numerator, t.denominator
-    *xa, wa = a.form
-    *xb, wb = b.form
-    u, v = (q - p) * wb, p * wa
-    xs = [u * x + v * y for x, y in zip(xa, xb)]
-    return Point._from_form(_primitive([*xs, q * wa * wb]))
+    fa, fb = a.form, b.form
+    return Point._from_form(_combine((q - p) * fb[-1], fa, p * fa[-1], fb))
 
 
 @dataclass(frozen=True)

@@ -69,12 +69,6 @@ def edge_rows(verts):
     return [_primitive(_cross3(a, b)) for a, b in zip(verts, verts[1:] + verts[:1])]
 
 
-def midpoint(a, b):
-    """The primitive form of the midpoint of point forms a and b."""
-    (ax, ay, aw), (bx, by, bw) = a, b
-    return _primitive((ax * bw + bx * aw, ay * bw + by * aw, 2 * aw * bw))
-
-
 def orient(p, q, r):
     """Orientation sign of the homogeneous triple (all w > 0): `core._orient`."""
     return _orient(p, q, r)

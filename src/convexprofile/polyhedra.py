@@ -32,6 +32,7 @@ from .core import (
     Vector,
     ZERO,
     _cleared,
+    _combine,
     _dot,
     _primitive,
     nullspace_basis,
@@ -420,11 +421,6 @@ def extreme_points(P):
             verts.append(Point._from_form(y))
     verts.sort(key=lambda p: p.coords)
     return tuple(verts)
-
-
-def _combine(a, u, b, v):
-    """The primitive integer vector along a * u + b * v."""
-    return _primitive([a * x + b * y for x, y in zip(u, v)])
 
 
 def _double_description(rows, width):

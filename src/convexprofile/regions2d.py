@@ -29,10 +29,14 @@ segment, and so answers `breakpoints(a, b)`: the sorted exact parameters
 in (0,1) where the segment a + t(b - a) may change location. Only such a
 kind can be partitioned (`partition_segment`, `sees`).
 
-The pair scan runs row by row, row 0 pair by pair. On a hole-free polygon
-the later rows run on per-edge bit columns of the probes' sign masks: a row
-ORs columns into the set of q's that need a sight line and reads every
-other q's class, the side of q at p's site, from the columns there.
+`_classify` is the one pair routine: it takes two `_probe` results and
+returns their class from a shared supporting row, from the ring tables of
+a hole-free polygon or from the rational partition. `classify_pair` calls
+it once; the pair scan calls it pair by pair on row 0 and on every row of
+a kind without ring tables. On a hole-free polygon the later rows run on
+per-edge bit columns of the probes' sign masks: a row ORs columns into the
+set of q's that need a sight line, which go through `_classify`, and reads
+every other q's class, the side of q at p's site, from the columns there.
 
 A simple polygon's kernel has two forms. `kernel` is the H-polyhedron of
 its edge halfplanes, whose membership the visibility oracle is checked
@@ -54,6 +58,7 @@ from .core import (
     Segment,
     Vector,
     ZERO,
+    _combine,
     _dot,
     cross2,
     interpolate,
@@ -200,7 +205,7 @@ class SimplePolygon:
             (dets, signs), verts, probes = self._vertex_tables(), self._verts, {}
             for k, (v, (a, b, c)) in enumerate(zip(self.vertices, self._rows)):
                 j = (k + 1) % len(verts)
-                h = x, y, w = intgeom.midpoint(verts[k], verts[j])
+                h = x, y, w = _combine(verts[j][2], verts[k], verts[k][2], verts[j])
                 if a * x + b * y + c * w or not intgeom.strictly_between(
                         h, verts[k], verts[j]):
                     raise CertificateError(f"edge {k}'s midpoint is off the edge")
@@ -552,11 +557,8 @@ class PairClass(Enum):
     MIXED = "mixed"
 
 
-# The classes by code: the side of q at p's site, -1 (the last) for
-# Elliptic, or 2 for a pair that is Mixed.
-_CLASSES = (
-    PairClass.FLAT, PairClass.HYPERBOLIC, PairClass.MIXED, PairClass.ELLIPTIC,
-)
+# The class of a one-piece pair by the side of q at p's site.
+_CLASSES = {0: PairClass.FLAT, 1: PairClass.HYPERBOLIC, -1: PairClass.ELLIPTIC}
 
 
 def classify_pair(region, p, q):
@@ -636,65 +638,39 @@ def _supported_class(region, p, q, common):
 
 
 def _classify(region, p_probe, q_probe):
-    """The class of a pair of `_probe` results: the one-pair row."""
-    return _first_outside_in_row(region, p_probe, (q_probe,), ())[1]
+    """The class of a pair of `_probe` results: the one pair routine.
 
-
-def _first_outside_in_row(region, p_probe, q_probes, classes):
-    """(j, class) of the first q_probes[j] whose pair with p has a class
-    not in `classes`; None when there is none.
-
-    On a convex kind a pair's class is read from the two `supports`
-    masks; without tables every pair goes through the rational partition.
-    On a hole-free polygon p's masks and site are read once for the row,
-    and a pair needs a sight line only where some edge's line may meet the
-    open segment: p and q strictly on opposite sides of it (see `intgeom`).
-    For every other pair `sight_blocked` would return False, and the class
-    is the side of q at p's site. A vertex inside the open segment is a
-    boundary member, so a pair through vertices is Flat when every piece
-    between them is boundary, else Mixed.
+    On a convex kind a pair's class is read from the two `supports` masks;
+    without tables it comes from the rational partition. On a hole-free
+    polygon a pair needs a sight line only where some edge's line may meet
+    the open segment: p and q strictly on opposite sides of it (see
+    `intgeom`). For every other pair `sight_blocked` would return False,
+    and the class is the side of q at p's site. A vertex inside the open
+    segment is a boundary member, so a pair through vertices is Flat when
+    every piece between them is boundary, else Mixed.
     """
-    p, p_table = p_probe
+    (p, p_table), (q, q_table) = p_probe, q_probe
     if type(p_table) is not tuple:  # a `supports` mask, or no table
-        for j, (q, q_table) in enumerate(q_probes):
-            if p_table is None:
-                partition = partition_segment(region, Segment(p, q))
-                cls = _classify_from_partition(region, partition)
-            else:
-                cls = _supported_class(region, p, q, p_table & q_table)
-            if cls not in classes:
-                return j, cls
-        return None
+        if p_table is None:
+            return _classify_from_partition(
+                region, partition_segment(region, Segment(p, q)))
+        return _supported_class(region, p, q, p_table & q_table)
     ring = region.outer
     verts, rows, turns = ring._verts, ring._rows, ring._turns
-    p_h, p_signs, p_site = p_table
-    pp, pn = p_signs
-    # inside edge k the side of q is its mask bit for edge k
-    out = 0 if p_site[1] else 1 << p_site[0]
-    stop = [cls not in classes for cls in _CLASSES]
-    for j, (_, (q_h, q_signs, _)) in enumerate(q_probes):
-        qp, qn = q_signs
-        touching = 0
-        if (pp & qn) | (pn & qp):
-            touching = intgeom.sight_blocked(verts, p_h, q_h, p_signs, q_signs)
+    (p_h, p_signs, p_site), (q_h, q_signs, _) = p_table, q_table
+    (pp, pn), (qp, qn) = p_signs, q_signs
+    touching = 0
+    if (pp & qn) | (pn & qp):
+        touching = intgeom.sight_blocked(verts, p_h, q_h, p_signs, q_signs)
         if touching is True:
-            code = 2
-        elif out:
-            code = 1 if qp & out else -1 if qn & out else 0
-        else:
-            code = intgeom.side_at(verts, rows, turns, p_site, q_h, q_signs)
-        # One piece, or boundary pieces only (a boundary piece can only run
-        # along an edge from its start): the side at p's site is the class.
-        while touching and code != 2:
-            k = (touching & -touching).bit_length() - 1
-            touching &= touching - 1
-            if code or intgeom.side_at(
-                verts, rows, turns, (k, True), q_h, q_signs
-            ):
-                code = 2
-        if stop[code]:
-            return j, _CLASSES[code]
-    return None
+            return PairClass.MIXED
+    side = intgeom.side_at(verts, rows, turns, p_site, q_h, q_signs)
+    # One piece, or boundary pieces only (a boundary piece can only run
+    # along an edge from its start): the side at p's site is the class.
+    for k in _bits(touching):
+        if side or intgeom.side_at(verts, rows, turns, (k, True), q_h, q_signs):
+            return PairClass.MIXED
+    return _CLASSES[side]
 
 
 def convexity_oracle(polygon):
@@ -755,26 +731,19 @@ def first_pair_outside(region, probes, classes):
         raise DegenerateSegmentError("pair endpoints must differ")
     if len(probes) < 2:
         return None
-    prepared = []
-
-    def prepare(x):
-        prepared.append(_probe(region, x))
-        return prepared[-1]
-
-    hit = _first_outside_in_row(
-        region, prepare(probes[0]), map(prepare, probes[1:]), classes
-    )
-    if hit is not None:
-        return probes[0], probes[1 + hit[0]], hit[1]
+    prepared = [_probe(region, probes[0])]
+    for q in probes[1:]:
+        prepared.append(_probe(region, q))
+        cls = _classify(region, prepared[0], prepared[-1])
+        if cls not in classes:
+            return probes[0], q, cls
     if type(prepared[0][1]) is tuple:
         hit = _first_outside_by_columns(region, prepared, classes)
         return hit and (probes[hit[0]], probes[hit[1]], hit[2])
-    for i, p in enumerate(probes[1:-1], 1):
-        hit = _first_outside_in_row(
-            region, prepared[i], prepared[i + 1:], classes
-        )
-        if hit is not None:
-            return p, probes[i + 1 + hit[0]], hit[1]
+    for p_probe, q_probe in itertools.combinations(prepared[1:], 2):
+        cls = _classify(region, p_probe, q_probe)
+        if cls not in classes:
+            return p_probe[0], q_probe[0], cls
     return None
 
 
@@ -801,8 +770,9 @@ def _first_outside_by_columns(region, prepared, classes):
     i's `across` q's are the OR of N_k over p's left edges and P_k over its
     right ones. Every other q gets `intgeom.side_at` from the columns: P_k /
     N_k inside edge k, P_k and P_k-1 by the turn at vertex k less the q's
-    on an incident ray. Sight lines are drawn, in order, only for the
-    `across` q's before the first other q that stops."""
+    on an incident ray. Only the `across` q's before the first other q
+    that stops go, in order, through `_classify`, which draws their sight
+    lines."""
     ring, m = region.outer, len(prepared)
     verts, rows, turns = ring._verts, ring._rows, ring._turns
     P = _columns([table[1][0] for _, table in prepared], ring.n)
@@ -810,7 +780,6 @@ def _first_outside_by_columns(region, prepared, classes):
     # the edges whose column holds a probe, the only ones `across` visits
     has_left = sum(1 << k for k, col in enumerate(P) if col)
     has_right = sum(1 << k for k, col in enumerate(N) if col)
-    stop = [cls not in classes for cls in _CLASSES]
     for i in range(1, m - 1):
         _, (pp, pn), (k, at_vertex) = prepared[i][1]
         ahead = (1 << m) - (2 << i)  # the q's of row i
@@ -833,16 +802,15 @@ def _first_outside_by_columns(region, prepared, classes):
             plus = wedge & inner
             minus = inner & ~plus
         sides = (rest & ~(plus | minus), plus, minus)  # by code 0, 1, -1
-        stopping = sum(sides[code] for code in (0, 1, -1) if stop[code])
+        stopping = sum(sides[code] for code, cls in _CLASSES.items()
+                       if cls not in classes)
         first = stopping & -stopping
         for j in _bits(across & (first - 1) if first else across):
-            hit = _first_outside_in_row(
-                region, prepared[i], (prepared[j],), classes
-            )
-            if hit is not None:
-                return i, j, hit[1]
+            cls = _classify(region, prepared[i], prepared[j])
+            if cls not in classes:
+                return i, j, cls
         if first:
-            code = next(code for code in (0, 1, -1) if first & sides[code])
+            code = next(code for code in _CLASSES if first & sides[code])
             return i, first.bit_length() - 1, _CLASSES[code]
     return None
 

@@ -502,15 +502,15 @@ def _non_convexity_witness(region):
 # ---------------------------------------------------------------------------
 
 def check_kernel_characterization(polygon, samples=DEFAULT_SAMPLES, seed=0):
-    """H-representation kernel membership must match the visibility oracle,
-    run at 8 and at 32 boundary samples per edge.
+    """H-representation kernel membership must match the visibility oracle
+    at 8 and at 32 boundary samples per edge.
 
     The oracle decides from the sight lines to the vertices alone, as x
-    sees an edge once it sees both its ends (the Jordan curve theorem), so
-    its answer is the same at both densities. A point that sees the 32
-    samples per edge sees the 8 (k/8 is 4k/32), so the oracle runs at 8
-    only after a False at 32. A kernel vertex (`kernel_vertices`) joins
-    the member samples.
+    sees an edge once it sees both its ends (the Jordan curve theorem); it
+    reads the sample count only to validate it. So it runs once per point,
+    at 32, and its answer is compared with the halfplanes for both
+    densities. A kernel vertex (`kernel_vertices`) joins the member
+    samples.
     """
     rng = rng_from_seed(seed)
     ker = kernel(polygon)
@@ -523,18 +523,17 @@ def check_kernel_characterization(polygon, samples=DEFAULT_SAMPLES, seed=0):
         hrep = ker.contains(x)
         if hrep:
             inside += 1
-        vis32 = kernel_contains_by_visibility(polygon, x, 32)
-        vis8 = vis32 or kernel_contains_by_visibility(polygon, x, 8)
-        for m, vis in ((8, vis8), (32, vis32)):
-            if vis != hrep:
-                disagreements.append(
-                    {
-                        "point": point_to_json(x),
-                        "halfplane_membership": hrep,
-                        "visibility": vis,
-                        "density": m,
-                    }
-                )
+        vis = kernel_contains_by_visibility(polygon, x, 32)
+        if vis != hrep:
+            disagreements += (
+                {
+                    "point": point_to_json(x),
+                    "halfplane_membership": hrep,
+                    "visibility": vis,
+                    "density": m,
+                }
+                for m in (8, 32)
+            )
     facts = {
         "kernel_empty": kernel_empty,
         "samples": len(pts),

@@ -147,7 +147,9 @@ def test_vector_dimension_checks():
 
 
 # The integer forms and the angle order that the exact predicates share.
-SHARED_HELPERS = ("_cleared", "_primitive", "_dot", "_orient", "_angle_cmp")
+SHARED_HELPERS = (
+    "_cleared", "_primitive", "_dot", "_combine", "_orient", "_angle_cmp",
+)
 
 
 def _defined_names():
@@ -169,7 +171,7 @@ def test_each_shared_helper_is_defined_in_one_module():
             homes[name].append(stem)
     assert homes == {
         "_cleared": ["core"], "_primitive": ["core"], "_dot": ["core"],
-        "_orient": ["core"], "_angle_cmp": ["intgeom"],
+        "_combine": ["core"], "_orient": ["core"], "_angle_cmp": ["intgeom"],
     }
 
 

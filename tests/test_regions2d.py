@@ -462,27 +462,6 @@ def test_pair_scan_raises_where_classify_pair_would(region, pair, off):
     assert outcomes == {"witness", "error"}
 
 
-@given(
-    st.sampled_from(sorted(POLYGON_KINDS)),
-    st.integers(0, 10**9),
-    st.one_of(st.none(), st.integers(0, 60)),
-)
-@settings(max_examples=30, deadline=None)
-def test_pair_scan_agrees_with_classify_pair_on_every_class_set(kind, seed, at):
-    # The row scan against classify_pair pair by pair, with an
-    # off-boundary probe at a drawn place in the list or none.
-    poly = POLYGON_KINDS[kind](rng_from_seed(seed))
-    region = PolygonRegion(poly)
-    probes = region.boundary_probes(16)
-    if at is not None:
-        _, _, xmax, ymax = poly.bounding_box()
-        probes.insert(at % (len(probes) + 1), point(xmax + 1, ymax + 1))
-    for classes in CLASS_SETS:
-        assert _scan_outcome(first_pair_outside, region, probes, classes) == (
-            _scan_outcome(_first_pair_by_classify_pair, region, probes, classes)
-        ), classes
-
-
 @given(st.sampled_from(sorted(POLYGON_KINDS)), st.integers(0, 10**9))
 @settings(max_examples=30)
 def test_table_classification_agrees_with_the_partition(kind, seed):
@@ -1613,9 +1592,11 @@ def test_ring_built_probe_tables_match_the_located_ones(kind, seed):
     assert holed.boundary_probes(16) == _interpolated_probes(holed)
 
 
+# Forged `_combine(b_w, a, a_w, b)`, the combination that builds an edge's
+# midpoint from its end forms a and b.
 FORGERIES = {
-    "off the edge's line": lambda a, b: (a[0] + b[0], a[1] + b[1] + 1, 2),
-    "at the edge's start": lambda a, b: a,
+    "off the edge's line": lambda bw, a, aw, b: (a[0] + b[0], a[1] + b[1] + 1, 2),
+    "at the edge's start": lambda bw, a, aw, b: a,
 }
 
 
@@ -1624,7 +1605,7 @@ def test_a_forged_midpoint_is_refused(forge, monkeypatch):
     # Integer vertices, so the forged forms are primitive points on or off
     # the edge's line; nothing is cached after the refusal.
     poly = SimplePolygon([point(0, 0), point(4, 0), point(4, 2), point(0, 2)])
-    monkeypatch.setattr(intgeom, "midpoint", FORGERIES[forge])
+    monkeypatch.setattr(regions2d, "_combine", FORGERIES[forge])
     with pytest.raises(CertificateError):
         poly.probe_tables()
     assert poly._probes is None
@@ -1634,11 +1615,11 @@ def test_a_forged_midpoint_is_refused(forge, monkeypatch):
 
 def test_a_forged_midpoint_is_refused_under_python_O():
     script = (
-        "from convexprofile import intgeom\n"
+        "from convexprofile import regions2d\n"
         "from convexprofile.core import point\n"
         "from convexprofile.errors import CertificateError\n"
         "from convexprofile.regions2d import SimplePolygon\n"
-        "intgeom.midpoint = lambda a, b: a\n"
+        "regions2d._combine = lambda bw, a, aw, b: a\n"
         "try:\n"
         "    SimplePolygon([point(0, 0), point(4, 0), point(0, 2)]).probe_tables()\n"
         "    print('accepted')\n"
@@ -1808,6 +1789,67 @@ def test_supporting_rows_agree_with_the_partition(kind, seed):
             None,
         )
         assert first_pair_outside(region, probes, classes) == expected, classes
+
+
+def _pair_scan_case(kind, seed):
+    """(region, boundary probes) of a seeded kind on each path of the pair
+    scan: a hole-free polygon (ring tables), a convex kind (`supports`), or
+    a polygon as the hole of a frame one unit around it (the rational
+    partition), its probes shuffled and cut to 12."""
+    if kind in CONVEX_KINDS:
+        return _convex_case(kind, seed)
+    rng = rng_from_seed(f"pair-scan:{kind}:{seed}")
+    if kind != "holed":
+        region = PolygonRegion(POLYGON_KINDS[kind](rng))
+        return region, region.boundary_probes(16)
+    poly = POLYGON_KINDS[rng.choice(sorted(POLYGON_KINDS))](rng)
+    xmin, ymin, xmax, ymax = poly.bounding_box()
+    frame = SimplePolygon([point(xmin - 1, ymin - 1), point(xmax + 1, ymin - 1),
+                           point(xmax + 1, ymax + 1), point(xmin - 1, ymax + 1)])
+    region = PolygonRegion(frame, (poly,))
+    probes = region.boundary_probes(16)
+    rng.shuffle(probes)
+    return region, probes[:12]
+
+
+def _pairs_by_classify_pair(region, probes):
+    """classify_pair on the probe pairs in combinations order: the
+    (p, q, class) of each pair up to the first that raises, and the type
+    and message of that error, or None."""
+    found = []
+    for p, q in itertools.combinations(probes, 2):
+        try:
+            found.append((p, q, classify_pair(region, p, q)))
+        except NotOnBoundaryError as exc:
+            return found, (type(exc), str(exc))
+    return found, None
+
+
+@given(
+    st.sampled_from(sorted(POLYGON_KINDS) + ["holed"] + CONVEX_KINDS),
+    st.integers(0, 10**9),
+    st.one_of(st.none(), st.integers(0, 60)),
+)
+@settings(max_examples=60, deadline=None)
+def test_pair_scan_agrees_with_classify_pair_on_every_class_set(kind, seed, at):
+    # The pair scan against classify_pair pair by pair on every class set,
+    # on ring tables, on supporting rows in E^2 and E^3 and on the
+    # partition, with a probe off the boundary (beyond every probe's
+    # coordinates) at a drawn place in the list or none. Each suffix of
+    # the list is scanned too, so every probe starts row 0 and row 1 of
+    # some scan.
+    region, probes = _pair_scan_case(kind, seed)
+    far = 1 + max(abs(c) for x in probes for c in x.coords)
+    off = Point([far] * region.dim)
+    if at is not None and region.locate2(off)[0] is not PointLocation.BOUNDARY:
+        probes.insert(at % (len(probes) + 1), off)
+    for start in range(len(probes) - 1):
+        tail = probes[start:]
+        found, error = _pairs_by_classify_pair(region, tail)
+        for classes in CLASS_SETS:
+            expected = next((w for w in found if w[2] not in classes), error)
+            assert _scan_outcome(first_pair_outside, region, tail, classes) == (
+                expected), (start, classes)
 
 
 def test_supporting_rows_cover_every_class_of_a_convex_kind():
