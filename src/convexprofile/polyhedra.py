@@ -14,7 +14,8 @@ incident rays, each with the mask of the rows at 0 there, and cached on the
 polyhedron; that mask is its answer to `supports`. Every certificate
 (member point, vertex, interior point, face optimum, recession ray, probe)
 is re-verified by substitution. The one LP left is V-polytope membership,
-`hull_contains` (and so `profile`).
+`hull_contains`; `profile` reads the polar cone's double description and
+re-checks each kept generator's exposing row in integers.
 """
 
 from __future__ import annotations
@@ -547,26 +548,32 @@ def hull_contains(V, x):
 
 
 def profile(V):
-    """The minimal generator subset whose hull equals hull(V).
-
-    A generator is kept iff it is not a convex combination of the other
-    (distinct) generators; this equals the extreme-point set of the hull.
+    """The extreme points of hull(V), sorted by coordinates. One double
+    description of the polar cone {(a, b) : a . g <= b for every generator
+    g}, its rows the distinct generators' forms (G, -w), keeps g iff the
+    rays tight at g are not all tight at another generator; their sum h,
+    which exposes g, is re-checked in integers (h . g = 0 and h . v < 0 at
+    every other v). A dropped g must lie in the others' hull (an LP).
     """
-    unique = []
-    seen = set()
-    for g in V.generators:
-        if g.coords not in seen:
-            seen.add(g.coords)
-            unique.append(g)
+    unique = list(dict.fromkeys(V.generators))
     if len(unique) == 1:
         return (unique[0],)
+    rows = [(*g.form[:-1], -g.form[-1]) for g in unique]
+    rays = _double_description(rows, V.dim + 1)[1]
+    masks = [sum(1 << k for k, y in enumerate(rays) if not _dot(row, y))
+             for row in rows]
     kept = []
     for i, g in enumerate(unique):
-        others = VPolytope(
-            tuple(unique[:i] + unique[i + 1 :]), V.dim
-        )
-        if not hull_contains(others, g):
+        if all(masks[i] & ~m for j, m in enumerate(masks) if j != i):
+            h = [sum(c) for c in zip(*(y for k, y in enumerate(rays)
+                                       if masks[i] >> k & 1))]
+            if _dot(h, rows[i]) or any(
+                _dot(h, row) >= 0 for j, row in enumerate(rows) if j != i
+            ):
+                raise CertificateError(f"row {h} does not expose {g!r}")
             kept.append(g)
+        elif not hull_contains(VPolytope(unique[:i] + unique[i + 1 :], V.dim), g):
+            raise CertificateError(f"dropped {g!r} is not in the others' hull")
     kept.sort(key=lambda p: p.coords)
     return tuple(kept)
 

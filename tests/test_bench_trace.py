@@ -15,14 +15,9 @@ BENCH = Path(__file__).resolve().parent.parent / "bench"
 
 @pytest.fixture
 def bench_run():
-    """bench/run.py as a module; the package's modules are restored after.
-
-    `run.import_library()` imports a fresh copy of the package and the
-    tracer rebinds its functions in place, so both stay out of the other
-    tests.
-    """
-    saved = {k: v for k, v in sys.modules.items()
-             if k.split(".", 1)[0] == "convexprofile"}
+    """bench/run.py as a module. The fresh copy of the package that
+    `run.import_library()` imports leaves `sys.modules` with the test (see
+    the repository's `conftest.py`)."""
     sys.path.insert(0, str(BENCH))
     try:
         import run
@@ -30,9 +25,6 @@ def bench_run():
         yield run
     finally:
         sys.path.remove(str(BENCH))
-        for k in [k for k in sys.modules if k.split(".", 1)[0] == "convexprofile"]:
-            del sys.modules[k]
-        sys.modules.update(saved)
 
 
 def _traced_metrics(run, workload, ops, workdir):

@@ -808,6 +808,107 @@ def test_profile_random_points_in_triangle():
     assert set(profile(V2)) == set(tri)
 
 
+def _profile_by_lp(V):
+    """The LP loop `profile` once ran, as a differential oracle: a distinct
+    generator is kept iff it is not in the hull of the others."""
+    unique = list(dict.fromkeys(V.generators))
+    kept = [
+        g for i, g in enumerate(unique)
+        if len(unique) == 1
+        or not hull_contains(VPolytope(unique[:i] + unique[i + 1:], V.dim), g)
+    ]
+    return tuple(sorted(kept, key=lambda p: p.coords))
+
+
+def _generator_sets(seed, count):
+    """Seeded generator sets in d = 1..5: general, collinear, coplanar,
+    0/1/2 grid points with interior points, duplicated and single ones."""
+    rng = random.Random(seed)
+
+    def coords(d, span=6):
+        return [Q(rng.randint(-span, span), rng.randint(1, 3)) for _ in range(d)]
+
+    def flat(d, k, m):
+        # k points on the m-flat through a random base and m directions
+        base, dirs = coords(d), [coords(d, 3) for _ in range(m)]
+        return [Point([b + sum(Q(rng.randint(-4, 4), 2) * u[c] for u in dirs)
+                       for c, b in enumerate(base)]) for _ in range(k)]
+
+    for n in range(count):
+        d, family, k = 1 + n % 5, n // 5 % 6, rng.randint(2, 9)
+        if family == 0:
+            gens = [Point(coords(d)) for _ in range(k)]
+        elif family in (1, 2):
+            gens = flat(d, k, family)
+        elif family == 3:
+            gens = [Point([rng.randint(0, 2) for _ in range(d)]) for _ in range(k)]
+            gens += [Point([Q(rng.randint(1, 3), 2) for _ in range(d)])]
+        elif family == 4:
+            gens = [Point(coords(d)) for _ in range(k)]
+            gens += rng.sample(gens, rng.randint(1, k))
+            rng.shuffle(gens)
+        else:
+            gens = [Point(coords(d))] * rng.randint(1, 3)
+        yield VPolytope(tuple(gens), d)
+
+
+def test_profile_matches_the_lp_loop():
+    for V2 in _generator_sets(3101, 300):
+        assert profile(V2) == _profile_by_lp(V2), V2
+
+
+def test_profile_of_extreme_points_solves_no_lp(monkeypatch):
+    from convexprofile import linprog
+
+    rng = rng_from_seed(3102)
+    polytopes = [VPolytope(extreme_points(random_bounded_polytope(rng, d)), d)
+                 for d in (1, 2, 3, 4)]
+    monkeypatch.setattr(
+        linprog, "_solve_max", lambda *a: pytest.fail("LP solved")
+    )
+    for V2 in polytopes:
+        assert profile(V2) == V2.generators
+
+
+def test_a_dropped_generator_outside_the_others_hull_raises(monkeypatch):
+    monkeypatch.setattr(polyhedra, "hull_contains", lambda V, x: False)
+    square_plus_center = VPolytope(
+        (point(0, 0), point(1, 0), point(0, 1), point(1, 1),
+         point(Q(1, 2), Q(1, 2))),
+        2,
+    )
+    with pytest.raises(CertificateError, match="dropped"):
+        profile(square_plus_center)
+
+
+# (generators, ray appended to the polar double description): each makes
+# the sum of the rays tight at a kept generator fail to expose it.
+PROFILE_FORGERIES = [
+    # tight at 0 beside (-1, 0): the sum is the zero row, 0 at 1 as well
+    (((0,), (1,)), (1, 0)),
+    # tight at (0, 0), but positive at (1, 0)
+    (((0, 0), (1, 0), (0, 1), (1, 1)), (2, 0, 0)),
+]
+
+
+@pytest.mark.parametrize("gens, ray", PROFILE_FORGERIES,
+                         ids=["zero-row", "positive"])
+def test_forged_polar_rays_raise(gens, ray, monkeypatch):
+    monkeypatch.setattr(polyhedra, "_double_description", _forge(ray))
+    with pytest.raises(CertificateError, match="expose"):
+        profile(VPolytope(tuple(Point(g) for g in gens), len(gens[0])))
+
+
+def test_forged_polar_rays_raise_under_python_O():
+    verdicts = _forgery_verdicts_under_python_O(
+        "profile", [(forgery, None) for forgery in PROFILE_FORGERIES],
+        plant="polyhedra._double_description = forge(forged[1]); "
+              "shape = polyhedra.VPolytope(tuple(polyhedra.Point(g) "
+              "for g in forged[0]), len(forged[0][0]))",
+    )
+    assert verdicts == ["1"] + ["CertificateError"] * 2
+
+
 def test_hull_equal_examples():
     sq = unit_square()
     corners = VPolytope(

@@ -381,24 +381,25 @@ def test_suite_rejects_unknown_ids():
 
 
 def test_only_hull_membership_solves_lps(monkeypatch):
-    """At criterion 10's settings every LP of every theorem's suite is a
-    V-polytope membership program: the H-polyhedron queries solve none."""
+    """At criterion 10's settings the one LP of every theorem's suite is the
+    V-polytope membership program of thm-13's doubling loop on the cone
+    fixture: `profile` and the H-polyhedron queries solve none."""
     engine = linprog._solve_max
     callers = collections.Counter()
 
     def record(*args):
-        # the innermost caller in the library outside the LP module
+        # the two innermost callers in the library outside the LP module
         frames = [f for f in traceback.extract_stack()[:-1]
                   if "convexprofile" in f.filename
                   and not f.filename.endswith("linprog.py")]
-        callers[frames[-1].name] += 1
+        callers[tuple(f.name for f in frames[-2:])] += 1
         return engine(*args)
 
     monkeypatch.setattr(linprog, "_solve_max", record)
     for tid in THEOREM_IDS:
         assert run_suite(tid, seed=42, instances=8, samples=12,
                          probe_density=8)
-    assert list(callers) == ["hull_contains"] and callers["hull_contains"] > 20
+    assert callers == {("_hull_of_extremes_equals", "hull_contains"): 1}
 
 
 # --- failing conclusions --------------------------------------------------------
