@@ -14,6 +14,13 @@ questions; every function below works through them:
 - `locate2(x)` -> (PointLocation, membership) of a point of E^dim;
 - `boundary_probes(density)` -> a finite list of boundary points.
 
+A kind that runs the convexity corollary (cor-5) also answers
+`convexity_witness()`: None for a convex set, else a record of Points it
+has re-checked in rationals (a reflex vertex, or members p, q whose
+midpoint is not one). A midpoint on the boundary shows that the set is not
+closed; cor-5 reports such a kind (the pointed open box) as the expected
+counterexample of closedness.
+
 A convex kind (Disk, DiskComplement, PointedOpenBox, HPolyhedron) also
 answers `supports(x)`: the bit mask of its supporting rows `_rows` that are
 0 at x, or None when x is not a boundary point; and it names in `chord` the
@@ -338,6 +345,33 @@ class PolygonRegion:
         because the rings are simple and disjoint."""
         return [x for ring in self.rings() for x, _ in ring.probe_tables().values()]
 
+    def convexity_witness(self):
+        """None for a convex region, else {"reflex_vertex": v}: an outer-ring
+        right turn or a hole's left turn, re-checked in rationals."""
+        # A ring is counterclockwise, so a right turn of the outer ring and a
+        # left turn of a hole are both reflex angles of the region.
+        rings = [(self.outer, -1)] + [(hole, 1) for hole in self.holes]
+        for ring, reflex in rings:
+            for i, turn in enumerate(ring._turns):
+                if turn != reflex:
+                    continue
+                vs = ring.vertices
+                u, v, w = vs[i - 1], vs[i], vs[(i + 1) % ring.n]
+                if (cross2(v - u, w - v) > 0) != (reflex > 0):
+                    raise CertificateError(f"{v!r} is not a reflex vertex")
+                return {"reflex_vertex": v}
+        return None
+
+
+def _midpoint_witness(region, p, q):
+    """{"p", "q", "midpoint"}: members p and q whose midpoint is not one,
+    re-checked in rationals."""
+    mid = interpolate(p, q, Q(1, 2))
+    if not (region.locate2(p)[1] and region.locate2(q)[1]
+            and not region.locate2(mid)[1]):
+        raise CertificateError(f"{region.kind} pair does not witness")
+    return {"p": p, "q": q, "midpoint": mid}
+
 
 class _Circle:
     """Shared body of the disk and its complement: one circle, two sides.
@@ -385,6 +419,9 @@ class Disk(_Circle):
 
     __slots__ = ()
 
+    def convexity_witness(self):
+        return None
+
 
 class DiskComplement(_Circle):
     """The open exterior {x : |x - center| > radius} of a closed disk."""
@@ -398,6 +435,12 @@ class DiskComplement(_Circle):
     }
 
     __slots__ = ()
+
+    def convexity_witness(self):
+        """The members center -/+ (2r, 0), whose midpoint, the center, is
+        not one."""
+        offset = Vector((2 * self.radius, ZERO))
+        return _midpoint_witness(self, self.center - offset, self.center + offset)
 
 
 class PointedOpenBox:
@@ -437,6 +480,10 @@ class PointedOpenBox:
 
     def supports(self, x):
         return self._square.supports(x)
+
+    def convexity_witness(self):
+        """The corners (0,0) and (1,0), whose midpoint is a frame point."""
+        return _midpoint_witness(self, *self.CORNERS[:2])
 
 
 def locate_point2(region, x):

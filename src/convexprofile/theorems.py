@@ -23,15 +23,11 @@ from .core import (
     _cleared,
     _dot,
     _primitive,
-    cross2,
     interpolate,
     rank,
 )
 from .epigraph import CHORD_TOLERANCE, Epigraph1D, chord_find
-from .errors import (
-    CertificateError,
-    UnboundedPolyhedronError,
-)
+from .errors import UnboundedPolyhedronError
 from .generators import (
     random_bounded_polytope,
     random_direction,
@@ -405,96 +401,45 @@ def _region_convex_probed(region, boundary_pts):
 # ---------------------------------------------------------------------------
 
 def check_convexity_corollary(region, probe_density=DEFAULT_PROBE_DENSITY):
-    """Biconditional of the pair criterion against ground-truth convexity.
+    """Biconditional of the pair criterion against the kind's ground truth,
+    its `convexity_witness()` (None for a convex set).
 
-    The pointed open box is the designated closedness counterexample: the
-    probes pass while the set is non-convex, reported with its own status
-    rather than Fails.
+    The corollary needs a closed set. A witness whose midpoint is a
+    boundary point shows that the set is not closed (the pointed open box):
+    when the probes pass there, the report is the expected counterexample
+    of closedness with the classes of the probe pairs, rather than Fails.
     """
-    by_pairs, witness = is_convex_by_pairs(region, probe_density)
-    if region.kind == "pointed-open-box":
-        if by_pairs:
-            classes = {}
-            corners = PointedOpenBox.CORNERS
-            for p, q in itertools.combinations(corners, 2):
-                cls = classify_pair(region, p, q)
-                key = f"{point_to_json(p)}-{point_to_json(q)}"
-                classes[key] = cls.value
-            return _report(
-                "cor-5",
-                region,
-                HypothesisStatus.SATISFIED,
-                ConclusionStatus.EXPECTED_COUNTEREXAMPLE,
-                facts={
-                    "pairs_all_flat_or_hyperbolic": True,
-                    "convex": False,
-                    "non_convexity_witness": point_to_json(Point((Q(1, 2), ZERO))),
-                    "corner_pair_classes": classes,
-                },
-            )
+    by_pairs, pair = is_convex_by_pairs(region, probe_density)
+    witness = region.convexity_witness()
+    mid = (witness or {}).get("midpoint")
+    if mid is not None and locate_point2(region, mid)[0] is PointLocation.BOUNDARY:
+        if not by_pairs:
+            return _satisfied("cor-5", region, [pair_to_json(*pair)], {})
+        probes = region.boundary_probes(probe_density)
+        classes = {
+            f"{point_to_json(p)}-{point_to_json(q)}": classify_pair(region, p, q).value
+            for p, q in itertools.combinations(probes, 2)
+        }
         return _report(
             "cor-5",
             region,
             HypothesisStatus.SATISFIED,
-            ConclusionStatus.FAILS,
-            witnesses=(pair_to_json(*witness),),
+            ConclusionStatus.EXPECTED_COUNTEREXAMPLE,
+            facts={
+                "pairs_all_flat_or_hyperbolic": True,
+                "convex": False,
+                "non_convexity_witness": point_to_json(mid),
+                "corner_pair_classes": classes,
+            },
         )
-    non_convex = _non_convexity_witness(region)
-    truth = non_convex is None
-    agree = by_pairs == truth
-    facts = {"convex_by_pairs": by_pairs, "convex_ground_truth": truth}
-    witnesses = ()
-    if witness is not None:
-        witnesses = (pair_to_json(*witness),)
-    elif not agree:
-        witnesses = (non_convex,)
-    return _report(
-        "cor-5",
-        region,
-        HypothesisStatus.SATISFIED,
-        ConclusionStatus.HOLDS if agree else ConclusionStatus.FAILS,
-        witnesses=witnesses,
-        facts=facts,
-    )
-
-
-def _non_convexity_witness(region):
-    """None for a convex region, else a re-checked witness that it is not.
-
-    A polygon's witness is a reflex vertex of the region: an outer-ring
-    vertex whose stored turn is negative, or a convex vertex of a hole. A
-    disk complement's is the member pair center -/+ (2r, 0), whose
-    midpoint, the center, leaves the set. Both are re-checked in rationals.
-    """
-    if region.kind == "disk":
-        return None
-    if region.kind == "disk-complement":
-        offset = Vector((2 * region.radius, ZERO))
-        p, q = region.center - offset, region.center + offset
-        mid = interpolate(p, q, Q(1, 2))
-        if not (
-            locate_point2(region, p)[1]
-            and locate_point2(region, q)[1]
-            and not locate_point2(region, mid)[1]
-        ):
-            raise CertificateError("disk complement pair does not witness")
-        return {"p": point_to_json(p), "q": point_to_json(q),
-                "midpoint": point_to_json(mid)}
-    if region.kind != "polygon":
-        raise TypeError(f"no convexity ground truth for {region!r}")
-    # A ring is counterclockwise, so a right turn of the outer ring and a
-    # left turn of a hole are both reflex angles of the region.
-    rings = [(region.outer, -1)] + [(hole, 1) for hole in region.holes]
-    for ring, reflex in rings:
-        for i, turn in enumerate(ring._turns):
-            if turn != reflex:
-                continue
-            vs = ring.vertices
-            u, v, w = vs[i - 1], vs[i], vs[(i + 1) % ring.n]
-            if (cross2(v - u, w - v) > 0) != (reflex > 0):
-                raise CertificateError(f"{v!r} is not a reflex vertex")
-            return {"reflex_vertex": point_to_json(v)}
-    return None
+    convex = witness is None
+    facts = {"convex_by_pairs": by_pairs, "convex_ground_truth": convex}
+    if pair is not None:
+        shown = [pair_to_json(*pair)]
+    else:  # the pairs pass, so only a witness can disagree
+        shown = [] if convex else [{k: point_to_json(v) for k, v in witness.items()}]
+    return _satisfied("cor-5", region, shown if by_pairs != convex else [],
+                      facts, shown)
 
 
 # ---------------------------------------------------------------------------
@@ -607,9 +552,10 @@ def check_boundary_hull(instance, interior_samples=DEFAULT_SAMPLES, seed=0):
     """Every sampled member is a convex combination of boundary points.
 
     Hypothesis-violated polyhedra (halfspace, slab) record whether the
-    boundary hull happens to equal the set anyway.
+    boundary hull happens to equal the set anyway. An epigraph (a kind with
+    `chord_value`) is covered by graph chords.
     """
-    if instance.kind == "epigraph1d":
+    if hasattr(instance, "chord_value"):
         return _check_epigraph_chords("thm-10", instance, interior_samples, seed)
     P = instance
     rng = rng_from_seed(seed)
@@ -725,9 +671,10 @@ def _epigraph_strictness_probes(epi, rng):
 
 def check_krein_milman(instance, samples=25, seed=0):
     """Bounded polyhedra: exact hull equality with the extreme points.
-    Epigraphs: the graph is the profile and chords cover interior samples.
+    Epigraphs (kinds with `chord_value`): the graph is the profile and
+    chords cover interior samples.
     Violated hypotheses record whether C(E(A)) = A anyway."""
-    if instance.kind == "epigraph1d":
+    if hasattr(instance, "chord_value"):
         return _check_epigraph_chords("thm-13", instance, samples, seed)
     P = instance
     rng = rng_from_seed(seed)

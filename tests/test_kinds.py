@@ -2,8 +2,9 @@
 
 The half-plane below is a region that `convexprofile` does not know. Its
 loader, dumper and drawing go into the kind tables, and from there it
-loads, dumps, classifies, passes the convexity test and renders with no
-change to the package.
+loads, dumps, classifies, passes the convexity test, runs the convexity
+corollary and renders with no change to the package. An epigraph under a
+kind name of its own runs the chord theorems the same way.
 """
 
 import json
@@ -13,8 +14,16 @@ import pytest
 from convexprofile import geometry_io, svg_render
 from convexprofile.cli import run
 from convexprofile.core import Point, Q, ZERO
+from convexprofile.epigraph import Epigraph1D
 from convexprofile.geometry_io import dump_geometry, load_geometry
 from convexprofile.polyhedra import PointLocation
+from convexprofile.theorems import (
+    ConclusionStatus,
+    HypothesisStatus,
+    check_boundary_hull,
+    check_convexity_corollary,
+    check_krein_milman,
+)
 
 
 class HalfPlane:
@@ -40,6 +49,15 @@ class HalfPlane:
     def boundary_probes(self, density):
         return [Point((Q(k), ZERO)) for k in range(density)]
 
+    def convexity_witness(self):
+        return None
+
+
+class ShiftedParabola(Epigraph1D):
+    """An epigraph that `convexprofile` knows only by its protocol."""
+
+    kind = "shifted-parabola"
+
 
 def _load(doc, path):
     return (), path
@@ -59,6 +77,13 @@ def _draw(plane, frame_for):
 def half_plane(monkeypatch):
     monkeypatch.setitem(geometry_io.KINDS, HalfPlane.kind, (HalfPlane, _load, _dump))
     monkeypatch.setitem(svg_render._DRAWINGS, HalfPlane.kind, _draw)
+
+
+@pytest.fixture
+def shifted_parabola(monkeypatch):
+    _, load, dump = geometry_io.KINDS[Epigraph1D.kind]
+    monkeypatch.setitem(geometry_io.KINDS, ShiftedParabola.kind,
+                        (ShiftedParabola, load, dump))
 
 
 def test_a_new_kind_round_trips(half_plane):
@@ -90,3 +115,19 @@ def test_a_new_kind_runs_through_the_cli(half_plane, tmp_path, capsys):
 def test_an_unregistered_kind_is_refused():
     with pytest.raises(TypeError, match="cannot serialize HalfPlane"):
         dump_geometry(HalfPlane())
+
+
+def test_a_new_kind_runs_the_convexity_corollary(half_plane):
+    r = check_convexity_corollary(HalfPlane(), 5)
+    assert (r.hypothesis, r.conclusion) == (
+        HypothesisStatus.SATISFIED, ConclusionStatus.HOLDS)
+    assert r.facts == {"convex_by_pairs": True, "convex_ground_truth": True}
+
+
+@pytest.mark.parametrize("check", [check_boundary_hull, check_krein_milman])
+def test_a_new_epigraph_kind_runs_the_chord_theorems(shifted_parabola, check):
+    r = check(ShiftedParabola((1, -2, 1)), 5, 3)
+    assert (r.hypothesis, r.conclusion) == (
+        HypothesisStatus.SATISFIED, ConclusionStatus.HOLDS)
+    assert r.instance_kind == "shifted-parabola"
+    assert r.facts["chords_verified"] == 5

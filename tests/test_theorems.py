@@ -1,7 +1,13 @@
+import ast
 import collections
 import itertools
 import json
+import os
+import subprocess
+import sys
+import textwrap
 import traceback
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -14,7 +20,7 @@ from convexprofile.generators import (
     random_hpolyhedron,
     rng_from_seed,
 )
-from convexprofile import linprog, theorems
+from convexprofile import geometry_io, linprog, theorems
 from convexprofile.polyhedra import (
     PointLocation,
     interior_point,
@@ -176,6 +182,65 @@ def test_convexity_corollary_pointed_open_box_flagged():
     assert not r.is_counterexample()
     classes = set(r.facts["corner_pair_classes"].values())
     assert classes == {"flat", "hyperbolic"}
+
+
+# A box whose first two corners are (0,0) and (1,1) names an interior
+# member as the midpoint of its witness pair; the re-check refuses it, in
+# the kind and through cor-5, also under python -O.
+FORGED_BOX = textwrap.dedent("""
+    from convexprofile.core import point
+    from convexprofile.errors import CertificateError
+    from convexprofile.regions2d import PointedOpenBox
+    from convexprofile.theorems import check_convexity_corollary
+
+    class ForgedBox(PointedOpenBox):
+        CORNERS = (point(0, 0), point(1, 1), point(1, 0), point(0, 1))
+
+    for check in (lambda: ForgedBox().convexity_witness(),
+                  lambda: check_convexity_corollary(ForgedBox(), 8)):
+        try:
+            check()
+            print("accepted")
+        except CertificateError as exc:
+            print(exc)
+""")
+FORGED_BOX_ERRORS = "pointed-open-box pair does not witness\n" * 2
+
+
+def test_a_forged_midpoint_witness_raises(capsys):
+    exec(FORGED_BOX, {})
+    assert capsys.readouterr().out == FORGED_BOX_ERRORS
+
+
+def test_a_forged_midpoint_witness_raises_under_python_O():
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(p for p in (src, env.get("PYTHONPATH")) if p)
+    proc = subprocess.run(
+        [sys.executable, "-O", "-c", FORGED_BOX],
+        env=env, capture_output=True, text=True, timeout=60, check=False,
+    )
+    assert (proc.returncode, proc.stdout) == (0, FORGED_BOX_ERRORS), proc.stderr
+
+
+def test_the_checkers_ask_the_kind_not_its_name():
+    # A checker reads what a kind answers (`convexity_witness`,
+    # `chord_value`), so it compares no `.kind` and tests no kind's class.
+    kinds = {cls.__name__ for cls, _, _ in geometry_io.KINDS.values()}
+    kinds.add("SimplePolygon")
+    tree = ast.parse(Path(theorems.__file__).read_text())
+    sites = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Compare):
+            if any(isinstance(x, ast.Attribute) and x.attr == "kind"
+                   for x in (node.left, *node.comparators)):
+                sites.append(node.lineno)
+        elif (isinstance(node, ast.Call)
+              and getattr(node.func, "id", None) == "isinstance"):
+            if any(isinstance(x, ast.Name) and x.id in kinds
+                   for x in ast.walk(node.args[1])):
+                sites.append(node.lineno)
+    assert sites == []
 
 
 # --- prop-8 ------------------------------------------------------------------
