@@ -371,20 +371,3 @@ def solve_linear(m, rhs):
     if free == 0:
         return LinearSolution(SolveStatus.UNIQUE, Vector(x))
     return LinearSolution(SolveStatus.UNDERDETERMINED, Vector(x), free)
-
-
-def nullspace_basis(m):
-    """A basis for the exact nullspace of m, one Vector per free column."""
-    rows = [list(r.coords) for r in m.rows]
-    pivots = _row_echelon(rows, m.ncols)
-    pivot_set = set(pivots)
-    basis = []
-    for free_col in range(m.ncols):
-        if free_col in pivot_set:
-            continue
-        v = [ZERO] * m.ncols
-        v[free_col] = ONE
-        for r, col in enumerate(pivots):
-            v[col] = -rows[r][free_col]
-        basis.append(Vector(v))
-    return basis

@@ -5,17 +5,19 @@ integer double description of its homogenized cone (no cap on the number of
 constraints or on the dimension), built with `core`'s integer forms. Every
 question about an H-polyhedron is read from it with no LP: emptiness and a
 member point, full-dimensionality, an interior point, the vertices,
-boundedness and a recession direction, the boundary-ray test, exposed
-faces, redundancy and the facet probes. Membership, point location and the
-vertex test read the signs of the rows at the point's cached `Point.form`;
-a member is a boundary point iff some row is 0 there.
+boundedness and a recession direction, the direction of a line, the
+boundary-ray test, exposed faces, redundancy and the facet probes.
+Membership, point location, the vertex test and the boundary chords of
+`boundary_chord_search` read the signs of the rows at a point's cached
+`Point.form`; a member is a boundary point iff some row is 0 there.
 The facet probes are built as homogeneous integer forms (X, T) from the
 incident rays, each with the mask of the rows at 0 there, and cached on the
 polyhedron; that mask is its answer to `supports`. Every certificate
-(member point, vertex, interior point, face optimum, recession ray, probe)
-is re-verified by substitution. The one LP left is V-polytope membership,
-`hull_contains`; `profile` reads the polar cone's double description and
-re-checks each kept generator's exposing row in integers.
+(member point, vertex, interior point, face optimum, recession ray, line
+direction, probe, chord end) is re-verified by substitution. The one LP
+left is V-polytope membership, `hull_contains`; `profile` reads the polar
+cone's double description and re-checks each kept generator's exposing row
+in integers.
 """
 
 from __future__ import annotations
@@ -36,7 +38,6 @@ from .core import (
     _combine,
     _dot,
     _primitive,
-    nullspace_basis,
     rank,
     rational,
 )
@@ -374,10 +375,6 @@ def recession_direction(P):
     return None
 
 
-def _normal_matrix(P):
-    return Matrix([h.normal for h in P.halfspaces])
-
-
 def lineality_dim(P):
     """Dimension of {d : normal_i . d = 0 for all i}: the number of `_dd`'s
     lineality vectors, which are the (d, 0) with every normal_i . d = 0."""
@@ -386,12 +383,24 @@ def lineality_dim(P):
 
 
 def lineality_direction(P):
-    """A direction of a full line contained in P, or None."""
+    """A direction d of a line in P, or None when P holds no line. Of the
+    directions that `_dd`'s lineality vectors (d, 0) span, it is the one
+    whose last nonzero entry comes first, found by elimination from the last
+    coordinate down and scaled to 1 there; a . d = 0 is re-checked for every
+    row."""
     _require_nonempty(P)
-    if not P.halfspaces:
-        return _signed_axes(P.dim)[0]
-    basis = nullspace_basis(_normal_matrix(P))
-    return basis[0] if basis else None
+    vecs = list(P._dd[0])
+    while len(vecs) > 1:
+        j = max(k for v in vecs for k, c in enumerate(v) if c)
+        p = vecs.pop(next(k for k, v in enumerate(vecs) if v[j]))
+        vecs = [_combine(p[j], v, -v[j], p) for v in vecs]
+    if not vecs:
+        return None
+    y = vecs[0]
+    if any(_dot(row, y) for row in P._rows):
+        raise CertificateError(f"lineality vector {y} is not 0 on every row")
+    last = max(k for k, c in enumerate(y) if c)
+    return Vector([Q(c, y[last]) for c in y[:-1]])
 
 
 def contains_hyperplane(P):
@@ -655,6 +664,90 @@ def _boundary_mask(values):
     if any(v > 0 for v in values):
         return None
     return sum(1 << k for k, v in enumerate(values) if not v) or None
+
+
+def _two_sided_direction(a, b):
+    """A direction d with a . d > 0 > b . d, or None when there is none.
+
+    d = (b.b + a.b) a - (a.a + a.b) b gives a . d = G and b . d = -G, with
+    G = (a.a)(b.b) - (a.b)^2 > 0 unless a and b are parallel; then d = a
+    serves iff a . b < 0. Integer vectors give an integer d.
+    """
+    aa, ab, bb = _dot(a, a), _dot(a, b), _dot(b, b)
+    if aa * bb != ab * ab:
+        return tuple((bb + ab) * x - (aa + ab) * y for x, y in zip(a, b))
+    return tuple(a) if ab < 0 else None
+
+
+def _two_sided_directions(P):
+    """Integer directions whose line through any interior point is clipped
+    both ways: coordinate directions first; then, for each ordered pair of
+    constraints (a, b), one that a bounds above and b below
+    (`_two_sided_direction`), with the normals cleared over one scale.
+    Whenever the set contains no hyperplane some pair admits one.
+    """
+    dim = P.dim
+    units = [tuple(int(i == j) for j in range(dim)) for i in range(dim)]
+    yield from units
+    for i, j in itertools.combinations(range(dim), 2):
+        for s in (1, -1):
+            yield tuple(u + s * v for u, v in zip(units[i], units[j]))
+    flat = _cleared([c for h in P.halfspaces for c in h.normal])[0]
+    normals = [flat[k : k + dim] for k in range(0, len(flat), dim)]
+    for a, b in itertools.permutations(normals, 2):
+        d = _two_sided_direction(a, b)
+        if d is not None:
+            yield d
+
+
+def boundary_chord_search(P):
+    """x -> a chord (a, b) through x with both ends on P's boundary, or None:
+    on the first line x + t d, d from `_two_sided_directions`, that leaves P
+    on both sides of x. Only a d whose slopes s = row . (d, 0) take both
+    signs can; those d are built once, lazily, and kept with their slopes
+    for every x that the finder is asked.
+    The row of value v = row . form(x) cuts the line at t = -v / (s W); the
+    nearest row on each side gives the end (s X - v d, s W), re-checked with
+    `_boundary_mask`. For an interior x the first such d gives the chord.
+    """
+    rows, lines = P._rows, []
+    fresh = ((d, s) for d in _two_sided_directions(P)
+             for s in [[_dot(row, d) for row in rows]]
+             if max(s, default=0) > 0 > min(s, default=0))
+
+    def each_line():
+        yield from lines
+        for line in fresh:
+            lines.append(line)
+            yield line
+
+    def end(form, d, v, s):
+        *xs, w = form
+        e = [s * x - v * c for x, c in zip(xs, d)] + [s * w]
+        return _primitive([-c for c in e] if s < 0 else e)
+
+    def find(x):
+        form = x.form
+        values = [_dot(row, form) for row in rows]
+        if any(v > 0 for v in values):
+            return None  # a row above 0 at x bounds every line on one side
+        for d, slopes in each_line():
+            lo = hi = None  # (v, s) of the nearest row on each side
+            for v, s in zip(values, slopes):
+                if s > 0:
+                    if hi is None or v * hi[1] > hi[0] * s:
+                        hi = v, s
+                elif s < 0 and (lo is None or v * lo[1] < lo[0] * s):
+                    lo = v, s
+            if not (lo[0] and hi[0]):
+                continue  # x is an end: lo < 0 < hi fails
+            ends = [end(form, d, *lo), end(form, d, *hi)]
+            if all(_boundary_mask([_dot(row, e) for row in rows]) is not None
+                   for e in ends):
+                return tuple(Point._from_form(e) for e in ends)
+        return None
+
+    return find
 
 
 def polyhedron_boundary_probes(P):

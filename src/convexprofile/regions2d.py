@@ -464,22 +464,22 @@ class PointedOpenBox:
 
     # Its locations are the closed unit square's, and so are its pairs'
     # classes: a corner's supporting rows are the two edges through it.
-    _square = HPolyhedron(tuple(
+    SQUARE = HPolyhedron(tuple(
         Halfspace(Vector(normal), offset)
         for normal, offset in (((-1, 0), 0), ((1, 0), 1), ((0, -1), 0), ((0, 1), 1))
     ), 2)
-    _rows = _square._rows
+    _rows = SQUARE._rows
     chord = "hyperbolic"
 
     def locate2(self, x):
-        loc = locate_point(self._square, x)
+        loc = locate_point(self.SQUARE, x)
         return loc, loc is PointLocation.INTERIOR or x in self.CORNERS
 
     def boundary_probes(self, density):
         return list(self.CORNERS)
 
     def supports(self, x):
-        return self._square.supports(x)
+        return self.SQUARE.supports(x)
 
     def convexity_witness(self):
         """The corners (0,0) and (1,0), whose midpoint is a frame point."""

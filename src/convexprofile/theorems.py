@@ -5,7 +5,9 @@ a concrete instance and emits a structured TheoremReport. The epistemic
 contract is property-testing: hypotheses quantifying over infinite sets
 (all boundary pairs, all members) are probed at configurable density, and
 a report of (hypothesis satisfied, conclusion fails) is a counterexample
-flag that fails the whole run.
+flag that fails the whole run. A checker keeps the sampling, the seeds and
+the report; every polyhedron fact, a boundary chord and a line's direction
+among them, is asked of `polyhedra` by a public name.
 """
 
 from __future__ import annotations
@@ -20,9 +22,6 @@ from .core import (
     Q,
     Vector,
     ZERO,
-    _cleared,
-    _dot,
-    _primitive,
     interpolate,
     rank,
 )
@@ -42,7 +41,7 @@ from .polyhedra import (
     HPolyhedron,
     PointLocation,
     VPolytope,
-    _boundary_mask,
+    boundary_chord_search,
     boundary_has_ray,
     contains_hyperplane,
     extreme_points,
@@ -59,6 +58,7 @@ from .polyhedra import (
     polyhedron_boundary_probes,
     profile,
     recession_direction,
+    remove_redundant,
 )
 from .regions2d import (
     Disk,
@@ -207,89 +207,6 @@ def _interior_samples_polyhedron(rng, count, probes, center):
     return pts[:count]
 
 
-def _two_sided_direction(a, b):
-    """A direction d with a . d > 0 > b . d, or None when there is none.
-
-    d = (b.b + a.b) a - (a.a + a.b) b gives a . d = G and b . d = -G, with
-    G = (a.a)(b.b) - (a.b)^2 > 0 unless a and b are parallel; then d = a
-    serves iff a . b < 0. Integer vectors give an integer d.
-    """
-    aa, ab, bb = _dot(a, a), _dot(a, b), _dot(b, b)
-    if aa * bb != ab * ab:
-        return tuple((bb + ab) * x - (aa + ab) * y for x, y in zip(a, b))
-    return tuple(a) if ab < 0 else None
-
-
-def _two_sided_directions(P):
-    """Integer directions whose line through any interior point is clipped
-    both ways: coordinate directions first; then, for each ordered pair of
-    constraints (a, b), one that a bounds above and b below
-    (`_two_sided_direction`), with the normals cleared over one scale.
-    Whenever the set contains no hyperplane some pair admits one.
-    """
-    dim = P.dim
-    units = [tuple(int(i == j) for j in range(dim)) for i in range(dim)]
-    yield from units
-    for i, j in itertools.combinations(range(dim), 2):
-        for s in (1, -1):
-            yield tuple(u + s * v for u, v in zip(units[i], units[j]))
-    flat = _cleared([c for h in P.halfspaces for c in h.normal])[0]
-    normals = [flat[k : k + dim] for k in range(0, len(flat), dim)]
-    for a, b in itertools.permutations(normals, 2):
-        d = _two_sided_direction(a, b)
-        if d is not None:
-            yield d
-
-
-def _boundary_chord_search(P):
-    """x -> a chord (a, b) through x with both ends on P's boundary, or None:
-    on the first line x + t d, d from `_two_sided_directions`, that leaves P
-    on both sides of x. Only a d whose slopes s = row . (d, 0) take both
-    signs can; those d are kept, with their slopes, for every x of a check.
-    The row of value v = row . form(x) cuts the line at t = -v / (s W); the
-    nearest row on each side gives the end (s X - v d, s W), re-checked with
-    `_boundary_mask`. For an interior x the first such d gives the chord.
-    """
-    rows, lines = P._rows, []
-    fresh = ((d, s) for d in _two_sided_directions(P)
-             for s in [[_dot(row, d) for row in rows]]
-             if max(s, default=0) > 0 > min(s, default=0))
-
-    def each_line():
-        yield from lines
-        for line in fresh:
-            lines.append(line)
-            yield line
-
-    def end(form, d, v, s):
-        *xs, w = form
-        e = [s * x - v * c for x, c in zip(xs, d)] + [s * w]
-        return _primitive([-c for c in e] if s < 0 else e)
-
-    def find(x):
-        form = x.form
-        values = [_dot(row, form) for row in rows]
-        if any(v > 0 for v in values):
-            return None  # a row above 0 at x bounds every line on one side
-        for d, slopes in each_line():
-            lo = hi = None  # (v, s) of the nearest row on each side
-            for v, s in zip(values, slopes):
-                if s > 0:
-                    if hi is None or v * hi[1] > hi[0] * s:
-                        hi = v, s
-                elif s < 0 and (lo is None or v * lo[1] < lo[0] * s):
-                    lo = v, s
-            if not (lo[0] and hi[0]):
-                continue  # x is an end: lo < 0 < hi fails
-            ends = [end(form, d, *lo), end(form, d, *hi)]
-            if all(_boundary_mask([_dot(row, e) for row in rows]) is not None
-                   for e in ends):
-                return tuple(Point._from_form(e) for e in ends)
-        return None
-
-    return find
-
-
 # ---------------------------------------------------------------------------
 # Flat-pair theorem (closed all-flat sets are convex; affine boundary, ...)
 # ---------------------------------------------------------------------------
@@ -301,12 +218,18 @@ def check_flat_theorem(instance, probe_density=DEFAULT_PROBE_DENSITY, seed=0):
     The hypothesis is scanned on any region kind, but the conclusion is
     checked on polyhedra only: every planar kind has a non-flat probe pair
     (a ring's vertex and the midpoint of an edge not incident to it, any
-    chord of a circle, the pointed box's diagonal).
+    chord of a circle, the pointed box's diagonal). Any other all-flat kind
+    is refused with TypeError.
     """
     probes = instance.boundary_probes(probe_density)
     pair = first_pair_outside(instance, probes, {PairClass.FLAT})
     if pair is not None:
         return _violated("thm-2", instance, pair_to_json(*pair))
+    if not (hasattr(instance, "full_dimensional") and hasattr(instance, "halfspaces")):
+        raise TypeError(
+            "thm-2's conclusion reads the polyhedron facts `full_dimensional`"
+            f" and `halfspaces`, which the {instance.kind!r} kind does not answer"
+        )
     P = instance
     full_dim = P.full_dimensional
     rng = rng_from_seed(seed)
@@ -355,7 +278,7 @@ def _boundary_affine(P, probes):
 def _complement_convex_probed(P, probes, rng):
     """Midpoints of sampled exterior pairs stay exterior."""
     exterior = []
-    for h, _ in P._facets:
+    for h in remove_redundant(P).halfspaces:
         for pt in probes[:6]:
             shift = Q(1 + rng.randint(0, 3))
             cand = pt + shift * h.normal
@@ -575,7 +498,7 @@ def check_boundary_hull(instance, interior_samples=DEFAULT_SAMPLES, seed=0):
     failures = []
     chords = 0
     trivial = 0
-    find_chord = _boundary_chord_search(P)
+    find_chord = boundary_chord_search(P)
     for x in pts:
         loc = locate_point(P, x)
         if loc is PointLocation.BOUNDARY:
@@ -602,7 +525,7 @@ def _boundary_hull_fact(P, rng, facts):
     if not P.full_dimensional:
         facts["reason"] = "no interior: every member is a boundary point"
         return True
-    if len(P._facets) == 1:
+    if len(remove_redundant(P).halfspaces) == 1:
         facts["reason"] = (
             "halfspace: the boundary hull is the supporting hyperplane"
         )
@@ -612,7 +535,7 @@ def _boundary_hull_fact(P, rng, facts):
     center = interior_point(P)
     probes = polyhedron_boundary_probes(P)
     pts = _interior_samples_polyhedron(rng, 10, probes, center)
-    find_chord = _boundary_chord_search(P)
+    find_chord = boundary_chord_search(P)
     for x in pts:
         if find_chord(x) is None:
             facts["reason"] = f"no boundary chord through {point_to_json(x)}"
@@ -697,14 +620,14 @@ def check_krein_milman(instance, samples=25, seed=0):
         if outside is not None:
             witness = {"member_outside_extreme_hull": point_to_json(outside)}
         return _violated("thm-13", P, witness, facts)
+    # A satisfied hypothesis bounds P (`boundary_has_ray`; E^1 holds a
+    # hyperplane), so P has vertices and `hull_equal` applies.
     verts = extreme_points(P)
     facts["extreme_count"] = len(verts)
-    try:
-        equal = hull_equal(P, VPolytope(verts, P.dim)) if verts else False
-    except UnboundedPolyhedronError:
-        equal = False
+    V = VPolytope(verts, P.dim)
+    equal = hull_equal(P, V)
     # `profile` tests each (sorted, distinct) vertex against all the others.
-    minimal = not verts or profile(VPolytope(verts, P.dim)) == verts
+    minimal = profile(V) == verts
     facts["profile_minimal"] = minimal
     failures = []
     if not (equal and minimal):
@@ -721,8 +644,6 @@ def _hull_of_extremes_equals(P, verts, bounded, rng):
         return hull_equal(P, V), None
     base = feasible_point(P)
     d = recession_direction(P)
-    if d is None:  # pragma: no cover - unbounded implies a direction
-        return False, None
     k = Q(1)
     for _ in range(64):
         cand = base + k * d
@@ -765,7 +686,7 @@ def slab_fixture():
 
 def unit_square_fixture():
     """The closed unit square [0, 1]^2: the pointed open box's closure."""
-    return PointedOpenBox._square
+    return PointedOpenBox.SQUARE
 
 
 def segment_fixture():

@@ -9,7 +9,7 @@ the old signed-axis recession LPs and `lp_two_sided_direction` the old
 per-pair chord direction LP. They referee `HPolyhedron._facets`,
 `is_empty`, `full_dimensional`, `interior_point`, `face_in_direction`,
 `feasible_point`, `recession_direction`, `is_bounded`, `boundary_has_ray`
-and `theorems._two_sided_direction`, and keep the programs they hand the
+and `polyhedra._two_sided_direction`, and keep the programs they hand the
 simplex in the engine's differential corpus.
 """
 

@@ -20,7 +20,6 @@ from convexprofile.core import (
     format_rational,
     interpolate,
     midpoint,
-    nullspace_basis,
     orientation,
     point,
     rank,
@@ -116,16 +115,6 @@ def test_solve_linear_examples():
     assert under.status is SolveStatus.UNDERDETERMINED
     assert under.nullspace_dim == 1
     assert under.solution.coords[0] + under.solution.coords[1] == 1
-
-
-@given(small_matrices)
-def test_nullspace_vectors_annihilate(rows):
-    m = Matrix(rows)
-    for v in nullspace_basis(m):
-        assert not v.is_zero()
-        for row in m.rows:
-            assert row.dot(v) == 0
-    assert len(nullspace_basis(m)) == m.ncols - rank(m)
 
 
 def test_point_vector_arithmetic():

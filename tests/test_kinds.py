@@ -3,7 +3,8 @@
 The half-plane below is a region that `convexprofile` does not know. Its
 loader, dumper and drawing go into the kind tables, and from there it
 loads, dumps, classifies, passes the convexity test, runs the convexity
-corollary and renders with no change to the package. An epigraph under a
+corollary and renders with no change to the package; the flat theorem, whose
+conclusion is checked on polyhedra only, refuses it. An epigraph under a
 kind name of its own runs the chord theorems the same way.
 """
 
@@ -22,6 +23,7 @@ from convexprofile.theorems import (
     HypothesisStatus,
     check_boundary_hull,
     check_convexity_corollary,
+    check_flat_theorem,
     check_krein_milman,
 )
 
@@ -122,6 +124,13 @@ def test_a_new_kind_runs_the_convexity_corollary(half_plane):
     assert (r.hypothesis, r.conclusion) == (
         HypothesisStatus.SATISFIED, ConclusionStatus.HOLDS)
     assert r.facts == {"convex_by_pairs": True, "convex_ground_truth": True}
+
+
+def test_a_new_all_flat_kind_is_refused_by_the_flat_theorem(half_plane):
+    # Every probe pair of the half-plane is flat, so thm-2's hypothesis
+    # holds; its conclusion reads polyhedron facts the kind does not answer.
+    with pytest.raises(TypeError, match="`full_dimensional` and `halfspaces`"):
+        check_flat_theorem(HalfPlane(), 5)
 
 
 @pytest.mark.parametrize("check", [check_boundary_hull, check_krein_milman])

@@ -12,7 +12,7 @@ from pathlib import Path
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from convexprofile import intgeom, polyhedra
+from convexprofile import core, intgeom, polyhedra
 from convexprofile.core import (
     Matrix,
     Point,
@@ -37,6 +37,7 @@ from convexprofile.generators import (
     rng_from_seed,
 )
 from convexprofile.linprog import LpStatus
+from convexprofile.polyhedra import _two_sided_direction
 from convexprofile.polyhedra import (
     Halfspace,
     HPolyhedron,
@@ -54,6 +55,7 @@ from convexprofile.polyhedra import (
     is_empty,
     is_vertex,
     lineality_dim,
+    lineality_direction,
     locate_point,
     polyhedron_boundary_probes,
     profile,
@@ -68,7 +70,6 @@ from convexprofile.regions2d import (
     kernel,
     kernel_vertices,
 )
-from convexprofile.theorems import _two_sided_direction
 from lp_reference import (
     lp_face_optimum,
     lp_feasible_point,
@@ -197,6 +198,66 @@ def test_lineality_examples():
     assert lineality_dim(halfplane()) == 1
     assert lineality_dim(unit_square()) == 0
     assert lineality_dim(slab()) == 1
+
+
+def _rational_lineality_direction(P):
+    """The rational elimination that `lineality_direction` replaced: the
+    first vector of the normals' nullspace basis, one vector per free
+    column of their reduced row echelon form, or e_1 when P has no row."""
+    n = P.dim
+    rows = [list(h.normal.coords) for h in P.halfspaces]
+    pivots = core._row_echelon(rows, n) if rows else []
+    free = next((c for c in range(n) if c not in pivots), None)
+    if free is None:
+        return None
+    v = [Q(int(c == free)) for c in range(n)]
+    for r, col in enumerate(pivots):
+        v[col] = -rows[r][free]
+    return Vector(v)
+
+
+def _few_row_sets(rng, dim):
+    """A halfspace, a slab and two crossing halfspaces with random normals:
+    lineality of dimension dim - 1, dim - 1 and dim - 2."""
+    a = Vector([Q(rng.randint(-3, 3)) for _ in range(dim - 1)] + [Q(rng.randint(1, 3))])
+    b = Vector([Q(rng.randint(1, 3))] + [Q(rng.randint(-3, 3)) for _ in range(dim - 1)])
+    yield HPolyhedron((H(a, 1),), dim)
+    yield HPolyhedron((H(a, 2), H(-a, 1)), dim)
+    if a.coords[0] * b.coords[-1] != a.coords[-1] * b.coords[0]:
+        yield HPolyhedron((H(a, 1), H(b, 1)), dim)
+
+
+def test_lineality_direction_matches_the_rational_elimination():
+    # The double description's lineality vectors, eliminated from the last
+    # coordinate down and scaled to 1, give exactly the first nullspace
+    # vector of the rational normals, on seeded polyhedra in E^1 to E^4, on
+    # few-row sets with lines of dimension >= 2, and on E^n itself.
+    rng = rng_from_seed("lineality-direction")
+    cases = [random_hpolyhedron(rng, dim) for dim in (1, 2, 3, 4) for _ in range(150)]
+    cases += [P for dim in (3, 4) for _ in range(15) for P in _few_row_sets(rng, dim)]
+    cases += [HPolyhedron((), dim) for dim in (1, 2, 3, 4)]
+    seen = collections.Counter()
+    for P in cases:
+        d = lineality_direction(P)
+        assert d == _rational_lineality_direction(P), P
+        seen[min(lineality_dim(P), 2)] += 1
+        if d is not None:
+            assert all(h.normal.dot(d) == 0 for h in P.halfspaces), P
+    assert seen[0] > 500 and seen[1] > 30 and seen[2] > 90
+
+
+def test_a_forged_lineality_vector_raises():
+    # A lineality vector that some row is not 0 on is refused.
+    P = halfplane()
+    P.__dict__["_dd"] = ([(0, 1, 0)], P._dd[1])
+    with pytest.raises(CertificateError, match="lineality"):
+        lineality_direction(P)
+    verdicts = _forgery_verdicts_under_python_O(
+        "lineality_direction", [((0, 1, 0), "lineality")],
+        rows=(((0, -1), 0),),
+        plant='shape.__dict__["_dd"] = ([forged], shape._dd[1])',
+    )
+    assert verdicts == ["1", "CertificateError"]
 
 
 def test_contains_hyperplane_examples():

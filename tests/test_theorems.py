@@ -20,9 +20,10 @@ from convexprofile.generators import (
     random_hpolyhedron,
     rng_from_seed,
 )
-from convexprofile import geometry_io, linprog, theorems
+from convexprofile import geometry_io, linprog, polyhedra, theorems
 from convexprofile.polyhedra import (
     PointLocation,
+    boundary_chord_search,
     interior_point,
     locate_point,
     polyhedron_boundary_probes,
@@ -243,7 +244,21 @@ def test_the_checkers_ask_the_kind_not_its_name():
     assert sites == []
 
 
-# --- prop-8 ------------------------------------------------------------------
+def test_the_checkers_read_no_private_polyhedron_state():
+    # Rows, facets and chords are answered by `polyhedra` through public
+    # names, so `theorems` imports no `_` name and reads no `_` attribute.
+    tree = ast.parse(Path(theorems.__file__).read_text())
+    sites = []
+    for node in ast.walk(tree):
+        if isinstance(node, (ast.Import, ast.ImportFrom)):
+            sites += [(node.lineno, a.name) for a in node.names
+                      if a.name.rpartition(".")[2].startswith("_")]
+        elif isinstance(node, ast.Attribute) and node.attr.startswith("_"):
+            sites.append((node.lineno, node.attr))
+    assert sites == []
+
+
+# --- prop-8------------------------------------------------------------------
 
 def test_kernel_characterization_fixtures():
     r = check_kernel_characterization(l_polygon_fixture(), samples=30, seed=11)
@@ -302,14 +317,12 @@ def test_boundary_hull_cone_chords():
 
 
 def test_boundary_chord_through_cone_point_is_symmetric():
-    from convexprofile.theorems import _boundary_chord_search
-
-    a, b = _boundary_chord_search(cone_fixture())(point(0, 5))
+    a, b = boundary_chord_search(cone_fixture())(point(0, 5))
     assert {a, b} == {point(-5, 5), point(5, 5)}
 
 
 def _clip_line_chord(P, x):
-    """The rational chord search that `_boundary_chord_search` replaced:
+    """The rational chord search that `boundary_chord_search` replaced:
     the same direction order built as rational vectors, each line clipped
     with the `Fraction` reference `_fraction_clip_line` and both ends
     located with `locate_point`."""
@@ -355,7 +368,7 @@ def test_the_integer_chord_search_matches_the_clip_line_search():
               unit_square_fixture(), segment_fixture()]
     seen = collections.Counter()
     for P in cases:
-        find = theorems._boundary_chord_search(P)
+        find = boundary_chord_search(P)
         for x in _chord_queries(P, rng):
             chord = find(x)
             assert chord == _clip_line_chord(P, x), (P, x)
@@ -378,8 +391,8 @@ def test_the_chord_search_rechecks_both_ends(monkeypatch):
     # Each end must pass `_boundary_mask` before its `Point` is built; an
     # end it rejects sends the search on to the next direction.
     seen = []
-    monkeypatch.setattr(theorems, "_boundary_mask", seen.append)
-    assert theorems._boundary_chord_search(cone_fixture())(point(0, 5)) is None
+    monkeypatch.setattr(polyhedra, "_boundary_mask", seen.append)
+    assert boundary_chord_search(cone_fixture())(point(0, 5)) is None
     assert len(seen) > 1
 
 
@@ -532,7 +545,7 @@ EPIGRAPH_CHORD_FAILURES = (
     (_square_loses_face_vertex,
      lambda: check_face_lemma(_SQUARE, vector(1, 0)),
      (["1", "0"],)),
-    (_set("_boundary_chord_search", lambda P: lambda x: None),
+    (_set("boundary_chord_search", lambda P: lambda x: None),
      lambda: check_boundary_hull(cone_fixture(), 3, 5),
      tuple({"no_chord_through": x}
            for x in (["0", "2"], ["11/4", "27/8"], ["5", "23/4"]))),
