@@ -17,10 +17,6 @@ class UnboundedPolyhedronError(ConvexProfileError):
     """The polyhedron is unbounded where a bounded one is required."""
 
 
-class NonFullDimensionalError(ConvexProfileError):
-    """The polyhedron has empty interior where a full-dimensional one is required."""
-
-
 class InvalidPolygonError(ConvexProfileError):
     """Vertex list does not describe a valid simple CCW polygon."""
 

@@ -45,7 +45,6 @@ from .errors import (
     CertificateError,
     DimensionMismatchError,
     EmptyPolyhedronError,
-    NonFullDimensionalError,
     UnboundedPolyhedronError,
 )
 from .linprog import solve_nonneg_feasibility
@@ -640,19 +639,18 @@ def remove_redundant(P):
 
 
 def boundary_has_ray(P):
-    """Whether some proper exposed face of P is unbounded.
+    """Whether the boundary of the non-empty P contains a ray.
 
-    Requires a non-empty full-dimensional polyhedron. In E^1 every facet is
-    a point. For n >= 2 the answer is "P is unbounded and not E^n": if
-    every facet were bounded, the boundary would lie in a ball B; the
-    complement of B is connected and misses the boundary, so an unbounded
-    P would contain all of it, and a convex P would then be E^n.
+    A P with no interior is its own boundary, and a closed convex set holds
+    a ray iff it is unbounded (Rockafellar 1970, Thm 8.4). Otherwise the
+    boundary is the union of the facets, and in E^1 every facet is a point.
+    For n >= 2 the answer is "P is unbounded and not E^n": if every facet
+    were bounded, the boundary would lie in a ball B; the complement of B
+    is connected and misses the boundary, so an unbounded P would contain
+    all of it, and a convex P would then be E^n.
     """
-    _require_nonempty(P)
     if not P.full_dimensional:
-        raise NonFullDimensionalError(
-            "boundary ray test needs a full-dimensional polyhedron"
-        )
+        return not is_bounded(P)
     return P.dim >= 2 and bool(P.halfspaces) and not is_bounded(P)
 
 

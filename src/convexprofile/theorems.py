@@ -7,7 +7,9 @@ contract is property-testing: hypotheses quantifying over infinite sets
 a report of (hypothesis satisfied, conclusion fails) is a counterexample
 flag that fails the whole run. A checker keeps the sampling, the seeds and
 the report; every polyhedron fact, a boundary chord and a line's direction
-among them, is asked of `polyhedra` by a public name.
+among them, is asked of `polyhedra` by a public name. No checker solves an
+LP: thm-13's member outside the hull of the extreme points is read in
+closed form off a recession direction.
 """
 
 from __future__ import annotations
@@ -26,7 +28,7 @@ from .core import (
     rank,
 )
 from .epigraph import CHORD_TOLERANCE, Epigraph1D, chord_find
-from .errors import UnboundedPolyhedronError
+from .errors import CertificateError, UnboundedPolyhedronError
 from .generators import (
     random_bounded_polytope,
     random_direction,
@@ -47,7 +49,6 @@ from .polyhedra import (
     extreme_points,
     face_in_direction,
     feasible_point,
-    hull_contains,
     hull_equal,
     interior_point,
     is_bounded,
@@ -482,8 +483,7 @@ def check_boundary_hull(instance, interior_samples=DEFAULT_SAMPLES, seed=0):
         return _check_epigraph_chords("thm-10", instance, interior_samples, seed)
     P = instance
     rng = rng_from_seed(seed)
-    hyp = not contains_hyperplane(P)
-    if not hyp:
+    if contains_hyperplane(P):
         facts = {"contains_hyperplane": True}
         facts["boundary_hull_equals_set"] = _boundary_hull_fact(P, rng, facts)
         return _violated("thm-10", P, facts=facts)
@@ -495,26 +495,21 @@ def check_boundary_hull(instance, interior_samples=DEFAULT_SAMPLES, seed=0):
         )
     else:
         pts = _member_samples_polyhedron(P, rng, interior_samples, probes)
-    failures = []
-    chords = 0
-    trivial = 0
-    find_chord = boundary_chord_search(P)
-    for x in pts:
-        loc = locate_point(P, x)
-        if loc is PointLocation.BOUNDARY:
-            trivial += 1
-            continue
-        found = find_chord(x)
-        if found is None:
-            failures.append({"no_chord_through": point_to_json(x)})
-        else:
-            chords += 1
+    inner = [x for x in pts if locate_point(P, x) is not PointLocation.BOUNDARY]
+    missing = _chordless(P, inner)
     facts = {
         "samples": len(pts),
-        "chords_found": chords,
-        "boundary_samples": trivial,
+        "chords_found": len(inner) - len(missing),
+        "boundary_samples": len(pts) - len(inner),
     }
+    failures = [{"no_chord_through": point_to_json(x)} for x in missing]
     return _satisfied("thm-10", P, failures, facts)
+
+
+def _chordless(P, pts):
+    """The points of pts through which no boundary chord of P passes."""
+    find_chord = boundary_chord_search(P)
+    return [x for x in pts if find_chord(x) is None]
 
 
 def _boundary_hull_fact(P, rng, facts):
@@ -532,14 +527,12 @@ def _boundary_hull_fact(P, rng, facts):
         return False
     # Two or more facets: chords through sampled interior points witness
     # that the boundary hull fills the set.
-    center = interior_point(P)
-    probes = polyhedron_boundary_probes(P)
-    pts = _interior_samples_polyhedron(rng, 10, probes, center)
-    find_chord = boundary_chord_search(P)
-    for x in pts:
-        if find_chord(x) is None:
-            facts["reason"] = f"no boundary chord through {point_to_json(x)}"
-            return False
+    pts = _interior_samples_polyhedron(
+        rng, 10, polyhedron_boundary_probes(P), interior_point(P))
+    missing = _chordless(P, pts)
+    if missing:
+        facts["reason"] = f"no boundary chord through {point_to_json(missing[0])}"
+        return False
     facts["reason"] = "chord-verified on interior samples"
     return True
 
@@ -600,30 +593,18 @@ def check_krein_milman(instance, samples=25, seed=0):
     if hasattr(instance, "chord_value"):
         return _check_epigraph_chords("thm-13", instance, samples, seed)
     P = instance
-    rng = rng_from_seed(seed)
     bounded = is_bounded(P)
-    no_hyperplane = not contains_hyperplane(P)
-    facts = {"bounded": bounded, "contains_hyperplane": not no_hyperplane}
-    if P.full_dimensional:
-        boundary_ray_free = not boundary_has_ray(P)
-    else:
-        # The set is its own boundary, and an unbounded closed convex set
-        # contains a ray.
-        boundary_ray_free = bounded
-    facts["boundary_has_ray"] = not boundary_ray_free
-    if not (no_hyperplane and boundary_ray_free):
-        witness = None
-        verts = extreme_points(P)
-        equal, outside = _hull_of_extremes_equals(P, verts, bounded, rng)
+    verts = extreme_points(P)
+    facts = {"bounded": bounded, "contains_hyperplane": contains_hyperplane(P),
+             "boundary_has_ray": boundary_has_ray(P), "extreme_count": len(verts)}
+    if facts["contains_hyperplane"] or facts["boundary_has_ray"]:
+        equal, outside = _hull_of_extremes_equals(P, verts, bounded)
         facts["hull_of_extremes_equals_set"] = equal
-        facts["extreme_count"] = len(verts)
-        if outside is not None:
-            witness = {"member_outside_extreme_hull": point_to_json(outside)}
+        witness = None if outside is None else {
+            "member_outside_extreme_hull": point_to_json(outside)}
         return _violated("thm-13", P, witness, facts)
     # A satisfied hypothesis bounds P (`boundary_has_ray`; E^1 holds a
     # hyperplane), so P has vertices and `hull_equal` applies.
-    verts = extreme_points(P)
-    facts["extreme_count"] = len(verts)
     V = VPolytope(verts, P.dim)
     equal = hull_equal(P, V)
     # `profile` tests each (sorted, distinct) vertex against all the others.
@@ -635,22 +616,27 @@ def check_krein_milman(instance, samples=25, seed=0):
     return _satisfied("thm-13", P, failures, facts)
 
 
-def _hull_of_extremes_equals(P, verts, bounded, rng):
-    """(equality verdict, witness member outside the hull or None)."""
+def _hull_of_extremes_equals(P, verts, bounded):
+    """(equality verdict, witness member outside the hull or None), no LP.
+    With no vertex any member is a witness; a bounded P goes to `hull_equal`.
+    An unbounded P holds the ray base + k d (base = `feasible_point(P)`,
+    d = `recession_direction(P)`; Rockafellar 1970, Thm 8.4), and the hull
+    lies in d . y <= top = max over the vertices of d . v: the witness is
+    base + k d for the least power of two k >= 1 with d . x > top, re-checked.
+    """
     if not verts:
         return False, feasible_point(P)
-    V = VPolytope(verts, P.dim)
     if bounded:
-        return hull_equal(P, V), None
+        return hull_equal(P, VPolytope(verts, P.dim)), None
     base = feasible_point(P)
     d = recession_direction(P)
-    k = Q(1)
-    for _ in range(64):
-        cand = base + k * d
-        if not hull_contains(V, cand):
-            return False, cand
-        k *= 2
-    return False, None
+    top = max(d.dot(v) for v in verts)
+    # k > (top - d . base) / d . d, whose floor n gives k = 2^bitlen(n)
+    n = (top - d.dot(base)) // d.dot(d)
+    x = base + 2 ** max(n, 0).bit_length() * d
+    if not (P.contains(x) and d.dot(x) > top):
+        raise CertificateError(f"{x!r} is not a member outside the extreme hull")
+    return False, x
 
 
 # ---------------------------------------------------------------------------

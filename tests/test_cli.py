@@ -235,6 +235,35 @@ def test_reconstruct_cone_emits_both_reports(geo, capsys):
     assert km["facts"]["hull_of_extremes_equals_set"] is False
 
 
+# The strip |x - y| <= N, x, y >= 0 with N = 2^70: its members (k, k) with
+# k <= N/2 lie in the hull of its vertices, so the witness on the ray (k, k)
+# is (N, N), at k = 2^70 > 2^63.
+CAPPED_N = str(2**70)
+CAPPED_STRIP = {
+    "kind": "h-polyhedron",
+    "dim": 2,
+    "halfspaces": [
+        {"normal": [-1, 0], "offset": "0"},
+        {"normal": [-1, 1], "offset": CAPPED_N},
+        {"normal": [0, -1], "offset": "0"},
+        {"normal": [1, -1], "offset": CAPPED_N},
+    ],
+}
+
+
+def test_reconstruct_names_a_witness_past_two_to_the_63(geo, capsys):
+    code, doc = _run_json(
+        capsys, ["reconstruct", geo("strip.json", CAPPED_STRIP), "--samples", "8"]
+    )
+    assert code == 0
+    km = doc["results"][1]
+    assert (km["theorem"], km["hypothesis"]) == ("thm-13", "violated")
+    assert km["facts"]["hull_of_extremes_equals_set"] is False
+    assert km["hypothesis_witness"] == {
+        "member_outside_extreme_hull": [CAPPED_N, CAPPED_N]
+    }
+
+
 def test_check_subcommand_exit_zero(geo, capsys):
     code, doc = _run_json(
         capsys,

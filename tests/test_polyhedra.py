@@ -1003,6 +1003,20 @@ def test_boundary_has_ray_examples():
     assert not boundary_has_ray(unit_square())
     assert boundary_has_ray(cone())
     assert boundary_has_ray(halfplane())
+    # A set with no interior is its own boundary: it holds a ray iff it is
+    # unbounded. A point, a segment, a ray and a line in E^2; a 2-flat in E^3.
+    x_is_0 = (H(V(1, 0), 0), H(V(-1, 0), 0))
+    flat = HPolyhedron((H(V(0, 0, 1), 0), H(V(0, 0, -1), 0)), 3)
+    cases = [
+        (HPolyhedron(x_is_0 + (H(V(0, 1), 0), H(V(0, -1), 0)), 2), False),
+        (HPolyhedron(x_is_0 + (H(V(0, 1), 1), H(V(0, -1), 0)), 2), False),
+        (HPolyhedron(x_is_0 + (H(V(0, -1), 0),), 2), True),
+        (HPolyhedron(x_is_0, 2), True),
+        (flat, True),
+    ]
+    for P, ray in cases:
+        assert not P.full_dimensional
+        assert boundary_has_ray(P) == (not is_bounded(P)) == ray, P
 
 
 def _lp_boundary_has_ray(P):
@@ -1051,11 +1065,13 @@ def test_boundedness_and_boundary_rays_match_the_lp_oracles():
     for P in _boundedness_instances():
         bounded = is_bounded(P)
         assert bounded == (lp_recession_direction(P) is None), P
+        ray = boundary_has_ray(P)
         if P.full_dimensional:
-            ray = boundary_has_ray(P)
             assert ray == _lp_boundary_has_ray(P), P
             full += 1
             rays += ray
+        else:
+            assert ray == (not bounded), P
         count += 1
         unbounded += not bounded
     assert count > 100 and full > 80 and unbounded > 40 and rays > 30

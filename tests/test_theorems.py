@@ -21,12 +21,21 @@ from convexprofile.generators import (
     rng_from_seed,
 )
 from convexprofile import geometry_io, linprog, polyhedra, theorems
+from convexprofile.geometry_io import point_to_json
 from convexprofile.polyhedra import (
+    Halfspace,
+    HPolyhedron,
     PointLocation,
+    VPolytope,
     boundary_chord_search,
+    extreme_points,
+    feasible_point,
+    hull_contains,
     interior_point,
+    is_bounded,
     locate_point,
     polyhedron_boundary_probes,
+    recession_direction,
 )
 from convexprofile.regions2d import (
     Disk,
@@ -213,14 +222,19 @@ def test_a_forged_midpoint_witness_raises(capsys):
     assert capsys.readouterr().out == FORGED_BOX_ERRORS
 
 
-def test_a_forged_midpoint_witness_raises_under_python_O():
+def _under_python_O(script):
+    """Run script in a fresh `python -O` with this tree's `src` first."""
     src = str(Path(__file__).resolve().parents[1] / "src")
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(p for p in (src, env.get("PYTHONPATH")) if p)
-    proc = subprocess.run(
-        [sys.executable, "-O", "-c", FORGED_BOX],
+    return subprocess.run(
+        [sys.executable, "-O", "-c", script],
         env=env, capture_output=True, text=True, timeout=60, check=False,
     )
+
+
+def test_a_forged_midpoint_witness_raises_under_python_O():
+    proc = _under_python_O(FORGED_BOX)
     assert (proc.returncode, proc.stdout) == (0, FORGED_BOX_ERRORS), proc.stderr
 
 
@@ -441,6 +455,80 @@ def test_krein_milman_halfspace_violated_no_extremes():
     assert r.facts["extreme_count"] == 0
 
 
+def test_the_closed_form_witness_leaves_the_extreme_hull():
+    # On seeded unbounded draws with vertices, the witness is base + k d for
+    # the least power of two k >= 1 with d . x > max over the vertices of
+    # d . v (found here by doubling), it lies in P, and the LP, the
+    # reference here, puts it outside the hull of the extreme points.
+    rng = rng_from_seed("thm-13-witness")
+    ks = collections.Counter()
+    for _ in range(150):
+        P = random_hpolyhedron(rng, rng.choice((2, 3)))
+        verts = extreme_points(P)
+        if is_bounded(P) or not verts:
+            continue
+        base, d = feasible_point(P), recession_direction(P)
+        top = max(d.dot(v) for v in verts)
+        k = 1
+        while d.dot(base + k * d) <= top:
+            k *= 2
+        r = check_krein_milman(P)
+        x = base + k * d
+        assert r.hypothesis_witness == {"member_outside_extreme_hull": point_to_json(x)}
+        assert P.contains(x)
+        assert not hull_contains(VPolytope(verts, P.dim), x), (P, x)
+        ks[k] += 1
+    assert ks[1] > 10 and sum(n for k, n in ks.items() if k > 1) > 3, ks
+
+
+# The diagonal strip |x - y| <= N, x, y >= 0 with N = 2^70 and vertices
+# (0, 0), (N, 0), (0, N): its members (k, k) with k <= N/2 lie in the hull of
+# the vertices, so the witness on the ray (k, k) is (N, N), at k = 2^70 > 2^63.
+CAPPED_N = 2**70
+CAPPED_STRIP = HPolyhedron(
+    (Halfspace(vector(-1, 0), 0), Halfspace(vector(-1, 1), CAPPED_N),
+     Halfspace(vector(0, -1), 0), Halfspace(vector(1, -1), CAPPED_N)),
+    2,
+)
+
+
+def test_a_witness_past_two_to_the_63_is_named():
+    r = check_krein_milman(CAPPED_STRIP)
+    assert (r.hypothesis, r.conclusion) == (VIO, NA)
+    assert r.facts["hull_of_extremes_equals_set"] is False
+    assert r.facts["extreme_count"] == 3
+    assert r.hypothesis_witness == {
+        "member_outside_extreme_hull": [str(CAPPED_N), str(CAPPED_N)]
+    }
+
+
+def test_a_forged_recession_direction_raises(monkeypatch):
+    # (1, 0) is no recession direction of the cone y >= |x|: the member
+    # check of the witness (1, 0) refuses it.
+    monkeypatch.setattr(theorems, "recession_direction", lambda P: vector(1, 0))
+    with pytest.raises(CertificateError, match="not a member outside"):
+        check_krein_milman(cone_fixture())
+
+
+FORGED_RAY = textwrap.dedent("""
+    from convexprofile import theorems
+    from convexprofile.core import vector
+    from convexprofile.errors import CertificateError
+
+    theorems.recession_direction = lambda P: vector(1, 0)
+    try:
+        theorems.check_krein_milman(theorems.cone_fixture())
+        print("accepted")
+    except CertificateError as exc:
+        print(type(exc).__name__)
+""")
+
+
+def test_a_forged_recession_direction_raises_under_python_O():
+    proc = _under_python_O(FORGED_RAY)
+    assert (proc.returncode, proc.stdout) == (0, "CertificateError\n"), proc.stderr
+
+
 # --- harness invariants --------------------------------------------------------
 
 @given(st.sampled_from(THEOREM_IDS), st.integers(0, 10**6))
@@ -458,10 +546,10 @@ def test_suite_rejects_unknown_ids():
         run_suite("thm-99")
 
 
-def test_only_hull_membership_solves_lps(monkeypatch):
-    """At criterion 10's settings the one LP of every theorem's suite is the
-    V-polytope membership program of thm-13's doubling loop on the cone
-    fixture: `profile` and the H-polyhedron queries solve none."""
+def test_no_theorem_solves_an_lp(monkeypatch):
+    """No theorem's suite solves an LP, at criterion 10's settings or at the
+    defaults: thm-13's witness is read in closed form, and `profile` and the
+    H-polyhedron queries solve none."""
     engine = linprog._solve_max
     callers = collections.Counter()
 
@@ -474,10 +562,11 @@ def test_only_hull_membership_solves_lps(monkeypatch):
         return engine(*args)
 
     monkeypatch.setattr(linprog, "_solve_max", record)
-    for tid in THEOREM_IDS:
-        assert run_suite(tid, seed=42, instances=8, samples=12,
-                         probe_density=8)
-    assert callers == {("_hull_of_extremes_equals", "hull_contains"): 1}
+    criterion10 = {"seed": 42, "instances": 8, "samples": 12, "probe_density": 8}
+    for settings in (criterion10, {}):
+        for tid in THEOREM_IDS:
+            assert run_suite(tid, **settings)
+    assert callers == {}
 
 
 # --- failing conclusions --------------------------------------------------------
